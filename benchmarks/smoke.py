@@ -42,7 +42,7 @@ import os
 import sys
 
 from repro.bench.figures import ALL_EXPERIMENTS
-from repro.bench.history import append_entry, trend_check
+from repro.bench.history import append_entry, fleet_rate, trend_check
 from repro.bench.runner import (
     SMOKE_CONFIGS,
     bench_payload,
@@ -238,7 +238,10 @@ def main(argv: list[str] | None = None) -> int:
             if msg is not None:
                 failures.append(msg)
             entry = append_entry(args.history, par_meta)
+            fleet = fleet_rate(entry)  # None: no point ran sharded
             print(f"  ledger += {entry['events_per_s']:,.0f} ev/s "
+                  + (f"(fleet {fleet:,.0f}) " if fleet is not None else "")
+                  + f"gc {entry['gc_collections']} "
                   f"[rev {entry['rev'] or '?'}]")
 
     print(f"[smoke] total parallel wall {total_wall:.2f}s")

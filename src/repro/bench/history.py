@@ -15,16 +15,24 @@ Ledger entry schema (one JSON object per line)::
     {"ts": "2026-08-08T12:00:00Z", "rev": "835a47b",
      "experiment": "fig1", "scheduler": "calendar", "jobs": 2,
      "shards": 0, "events": 371560, "wall_s": 1.64,
-     "events_per_s": 226305.0, "cp_s": 0.0, "events_per_s_cp": 0.0,
-     "kwargs": {...}}
+     "events_per_s": 226305.0, "cp_s": null, "events_per_s_cp": null,
+     "gc_collections": [3, 0, 0], "kwargs": {...}}
 
-``cp_s`` / ``events_per_s_cp`` are nonzero only for runs that executed
+``cp_s`` / ``events_per_s_cp`` are numbers only for runs that executed
 on the sharded conservative-parallel core: critical-path CPU seconds
 (slowest worker + coordinator, see
 :func:`repro.sim.shard.critical_path_seconds`) and the events/sec over
 that denominator — the aggregate fleet rate, i.e. the projected
-wall-clock rate on a machine with one dedicated core per shard.  The
-raw ``wall_s``/``events_per_s`` stay exactly as measured on the host.
+wall-clock rate on a machine with one dedicated core per shard.  Serial
+runs write ``null`` (rows from before that wrote ``0.0``;
+:func:`fleet_rate` reads both as "not applicable").  The raw
+``wall_s``/``events_per_s`` stay exactly as measured on the host.
+
+``gc_collections`` is the number of cyclic-collector runs per generation
+spent inside the experiment (see docs/architecture.md §9): the event
+loop runs with the collector paused, so a row whose counts climb with
+the event count means collections are happening inside the loop again.
+Rows from before the field existed simply lack it.
 
 Entries are environment-sensitive (they record wall time on whatever
 machine ran them), so the *check* compares against the best of a recent
@@ -90,14 +98,25 @@ def append_entry(dir_path: str, meta: dict[str, Any], *,
         "events": meta["events"],
         "wall_s": round(float(meta["wall_s"]), 4),
         "events_per_s": round(float(meta["events_per_s"]), 1),
-        "cp_s": round(float(meta.get("cp_s", 0.0)), 4),
-        "events_per_s_cp": round(float(meta.get("events_per_s_cp", 0.0)), 1),
+        "cp_s": _rounded(meta.get("cp_s"), 4),
+        "events_per_s_cp": _rounded(meta.get("events_per_s_cp"), 1),
+        "gc_collections": meta.get("gc_collections"),
         "kwargs": meta.get("kwargs"),
     }
     os.makedirs(dir_path, exist_ok=True)
     with open(history_path(dir_path, meta["experiment"]), "a") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return entry
+
+
+def _rounded(value: float | None, ndigits: int) -> float | None:
+    return None if value is None else round(float(value), ndigits)
+
+
+def fleet_rate(entry: dict[str, Any]) -> float | None:
+    """Critical-path events/sec of a ledger row or run meta, or None when
+    the run was serial (``null``, the older ``0.0``, or no field at all)."""
+    return entry.get("events_per_s_cp") or None
 
 
 def load_history(dir_path: str, eid: str) -> list[dict[str, Any]]:
@@ -195,11 +214,15 @@ def render_trend(dir_path: str, eids: list[str] | None = None) -> str:
         latest = entries[-1]
         first, last, best = eps[0], eps[-1], max(eps)
         rel = (last / first - 1.0) * 100.0 if first > 0 else 0.0
+        fleet = fleet_rate(latest)
+        gcs = latest.get("gc_collections")
         lines.append(
             f"{eid}: {len(entries)} runs  {_sparkline(eps)}  "
             f"latest {last:,.0f} ev/s ({rel:+.0f}% vs first, "
             f"best {best:,.0f}) "
-            f"[rev {latest.get('rev') or '?'}, "
+            + (f"fleet {fleet:,.0f} ev/s " if fleet is not None else "")
+            + (f"gc {'/'.join(map(str, gcs))} " if gcs is not None else "")
+            + f"[rev {latest.get('rev') or '?'}, "
             f"{latest.get('scheduler') or '?'} scheduler]")
     if not lines:
         return "no bench history found"

@@ -18,6 +18,7 @@ format the CI bench-smoke job diffs against the committed baselines.
 
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import multiprocessing.pool as _mp_pool
@@ -132,9 +133,11 @@ def _run_point(
         cp0 = critical_path_seconds()
         os.environ["REPRO_SHARDS"] = str(shards)
     try:
+        gc0 = _gc_collections()
         before = events_scheduled()
         table = ALL_EXPERIMENTS[eid](**kwargs)
         events = events_scheduled() - before
+        gc_collections = [b - a for a, b in zip(gc0, _gc_collections())]
     finally:
         if shards:
             if prev is None:
@@ -145,7 +148,7 @@ def _run_point(
         from repro.sim.shard import critical_path_seconds
         cp_s = critical_path_seconds() - cp0
     else:
-        cp_s = 0.0
+        cp_s = None
     return {
         "title": table.title,
         "columns": table.columns,
@@ -153,7 +156,14 @@ def _run_point(
         "notes": table.notes,
         "events": events,
         "cp_s": cp_s,
+        "gc_collections": gc_collections,
     }
+
+
+def _gc_collections() -> list[int]:
+    """Cyclic-collector runs so far in this interpreter, per generation
+    (counters the interpreter keeps anyway; reading them costs nothing)."""
+    return [g["collections"] for g in gc.get_stats()]
 
 
 def _sweep_points(eid: str, kwargs: dict[str, Any]):
@@ -184,7 +194,10 @@ def run_experiment(eid: str, jobs: int = 1,
     per-point ``seeds``, and — for points executed on the sharded core —
     ``cp_s``/``events_per_s_cp``, the critical-path CPU seconds and the
     aggregate fleet rate over them (the projected wall-clock rate with
-    one dedicated core per shard; 0.0 for serial runs).  With
+    one dedicated core per shard; ``None`` when no point ran sharded) —
+    and ``gc_collections``, the cyclic-collector runs per generation
+    spent inside the experiment, summed over the interpreters that ran
+    its points (shard workers' own collections are not included).  With
     ``history_dir`` set, the metadata is appended to the events/sec
     trend ledger (see :mod:`repro.bench.history`).
 
@@ -235,9 +248,9 @@ def run_experiment(eid: str, jobs: int = 1,
     events = sum(r["events"] for r in results)
     # critical-path CPU seconds accumulated by sharded runs: the honest
     # parallel-throughput denominator when the host has fewer cores than
-    # shards (see repro.sim.shard.critical_path_seconds) — 0.0 when no
+    # shards (see repro.sim.shard.critical_path_seconds) — None when no
     # point executed on the sharded core
-    cp_s = sum(r.get("cp_s", 0.0) for r in results)
+    cp_s = sum(r["cp_s"] for r in results) if shards else None
     meta = {
         "experiment": eid,
         "jobs": used_jobs,
@@ -246,7 +259,9 @@ def run_experiment(eid: str, jobs: int = 1,
         "events": events,
         "events_per_s": events / wall if wall > 0 else 0.0,
         "cp_s": cp_s,
-        "events_per_s_cp": events / cp_s if cp_s > 0 else 0.0,
+        "events_per_s_cp": events / cp_s if cp_s else None,
+        "gc_collections": [sum(g) for g in zip(
+            *(r["gc_collections"] for r in results))],
         "scheduler": scheduler_name(),
         "seeds": [p[2] for p in payloads],
         "kwargs": {k: _jsonable(v) for k, v in kwargs.items()},

@@ -26,7 +26,10 @@ class Communicator:
     """One rank's view of a communicator (world or split).
 
     All blocking operations are generators: ``yield from comm.send(...)``.
-    ``group`` lists the member *world* ranks in communicator-rank order.
+    ``group`` lists the member *world* ranks in communicator-rank order: a
+    ``range`` for the world communicator (every rank holds one, so a list
+    would cost O(P²) slots per cluster and O(P) per rank translation), a
+    ``list`` with a ``{world: local}`` index beside it for a split.
     """
 
     def __init__(self, endpoint: MpiEndpoint, endpoints: list[MpiEndpoint],
@@ -35,12 +38,17 @@ class Communicator:
         self._endpoints = endpoints
         self.context = context
         if group is None:
-            group = list(range(len(endpoints)))
-        self.group = list(group)
-        if endpoint.rank not in self.group:
+            self.group = range(len(endpoints))
+            self._local_of = self.group.index  # O(1) on a range
+        else:
+            self.group = list(group)
+            self._local_of = {
+                w: i for i, w in enumerate(self.group)}.__getitem__
+        try:
+            self.rank = self._local_of(endpoint.rank)
+        except (KeyError, ValueError):
             raise MatchingError(
-                f"world rank {endpoint.rank} is not in the group")
-        self.rank = self.group.index(endpoint.rank)
+                f"world rank {endpoint.rank} is not in the group") from None
         self.size = len(self.group)
         self._split_calls = 0
 
@@ -59,8 +67,8 @@ class Communicator:
         if world_rank in (PROC_NULL, ANY_SOURCE):
             return world_rank
         try:
-            return self.group.index(world_rank)
-        except ValueError:  # pragma: no cover - matching is context-bound
+            return self._local_of(world_rank)
+        except (KeyError, ValueError):  # pragma: no cover - context-bound
             raise MatchingError(
                 f"message from world rank {world_rank} outside the group")
 

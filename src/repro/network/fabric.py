@@ -29,7 +29,6 @@ from repro.faults import FaultInjector, FaultPlan, TransferFate
 from repro.network.cq import CompletionQueue, CqEntry
 from repro.network.loggp import TransportParams
 from repro.network.topology import Machine
-from repro.network.transports.base import TransferPlan
 from repro.network.transports.shm import ShmTransport
 from repro.network.transports.ugni import BteEngine, FmaEngine
 from repro.sanitizer.shadow import ATOMIC, READ, WRITE
@@ -351,7 +350,7 @@ class Fabric:
                              nbytes, op="put",
                              medium="shm" if same else "ugni",
                              notified=immediate is not None, lost=True)
-            self._at(plan.inject_end, lambda: local_done.succeed(None))
+            self._at(plan.inject_end, local_done.succeed)
             self._fail_lost("put", origin, target, fate, remote_done)
             return OpHandle("put", plan.cpu_busy, local_done, remote_done,
                             nbytes=nbytes, target=target,
@@ -368,12 +367,9 @@ class Fabric:
             extra = fate.extra_delay if fate is not None else 0.0
             plan = eng.plan(nbytes, extra_delay=self._drop_penalty()
                             + self._hop_extra(origin, target) + extra)
-            commit = self._rx_reserve(target, plan.commit_at, nbytes,
-                                      eng.params.G)
-            plan = TransferPlan(cpu_busy=plan.cpu_busy,
-                                inject_end=plan.inject_end,
-                                commit_at=commit,
-                                ack_at=commit + eng.params.L)
+            plan.commit_at = commit = self._rx_reserve(
+                target, plan.commit_at, nbytes, eng.params.G)
+            plan.ack_at = commit + eng.params.L
 
         self.tracer.emit(self.engine.now, "wire", origin, target, nbytes,
                          op="put", medium="shm" if same else "ugni",
@@ -455,8 +451,8 @@ class Fabric:
             if fate is not None and fate.duplicate:
                 self._at(plan.commit_at + fate.dup_lag, deliver)
         # Origin buffer reuse: data was snapshotted at injection.
-        self._at(plan.inject_end, lambda: local_done.succeed(None))
-        self._at(plan.ack_at, lambda: remote_done.succeed(None))
+        self._at(plan.inject_end, local_done.succeed)
+        self._at(plan.ack_at, remote_done.succeed)
         return OpHandle("put", plan.cpu_busy, local_done, remote_done,
                         nbytes=nbytes, target=target,
                         commit_at=plan.commit_at, san_remote=san_op)
@@ -593,8 +589,8 @@ class Fabric:
         # burst (same seq consumption and dispatch order as three call_at).
         self._at_batch(data_at, (
             deliver,
-            lambda: local_done.succeed(None),
-            lambda: remote_done.succeed(None),
+            local_done.succeed,
+            remote_done.succeed,
         ))
         if immediate is not None:
             # The data legs are idempotent copies; only the notification
@@ -724,7 +720,7 @@ class Fabric:
             if fate is not None and fate.duplicate:
                 self._at(exec_at + fate.dup_lag, deliver)
         self._at_batch(done_at, (
-            lambda: local_done.succeed(None),
+            local_done.succeed,
             lambda: remote_done.succeed(result[0]),
         ))
         return OpHandle("amo", cpu_busy, local_done, remote_done,
@@ -762,7 +758,7 @@ class Fabric:
             self.tracer.emit(self.engine.now, "wire", origin, target,
                              nbytes, op=f"sys-{ptype}",
                              medium="shm" if same else "ugni", lost=True)
-            self._at(plan.inject_end, lambda: local_done.succeed(None))
+            self._at(plan.inject_end, local_done.succeed)
             self._fail_lost(f"sys-{ptype}", origin, target, fate,
                             remote_done)
             return OpHandle(f"sys-{ptype}", plan.cpu_busy, local_done,
@@ -776,12 +772,9 @@ class Fabric:
             extra = fate.extra_delay if fate is not None else 0.0
             plan = eng.plan(nbytes, extra_delay=self._drop_penalty()
                             + self._hop_extra(origin, target) + extra)
-            commit = self._rx_reserve(target, plan.commit_at, nbytes,
-                                      eng.params.G)
-            plan = TransferPlan(cpu_busy=plan.cpu_busy,
-                                inject_end=plan.inject_end,
-                                commit_at=commit,
-                                ack_at=commit + eng.params.L)
+            plan.commit_at = commit = self._rx_reserve(
+                target, plan.commit_at, nbytes, eng.params.G)
+            plan.ack_at = commit + eng.params.L
         self.tracer.emit(self.engine.now, "wire", origin, target, nbytes,
                          op=f"sys-{ptype}", medium="shm" if same else "ugni")
         snapshot = None if data is None else np.ascontiguousarray(
@@ -808,7 +801,7 @@ class Fabric:
         self._at(plan.commit_at, deliver)
         if fate is not None and fate.duplicate:
             self._at(plan.commit_at + fate.dup_lag, deliver)
-        self._at(plan.inject_end, lambda: local_done.succeed(None))
-        self._at(plan.ack_at, lambda: remote_done.succeed(None))
+        self._at(plan.inject_end, local_done.succeed)
+        self._at(plan.ack_at, remote_done.succeed)
         return OpHandle(f"sys-{ptype}", plan.cpu_busy, local_done,
                         remote_done, nbytes=nbytes, target=target)

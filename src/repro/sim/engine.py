@@ -27,6 +27,7 @@ zero-perturbation guarantee and the golden-value tests depend on it.
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Callable, Generator, Iterable, Sequence
 from typing import Any
 
@@ -569,7 +570,12 @@ class Engine:
 
     # -- run loop -----------------------------------------------------------
     def step(self) -> None:
-        """Process one event off the scheduler."""
+        """Process one event off the scheduler.
+
+        Unlike :meth:`run`, ``step`` leaves the cyclic collector alone: a
+        caller single-stepping the engine owns the loop around it, and
+        toggling the collector per event would cost more than it saves.
+        """
         when, event = self._sched.pop()
         if when < self.now:
             raise SimulationError("time went backwards")
@@ -597,12 +603,24 @@ class Engine:
         pending — instead of being swallowed.  A program that legitimately
         observes a failure in a *later* bounded quantum must defuse it (or
         attach a waiter) before the quantum ends.
+
+        The automatic cyclic collector is paused while the scheduler drains
+        and put back as found on every exit path: in-flight operations are
+        live containers, not garbage, so a collection inside the loop only
+        re-traverses a heap that grows with rank count (docs/architecture.md
+        §9, "Memory management in the hot loop").  Reference counting frees
+        everything the loop drops; a rank program that builds reference
+        cycles keeps them until ``run`` returns.
         """
         if until is not None and until < self.now:
             raise SimulationError(f"run(until={until}) is in the past")
+        gc_was_enabled = gc.isenabled()
         try:
+            gc.disable()
             stopped = self._sched.drain(self, until)
         finally:
+            if gc_was_enabled:
+                gc.enable()
             self._account()
         if self._unobserved:
             self._flush_unobserved()

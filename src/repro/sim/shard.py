@@ -221,7 +221,7 @@ class ShardFabric(Fabric):
                              notified=immediate is not None, lost=True)
             local_done = Event(self.engine, "put.local")
             remote_done = Event(self.engine, "put.remote")
-            self._at(plan.inject_end, lambda: local_done.succeed(None))
+            self._at(plan.inject_end, local_done.succeed)
             self._fail_lost("put", origin, target, fate, remote_done)
             return OpHandle("put", plan.cpu_busy, local_done, remote_done,
                             nbytes=nbytes, target=target,
@@ -237,7 +237,7 @@ class ShardFabric(Fabric):
                          notified=immediate is not None)
         local_done = Event(self.engine, "put.local")
         remote_done = Event(self.engine, "put.remote")
-        self._at(plan.inject_end, lambda: local_done.succeed(None))
+        self._at(plan.inject_end, local_done.succeed)
         op_id = next(self._op_ids)
         self._pending[op_id] = ("put", remote_done)
         self._ship(ShardPacket(
@@ -295,7 +295,7 @@ class ShardFabric(Fabric):
     def _recv_ack(self, pkt: ShardPacket) -> None:
         """Origin-side completion of a put/sys: remote_done at ack time."""
         kind, remote_done = self._pending.pop(pkt.op_id)
-        self._at(pkt.t_exec, lambda: remote_done.succeed(None))
+        self._at(pkt.t_exec, remote_done.succeed)
 
     # -- RDMA get -------------------------------------------------------
     def get(self, origin: int, target: int, target_addr: int, nbytes: int,
@@ -415,8 +415,8 @@ class ShardFabric(Fabric):
 
         self._at_batch(data_at, (
             deliver,
-            lambda: local_done.succeed(None),
-            lambda: remote_done.succeed(None),
+            local_done.succeed,
+            remote_done.succeed,
         ))
 
     # -- atomics --------------------------------------------------------
@@ -499,7 +499,7 @@ class ShardFabric(Fabric):
             self._pending.pop(pkt.op_id)
         old = pkt.value
         self._at_batch(done_at, (
-            lambda: local_done.succeed(None),
+            local_done.succeed,
             lambda: remote_done.succeed(old),
         ))
 
@@ -520,7 +520,7 @@ class ShardFabric(Fabric):
                              lost=True)
             local_done = Event(self.engine, "sys.local")
             remote_done = Event(self.engine, "sys.remote")
-            self._at(plan.inject_end, lambda: local_done.succeed(None))
+            self._at(plan.inject_end, local_done.succeed)
             self._fail_lost(f"sys-{ptype}", origin, target, fate,
                             remote_done)
             return OpHandle(f"sys-{ptype}", plan.cpu_busy, local_done,
@@ -535,7 +535,7 @@ class ShardFabric(Fabric):
             data).view(np.uint8).ravel().copy()
         local_done = Event(self.engine, "sys.local")
         remote_done = Event(self.engine, "sys.remote")
-        self._at(plan.inject_end, lambda: local_done.succeed(None))
+        self._at(plan.inject_end, local_done.succeed)
         op_id = next(self._op_ids)
         self._pending[op_id] = ("sys", remote_done)
         self._ship(ShardPacket(

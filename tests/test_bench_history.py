@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.bench.history import (
     TREND_TOLERANCE,
     append_entry,
+    fleet_rate,
     history_path,
     load_history,
     render_trend,
@@ -99,9 +101,70 @@ def test_render_trend_empty(tmp_path):
     assert render_trend(str(tmp_path), ["fig1"]) == "fig1: no history"
 
 
+def test_serial_entry_writes_null_fleet_rate(tmp_path):
+    """A run with no sharded point has no critical path: the row says
+    ``null``, not a rate of zero."""
+    d = str(tmp_path)
+    meta = {**_meta(), "cp_s": None, "events_per_s_cp": None,
+            "gc_collections": [2, 0, 0]}
+    entry = append_entry(d, meta, rev="r1", ts="t1")
+    assert entry["cp_s"] is None and entry["events_per_s_cp"] is None
+    with open(history_path(d, "fig1")) as fh:
+        row = json.loads(fh.read())
+    assert row["cp_s"] is None and row["events_per_s_cp"] is None
+    assert row["gc_collections"] == [2, 0, 0]
+    assert fleet_rate(row) is None
+    # a meta dict predating both fields writes the same row shape
+    assert append_entry(d, _meta(), rev="r2", ts="t2")["cp_s"] is None
+
+
+def test_sharded_entry_keeps_fleet_rate(tmp_path):
+    d = str(tmp_path)
+    meta = {**_meta(), "shards": 2, "cp_s": 1.23456,
+            "events_per_s_cp": 300_961.04}
+    entry = append_entry(d, meta, rev="r1", ts="t1")
+    assert entry["cp_s"] == 1.2346
+    assert fleet_rate(entry) == 300_961.0
+    assert "fleet 300,961 ev/s" in render_trend(d)
+
+
+def test_old_and_new_row_shapes_read_alike(tmp_path):
+    """Ledgers committed before this change wrote ``0.0`` for serial
+    runs and had no ``gc_collections``; they stay readable beside rows
+    of the new shape, by ``--trend`` and by the trend gate."""
+    d = str(tmp_path)
+    old = {"ts": "t0", "rev": "old", "experiment": "fig1",
+           "scheduler": "calendar", "jobs": 2, "shards": 0,
+           "events": 371_560, "wall_s": 1.8578, "events_per_s": 200_000.0,
+           "cp_s": 0.0, "events_per_s_cp": 0.0, "kwargs": {}}
+    with open(history_path(d, "fig1"), "w") as fh:
+        fh.write(json.dumps(old, sort_keys=True) + "\n")
+    append_entry(d, {**_meta(eps=220_000.0), "cp_s": None,
+                     "events_per_s_cp": None, "gc_collections": [1, 0, 0]},
+                 rev="new", ts="t1")
+    rows = load_history(d, "fig1")
+    assert [fleet_rate(r) for r in rows] == [None, None]
+    out = render_trend(d)
+    assert "fig1: 2 runs" in out and "fleet" not in out
+    assert "gc 1/0/0" in out
+    assert trend_check(d, "fig1", 210_000.0, kwargs={}) is None
+    # with the old-shape row latest, the gc column is simply absent
+    with open(history_path(d, "fig1"), "a") as fh:
+        fh.write(json.dumps(old, sort_keys=True) + "\n")
+    assert "gc " not in render_trend(d)
+
+
+def test_committed_ledgers_still_load():
+    d = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                     "history")
+    out = render_trend(d)
+    assert "fig1:" in out and "no history" not in out
+
+
 def test_runner_appends_history(tmp_path):
     """run_experiment(history_dir=...) writes a ledger entry with the
-    active scheduler recorded."""
+    active scheduler recorded, no fleet rate for a serial run, and the
+    collector runs the experiment paid for."""
     from repro.bench.runner import SMOKE_CONFIGS, run_experiment
 
     d = str(tmp_path)
@@ -112,3 +175,19 @@ def test_runner_appends_history(tmp_path):
     assert entries[0]["events"] == meta["events"]
     assert entries[0]["scheduler"] == meta["scheduler"]
     assert entries[0]["scheduler"] in ("heap", "calendar")
+    assert meta["cp_s"] is None and meta["events_per_s_cp"] is None
+    assert entries[0]["cp_s"] is None
+    assert entries[0]["gc_collections"] == meta["gc_collections"]
+    assert len(meta["gc_collections"]) == 3
+    assert min(meta["gc_collections"]) >= 0
+
+
+def test_runner_reports_fleet_rate_for_sharded_run(tmp_path):
+    from repro.bench.runner import SMOKE_CONFIGS, run_experiment
+
+    _table, meta = run_experiment("fig4c", jobs=2, shards=2,
+                                  history_dir=str(tmp_path),
+                                  **SMOKE_CONFIGS["fig4c"])
+    assert meta["cp_s"] > 0 and meta["events_per_s_cp"] > 0
+    assert len(meta["gc_collections"]) == 3
+    assert fleet_rate(load_history(str(tmp_path), "fig4c")[0]) > 0
