@@ -14,6 +14,10 @@ carrying the 32-bit immediate to the **destination completion queue** of the
 process whose memory was accessed — for a put that is the target, and for a
 get it is *also* the target (the owner of the data that was read), per the
 paper's notified-read semantics (§VIII).
+
+Every verb is stated once, as an *origin half* and a *target half* joined by
+:meth:`Fabric._hand_off` — an in-process call here, a packet across a shard
+boundary in :mod:`repro.sim.shard` (docs/architecture.md §3).
 """
 
 from __future__ import annotations
@@ -42,6 +46,11 @@ GET_REQUEST_BYTES = 16
 AMO_REQUEST_BYTES = 24
 AMO_RESPONSE_BYTES = 16
 
+#: ``accumulate`` argument of :meth:`Fabric.put` -> element-wise update
+#: applied at commit (``None``: plain overwrite)
+_ACCUMULATE = {None: None, "replace": None, "sum": np.add,
+               "max": np.maximum, "min": np.minimum}
+
 
 @dataclass(slots=True)
 class OpHandle:
@@ -53,7 +62,12 @@ class OpHandle:
     remote_done: Event
     nbytes: int = 0
     target: int = -1
-    commit_at: float = 0.0    # absolute time the data commits remotely
+    #: absolute time the data commits remotely (get: lands locally).  Exact
+    #: once the op's return leg has run — at issue on the serial fabric,
+    #: when the ack / response packet is back on a sharded one; until then
+    #: it holds the origin's own estimate (put, sys: the ideal commit of a
+    #: lone flow; get: the request's arrival at the target)
+    commit_at: float = 0.0
     failed: bool = False      # abandoned by the fault layer (never commits)
     #: sanitizer clocks (None unless sanitizing): the remote leg (commit /
     #: serve) and, for gets, the local delivery leg
@@ -192,6 +206,9 @@ class Fabric:
                                   machine.nranks, "nic")
         #: optional hook invoked at sys-packet arrival (async progress)
         self.on_sys_arrival: Callable[[int, SysPacket], None] | None = None
+        #: verb -> target half (what :meth:`_hand_off` hands an op to)
+        self._land = {"put": self._land_put, "get": self._land_get,
+                      "amo": self._land_amo, "sys": self._land_sys}
 
     # ------------------------------------------------------------------
     def nic(self, rank: int) -> Nic:
@@ -246,54 +263,109 @@ class Fabric:
             origin, target, nbytes, "shm" if same_node else "ugni",
             self.engine.now)
 
-    def _next_seq(self) -> int | None:
-        """Sequence number for delivery dedup (None on fault-free runs)."""
-        if self.faults is None:
-            return None
-        return next(self._op_seq)
+    def _fail_lost(self, handle: OpHandle, kind: str, origin: int,
+                   fate: TransferFate, *events: Event) -> OpHandle:
+        """Abandon ``handle``: fail ``events`` once the transport gives up.
 
-    def _fail_lost(self, kind: str, origin: int, target: int,
-                   fate: TransferFate, *events: Event) -> None:
-        """Fail ``events`` once the transport gives up on a lost op."""
+        Retries exhausted or a dead endpoint — the op never reaches its
+        target half, so nothing commits and no notification is posted.
+        """
         assert self.faults is not None
-        err = self.faults.lost_error(kind, origin, target,
+        err = self.faults.lost_error(kind, origin, handle.target,
                                      now=self.engine.now)
-        when = self.engine.now + fate.fail_after
+        handle.failed = True
+        handle.commit_at = when = self.engine.now + fate.fail_after
         for ev in events:
             # A lost op's completion events may legitimately never be waited
             # on (e.g. a put whose remote_done the program never flushes);
             # defuse so the engine's unobserved-failure report stays quiet.
             ev.defuse()
             self._at(when, lambda ev=ev: ev.fail(err))
+        return handle
 
-    def _post_notification(self, origin: int, accessed: int, kind: str,
-                           nbytes: int, immediate: int, win_id: int | None,
-                           target_addr: int | None, when: float,
-                           same_node: bool,
-                           inline: np.ndarray | None = None,
-                           seq: int | None = None,
-                           san_op=None) -> None:
-        """Post a dest-CQ/ring entry at ``accessed`` rank at time ``when``.
+    # ------------------------------------------------------------------
+    # The hand-off between an op's origin half and its target half
+    # ------------------------------------------------------------------
+    def _hand_off(self, verb: str, parked, same: bool, op: tuple,
+                  fate: TransferFate | None, san):
+        """Carry one op from its origin half to its target half.
 
-        With ``seq`` set, the post goes through the NIC's exactly-once
-        filter — a duplicated delivery of the same transfer is suppressed
-        and counted instead of double-notifying.
+        Every verb below is an *origin half* (validate, snapshot, fate /
+        lost branch, price the origin legs, trace, create the handle) that
+        ends here, and a *target half* (``_land_<verb>``: rx-link
+        reservation, response-engine planning, commit / serve / execute /
+        deliver behind the exactly-once filter, sanitizer commit,
+        notification post).  This fabric holds every rank, so the hand-off
+        is a plain call at issue time: the target half runs now and its
+        result is returned, and the verb feeds it straight to its return
+        leg (the ack of a put / sys message, ``_finish_get``,
+        ``_finish_amo``).
+
+        ``op`` is the tuple of values that cross the hand-off (one row per
+        verb in ``shardlink.WIRE_ARGS``); ``fate`` (fault duplicates and
+        delays) and ``san`` (sanitizer clocks) reach a target half only in
+        process.  :class:`~repro.sim.shard.ShardFabric` overrides this one
+        method: for an inter-node op it parks ``parked`` (what the return
+        leg needs) under an op id, ships ``op`` as a packet and returns
+        ``None``; the same ``_land_<verb>`` runs at the next window
+        boundary and the same return leg when the response comes back.
         """
-        nic = self.nics[accessed]
-        queue = nic.shm_ring if same_node else nic.dest_cq
+        return self._land[verb](same, op, fate, san)
 
-        def deliver() -> None:
+    def _at_target(self, when: float, origin: int, target: int, kind: str,
+                   same: bool, apply: Callable[[], None] | None,
+                   fate: TransferFate | None,
+                   immediate: int | None = None, nbytes: int = 0,
+                   win_id: int | None = None,
+                   target_addr: int | None = None,
+                   inline: np.ndarray | None = None, san_op=None) -> None:
+        """Schedule one transfer's side effects at ``target`` for ``when``.
+
+        ``apply`` commits the payload, executes the atomic or delivers the
+        sys packet (``None`` for a get, whose data legs are idempotent
+        copies).  With ``immediate`` set, a CQ entry carrying it is posted
+        to the accessed rank's destination CQ (the shm ring within a node)
+        at the same instant — the single-transaction guarantee of Fig. 2d.
+
+        Fault-free, the two are separate scheduler events.  On a faulty
+        fabric they travel together as one event under one transfer
+        sequence number, behind the NIC's exactly-once filter, so a
+        duplicated delivery re-applies neither: accumulates, atomics and
+        notification counters are not idempotent.
+        """
+        nic = self.nics[target]
+        seq = None if self.faults is None else next(self._op_seq)
+        post = None
+        if immediate is not None:
+            queue = nic.shm_ring if same else nic.dest_cq
+
+            def post() -> None:
+                queue.post(CqEntry(kind=kind, source=origin, target=target,
+                                   nbytes=nbytes, time=self.engine.now,
+                                   immediate=immediate, win_id=win_id,
+                                   target_addr=target_addr, inline=inline,
+                                   seq=seq, san=san_op))
+
+        if seq is None:
+            if apply is not None:
+                self._at(when, apply)
+            if post is not None:
+                self._at(when, post)
+            return
+
+        def once() -> None:
             if not nic.first_delivery(seq):
-                self.faults.suppressed(origin, accessed, kind,
+                self.faults.suppressed(origin, target, kind,
                                        self.engine.now)
                 return
-            queue.post(CqEntry(kind=kind, source=origin, target=accessed,
-                               nbytes=nbytes, time=self.engine.now,
-                               immediate=immediate, win_id=win_id,
-                               target_addr=target_addr, inline=inline,
-                               seq=seq, san=san_op))
+            if apply is not None:
+                apply()
+            if post is not None:
+                post()
 
-        self._at(when, deliver)
+        self._at(when, once)
+        if fate is not None and fate.duplicate:
+            self._at(when + fate.dup_lag, once)
 
     # ------------------------------------------------------------------
     # RDMA put
@@ -320,6 +392,8 @@ class Fabric:
         split across them in order within the same single transaction.
         ``target_addr`` is ignored when it is given.
         """
+        if accumulate not in _ACCUMULATE:
+            raise NetworkError(f"unknown accumulate op {accumulate!r}")
         raw = np.ascontiguousarray(data).view(np.uint8).ravel().copy()
         nbytes = raw.nbytes
         if scatter is not None:
@@ -332,70 +406,80 @@ class Fabric:
         nic.ops_issued += 1
         fate = (None if self.faults is None
                 else self._fate(origin, target, nbytes, same))
-
-        local_done = Event(self.engine, "put.local")
-        remote_done = Event(self.engine, "put.remote")
-
-        if fate is not None and fate.lost:
-            # Retries exhausted or a dead endpoint: the payload never
-            # commits and no notification is posted.  The origin buffer is
-            # still snapshotted (local_done fires), but completion waiters
-            # get a FaultError once the transport gives up.
-            if same:
-                plan = nic.shm.plan_put(nbytes)
-            else:
-                eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
-                plan = eng.plan(nbytes)
+        lost = fate is not None and fate.lost
+        if same:
+            eng, G, L = nic.shm, 0.0, 0.0
+            plan = eng.plan_put(nbytes)
+        else:
+            eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
+            G, L = eng.params.G, eng.params.L
+            # a lost transfer still occupies the origin engine, but rides
+            # no wire: no hop, retransmission or jitter extras
+            plan = eng.plan(nbytes) if lost else eng.plan(
+                nbytes, extra_delay=self._drop_penalty()
+                + self._hop_extra(origin, target)
+                + (fate.extra_delay if fate is not None else 0.0))
+        handle = OpHandle("put", plan.cpu_busy,
+                          Event(self.engine, "put.local"),
+                          Event(self.engine, "put.remote"), nbytes=nbytes,
+                          target=target, commit_at=plan.commit_at)
+        if lost:
+            # The origin buffer is still snapshotted (local_done fires),
+            # but completion waiters get a FaultError.
             self.tracer.emit(self.engine.now, "wire", origin, target,
                              nbytes, op="put",
                              medium="shm" if same else "ugni",
                              notified=immediate is not None, lost=True)
-            self._at(plan.inject_end, local_done.succeed)
-            self._fail_lost("put", origin, target, fate, remote_done)
-            return OpHandle("put", plan.cpu_busy, local_done, remote_done,
-                            nbytes=nbytes, target=target,
-                            commit_at=self.engine.now + fate.fail_after,
-                            failed=True)
-
-        if same:
-            inline = (immediate is not None
-                      and nic.shm.is_inline(nbytes))
-            plan = nic.shm.plan_put(nbytes)
-        else:
-            inline = False
-            eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
-            extra = fate.extra_delay if fate is not None else 0.0
-            plan = eng.plan(nbytes, extra_delay=self._drop_penalty()
-                            + self._hop_extra(origin, target) + extra)
-            plan.commit_at = commit = self._rx_reserve(
-                target, plan.commit_at, nbytes, eng.params.G)
-            plan.ack_at = commit + eng.params.L
-
+            self._at(plan.inject_end, handle.local_done.succeed)
+            return self._fail_lost(handle, "put", origin, fate,
+                                   handle.remote_done)
         self.tracer.emit(self.engine.now, "wire", origin, target, nbytes,
                          op="put", medium="shm" if same else "ugni",
                          notified=immediate is not None)
+        san = None
+        if self.san is not None:
+            handle.san_remote = self.san.op_begin(origin)
+            san = (handle.san_remote, eng.san_channel, san_track)
+        landed = self._hand_off("put", handle, same, (
+            origin, target, nbytes, plan.commit_at, G, L, target_addr, raw,
+            immediate, win_id, accumulate, acc_dtype, scatter), fate, san)
+        # Origin buffer reuse: data was snapshotted at injection.
+        self._at(plan.inject_end, handle.local_done.succeed)
+        if landed is not None:
+            # Return leg: the ack reaches the origin, carrying the commit
+            # the target NIC reserved behind other flows.
+            handle.commit_at, ack_at = landed
+            self._at(ack_at, handle.remote_done.succeed)
+        return handle
 
+    def _land_put(self, same: bool, op: tuple,
+                  fate: TransferFate | None = None,
+                  san=None) -> tuple[float, float]:
+        """Target half of a put: reserve the rx link, commit, notify.
+
+        ``op`` carries the origin's ideal commit and the gap ``G`` and
+        latency ``L`` of the engine that priced it (zero within a node).
+        Returns ``(commit_at, ack_at)`` for the return leg: the reserved
+        commit and the arrival of its ack at the origin.
+        """
+        (origin, target, nbytes, t_commit, G, L, target_addr, raw, immediate,
+         win_id, accumulate, acc_dtype, scatter) = op
+        commit_at = (t_commit if same
+                     else self._rx_reserve(target, t_commit, nbytes, G))
         space = self.spaces[target]
 
-        san_op = None
-        if self.san is not None:
-            san_op = self.san.op_begin(origin)
-            eng_used = (nic.shm if same
-                        else nic.fma if nbytes <= self.params.fma_max
-                        else nic.bte)
-            san_chan = eng_used.san_channel
-            san_blocks = (scatter if scatter is not None
-                          else [(target_addr, nbytes)])
-            san_kind = WRITE if accumulate is None else ATOMIC
-
         def commit() -> None:
-            if san_op is not None:
+            if san is not None:
                 # Runs before the zero-byte early-out: a zero-byte notified
                 # put (the flush+notify credit) still carries the in-order
                 # channel's clock to its consumer.
-                self.san.op_commit(san_op, origin, target, san_blocks,
-                                   kind=san_kind, chan=san_chan,
-                                   record=san_track)
+                san_op, chan, track = san
+                self.san.op_commit(
+                    san_op, origin, target,
+                    scatter if scatter is not None
+                    else [(target_addr, nbytes)],
+                    kind=WRITE if accumulate is None else ATOMIC,
+                    chan=chan, record=track)
             if not nbytes:
                 return
             if scatter is not None:
@@ -404,58 +488,19 @@ class Fabric:
                     space.copy_in(addr, raw[pos:pos + blen])
                     pos += blen
                 return
-            if accumulate is None or accumulate == "replace":
+            ufunc = _ACCUMULATE[accumulate]
+            if ufunc is None:
                 space.copy_in(target_addr, raw)
                 return
-            ufunc = {"sum": np.add, "max": np.maximum,
-                     "min": np.minimum}.get(accumulate)
-            if ufunc is None:
-                raise NetworkError(f"unknown accumulate op {accumulate!r}")
             dst = space.mem[target_addr:target_addr + nbytes].view(acc_dtype)
             ufunc(dst, raw.view(acc_dtype), out=dst)
 
-        seq = None if self.faults is None else next(self._op_seq)
-        if seq is None:
-            # Fault-free fast path: scheduling identical to the original
-            # implementation (commit and notification as separate events).
-            self._at(plan.commit_at, commit)
-            if immediate is not None:
-                self._post_notification(
-                    origin, target, "put", nbytes, immediate, win_id,
-                    target_addr, plan.commit_at, same,
-                    inline=(raw if inline else None), san_op=san_op)
-        else:
-            # Completion path with exactly-once dedup: payload commit and
-            # notification post travel together under one sequence number,
-            # so a duplicated delivery re-applies neither (accumulates and
-            # notification counters are not idempotent).
-            tnic = self.nics[target]
-            queue = tnic.shm_ring if same else tnic.dest_cq
-
-            def deliver() -> None:
-                if not tnic.first_delivery(seq):
-                    self.faults.suppressed(origin, target, "put",
-                                           self.engine.now)
-                    return
-                commit()
-                if immediate is not None:
-                    queue.post(CqEntry(
-                        kind="put", source=origin, target=target,
-                        nbytes=nbytes, time=self.engine.now,
-                        immediate=immediate, win_id=win_id,
-                        target_addr=target_addr,
-                        inline=(raw if inline else None), seq=seq,
-                        san=san_op))
-
-            self._at(plan.commit_at, deliver)
-            if fate is not None and fate.duplicate:
-                self._at(plan.commit_at + fate.dup_lag, deliver)
-        # Origin buffer reuse: data was snapshotted at injection.
-        self._at(plan.inject_end, local_done.succeed)
-        self._at(plan.ack_at, remote_done.succeed)
-        return OpHandle("put", plan.cpu_busy, local_done, remote_done,
-                        nbytes=nbytes, target=target,
-                        commit_at=plan.commit_at, san_remote=san_op)
+        inline = (raw if same and immediate is not None
+                  and self.nics[origin].shm.is_inline(nbytes) else None)
+        self._at_target(commit_at, origin, target, "put", same, commit,
+                        fate, immediate, nbytes, win_id, target_addr,
+                        inline, None if san is None else san[0])
+        return commit_at, commit_at + L
 
     # ------------------------------------------------------------------
     # RDMA get
@@ -484,129 +529,165 @@ class Fabric:
                     f"{name} list does not cover the {nbytes}-byte payload")
         if gather is not None and gather:
             target_addr = gather[0][0]
-
-        local_done = Event(self.engine, "get.local")
-        remote_done = Event(self.engine, "get.remote")
-        tspace = self.spaces[target]
-        ospace = self.spaces[origin]
         fate = (None if self.faults is None
                 else self._fate(origin, target, nbytes, same))
-
+        handle = OpHandle("get", 0.0, Event(self.engine, "get.local"),
+                          Event(self.engine, "get.remote"), nbytes=nbytes,
+                          target=target)
         if fate is not None and fate.lost:
             # The read never completes: no data arrives at the origin and
             # the target is never notified.
-            cpu_busy = (0.0 if same
-                        else nic.fma.plan(GET_REQUEST_BYTES).cpu_busy)
+            if not same:
+                handle.cpu_busy = nic.fma.plan(GET_REQUEST_BYTES).cpu_busy
             self.tracer.emit(self.engine.now, "wire", origin, target,
                              GET_REQUEST_BYTES, op="get-req",
                              medium="shm" if same else "ugni", lost=True)
-            self._fail_lost("get", origin, target, fate,
-                            local_done, remote_done)
-            return OpHandle("get", cpu_busy, local_done, remote_done,
-                            nbytes=nbytes, target=target,
-                            commit_at=self.engine.now + fate.fail_after,
-                            failed=True)
-
+            return self._fail_lost(handle, "get", origin, fate,
+                                   handle.local_done, handle.remote_done)
         if same:
             plan = nic.shm.plan_get(nbytes)
-            serve_at = plan.commit_at
-            data_at = plan.commit_at
-            notify_at = plan.commit_at
-            cpu_busy = plan.cpu_busy
+            handle.cpu_busy, t_req, hop = plan.cpu_busy, plan.commit_at, 0.0
+        else:
+            # Request leg: small header through the origin FMA engine.  The
+            # response leg is the target half's to plan; injected retry /
+            # jitter delay (``fate``) rides on it.
+            hop = self._hop_extra(origin, target)
+            req = nic.fma.plan(GET_REQUEST_BYTES,
+                               extra_delay=self._drop_penalty() + hop)
+            handle.cpu_busy, t_req = req.cpu_busy, req.commit_at
+        handle.commit_at = t_req
+        san_op = None
+        if self.san is not None:
+            # Two legs, two actors: the remote read (serves at the target)
+            # and the dependent local delivery (commits at the origin).
+            san_op = self.san.op_begin(origin)
+            handle.san_remote = handle.san_local = self.san.op_child(san_op)
+        # Who posts a notified get's notification: the target NIC when it
+        # serves the read (§VIII case 1) — or the origin once the data has
+        # landed, when the wire is unreliable (case 2: data arrival, then
+        # an ack returns) or there is no wire (the origin CPU writes the
+        # shm ring after its own memcpy).
+        at_serve = not same and p.reliable
+        parked = (handle, origin, local_addr, scatter)
+        landed = self._hand_off("get", parked, same, (
+            origin, target, nbytes, t_req, hop, target_addr, gather,
+            immediate if at_serve else None, win_id), fate, san_op)
+        # Traced after the hand-off: an injected stall of the responding
+        # engine is recorded ahead of the op's own wire records.
+        if same:
             self.tracer.emit(self.engine.now, "wire", origin, target, nbytes,
                              op="get", medium="shm",
                              notified=immediate is not None)
         else:
-            # Request leg: small header through the origin FMA engine.
-            hop = self._hop_extra(origin, target)
-            req = nic.fma.plan(GET_REQUEST_BYTES,
-                               extra_delay=self._drop_penalty() + hop)
-            cpu_busy = req.cpu_busy
-            # Response leg: served by the target NIC's engine of proper
-            # size; injected retry/jitter delay rides on this leg.
-            extra = fate.extra_delay if fate is not None else 0.0
-            tnic = self.nics[target]
-            teng = tnic.fma if nbytes <= p.fma_max else tnic.bte
-            resp = teng.plan(nbytes,
-                             extra_delay=self._drop_penalty() + hop + extra,
-                             not_before=req.commit_at)
-            serve_at = resp.inject_end
-            data_at = self._rx_reserve(origin, resp.commit_at, nbytes,
-                                       teng.params.G)
-            if p.reliable:
-                notify_at = serve_at
-            else:
-                # Data must reach the origin, then an ack returns (§VIII).
-                notify_at = data_at + p.fma.L
             self.tracer.emit(self.engine.now, "wire", origin, target,
                              GET_REQUEST_BYTES, op="get-req", medium="ugni")
             self.tracer.emit(self.engine.now, "wire", target, origin, nbytes,
                              op="get-resp", medium="ugni",
                              notified=immediate is not None)
+        if landed is not None:
+            data_at = self._finish_get(*parked, *landed)
+            if immediate is not None and not at_serve:
+                self._at_target(data_at if same else data_at + p.fma.L,
+                                origin, target, "get", same, None, fate,
+                                immediate, nbytes, win_id, target_addr,
+                                None, san_op)
+        return handle
 
-        # Snapshot at serve time (the value read is the value at serve).
-        snapshot: list[np.ndarray | None] = [None]
+    def _land_get(self, same: bool, op: tuple,
+                  fate: TransferFate | None = None, san_op=None,
+                  sink: Callable[[np.ndarray | None], None] | None = None):
+        """Target half of a get: plan the response leg, serve the read.
 
-        san_op = san_del = None
-        if self.san is not None:
-            # Two legs, two actors: the remote read (serves at the target)
-            # and the dependent local delivery (commits at the origin).
-            san_op = self.san.op_begin(origin)
-            san_del = self.san.op_child(san_op)
+        The request arrives at ``t_req``; the response is injected by the
+        target NIC's engine of proper size.  Returns ``(t_data, G, box)``
+        for the return leg (:meth:`_finish_get`): the ideal arrival of the
+        data at the origin, the responding engine's per-byte gap (``None``
+        within a node — no wire) and the box the bytes read at serve time
+        are put in (the value read is the value at serve).  An origin in
+        another process passes ``sink`` to receive them instead.
+        ``immediate`` set means notify at serve time.
+        """
+        (origin, target, nbytes, t_req, hop, target_addr, gather, immediate,
+         win_id) = op
+        if same:
+            serve_at = t_data = t_req
+            G = None
+        else:
+            tnic = self.nics[target]
+            teng = tnic.fma if nbytes <= self.params.fma_max else tnic.bte
+            extra = fate.extra_delay if fate is not None else 0.0
+            resp = teng.plan(nbytes,
+                             extra_delay=self._drop_penalty() + hop + extra,
+                             not_before=t_req)
+            serve_at, t_data, G = (resp.inject_end, resp.commit_at,
+                                   teng.params.G)
+        tspace = self.spaces[target]
+        box: list[np.ndarray | None] = []
+        if sink is None:
+            sink = box.append
 
         def serve() -> None:
             if san_op is not None:
-                blocks = (gather if gather is not None
-                          else [(target_addr, nbytes)])
-                self.san.op_commit(san_op, origin, target, blocks,
-                                   kind=READ)
+                self.san.op_commit(
+                    san_op, origin, target,
+                    gather if gather is not None
+                    else [(target_addr, nbytes)], kind=READ)
             if not nbytes:
-                return
-            if gather is not None:
-                parts = [tspace.copy_out(a, b) for a, b in gather]
-                snapshot[0] = np.concatenate(parts)
+                sink(None)
+            elif gather is not None:
+                sink(np.concatenate(
+                    [tspace.copy_out(a, b) for a, b in gather]))
             else:
-                snapshot[0] = tspace.copy_out(target_addr, nbytes)
+                sink(tspace.copy_out(target_addr, nbytes))
+
+        self._at(serve_at, serve)
+        if immediate is not None:
+            self._at_target(serve_at, origin, target, "get", same, None,
+                            fate, immediate, nbytes, win_id, target_addr,
+                            None, san_op)
+        return t_data, G, box
+
+    def _finish_get(self, handle: OpHandle, origin: int, local_addr: int,
+                    scatter: list[tuple[int, int]] | None, t_data: float,
+                    G: float | None, box) -> float:
+        """Return leg of a get: the response lands in origin memory.
+
+        Reserves the origin NIC's rx link for the response stream, patches
+        ``handle.commit_at`` to the time the data is locally available
+        (until then it holds the request's arrival at the target) and
+        schedules delivery; returns that time.
+        """
+        nbytes = handle.nbytes
+        data_at = (t_data if G is None
+                   else self._rx_reserve(origin, t_data, nbytes, G))
+        handle.commit_at = data_at
+        ospace = self.spaces[origin]
+        san_del = handle.san_local
 
         def deliver() -> None:
             if san_del is not None:
-                blocks = (scatter if scatter is not None
-                          else [(local_addr, nbytes)])
-                self.san.op_commit(san_del, target, origin, blocks,
-                                   kind=WRITE)
+                self.san.op_commit(
+                    san_del, handle.target, origin,
+                    scatter if scatter is not None
+                    else [(local_addr, nbytes)], kind=WRITE)
             if not nbytes:
                 return
             if scatter is not None:
                 pos = 0
                 for addr, blen in scatter:
-                    ospace.copy_in(addr, snapshot[0][pos:pos + blen])
+                    ospace.copy_in(addr, box[0][pos:pos + blen])
                     pos += blen
             else:
-                ospace.copy_in(local_addr, snapshot[0])
+                ospace.copy_in(local_addr, box[0])
 
-        self._at(serve_at, serve)
         # One scheduler transaction for the whole same-tick completion
         # burst (same seq consumption and dispatch order as three call_at).
         self._at_batch(data_at, (
             deliver,
-            local_done.succeed,
-            remote_done.succeed,
+            handle.local_done.succeed,
+            handle.remote_done.succeed,
         ))
-        if immediate is not None:
-            # The data legs are idempotent copies; only the notification
-            # needs the exactly-once filter under duplication.
-            seq = None if self.faults is None else next(self._op_seq)
-            self._post_notification(origin, target, "get", nbytes, immediate,
-                                    win_id, target_addr, notify_at, same,
-                                    seq=seq, san_op=san_op)
-            if fate is not None and fate.duplicate:
-                self._post_notification(origin, target, "get", nbytes,
-                                        immediate, win_id, target_addr,
-                                        notify_at + fate.dup_lag, same,
-                                        seq=seq, san_op=san_op)
-        return OpHandle("get", cpu_busy, local_done, remote_done,
-                        nbytes=nbytes, target=target, commit_at=data_at,
-                        san_remote=san_del, san_local=san_del)
+        return data_at
 
     # ------------------------------------------------------------------
     # Atomic memory operations
@@ -628,28 +709,22 @@ class Fabric:
         itemsize = np.dtype(dtype).itemsize
         fate = (None if self.faults is None
                 else self._fate(origin, target, itemsize, same))
-
-        local_done = Event(self.engine, "amo.local")
-        remote_done = Event(self.engine, "amo.remote")
-
+        handle = OpHandle("amo", 0.0, Event(self.engine, "amo.local"),
+                          Event(self.engine, "amo.remote"), nbytes=itemsize,
+                          target=target)
         if fate is not None and fate.lost:
-            cpu_busy = (0.0 if same
-                        else nic.fma.plan(AMO_REQUEST_BYTES).cpu_busy)
+            if not same:
+                handle.cpu_busy = nic.fma.plan(AMO_REQUEST_BYTES).cpu_busy
             self.tracer.emit(self.engine.now, "wire", origin, target,
                              AMO_REQUEST_BYTES, op=f"amo-{op}",
                              medium="shm" if same else "ugni", lost=True)
-            self._fail_lost("amo", origin, target, fate,
-                            local_done, remote_done)
-            return OpHandle("amo", cpu_busy, local_done, remote_done,
-                            nbytes=itemsize, target=target,
-                            commit_at=self.engine.now + fate.fail_after,
-                            failed=True)
-
+            return self._fail_lost(handle, "amo", origin, fate,
+                                   handle.local_done, handle.remote_done)
         if same:
             plan = nic.shm.plan_amo()
-            exec_at = self.engine.now + self.params.shm.L
+            handle.cpu_busy = plan.cpu_busy
+            t_exec = self.engine.now + self.params.shm.L
             done_at = plan.commit_at
-            cpu_busy = plan.cpu_busy
             self.tracer.emit(self.engine.now, "wire", origin, target,
                              itemsize, op=f"amo-{op}", medium="shm")
         else:
@@ -658,19 +733,38 @@ class Fabric:
             req = nic.fma.plan(AMO_REQUEST_BYTES,
                                extra_delay=self._drop_penalty() + hop
                                + extra)
-            cpu_busy = req.cpu_busy
-            exec_at = req.commit_at
-            done_at = exec_at + self.params.fma.L + hop
+            handle.cpu_busy = req.cpu_busy
+            t_exec = req.commit_at
+            done_at = t_exec + self.params.fma.L + hop
             self.tracer.emit(self.engine.now, "wire", origin, target,
                              AMO_REQUEST_BYTES, op=f"amo-{op}", medium="ugni")
             self.tracer.emit(self.engine.now, "wire", target, origin,
                              AMO_RESPONSE_BYTES, op="amo-resp", medium="ugni")
+        handle.commit_at = t_exec
+        if self.san is not None:
+            handle.san_remote = self.san.op_begin(origin)
+        box = self._hand_off("amo", (handle, done_at), same, (
+            origin, target, itemsize, t_exec, target_addr, op, operand,
+            compare, dtype, immediate, win_id), fate, handle.san_remote)
+        if box is not None:
+            self._finish_amo(handle, done_at, box)
+        return handle
 
+    def _land_amo(self, same: bool, op: tuple,
+                  fate: TransferFate | None = None, san_op=None,
+                  sink: Callable[[int], None] | None = None) -> list:
+        """Target half of an atomic: execute at ``t_exec``, notify.
+
+        Returns the box the fetched (old) value is put in at execute time,
+        for the return leg (:meth:`_finish_amo`); an origin in another
+        process passes ``sink`` to receive it instead.
+        """
+        (origin, target, itemsize, t_exec, target_addr, kind, operand,
+         compare, dtype, immediate, win_id) = op
         tspace = self.spaces[target]
-        result: list[int] = [0]
-
-        san_op = (self.san.op_begin(origin)
-                  if self.san is not None else None)
+        box: list[int] = []
+        if sink is None:
+            sink = box.append
 
         def execute() -> None:
             if san_op is not None:
@@ -678,54 +772,27 @@ class Fabric:
                                     itemsize)
             view = tspace.mem[target_addr:target_addr + itemsize].view(dtype)
             old = view[0].item()
-            result[0] = old
-            if op == "sum":
+            if kind == "sum":
                 view[0] = old + operand
-            elif op == "replace":
+            elif kind == "replace":
                 view[0] = operand
-            elif op == "cas":
+            elif kind == "cas":
                 if old == compare:
                     view[0] = operand
             # "no_op" fetches without modifying.
+            sink(old)
 
-        seq = None if self.faults is None else next(self._op_seq)
-        if seq is None:
-            self._at(exec_at, execute)
-            if immediate is not None:
-                self._post_notification(origin, target, "amo", itemsize,
-                                        immediate, win_id, target_addr,
-                                        exec_at, same, san_op=san_op)
-        else:
-            # Atomics are the least idempotent op of all: execute and
-            # notification share one sequence number so a duplicated
-            # delivery applies neither twice.
-            tnic = self.nics[target]
-            queue = tnic.shm_ring if same else tnic.dest_cq
+        self._at_target(t_exec, origin, target, "amo", same, execute, fate,
+                        immediate, itemsize, win_id, target_addr, None,
+                        san_op)
+        return box
 
-            def deliver() -> None:
-                if not tnic.first_delivery(seq):
-                    self.faults.suppressed(origin, target, "amo",
-                                           self.engine.now)
-                    return
-                execute()
-                if immediate is not None:
-                    queue.post(CqEntry(kind="amo", source=origin,
-                                       target=target, nbytes=itemsize,
-                                       time=self.engine.now,
-                                       immediate=immediate, win_id=win_id,
-                                       target_addr=target_addr, seq=seq,
-                                       san=san_op))
-
-            self._at(exec_at, deliver)
-            if fate is not None and fate.duplicate:
-                self._at(exec_at + fate.dup_lag, deliver)
+    def _finish_amo(self, handle: OpHandle, done_at: float, box) -> None:
+        """Return leg of an atomic: the fetched value reaches the origin."""
         self._at_batch(done_at, (
-            local_done.succeed,
-            lambda: remote_done.succeed(result[0]),
+            handle.local_done.succeed,
+            lambda: handle.remote_done.succeed(box[0]),
         ))
-        return OpHandle("amo", cpu_busy, local_done, remote_done,
-                        nbytes=itemsize, target=target, commit_at=exec_at,
-                        san_remote=san_op)
 
     # ------------------------------------------------------------------
     # Software protocol messages (message passing, RMA control)
@@ -743,65 +810,68 @@ class Fabric:
         nic = self.nics[origin]
         fate = (None if self.faults is None
                 else self._fate(origin, target, nbytes, same))
-        local_done = Event(self.engine, "sys.local")
-        remote_done = Event(self.engine, "sys.remote")
-
-        if fate is not None and fate.lost:
-            # The protocol message vanishes; the peer that was waiting on
-            # it will sit in its blocking call until deadlock detection
-            # fires — exactly how a lost control message kills an MPI job.
-            if same:
-                plan = nic.shm.plan_put(nbytes)
-            else:
-                eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
-                plan = eng.plan(nbytes)
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             nbytes, op=f"sys-{ptype}",
-                             medium="shm" if same else "ugni", lost=True)
-            self._at(plan.inject_end, local_done.succeed)
-            self._fail_lost(f"sys-{ptype}", origin, target, fate,
-                            remote_done)
-            return OpHandle(f"sys-{ptype}", plan.cpu_busy, local_done,
-                            remote_done, nbytes=nbytes, target=target,
-                            failed=True)
-
+        lost = fate is not None and fate.lost
         if same:
+            G = L = 0.0
             plan = nic.shm.plan_put(nbytes)
         else:
             eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
-            extra = fate.extra_delay if fate is not None else 0.0
-            plan = eng.plan(nbytes, extra_delay=self._drop_penalty()
-                            + self._hop_extra(origin, target) + extra)
-            plan.commit_at = commit = self._rx_reserve(
-                target, plan.commit_at, nbytes, eng.params.G)
-            plan.ack_at = commit + eng.params.L
+            G, L = eng.params.G, eng.params.L
+            plan = eng.plan(nbytes) if lost else eng.plan(
+                nbytes, extra_delay=self._drop_penalty()
+                + self._hop_extra(origin, target)
+                + (fate.extra_delay if fate is not None else 0.0))
+        handle = OpHandle(f"sys-{ptype}", plan.cpu_busy,
+                          Event(self.engine, "sys.local"),
+                          Event(self.engine, "sys.remote"), nbytes=nbytes,
+                          target=target, commit_at=plan.commit_at)
+        if lost:
+            # The protocol message vanishes; the peer that was waiting on
+            # it will sit in its blocking call until deadlock detection
+            # fires — exactly how a lost control message kills an MPI job.
+            self.tracer.emit(self.engine.now, "wire", origin, target,
+                             nbytes, op=f"sys-{ptype}",
+                             medium="shm" if same else "ugni", lost=True)
+            self._at(plan.inject_end, handle.local_done.succeed)
+            return self._fail_lost(handle, f"sys-{ptype}", origin, fate,
+                                   handle.remote_done)
         self.tracer.emit(self.engine.now, "wire", origin, target, nbytes,
                          op=f"sys-{ptype}", medium="shm" if same else "ugni")
         snapshot = None if data is None else np.ascontiguousarray(
             data).view(np.uint8).ravel().copy()
-        seq = None if self.faults is None else next(self._op_seq)
         san_clock = (self.san.release(origin)
                      if self.san is not None else None)
+        landed = self._hand_off("sys", handle, same, (
+            origin, target, nbytes, plan.commit_at, G, L, ptype, payload,
+            snapshot), fate, san_clock)
+        self._at(plan.inject_end, handle.local_done.succeed)
+        if landed is not None:
+            handle.commit_at, ack_at = landed
+            self._at(ack_at, handle.remote_done.succeed)
+        return handle
+
+    def _land_sys(self, same: bool, op: tuple,
+                  fate: TransferFate | None = None,
+                  san_clock: dict | None = None) -> tuple[float, float]:
+        """Target half of a sys message: reserve the rx link, deliver.
+
+        Returns ``(commit_at, ack_at)`` for the return leg, like a put.
+        """
+        origin, target, nbytes, t_commit, G, L, ptype, payload, data = op
+        commit_at = (t_commit if same
+                     else self._rx_reserve(target, t_commit, nbytes, G))
+        tnic = self.nics[target]
 
         def deliver() -> None:
-            tnic = self.nics[target]
-            if not tnic.first_delivery(seq):
-                self.faults.suppressed(origin, target, f"sys-{ptype}",
-                                       self.engine.now)
-                return
             pkt = SysPacket(ptype=ptype, source=origin, target=target,
                             nbytes=nbytes, payload=dict(payload or {}),
-                            data=snapshot, time=self.engine.now,
+                            data=data, time=self.engine.now,
                             san_clock=san_clock)
             tnic.sys_inbox.put(pkt)
             tnic.sys_arrival.fire(pkt)
             if self.on_sys_arrival is not None:
                 self.on_sys_arrival(target, pkt)
 
-        self._at(plan.commit_at, deliver)
-        if fate is not None and fate.duplicate:
-            self._at(plan.commit_at + fate.dup_lag, deliver)
-        self._at(plan.inject_end, local_done.succeed)
-        self._at(plan.ack_at, remote_done.succeed)
-        return OpHandle(f"sys-{ptype}", plan.cpu_busy, local_done,
-                        remote_done, nbytes=nbytes, target=target)
+        self._at_target(commit_at, origin, target, f"sys-{ptype}", same,
+                        deliver, fate)
+        return commit_at, commit_at + L

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -117,16 +118,19 @@ class ShardRouting:
 class ShardPacket:
     """One cross-shard message (request, response, or control).
 
-    ``ptype`` selects the handler at the receiving shard:
+    ``ptype`` selects the handler at the receiving shard.  The four
+    request types carry one op's hand-off from its origin half to its
+    target half (:data:`WIRE_ARGS` maps the fields); the three response
+    types carry the target half's result back to the parked return leg:
 
     ======== ============================================================
-    put      RDMA write: reserve the rx link, commit payload, notify, ack
-    get      read request: plan the response at the target NIC engine
-    amo      atomic request: execute at ``t_exec``, return the old value
-    sys      software protocol message (MP eager/rendezvous, PSCW ctrl)
-    ack      completion response: fire the origin's pending events
-    get-resp data response: reserve the origin rx link, deliver, complete
-    amo-resp fetched-value response
+    put      -> ``Fabric._land_put``; answered by ``ack``
+    sys      -> ``Fabric._land_sys``; answered by ``ack``
+    get      -> ``Fabric._land_get``; answered by ``get-resp`` at serve
+    amo      -> ``Fabric._land_amo``; answered by ``amo-resp`` at execute
+    ack      reserved commit + ack arrival -> the origin's handle
+    get-resp ideal data arrival, gap, bytes -> ``Fabric._finish_get``
+    amo-resp fetched old value -> ``Fabric._finish_amo``
     win-reg  window-registration broadcast (collective win_allocate)
     ======== ============================================================
 
@@ -145,20 +149,21 @@ class ShardPacket:
     #: ``target``
     shard: int | None = None
     nbytes: int = 0
-    #: origin-computed ideal commit time (pre rx-reservation)
+    #: requests: origin-computed ideal commit / data arrival (pre
+    #: rx-reservation); ack: the commit the target NIC reserved
     t_commit: float = 0.0
-    #: response-engine floor (get) or execute time (amo)
+    #: response-engine floor (get), execute time (amo), ack arrival (ack)
     t_exec: float = 0.0
     #: per-byte gap and wire latency of the engine that priced the leg
     G: float = 0.0
     L: float = 0.0
     hop: float = 0.0
     target_addr: int = 0
-    local_addr: int = 0
     immediate: int | None = None
     win_id: int | None = None
     accumulate: str | None = None
-    acc_dtype: str | None = None
+    #: element type of an accumulate / atomic (any numpy dtype-like)
+    acc_dtype: Any = None
     amo_op: str | None = None
     sys_ptype: str | None = None
     operand: int = 0
@@ -178,6 +183,36 @@ class ShardPacket:
 
 
 _PACKET_FIELDS = tuple(f.name for f in dataclasses.fields(ShardPacket))
+
+#: request ptype -> the packet field carrying each element of the ``op``
+#: tuple that verb's origin half hands to its target half
+#: (``Fabric._land_<verb>``) — the one table of what crosses the hand-off
+#: (docs/architecture.md §3)
+WIRE_ARGS: dict[str, tuple[str, ...]] = {
+    "put": ("origin", "target", "nbytes", "t_commit", "G", "L",
+            "target_addr", "data", "immediate", "win_id", "accumulate",
+            "acc_dtype", "scatter"),
+    "sys": ("origin", "target", "nbytes", "t_commit", "G", "L",
+            "sys_ptype", "payload", "data"),
+    "get": ("origin", "target", "nbytes", "t_exec", "hop", "target_addr",
+            "gather", "immediate", "win_id"),
+    "amo": ("origin", "target", "nbytes", "t_exec", "target_addr",
+            "amo_op", "operand", "compare", "acc_dtype", "immediate",
+            "win_id"),
+}
+_UNPACK = {verb: attrgetter(*names) for verb, names in WIRE_ARGS.items()}
+
+
+def request_packet(verb: str, op_id: int, sort_time: float,
+                   op: tuple) -> ShardPacket:
+    """Pack one ``verb``'s hand-off tuple ``op`` for shipment."""
+    return ShardPacket(verb, op_id=op_id, sort_time=sort_time,
+                       **dict(zip(WIRE_ARGS[verb], op)))
+
+
+def wire_args(pkt: ShardPacket) -> tuple:
+    """The hand-off tuple ``op`` a request packet carries."""
+    return _UNPACK[pkt.ptype](pkt)
 
 
 def partition_summary(routing: ShardRouting) -> str:

@@ -1,13 +1,11 @@
 """Sharded conservative-parallel DES core (coordinator + worker protocol).
 
-One Python process is the hard wall for O(10k)-rank sweeps: PR 4/PR 6 made
-the single engine fast, but rank programs are embarrassingly parallel in
-*space* — each rank's NIC, address space, CQ, and matching state is
-touched only by local events plus fabric transfers.  This module
-partitions ranks node-aligned across ``shards`` forked worker processes,
-each running its own :class:`~repro.sim.engine.Engine` + scheduler +
-fabric slice, and synchronizes them with a conservative (CMB-style)
-time-window protocol:
+Rank programs are embarrassingly parallel in *space* — each rank's NIC,
+address space, CQ and matching state is touched only by local events plus
+fabric transfers.  This module partitions ranks node-aligned across
+``shards`` forked worker processes, each running its own
+:class:`~repro.sim.engine.Engine` + scheduler + fabric slice, and
+synchronizes them with a conservative (CMB-style) time-window protocol:
 
 * **Lookahead** ``W``: every cross-shard effect rides a uGNI transfer, so
   it takes effect no earlier than its issue time plus the engine's wire
@@ -27,40 +25,32 @@ time-window protocol:
   sub-round exchanges at the same boundary until no packets remain in
   flight.
 
+The fabric itself is not re-stated here.  Every verb is one op pipeline
+in :mod:`repro.network.fabric` — origin half, hand-off, target half,
+return leg — and the shard boundary *is* the hand-off:
+:class:`ShardFabric` only carries an op's arguments from the half that
+runs in the origin's worker to the same half-methods in the target's
+(docs/architecture.md §3, §11).  What differs from a serial run is *when*
+the target half runs — at the next boundary instead of at issue time —
+which leaves two documented caveats.  An exact *tie*: two inter-node ops
+aimed at the same node and issued at the bit-identical virtual time order
+by ``(origin rank, op id)`` here, by the global event counter in serial
+(any per-rank compute skew keeps runs exact).  And *gets under
+contention*: serial plans a get's response leg (target tx engine, origin
+rx link) at issue time, here it is planned when the request reaches the
+boundary, so a cross-shard get whose response contends with the target's
+own traffic may commit at a different virtual time; gets are exact in
+uncontended windows, and latency-measuring workloads that need
+byte-identical sharded runs serve reads as notified-put RPC instead
+(docs/architecture.md §12).
+
 ``shards=1`` never enters this module (:func:`repro.cluster.run_ranks`
-dispatches only for ``shards > 1``), so the serial path stays
-byte-identical to the pre-shard engine.  With ``shards > 1`` the
-*virtual-time* results are identical to serial — including the arrival
-order of overlapping incast flows — because every inter-node operation
-takes the packet path (same-shard inter-node ops loop back through the
-coordinator), so each target NIC's receive-link reservations are applied
-in global issue-time order exactly as the serial fabric interleaves
-them.  The one caveat is an exact *tie*: two inter-node operations
-aimed at the same node and issued at the bit-identical virtual time
-order by ``(origin rank, op id)`` here, while serial orders them by its
-global event counter (e.g. whichever producer a barrier happened to
-wake first) — both deterministic, possibly different.  Ties require
-producers with literally identical timing; any compute skew (the DHT
-motif's jitter, real per-rank work) keeps runs exact.  The second
-caveat is *gets under contention*: serial ``Fabric.get`` plans ahead,
-reserving the target's tx engine and the origin's rx link at issue
-time, while here the get only reaches the target at a boundary — so a
-cross-shard get whose response leg contends with the target's own
-traffic may commit at a different virtual time than serial.  Gets are
-exact in uncontended windows (every golden-trace test that issues
-them); latency-measuring workloads that need byte-identical sharded
-runs should serve reads as notified-put RPC instead (see
-``repro.apps.services.kv`` and docs/architecture.md §12).  Unsupported
-under sharding: probabilistic fault injection (drop/dup/delay/stall draw
-from one stream in serial issue order), lossy fabrics, ``reliable=False``
-(rejected by :func:`repro.cluster.effective_shards`), direct cross-shard
-object access (notified counters / GASPI registers — fails loudly), and
-the sanitizer (workers silently build without it; run serial to
-sanitize).  Node-failure-only fault plans (``FaultPlan.shardable``) *are*
-supported: the node-down verdict is a pure (rank, time) table lookup with
-no RNG draws, the origin-side lost branch mirrors the serial one byte for
-byte, and per-worker injector counters are summed at merge — so faulty
-sharded runs stay byte-identical with serial.
+dispatches only for ``shards > 1``).  Gated out by
+:func:`repro.cluster.effective_shards`: probabilistic fault injection,
+lossy fabrics and ``reliable=False``; node-failure-only fault plans
+(``FaultPlan.shardable``) shard exactly.  Workers run unsanitized, and
+direct cross-shard object access (notified counters, GASPI registers)
+fails loudly.
 """
 
 from __future__ import annotations
@@ -73,28 +63,21 @@ import traceback
 from collections.abc import Callable, Sequence
 from typing import Any
 
-import numpy as np
-
 from repro.cluster import Cluster, ClusterConfig, Rank
 from repro.errors import DeadlockError, NetworkError, SimulationError
 from repro.memory.address import AddressSpace
-from repro.network.fabric import (
-    AMO_REQUEST_BYTES,
-    AMO_RESPONSE_BYTES,
-    GET_REQUEST_BYTES,
-    Fabric,
-    OpHandle,
-    SysPacket,
-)
+from repro.network.fabric import Fabric
 from repro.network.shardlink import (
     RankTable,
     ShardPacket,
     ShardRouting,
     partition_summary,
+    request_packet,
+    wire_args,
 )
 from repro.network.topology import Machine
 from repro.rma.window import WindowRegistry, _SharedWin
-from repro.sim.engine import Event, add_external_events, events_scheduled
+from repro.sim.engine import add_external_events, events_scheduled
 
 #: hard cap on boundary sub-round exchanges per run (a runaway-protocol
 #: backstop far above anything a real program produces)
@@ -121,13 +104,15 @@ def critical_path_seconds() -> float:
 class ShardFabric(Fabric):
     """A fabric slice owning one shard's NICs and address spaces.
 
-    Operations between two local ranks take the inherited serial path
-    unchanged.  Cross-shard operations split at the one explicit message
-    boundary: the origin prices its own legs (injection, CPU busy, ideal
-    commit) exactly like the serial fabric, and ships a packet; the
-    target applies receive-side state (rx-link reservation, response
-    engine planning, payload commit, notification post) when the packet
-    is processed at a window boundary, in deterministic order.
+    Defines no verb of its own: every ``put``/``get``/``amo``/``send_sys``
+    is the inherited origin half, and every commit / serve / execute /
+    deliver the inherited target half.  This class is only the *link*
+    between the two — it overrides :meth:`Fabric._hand_off` so that an
+    inter-node op, instead of landing at issue time, is parked under an op
+    id and shipped as a :class:`ShardPacket`; the target half runs when the
+    packet is processed at a window boundary, in deterministic order, and
+    its result returns as a response packet that resumes the parked return
+    leg.
     """
 
     def __init__(self, engine, machine, spaces, routing: ShardRouting,
@@ -138,20 +123,23 @@ class ShardFabric(Fabric):
         assert self.faults is None or self.faults.plan.shardable, (
             "sharded fabrics only support node-failure-only fault plans "
             "(FaultPlan.shardable)")
+        assert self.params.reliable, (
+            "sharded fabrics model a reliable wire (an unreliable get's "
+            "notification is posted by the origin, in process)")
         self.routing = routing
         self.shard = shard
         #: packets awaiting shipment at the next boundary
         self._outbox: list[ShardPacket] = []
-        #: op_id -> pending completion state (responses resolve these)
-        self._pending: dict[int, tuple] = {}
+        #: op_id -> what the op's return leg needs, until its response
+        self._pending: dict[int, Any] = {}
         self._op_ids = itertools.count(1)
         #: set by ShardCluster (win-reg packets resolve through it)
         self.win_registry = None
         self._handlers: dict[str, Callable[[ShardPacket], None]] = {
-            "put": self._recv_put,
+            "put": self._recv_send,
+            "sys": self._recv_send,
             "get": self._recv_get,
             "amo": self._recv_amo,
-            "sys": self._recv_sys,
             "ack": self._recv_ack,
             "get-resp": self._recv_get_resp,
             "amo-resp": self._recv_amo_resp,
@@ -173,398 +161,66 @@ class ShardFabric(Fabric):
     def _ship(self, pkt: ShardPacket) -> None:
         self._outbox.append(pkt)
 
-    def _direct(self, origin: int, target: int) -> bool:
-        """True when the op may take the inherited serial path.
+    # -- origin half -> packet -----------------------------------------
+    def _hand_off(self, verb: str, parked, same: bool, op: tuple, fate,
+                  san):
+        """Ship an inter-node op instead of landing it at issue time.
 
-        Only same-node (shared-memory) operations run directly: EVERY
-        inter-node op goes through the packet path, including ones whose
-        target lives in this same shard (the coordinator loops those back
-        at the next boundary).  Uniformity is what makes sharded runs
-        exact rather than approximate — a target NIC's receive-link
+        Only same-node (shared-memory) operations land directly: EVERY
+        inter-node op takes the packet path, including ones whose target
+        lives in this same shard (the coordinator loops those back at the
+        next boundary).  Uniformity is what makes sharded runs exact
+        rather than approximate — a target NIC's receive-link
         reservations must happen in global issue-time order, and mixing
-        issue-time reservations (serial path) with boundary-time
-        reservations (packet path) at one NIC would reorder overlapping
-        incast flows relative to the serial schedule.
+        issue-time reservations with boundary-time ones at one NIC would
+        reorder overlapping incast flows relative to the serial schedule.
         """
-        return self.machine.same_node(origin, target)
-
-    # -- RDMA put -------------------------------------------------------
-    def put(self, origin: int, target: int, target_addr: int,
-            data: np.ndarray, *, win_id: int | None = None,
-            immediate: int | None = None, accumulate: str | None = None,
-            acc_dtype=np.float64,
-            scatter: list[tuple[int, int]] | None = None,
-            san_track: bool = True) -> OpHandle:
-        if self._direct(origin, target):
-            return super().put(origin, target, target_addr, data,
-                               win_id=win_id, immediate=immediate,
-                               accumulate=accumulate, acc_dtype=acc_dtype,
-                               scatter=scatter, san_track=san_track)
-        raw = np.ascontiguousarray(data).view(np.uint8).ravel().copy()
-        nbytes = raw.nbytes
-        if scatter is not None:
-            if sum(b for _, b in scatter) != nbytes:
-                raise NetworkError(
-                    "scatter-gather list does not cover the payload")
-            target_addr = scatter[0][0] if scatter else target_addr
-        nic = self.nics[origin]
-        nic.ops_issued += 1
-        fate = self._fate(origin, target, nbytes, False)
-        if fate is not None and fate.lost:
-            # Mirrors the serial lost branch exactly: the origin engine is
-            # still reserved (plan without the hop), local_done fires at
-            # inject_end, and no packet ships — the payload never commits.
-            eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
-            plan = eng.plan(nbytes)
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             nbytes, op="put", medium="ugni",
-                             notified=immediate is not None, lost=True)
-            local_done = Event(self.engine, "put.local")
-            remote_done = Event(self.engine, "put.remote")
-            self._at(plan.inject_end, local_done.succeed)
-            self._fail_lost("put", origin, target, fate, remote_done)
-            return OpHandle("put", plan.cpu_busy, local_done, remote_done,
-                            nbytes=nbytes, target=target,
-                            commit_at=self.engine.now + fate.fail_after,
-                            failed=True)
-        # Origin-side pricing identical to the serial inter-node path
-        # byte for byte (plan + hop; drop penalty is zero by gating).
-        eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
-        plan = eng.plan(nbytes,
-                        extra_delay=self._hop_extra(origin, target))
-        self.tracer.emit(self.engine.now, "wire", origin, target, nbytes,
-                         op="put", medium="ugni",
-                         notified=immediate is not None)
-        local_done = Event(self.engine, "put.local")
-        remote_done = Event(self.engine, "put.remote")
-        self._at(plan.inject_end, local_done.succeed)
+        if same:
+            return super()._hand_off(verb, parked, same, op, fate, san)
         op_id = next(self._op_ids)
-        self._pending[op_id] = ("put", remote_done)
-        self._ship(ShardPacket(
-            ptype="put", origin=origin, target=target, op_id=op_id,
-            sort_time=self.engine.now, nbytes=nbytes,
-            t_commit=plan.commit_at, G=eng.params.G, L=eng.params.L,
-            target_addr=target_addr, immediate=immediate, win_id=win_id,
-            accumulate=accumulate, acc_dtype=str(np.dtype(acc_dtype)),
-            scatter=scatter, data=raw))
-        return OpHandle("put", plan.cpu_busy, local_done, remote_done,
-                        nbytes=nbytes, target=target,
-                        commit_at=plan.commit_at)
+        self._pending[op_id] = parked
+        self._ship(request_packet(verb, op_id, self.engine.now, op))
+        return None
 
-    def _recv_put(self, pkt: ShardPacket) -> None:
-        """Target-side half of a cross-shard put, at boundary time."""
-        commit = self._rx_reserve(pkt.target, pkt.t_commit, pkt.nbytes,
-                                  pkt.G)
-        space = self.spaces[pkt.target]
-        raw = pkt.data
-        nbytes, target_addr = pkt.nbytes, pkt.target_addr
-        accumulate, scatter = pkt.accumulate, pkt.scatter
-
-        def commit_fn() -> None:
-            if not nbytes:
-                return
-            if scatter is not None:
-                pos = 0
-                for addr, blen in scatter:
-                    space.copy_in(addr, raw[pos:pos + blen])
-                    pos += blen
-                return
-            if accumulate is None or accumulate == "replace":
-                space.copy_in(target_addr, raw)
-                return
-            ufunc = {"sum": np.add, "max": np.maximum,
-                     "min": np.minimum}.get(accumulate)
-            if ufunc is None:
-                raise NetworkError(f"unknown accumulate op {accumulate!r}")
-            dt = np.dtype(pkt.acc_dtype)
-            dst = space.mem[target_addr:target_addr + nbytes].view(dt)
-            ufunc(dst, raw.view(dt), out=dst)
-
-        # Same relative order as the serial fabric: payload commit first,
-        # then the notification post, at the same timestamp.
-        self._at(commit, commit_fn)
-        if pkt.immediate is not None:
-            self._post_notification(pkt.origin, pkt.target, "put",
-                                    pkt.nbytes, pkt.immediate, pkt.win_id,
-                                    pkt.target_addr, commit,
-                                    same_node=False)
+    # -- packet -> target half -> response packet ----------------------
+    def _recv_send(self, pkt: ShardPacket) -> None:
+        """A put or sys message lands; its ack returns at once."""
+        commit_at, ack_at = self._land[pkt.ptype](False, wire_args(pkt))
         self._ship(ShardPacket(
             ptype="ack", origin=pkt.target, target=pkt.origin,
-            op_id=pkt.op_id, sort_time=commit, t_exec=commit + pkt.L))
-
-    def _recv_ack(self, pkt: ShardPacket) -> None:
-        """Origin-side completion of a put/sys: remote_done at ack time."""
-        kind, remote_done = self._pending.pop(pkt.op_id)
-        self._at(pkt.t_exec, remote_done.succeed)
-
-    # -- RDMA get -------------------------------------------------------
-    def get(self, origin: int, target: int, target_addr: int, nbytes: int,
-            local_addr: int, *, win_id: int | None = None,
-            immediate: int | None = None,
-            gather: list[tuple[int, int]] | None = None,
-            scatter: list[tuple[int, int]] | None = None) -> OpHandle:
-        if self._direct(origin, target):
-            return super().get(origin, target, target_addr, nbytes,
-                               local_addr, win_id=win_id,
-                               immediate=immediate, gather=gather,
-                               scatter=scatter)
-        if not self.params.reliable:  # pragma: no cover - gated upstream
-            raise NetworkError(
-                "cross-shard notified gets require reliable=True")
-        for name, sg in (("gather", gather), ("scatter", scatter)):
-            if sg is not None and sum(b for _, b in sg) != nbytes:
-                raise NetworkError(
-                    f"{name} list does not cover the {nbytes}-byte payload")
-        if gather is not None and gather:
-            target_addr = gather[0][0]
-        nic = self.nics[origin]
-        nic.ops_issued += 1
-        fate = self._fate(origin, target, nbytes, False)
-        if fate is not None and fate.lost:
-            cpu_busy = nic.fma.plan(GET_REQUEST_BYTES).cpu_busy
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             GET_REQUEST_BYTES, op="get-req",
-                             medium="ugni", lost=True)
-            local_done = Event(self.engine, "get.local")
-            remote_done = Event(self.engine, "get.remote")
-            self._fail_lost("get", origin, target, fate,
-                            local_done, remote_done)
-            return OpHandle("get", cpu_busy, local_done, remote_done,
-                            nbytes=nbytes, target=target,
-                            commit_at=self.engine.now + fate.fail_after,
-                            failed=True)
-        hop = self._hop_extra(origin, target)
-        req = nic.fma.plan(GET_REQUEST_BYTES, extra_delay=hop)
-        self.tracer.emit(self.engine.now, "wire", origin, target,
-                         GET_REQUEST_BYTES, op="get-req", medium="ugni")
-        self.tracer.emit(self.engine.now, "wire", target, origin, nbytes,
-                         op="get-resp", medium="ugni",
-                         notified=immediate is not None)
-        local_done = Event(self.engine, "get.local")
-        remote_done = Event(self.engine, "get.remote")
-        op_id = next(self._op_ids)
-        # commit_at must end up as the origin-side data-landed time to
-        # match the serial fabric; that time is only known once the
-        # response leg is planned, so _recv_get_resp patches the handle.
-        handle = OpHandle("get", req.cpu_busy, local_done, remote_done,
-                          nbytes=nbytes, target=target,
-                          commit_at=req.commit_at)
-        self._pending[op_id] = ("get", local_done, remote_done, scatter,
-                                local_addr, handle)
-        self._ship(ShardPacket(
-            ptype="get", origin=origin, target=target, op_id=op_id,
-            sort_time=self.engine.now, nbytes=nbytes,
-            t_exec=req.commit_at, hop=hop, target_addr=target_addr,
-            immediate=immediate, win_id=win_id, gather=gather))
-        return handle
+            op_id=pkt.op_id, sort_time=commit_at, t_commit=commit_at,
+            t_exec=ack_at))
 
     def _recv_get(self, pkt: ShardPacket) -> None:
-        """Target-side half of a cross-shard get: plan + serve + respond."""
-        tnic = self.nics[pkt.target]
-        teng = tnic.fma if pkt.nbytes <= self.params.fma_max else tnic.bte
-        resp = teng.plan(pkt.nbytes, extra_delay=pkt.hop,
-                         not_before=pkt.t_exec)
-        serve_at = resp.inject_end
-        tspace = self.spaces[pkt.target]
-        gather, target_addr, nbytes = pkt.gather, pkt.target_addr, pkt.nbytes
-
-        def serve() -> None:
-            if not nbytes:
-                snap = np.empty(0, np.uint8)
-            elif gather is not None:
-                snap = np.concatenate(
-                    [tspace.copy_out(a, b) for a, b in gather])
-            else:
-                snap = tspace.copy_out(target_addr, nbytes)
+        """A get request lands; the data returns when it is served."""
+        def respond(data) -> None:
+            # runs at serve time, long after the response timing is bound
             self._ship(ShardPacket(
                 ptype="get-resp", origin=pkt.target, target=pkt.origin,
-                op_id=pkt.op_id, sort_time=serve_at, nbytes=nbytes,
-                t_commit=resp.commit_at, G=teng.params.G, data=snap))
+                op_id=pkt.op_id, sort_time=self.engine.now, t_commit=t_data,
+                G=G, data=data))
 
-        self._at(serve_at, serve)
-        if pkt.immediate is not None:
-            # reliable=True: the target-side notification fires at serve.
-            self._post_notification(pkt.origin, pkt.target, "get", nbytes,
-                                    pkt.immediate, pkt.win_id,
-                                    pkt.target_addr, serve_at,
-                                    same_node=False)
-
-    def _recv_get_resp(self, pkt: ShardPacket) -> None:
-        """Origin-side delivery of the get data."""
-        kind, local_done, remote_done, scatter, local_addr, handle = \
-            self._pending.pop(pkt.op_id)
-        data_at = self._rx_reserve(pkt.target, pkt.t_commit, pkt.nbytes,
-                                   pkt.G)
-        # Serial Fabric.get reports commit_at = data_at (data locally
-        # available); mirror it so cross-shard handles read the same.
-        handle.commit_at = data_at
-        ospace = self.spaces[pkt.target]
-        snap = pkt.data
-        nbytes = pkt.nbytes
-
-        def deliver() -> None:
-            if not nbytes:
-                return
-            if scatter is not None:
-                pos = 0
-                for addr, blen in scatter:
-                    ospace.copy_in(addr, snap[pos:pos + blen])
-                    pos += blen
-            else:
-                ospace.copy_in(local_addr, snap)
-
-        self._at_batch(data_at, (
-            deliver,
-            local_done.succeed,
-            remote_done.succeed,
-        ))
-
-    # -- atomics --------------------------------------------------------
-    def amo(self, origin: int, target: int, target_addr: int, op: str,
-            operand: int, compare: int | None = None, *,
-            dtype=np.int64, win_id: int | None = None,
-            immediate: int | None = None) -> OpHandle:
-        if self._direct(origin, target):
-            return super().amo(origin, target, target_addr, op, operand,
-                               compare, dtype=dtype, win_id=win_id,
-                               immediate=immediate)
-        if op not in ("sum", "replace", "cas", "no_op"):
-            raise NetworkError(f"unknown atomic op {op!r}")
-        nic = self.nics[origin]
-        nic.ops_issued += 1
-        itemsize = np.dtype(dtype).itemsize
-        fate = self._fate(origin, target, itemsize, False)
-        if fate is not None and fate.lost:
-            cpu_busy = nic.fma.plan(AMO_REQUEST_BYTES).cpu_busy
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             AMO_REQUEST_BYTES, op=f"amo-{op}",
-                             medium="ugni", lost=True)
-            local_done = Event(self.engine, "amo.local")
-            remote_done = Event(self.engine, "amo.remote")
-            self._fail_lost("amo", origin, target, fate,
-                            local_done, remote_done)
-            return OpHandle("amo", cpu_busy, local_done, remote_done,
-                            nbytes=itemsize, target=target,
-                            commit_at=self.engine.now + fate.fail_after,
-                            failed=True)
-        hop = self._hop_extra(origin, target)
-        req = nic.fma.plan(AMO_REQUEST_BYTES, extra_delay=hop)
-        exec_at = req.commit_at
-        done_at = exec_at + self.params.fma.L + hop
-        self.tracer.emit(self.engine.now, "wire", origin, target,
-                         AMO_REQUEST_BYTES, op=f"amo-{op}", medium="ugni")
-        self.tracer.emit(self.engine.now, "wire", target, origin,
-                         AMO_RESPONSE_BYTES, op="amo-resp", medium="ugni")
-        local_done = Event(self.engine, "amo.local")
-        remote_done = Event(self.engine, "amo.remote")
-        op_id = next(self._op_ids)
-        self._pending[op_id] = ("amo", local_done, remote_done, done_at)
-        self._ship(ShardPacket(
-            ptype="amo", origin=origin, target=target, op_id=op_id,
-            sort_time=self.engine.now, nbytes=itemsize, t_exec=exec_at,
-            target_addr=target_addr, amo_op=op, operand=operand,
-            compare=compare, acc_dtype=str(np.dtype(dtype)),
-            immediate=immediate, win_id=win_id))
-        return OpHandle("amo", req.cpu_busy, local_done, remote_done,
-                        nbytes=itemsize, target=target, commit_at=exec_at)
+        t_data, G, _ = self._land_get(False, wire_args(pkt), sink=respond)
 
     def _recv_amo(self, pkt: ShardPacket) -> None:
-        tspace = self.spaces[pkt.target]
-        dt = np.dtype(pkt.acc_dtype)
-        itemsize = dt.itemsize
-        addr, op = pkt.target_addr, pkt.amo_op
+        """An atomic lands; the old value returns when it has executed."""
+        self._land_amo(False, wire_args(pkt), sink=lambda old: self._ship(
+            ShardPacket(ptype="amo-resp", origin=pkt.target,
+                        target=pkt.origin, op_id=pkt.op_id,
+                        sort_time=self.engine.now, value=old)))
 
-        def execute() -> None:
-            view = tspace.mem[addr:addr + itemsize].view(dt)
-            old = view[0].item()
-            if op == "sum":
-                view[0] = old + pkt.operand
-            elif op == "replace":
-                view[0] = pkt.operand
-            elif op == "cas":
-                if old == pkt.compare:
-                    view[0] = pkt.operand
-            self._ship(ShardPacket(
-                ptype="amo-resp", origin=pkt.target, target=pkt.origin,
-                op_id=pkt.op_id, sort_time=pkt.t_exec, value=old))
+    # -- response packet -> return leg ---------------------------------
+    def _recv_ack(self, pkt: ShardPacket) -> None:
+        handle = self._pending.pop(pkt.op_id)
+        handle.commit_at = pkt.t_commit
+        self._at(pkt.t_exec, handle.remote_done.succeed)
 
-        self._at(pkt.t_exec, execute)
-        if pkt.immediate is not None:
-            self._post_notification(pkt.origin, pkt.target, "amo",
-                                    itemsize, pkt.immediate, pkt.win_id,
-                                    addr, pkt.t_exec, same_node=False)
+    def _recv_get_resp(self, pkt: ShardPacket) -> None:
+        self._finish_get(*self._pending.pop(pkt.op_id), pkt.t_commit, pkt.G,
+                         (pkt.data,))
 
     def _recv_amo_resp(self, pkt: ShardPacket) -> None:
-        kind, local_done, remote_done, done_at = \
-            self._pending.pop(pkt.op_id)
-        old = pkt.value
-        self._at_batch(done_at, (
-            local_done.succeed,
-            lambda: remote_done.succeed(old),
-        ))
-
-    # -- software protocol messages ------------------------------------
-    def send_sys(self, origin: int, target: int, ptype: str, nbytes: int,
-                 payload: dict | None = None,
-                 data: np.ndarray | None = None) -> OpHandle:
-        if self._direct(origin, target):
-            return super().send_sys(origin, target, ptype, nbytes,
-                                    payload=payload, data=data)
-        nic = self.nics[origin]
-        fate = self._fate(origin, target, nbytes, False)
-        if fate is not None and fate.lost:
-            eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
-            plan = eng.plan(nbytes)
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             nbytes, op=f"sys-{ptype}", medium="ugni",
-                             lost=True)
-            local_done = Event(self.engine, "sys.local")
-            remote_done = Event(self.engine, "sys.remote")
-            self._at(plan.inject_end, local_done.succeed)
-            self._fail_lost(f"sys-{ptype}", origin, target, fate,
-                            remote_done)
-            return OpHandle(f"sys-{ptype}", plan.cpu_busy, local_done,
-                            remote_done, nbytes=nbytes, target=target,
-                            failed=True)
-        eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
-        plan = eng.plan(nbytes,
-                        extra_delay=self._hop_extra(origin, target))
-        self.tracer.emit(self.engine.now, "wire", origin, target, nbytes,
-                         op=f"sys-{ptype}", medium="ugni")
-        snapshot = None if data is None else np.ascontiguousarray(
-            data).view(np.uint8).ravel().copy()
-        local_done = Event(self.engine, "sys.local")
-        remote_done = Event(self.engine, "sys.remote")
-        self._at(plan.inject_end, local_done.succeed)
-        op_id = next(self._op_ids)
-        self._pending[op_id] = ("sys", remote_done)
-        self._ship(ShardPacket(
-            ptype="sys", origin=origin, target=target, op_id=op_id,
-            sort_time=self.engine.now, nbytes=nbytes,
-            t_commit=plan.commit_at, G=eng.params.G, L=eng.params.L,
-            sys_ptype=ptype, payload=dict(payload or {}), data=snapshot))
-        return OpHandle(f"sys-{ptype}", plan.cpu_busy, local_done,
-                        remote_done, nbytes=nbytes, target=target)
-
-    def _recv_sys(self, pkt: ShardPacket) -> None:
-        commit = self._rx_reserve(pkt.target, pkt.t_commit, pkt.nbytes,
-                                  pkt.G)
-        tnic = self.nics[pkt.target]
-
-        def deliver() -> None:
-            sp = SysPacket(ptype=pkt.sys_ptype, source=pkt.origin,
-                           target=pkt.target, nbytes=pkt.nbytes,
-                           payload=dict(pkt.payload), data=pkt.data,
-                           time=self.engine.now)
-            tnic.sys_inbox.put(sp)
-            tnic.sys_arrival.fire(sp)
-            if self.on_sys_arrival is not None:
-                self.on_sys_arrival(pkt.target, sp)
-
-        self._at(commit, deliver)
-        self._ship(ShardPacket(
-            ptype="ack", origin=pkt.target, target=pkt.origin,
-            op_id=pkt.op_id, sort_time=commit, t_exec=commit + pkt.L))
+        self._finish_amo(*self._pending.pop(pkt.op_id), (pkt.value,))
 
     # -- collective window registration --------------------------------
     def broadcast_win_reg(self, call_idx: int, rank: int, header: int,

@@ -28,13 +28,17 @@ from hypothesis import strategies as st
 from repro.apps.dht import round_shift, run_dht
 from repro.apps.stencil import run_stencil
 from repro.cluster import ClusterConfig, effective_shards, run_ranks
-from repro.errors import NetworkError, SimulationError
+from repro.errors import FaultError, NetworkError, SimulationError
 from repro.faults import FaultPlan
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.datatypes import vector
+from repro.network.fabric import Fabric
 from repro.network.loggp import TransportParams
 from repro.network.shardlink import RankTable, ShardRouting
 from repro.network.topology import Machine
-from repro.sim.shard import ShardedRun, critical_path_seconds
+from repro.rma.typed import get_typed, put_typed
+from repro.sim.engine import events_scheduled
+from repro.sim.shard import ShardedRun, ShardFabric, critical_path_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -157,30 +161,87 @@ def test_sharded_run_surface_and_stats():
 
 
 def _mixed_program(ctx):
-    """Every fabric verb: put_notify, get, amo, MP sendrecv, collectives."""
+    """Every verb the op pipeline carries, plain and notified: put_notify,
+    get, fetch_and_op, compare-and-swap, accumulate, accumulate_notify,
+    scatter-list put_typed, gather-list get_typed, get_notify, MP sendrecv,
+    collectives.  Returns what each one read or landed, the notification
+    statuses, and the finish time."""
     win = yield from ctx.win_allocate(512, disp_unit=8)
     me, n = ctx.rank, ctx.size
     right, left = (me + 1) % n, (me - 1) % n
+    # two ranks away is another node at any ranks_per_node <= 2
+    far, near = (me + 2) % n, (me - 2) % n
     yield from win.lock_all()
     req = yield from ctx.na.notify_init(win, source=left, tag=3)
-    yield from ctx.na.start(req)
+    acc_req = yield from ctx.na.notify_init(win, source=near, tag=4)
+    read_req = yield from ctx.na.notify_init(win, source=near, tag=5)
+    for r in (req, acc_req, read_req):
+        yield from ctx.na.start(r)
     yield from ctx.na.put_notify(win, np.array([me * 1.5]), right, 0, tag=3)
     yield from ctx.na.wait(req)
     # order every rank's get after its target's notification wait: the
     # get below reads LEFT's slot 0, which left's own wait just filled
     yield from ctx.barrier()
-    buf = ctx.alloc(8)
+    buf = ctx.alloc(16)
     yield from win.get(buf, left, 0, nbytes=8)
     yield from win.flush(left)
     got = buf.ndarray(np.float64)[0].item()
     old = yield from win.fetch_and_op(me + 1, right, 1, op="sum")
     yield from win.flush(right)
+    # Every op below crosses nodes.  A per-rank compute skew keeps the
+    # flows apart: simultaneous ops into one NIC are the documented
+    # boundary of the exactness contract (ties, contended gets).
+    yield from ctx.barrier()
+    yield from ctx.compute(2.0 * (me + 1))
+    yield from win.accumulate(np.array([1.0, float(me)]), far, 8, op="sum")
+    yield from ctx.na.accumulate_notify(win, np.array([0.5]), far, 8,
+                                        op="sum", tag=4)
+    yield from win.flush(far)
+    acc_st = yield from ctx.na.wait(acc_req)
+    swapped = yield from win.compare_and_swap(77, near + 1, far, 1)
+    col = vector(3, 1, 2)       # 3 doubles, every other slot
+    mat = np.arange(6, dtype=np.float64).reshape(3, 2) + 10.0 * me
+    yield from put_typed(win, mat, col, target=far, target_disp=16,
+                         target_type=col)
+    yield from win.flush(far)
+    yield from ctx.barrier()
+    yield from ctx.compute(2.0 * (me + 1))
+    region = ctx.alloc(6 * 8)
+    grid = region.ndarray(np.float64).reshape(3, 2)
+    grid[:] = 0.0
+    yield from get_typed(win, grid, col, region, target=far, target_disp=16,
+                         target_type=col)
+    yield from win.flush(far)
+    yield from ctx.na.get_notify(win, buf, far, 8, nbytes=16, tag=5)
+    yield from win.flush(far)
+    accumulated = buf.ndarray(np.float64).tolist()
+    read_st = yield from ctx.na.wait(read_req)
     out = np.full(4096, float(me))
     inc = np.empty(4096)
     yield from ctx.comm.sendrecv(out, right, 7, inc, left, 7)
     yield from win.unlock_all()
     yield from ctx.barrier()
-    return (got, old, float(inc[0]), round(ctx.now, 9))
+    return (got, old, swapped, accumulated, grid.tolist(),
+            (acc_st.source, acc_st.tag), (read_st.source, read_st.tag),
+            win.local(np.float64, count=24, mode="r").tolist(),
+            float(inc[0]), round(ctx.now, 9))
+
+
+def test_shard_fabric_is_only_the_link():
+    """The op pipeline stays folded: every verb is stated once, on
+    ``Fabric`` (``benchmarks/perf/spans.py`` wraps ``vars(Fabric)[name]``),
+    and the sanitizer hooks inside it never perturb the schedule."""
+    verbs = ("put", "get", "amo", "send_sys")
+    assert not [v for v in verbs if v in vars(ShardFabric)]
+    assert all(v in vars(Fabric) for v in verbs)
+
+    def events(sanitize):
+        before = events_scheduled()
+        res, _ = run_ranks(8, _mixed_program, config=ClusterConfig(
+            nranks=8, ranks_per_node=2, shards=1, sanitize=sanitize))
+        return res, events_scheduled() - before
+
+    assert events(True) == events(False)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +354,36 @@ def test_effective_shards_admits_node_failure_plans(monkeypatch):
 
 def _death_put_program(ctx):
     """Fire-and-forget puts around a planned peer death; nobody waits on
-    the doomed remote completions, so lost ops only move counters."""
+    the doomed remote completions, so lost puts only move counters.  The
+    dying rank's neighbour also aims one get, one AMO and one sys message
+    at it after the death and records how and when each fails — the lost
+    branch of all four verbs."""
     win = yield from ctx.win_allocate(64)
     yield from win.lock_all()
     yield from ctx.barrier()
     data = np.full(8, ctx.rank, dtype=np.uint8)
     target = (ctx.rank + 1) % ctx.size
-    for _ in range(6):
+    lost = []
+    for i in range(6):
         yield from win.put(data, target, 0)
         yield ctx.timeout(20.0)
-    return ctx.now
+        if target == 2 and i == 3:
+            buf = ctx.alloc(8)
+            try:
+                h = yield from win.get(buf, target, 0, nbytes=8)
+                yield h.local_done
+            except FaultError as exc:
+                lost.append((str(exc), round(ctx.now, 9)))
+            try:
+                yield from win.fetch_and_op(1, target, 0)
+            except FaultError as exc:
+                lost.append((str(exc), round(ctx.now, 9)))
+            try:
+                yield ctx.fabric.send_sys(ctx.rank, target, "probe",
+                                          16).remote_done
+            except FaultError as exc:
+                lost.append((str(exc), round(ctx.now, 9)))
+    return lost, ctx.now
 
 
 @pytest.mark.parametrize("shards", [2, 4])
@@ -310,7 +391,7 @@ def test_node_death_plan_matches_serial(shards):
     """Sharded runs accept node-failure-only plans and stay byte-identical
     — results AND the merged per-worker fault counters (a plain dict
     merge would keep only the last worker's injector)."""
-    plan = FaultPlan(node_failures={1: 50.0}, detect_us=10.0)
+    plan = FaultPlan(node_failures={2: 50.0}, detect_us=10.0)
 
     def go(n):
         res, cluster = run_ranks(
@@ -322,8 +403,77 @@ def test_node_death_plan_matches_serial(shards):
     serial_res, serial_faults = go(1)
     shard_res, shard_faults = go(shards)
     assert shard_res == serial_res
+    assert [msg.split(":")[0] for msg, _ in serial_res[1][0]] == [
+        "get 1->2 abandoned", "amo 1->2 abandoned",
+        "sys-probe 1->2 abandoned"]
     assert serial_faults["node_drops"] > 0
     assert shard_faults == serial_faults
+
+
+# ---------------------------------------------------------------------------
+# Handle and error parity at the hand-off
+# ---------------------------------------------------------------------------
+def _bad_accumulate_program(ctx):
+    """An unknown accumulate op must fail in the issuing call, where the
+    rank program can catch it — not later, from a fabric callback."""
+    win = yield from ctx.win_allocate(64)
+    yield from win.lock_all()
+    caught = []
+    if ctx.rank == 0:
+        for payload in (np.ones(2), np.empty(0)):
+            try:
+                yield from win.accumulate(payload, ctx.size - 1, 0,
+                                          op="prod")
+            except NetworkError as exc:
+                caught.append(str(exc))
+    yield from win.unlock_all()
+    yield from ctx.barrier()
+    return caught
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_unknown_accumulate_op_fails_at_issue(shards):
+    res, _ = run_ranks(4, _bad_accumulate_program, config=ClusterConfig(
+        nranks=4, ranks_per_node=2, shards=shards))
+    assert res[0] == ["unknown accumulate op 'prod'"] * 2
+    assert res[1:] == [[]] * 3
+
+
+def _incast_commit_program(ctx):
+    """Two skewed producers on separate nodes overlap at rank 0's NIC."""
+    win = yield from ctx.win_allocate(1 << 15)
+    yield from win.lock_all()
+    yield from ctx.barrier()
+    commits = None
+    if ctx.rank:
+        yield from ctx.compute(0.05 * ctx.rank)
+        handles = []
+        for i in range(2):
+            h = yield from win.put(np.zeros(1024), 0,
+                                   8192 * (2 * (ctx.rank - 1) + i))
+            handles.append(h)
+        yield from win.flush(0)
+        commits = [round(h.commit_at, 9) for h in handles]
+    yield from win.unlock_all()
+    yield from ctx.barrier()
+    return commits
+
+
+def test_put_handle_reports_reserved_commit_after_flush():
+    """``OpHandle.commit_at`` of a put is the commit the target NIC
+    reserved behind concurrent flows, serial and sharded alike — across a
+    shard boundary the ack brings it back (``apps/pingpong.py`` sleeps on
+    this field)."""
+    def go(shards):
+        res, _ = run_ranks(3, _incast_commit_program, config=ClusterConfig(
+            nranks=3, ranks_per_node=1, shards=shards))
+        return res
+
+    serial = go(1)
+    # the second producer queues behind the first: its commits are later
+    # than a lone flow's would be
+    assert serial[2][0] > serial[1][0] + 0.05 + 1e-6
+    assert go(3) == serial
 
 
 def test_kv_ft_matches_serial_under_faults():
