@@ -133,11 +133,12 @@ def _run_point(
         cp0 = critical_path_seconds()
         os.environ["REPRO_SHARDS"] = str(shards)
     try:
-        gc0 = _gc_collections()
+        gc0 = _gc_collections(shards)
         before = events_scheduled()
         table = ALL_EXPERIMENTS[eid](**kwargs)
         events = events_scheduled() - before
-        gc_collections = [b - a for a, b in zip(gc0, _gc_collections())]
+        gc_collections = [b - a for a, b in zip(gc0,
+                                                _gc_collections(shards))]
     finally:
         if shards:
             if prev is None:
@@ -160,10 +161,15 @@ def _run_point(
     }
 
 
-def _gc_collections() -> list[int]:
-    """Cyclic-collector runs so far in this interpreter, per generation
-    (counters the interpreter keeps anyway; reading them costs nothing)."""
-    return [g["collections"] for g in gc.get_stats()]
+def _gc_collections(shards: int) -> list[int]:
+    """Cyclic-collector runs so far, per generation, in this interpreter
+    (counters it keeps anyway; reading them costs nothing) and — when the
+    point runs sharded — in the shard workers it has forked."""
+    counts = [g["collections"] for g in gc.get_stats()]
+    if shards:
+        from repro.sim.shard import worker_gc_collections
+        counts = [a + b for a, b in zip(counts, worker_gc_collections())]
+    return counts
 
 
 def _sweep_points(eid: str, kwargs: dict[str, Any]):
@@ -197,7 +203,7 @@ def run_experiment(eid: str, jobs: int = 1,
     one dedicated core per shard; ``None`` when no point ran sharded) —
     and ``gc_collections``, the cyclic-collector runs per generation
     spent inside the experiment, summed over the interpreters that ran
-    its points (shard workers' own collections are not included).  With
+    its points and the shard workers they forked.  With
     ``history_dir`` set, the metadata is appended to the events/sec
     trend ledger (see :mod:`repro.bench.history`).
 

@@ -6,9 +6,10 @@ module holds the pieces both sides of that boundary agree on:
 
 * :class:`ShardRouting` — the node-aligned rank→shard partition and the
   conservative *lookahead* derived from the LogGP transport parameters;
-* :class:`ShardPacket` — the one serializable message type that crosses
-  shard boundaries (picklable: plain ints/floats/strs/dicts plus numpy
-  byte payloads);
+* :class:`ShardPacket` — the one message type that crosses shard
+  boundaries, and its wire codec (:data:`WIRE_FIELDS`,
+  :func:`encode_packet` / :func:`decode_packet`): one record per packet
+  holding only what its ptype carries, a bucket of them per pipe message;
 * :class:`RankTable` — a sparse stand-in for the per-rank lists (spaces,
   NICs, ranks, endpoints) that keeps ``len()`` equal to the global rank
   count while holding only the shard's local entries, and raises a clear
@@ -22,9 +23,10 @@ whose minimum wire latency is the safe lookahead window.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Any
 
 import numpy as np
@@ -136,8 +138,10 @@ class ShardPacket:
 
     ``sort_time``/``origin``/``op_id`` define the deterministic boundary
     processing order; ``op_id`` keys the origin fabric's pending-op table
-    for responses.  Only picklable fields, so packets cross process
-    boundaries (numpy payloads are views-free copies).
+    for responses.  A packet pickles as the wire record of its ptype
+    (:data:`WIRE_FIELDS`, :func:`encode_packet`): a field that type does
+    not carry comes back as its default, and ``data`` — always the raw
+    ``uint8`` snapshot the origin half took — as bytes.
     """
 
     ptype: str
@@ -172,17 +176,14 @@ class ShardPacket:
     scatter: list[tuple[int, int]] | None = None
     gather: list[tuple[int, int]] | None = None
     data: np.ndarray | None = None
-    payload: dict = field(default_factory=dict)
+    #: python headers of a sys message; a win-reg broadcast's record
+    payload: dict | None = None
 
     def __reduce__(self):
-        # positional-tuple pickling: boundary batches are the hot pipe
-        # path, and the default dataclass __dict__ form ships every
-        # field name alongside every value
-        return (ShardPacket,
-                tuple(getattr(self, f) for f in _PACKET_FIELDS))
+        # the wire record of this ptype, not all 27 fields: boundary
+        # batches are the hot pipe path
+        return decode_packet, (encode_packet(self),)
 
-
-_PACKET_FIELDS = tuple(f.name for f in dataclasses.fields(ShardPacket))
 
 #: request ptype -> the packet field carrying each element of the ``op``
 #: tuple that verb's origin half hands to its target half
@@ -202,17 +203,78 @@ WIRE_ARGS: dict[str, tuple[str, ...]] = {
 }
 _UNPACK = {verb: attrgetter(*names) for verb, names in WIRE_ARGS.items()}
 
+#: ptype -> every field a packet of that type carries on the wire: the
+#: ordering header, then the hand-off tuple (requests) or the result the
+#: return leg needs (responses); any other field holds its default
+WIRE_FIELDS: dict[str, tuple[str, ...]] = {
+    ptype: ("ptype", "op_id", "sort_time") + names
+    for ptype, names in {
+        **WIRE_ARGS,
+        "ack": ("origin", "target", "t_commit", "t_exec"),
+        "get-resp": ("origin", "target", "t_commit", "G", "data"),
+        "amo-resp": ("origin", "target", "value"),
+        "win-reg": ("origin", "target", "shard", "payload"),
+    }.items()}
+#: the same rows without ``data``, which travels last, as ``bytes``
+_PLAIN = {ptype: tuple(n for n in names if n != "data")
+          for ptype, names in WIRE_FIELDS.items()}
+_PACK = {ptype: attrgetter(*names) for ptype, names in _PLAIN.items()}
+_FIELDS = dataclasses.fields(ShardPacket)
+_DEFAULTS = tuple(f.default for f in _FIELDS)
+
+
+def _expander(carried: tuple[str, ...]) -> itemgetter:
+    """Picks the constructor's positional arguments out of ``values +
+    _DEFAULTS``, ``values`` holding the ``carried`` fields in that order:
+    a carried field's value, any other field's default."""
+    return itemgetter(*(
+        carried.index(f.name) if f.name in carried else len(carried) + i
+        for i, f in enumerate(_FIELDS)))
+
+
+_FROM_RECORD = {ptype: _expander(names + ("data",))
+                for ptype, names in _PLAIN.items()}
+_FROM_OP = {verb: _expander(WIRE_FIELDS[verb]) for verb in WIRE_ARGS}
+
 
 def request_packet(verb: str, op_id: int, sort_time: float,
                    op: tuple) -> ShardPacket:
     """Pack one ``verb``'s hand-off tuple ``op`` for shipment."""
-    return ShardPacket(verb, op_id=op_id, sort_time=sort_time,
-                       **dict(zip(WIRE_ARGS[verb], op)))
+    return ShardPacket(*_FROM_OP[verb](
+        (verb, op_id, sort_time) + op + _DEFAULTS))
 
 
 def wire_args(pkt: ShardPacket) -> tuple:
     """The hand-off tuple ``op`` a request packet carries."""
     return _UNPACK[pkt.ptype](pkt)
+
+
+def encode_packet(pkt: ShardPacket) -> tuple:
+    """The wire record of ``pkt``: its ptype's ``WIRE_FIELDS`` values,
+    the byte payload last and as ``bytes`` (``None`` when it has none)."""
+    data = pkt.data
+    return _PACK[pkt.ptype](pkt) + (
+        None if data is None else data.tobytes(),)
+
+
+def decode_packet(record: tuple) -> ShardPacket:
+    """The packet a wire record was made from (``data`` comes back as a
+    read-only ``uint8`` array over the received bytes)."""
+    pkt = ShardPacket(*_FROM_RECORD[record[0]](record + _DEFAULTS))
+    if pkt.data is not None:
+        pkt.data = np.frombuffer(pkt.data, np.uint8)
+    return pkt
+
+
+def encode_bucket(packets: list[ShardPacket]) -> bytes:
+    """One boundary bucket as it crosses the link: its wire records."""
+    return pickle.dumps([encode_packet(p) for p in packets],
+                        pickle.HIGHEST_PROTOCOL)
+
+
+def decode_bucket(blob: bytes) -> list[ShardPacket]:
+    """The packets of a bucket another worker encoded, in its order."""
+    return [decode_packet(r) for r in pickle.loads(blob)]
 
 
 def partition_summary(routing: ShardRouting) -> str:

@@ -1,56 +1,39 @@
 """Sharded conservative-parallel DES core (coordinator + worker protocol).
 
-Rank programs are embarrassingly parallel in *space* — each rank's NIC,
-address space, CQ and matching state is touched only by local events plus
-fabric transfers.  This module partitions ranks node-aligned across
-``shards`` forked worker processes, each running its own
-:class:`~repro.sim.engine.Engine` + scheduler + fabric slice, and
-synchronizes them with a conservative (CMB-style) time-window protocol:
+Ranks are partitioned node-aligned across ``shards`` forked workers, each
+running its own :class:`~repro.sim.engine.Engine` + scheduler + fabric
+slice, synchronized by a conservative (CMB-style) time-window protocol
+(docs/architecture.md §11 has the argument, the message shapes and the
+measured 1 / 2 / 4-worker split):
 
-* **Lookahead** ``W``: every cross-shard effect rides a uGNI transfer, so
-  it takes effect no earlier than its issue time plus the engine's wire
-  latency; ``W = min(L_fma, L_bte)`` (:meth:`ShardRouting.lookahead`).
-* **Windows**: the coordinator collects every shard's next-event time,
-  computes the global minimum ``T``, and grants all shards the same
-  bound ``T + W``.  Any packet generated inside the window takes effect
-  at or after ``T + W`` (its issue time is ``>= T``), i.e. at or after
-  the boundary where it is delivered — time never runs backwards.  The
-  bound must use the *global* minimum: granting shard ``i``
-  ``min_{j!=i}(next_j) + W`` is unsound because a reply chain through a
-  third shard with an early event can land below ``i``'s horizon.
-* **Boundaries**: shards exchange serializable
-  :class:`~repro.network.shardlink.ShardPacket` messages at window
-  boundaries, processed in deterministic ``(sort_time, origin, op_id)``
-  order; response packets (acks, get data, fetched AMO values) ship in
-  sub-round exchanges at the same boundary until no packets remain in
-  flight.
+* **Lookahead** ``W = min(L_fma, L_bte)``: every cross-shard effect rides
+  a uGNI transfer, so it lands no earlier than issue time plus ``W``.
+* **Windows**: the coordinator takes the *global* minimum ``T`` of the
+  shards' next-event times and grants every shard ``run(until=T + W)``; a
+  packet generated inside the window takes effect at or after the
+  boundary where it is delivered.
+* **Boundaries**: each worker routes what it shipped — a bucket of
+  :class:`~repro.network.shardlink.ShardPacket` records per foreign
+  shard, encoded once and forwarded by the coordinator unopened, and the
+  bucket for its own shard held back in process — and applies what
+  arrives in deterministic ``(sort_time, origin, op_id)`` order;
+  responses (acks, get data, fetched AMO values) ship in sub-round
+  exchanges at the same boundary until nothing is in flight.
 
-The fabric itself is not re-stated here.  Every verb is one op pipeline
-in :mod:`repro.network.fabric` — origin half, hand-off, target half,
-return leg — and the shard boundary *is* the hand-off:
-:class:`ShardFabric` only carries an op's arguments from the half that
-runs in the origin's worker to the same half-methods in the target's
-(docs/architecture.md §3, §11).  What differs from a serial run is *when*
-the target half runs — at the next boundary instead of at issue time —
-which leaves two documented caveats.  An exact *tie*: two inter-node ops
-aimed at the same node and issued at the bit-identical virtual time order
-by ``(origin rank, op id)`` here, by the global event counter in serial
-(any per-rank compute skew keeps runs exact).  And *gets under
-contention*: serial plans a get's response leg (target tx engine, origin
-rx link) at issue time, here it is planned when the request reaches the
-boundary, so a cross-shard get whose response contends with the target's
-own traffic may commit at a different virtual time; gets are exact in
-uncontended windows, and latency-measuring workloads that need
-byte-identical sharded runs serve reads as notified-put RPC instead
-(docs/architecture.md §12).
+The fabric is not re-stated here: the shard boundary *is* the op
+pipeline's hand-off, and :class:`ShardFabric` only links the origin half
+in one worker to the same target-half methods in another (§3).  What
+differs from a serial run is *when* the target half runs — at the next
+boundary instead of at issue time — hence the two documented caveats
+(§11): bit-identical issue-time *ties* into one node order by ``(origin,
+op id)`` here and by the event counter in serial, and a *get under
+contention* plans its response leg at the boundary, not at issue.
 
-``shards=1`` never enters this module (:func:`repro.cluster.run_ranks`
-dispatches only for ``shards > 1``).  Gated out by
+``shards=1`` never enters this module.  Gated out by
 :func:`repro.cluster.effective_shards`: probabilistic fault injection,
-lossy fabrics and ``reliable=False``; node-failure-only fault plans
-(``FaultPlan.shardable``) shard exactly.  Workers run unsanitized, and
-direct cross-shard object access (notified counters, GASPI registers)
-fails loudly.
+lossy fabrics and ``reliable=False``; node-failure-only fault plans shard
+exactly.  Workers run unsanitized, with the cyclic collector off from
+fork to finish (§9), and direct cross-shard object access fails loudly.
 """
 
 from __future__ import annotations
@@ -61,6 +44,7 @@ import multiprocessing
 import time
 import traceback
 from collections.abc import Callable, Sequence
+from operator import attrgetter
 from typing import Any
 
 from repro.cluster import Cluster, ClusterConfig, Rank
@@ -71,6 +55,8 @@ from repro.network.shardlink import (
     RankTable,
     ShardPacket,
     ShardRouting,
+    decode_bucket,
+    encode_bucket,
     partition_summary,
     request_packet,
     wire_args,
@@ -91,6 +77,10 @@ MAX_EXCHANGES = 10_000_000
 #: than shards (workers timesharing a core inflate wall time without
 #: doing any extra work).  Mirrors ``engine.events_scheduled()``.
 _cp_seconds_total = 0.0
+#: accumulated automatic collections, per generation, inside the workers
+#: of this process's sharded runs (the coordinator's own are in its
+#: ``gc.get_stats()``); mirrors ``_cp_seconds_total``
+_worker_gc_total = [0, 0, 0]
 
 
 def critical_path_seconds() -> float:
@@ -98,9 +88,18 @@ def critical_path_seconds() -> float:
     return _cp_seconds_total
 
 
+def worker_gc_collections() -> list[int]:
+    """Accumulated per-generation collector runs inside shard workers."""
+    return list(_worker_gc_total)
+
+
 # ---------------------------------------------------------------------------
 # Shard-local fabric: cross-shard ops become packets
 # ---------------------------------------------------------------------------
+#: the deterministic processing order of one boundary batch
+_BOUNDARY_ORDER = attrgetter("sort_time", "origin", "op_id")
+
+
 class ShardFabric(Fabric):
     """A fabric slice owning one shard's NICs and address spaces.
 
@@ -128,8 +127,14 @@ class ShardFabric(Fabric):
             "notification is posted by the origin, in process)")
         self.routing = routing
         self.shard = shard
-        #: packets awaiting shipment at the next boundary
+        #: packets awaiting routing at the next sync
         self._outbox: list[ShardPacket] = []
+        #: packets for this same shard, routed at the last sync: they wait
+        #: here, live, for the deliver that merges them with inbound ones
+        self._held: list[ShardPacket] = []
+        #: packets / bytes this worker sent over the link, and packets it
+        #: held back because they never had to leave
+        self.link_packets = self.link_bytes = self.held_packets = 0
         #: op_id -> what the op's return leg needs, until its response
         self._pending: dict[int, Any] = {}
         self._op_ids = itertools.count(1)
@@ -147,13 +152,61 @@ class ShardFabric(Fabric):
         }
 
     # -- boundary plumbing ---------------------------------------------
-    def drain_outbox(self) -> list[ShardPacket]:
-        out, self._outbox = self._outbox, []
-        return out
+    def route_outbox(self) -> tuple[dict[int, bytes], int]:
+        """Route what was shipped since the last sync.
 
-    def process_inbox(self, packets: list[ShardPacket]) -> None:
-        """Apply one boundary batch in deterministic order."""
-        packets.sort(key=lambda p: (p.sort_time, p.origin, p.op_id))
+        Returns ``({destination shard: encoded bucket}, held count)``:
+        every foreign bucket encoded once, to be forwarded unopened; the
+        bucket for this shard stays here as live packets.  A same-shard
+        op is therefore never serialised, exactly as in a serial run (a
+        put's bytes are already the origin half's private snapshot, so
+        nothing aliases the origin's buffer).
+        """
+        buckets: dict[int, list[ShardPacket]] = {}
+        shard_of = self.routing.shard_of
+        for pkt in self._outbox:
+            dest = pkt.shard if pkt.shard is not None \
+                else shard_of(pkt.target)
+            buckets.setdefault(dest, []).append(pkt)
+        self._outbox = []
+        self._held = buckets.pop(self.shard, [])
+        self.held_packets += len(self._held)
+        wire = {dest: self._encode(bucket)
+                for dest, bucket in buckets.items()}
+        return wire, len(self._held)
+
+    def _encode(self, bucket: list[ShardPacket]) -> bytes:
+        try:
+            blob = encode_bucket(bucket)
+        except Exception as exc:
+            # whatever a payload's pickling raised: name the op it rode
+            for pkt in bucket:
+                try:
+                    encode_bucket([pkt])
+                except Exception:
+                    raise SimulationError(
+                        f"shard {self.shard}: cannot serialise "
+                        f"{pkt.ptype} {pkt.origin} -> {pkt.target} "
+                        f"(op {pkt.op_id}) for another shard: "
+                        f"{exc!r}") from exc
+            raise
+        self.link_packets += len(bucket)
+        self.link_bytes += len(blob)
+        return blob
+
+    def process_inbox(self, inbound: list[tuple[int, bytes]]) -> None:
+        """Apply one boundary batch in deterministic order.
+
+        ``inbound`` is ``(source shard, encoded bucket)`` in ascending
+        source order; the held bucket takes this shard's own place in
+        that order before the stable sort, so ties fall exactly where
+        they fell when every packet went through the coordinator.
+        """
+        buckets = {source: decode_bucket(blob) for source, blob in inbound}
+        buckets[self.shard], self._held = self._held, []
+        packets = [pkt for source in sorted(buckets)
+                   for pkt in buckets[source]]
+        packets.sort(key=_BOUNDARY_ORDER)
         handlers = self._handlers
         for pkt in packets:
             handlers[pkt.ptype](pkt)
@@ -168,9 +221,10 @@ class ShardFabric(Fabric):
 
         Only same-node (shared-memory) operations land directly: EVERY
         inter-node op takes the packet path, including ones whose target
-        lives in this same shard (the coordinator loops those back at the
-        next boundary).  Uniformity is what makes sharded runs exact
-        rather than approximate — a target NIC's receive-link
+        lives in this same shard (those wait in ``_held`` and land at the
+        next boundary with the inbound ones).  Uniformity is what makes
+        sharded runs exact rather than approximate — a target NIC's
+        receive-link
         reservations must happen in global issue-time order, and mixing
         issue-time reservations with boundary-time ones at one NIC would
         reorder overlapping incast flows relative to the serial schedule.
@@ -361,21 +415,33 @@ class ShardCluster(Cluster):
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
-def _shard_worker(conn, shard: int, config: ClusterConfig,
+def _shard_worker(conn, inherited, shard: int, config: ClusterConfig,
                   routing: ShardRouting, programs, args: tuple) -> None:
     """Worker body: build the shard-local cluster and obey the protocol.
 
     Messages from the coordinator: ``("run", until)`` advances the local
-    engine, ``("deliver", packets)`` applies a boundary batch, and
+    engine, ``("deliver", [(source shard, bucket bytes), ...])`` applies a
+    boundary batch (merged with the packets this worker held back), and
     ``("finish",)`` collects results.  Every run/deliver is answered with
-    ``("sync", outbox, next_event_time)``.
+    ``("sync", next_event_time, {dest shard: bucket bytes}, held)``.
     """
+    # the fork copied the coordinator's ends of the pipes opened so far,
+    # this worker's included: holding them would hide the coordinator's
+    # exit (or its closing up after another worker's failure) from every
+    # earlier worker, which waits for EOF
+    for end in inherited:
+        end.close()
     try:
         # the fork inherits the coordinator's whole heap: freeze it so
-        # this worker's gc never traverses inherited objects (and never
-        # copy-on-write-faults their pages) — a large prior simulation
-        # in the parent would otherwise multiply worker CPU
+        # this worker's final collection never traverses inherited
+        # objects (and never copy-on-write-faults their pages)
         gc.freeze()
+        # a worker only simulates, and dies at finish: in-flight ops are
+        # live containers, so automatic collections between here and
+        # there would traverse the heap to reclaim nothing
+        # (docs/architecture.md §9)
+        gc.disable()
+        gc_base = gc.get_stats()
         events_base = events_scheduled()
         cpu_base = time.process_time()
         cluster = ShardCluster(config, routing, shard)
@@ -385,27 +451,35 @@ def _shard_worker(conn, shard: int, config: ClusterConfig,
             prog = programs if callable(programs) else programs[r]
             procs[r] = engine.process(prog(cluster.ranks[r], *args),
                                       name=f"rank{r}")
-        conn.send(("sync", [], engine.peek()))
         while True:
-            msg = conn.recv()
+            conn.send(("sync", engine.peek(), *fabric.route_outbox()))
+            try:
+                msg = conn.recv()
+            except EOFError:  # the coordinator gave up on the run
+                return
             if msg[0] == "run":
                 if msg[1] > engine.now:
                     engine.run(until=msg[1], detect_deadlock=False)
-                conn.send(("sync", fabric.drain_outbox(), engine.peek()))
             elif msg[0] == "deliver":
                 fabric.process_inbox(msg[1])
-                conn.send(("sync", fabric.drain_outbox(), engine.peek()))
             elif msg[0] == "finish":
-                results = {r: (p.value if p.triggered else None)
-                           for r, p in procs.items()}
-                blocked = [p.name or f"rank{r}"
-                           for r, p in procs.items() if p.is_alive]
-                conn.send(("done", results, blocked, cluster.stats(),
-                           events_scheduled() - events_base, engine.now,
-                           time.process_time() - cpu_base))
-                return
+                break
             else:  # pragma: no cover - protocol bug guard
                 raise SimulationError(f"unknown coordinator op {msg[0]!r}")
+        results = {r: (p.value if p.triggered else None)
+                   for r, p in procs.items()}
+        blocked = [p.name or f"rank{r}"
+                   for r, p in procs.items() if p.is_alive]
+        report = {"link_packets": fabric.link_packets,
+                  "link_bytes": fabric.link_bytes,
+                  "held_packets": fabric.held_packets,
+                  "gc_collections": [
+                      b["collections"] - a["collections"]
+                      for a, b in zip(gc_base, gc.get_stats())],
+                  "gc_unreachable": gc.collect()}
+        conn.send(("done", results, blocked, cluster.stats(),
+                   events_scheduled() - events_base, engine.now,
+                   time.process_time() - cpu_base, report))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -425,7 +499,8 @@ class ShardedRun:
                  time_us: float, stats: dict[str, Any], windows: int,
                  exchanges: int, events: int,
                  cpu_s: list[float] | None = None,
-                 critical_path_s: float = 0.0):
+                 critical_path_s: float = 0.0,
+                 reports: Sequence[dict[str, Any]] = ()):
         self.cfg = cfg
         self.shards = shards
         self.lookahead = lookahead
@@ -439,6 +514,17 @@ class ShardedRun:
         #: max worker CPU + coordinator CPU: projected wall time on one
         #: dedicated core per shard
         self.critical_path_s = critical_path_s
+        #: what crossed the shard boundary, summed over workers: packets
+        #: and bytes encoded for another shard, and packets a worker held
+        #: back for itself (an inter-node op inside one shard)
+        self.link_packets = sum(w["link_packets"] for w in reports)
+        self.link_bytes = sum(w["link_bytes"] for w in reports)
+        self.held_packets = sum(w["held_packets"] for w in reports)
+        #: per worker: automatic collections per generation between fork
+        #: and finish, and what one explicit collection at finish found
+        #: unreachable — all zeros while the event loop orphans no cycle
+        self.gc_collections = [w["gc_collections"] for w in reports]
+        self.gc_unreachable = [w["gc_unreachable"] for w in reports]
 
     @property
     def time(self) -> float:
@@ -472,6 +558,10 @@ def _merge_stats(parts: list[dict[str, Any]], run: "ShardedRun") \
     out["shard_exchanges"] = run.exchanges
     out["shard_cpu_s"] = run.cpu_s
     out["shard_critical_path_s"] = run.critical_path_s
+    out["shard_link_packets"] = run.link_packets
+    out["shard_link_bytes"] = run.link_bytes
+    out["shard_held_packets"] = run.held_packets
+    out["shard_gc_collections"] = run.gc_collections
     return out
 
 
@@ -504,13 +594,13 @@ def run_sharded(program, args: Sequence[Any], config: ClusterConfig,
     conns, workers = [], []
     for s in range(shards):
         parent_conn, child_conn = ctx.Pipe()
+        conns.append(parent_conn)
         w = ctx.Process(target=_shard_worker,
-                        args=(child_conn, s, config, routing, program,
-                              tuple(args)),
+                        args=(child_conn, tuple(conns), s, config, routing,
+                              program, tuple(args)),
                         daemon=True)
         w.start()
         child_conn.close()
-        conns.append(parent_conn)
         workers.append(w)
 
     def _recv(s: int):
@@ -528,23 +618,21 @@ def run_sharded(program, args: Sequence[Any], config: ClusterConfig,
     try:
         next_time = [0.0] * shards
         awaiting = set(range(shards))
-        inflight: list[ShardPacket] = []
         windows = exchanges = 0
         while True:
+            # shard -> [(source shard, bucket bytes)] in source order; a
+            # shard that only holds packets of its own gets an empty list
+            inbound: dict[int, list[tuple[int, bytes]]] = {}
             for s in sorted(awaiting):
-                _, outbox, nxt = _recv(s)
-                inflight.extend(outbox)
-                next_time[s] = nxt
+                _, next_time[s], wire, held = _recv(s)
+                for dest, blob in wire.items():
+                    inbound.setdefault(dest, []).append((s, blob))
+                if held:
+                    inbound.setdefault(s, [])
             awaiting.clear()
-            if inflight:
-                by_shard: dict[int, list[ShardPacket]] = {}
-                for pkt in inflight:
-                    dest = (pkt.shard if pkt.shard is not None
-                            else routing.shard_of(pkt.target))
-                    by_shard.setdefault(dest, []).append(pkt)
-                inflight = []
-                for s, pkts in by_shard.items():
-                    conns[s].send(("deliver", pkts))
+            if inbound:
+                for s, blobs in inbound.items():
+                    conns[s].send(("deliver", blobs))
                     awaiting.add(s)
                 exchanges += 1
                 if exchanges > MAX_EXCHANGES:  # pragma: no cover
@@ -565,15 +653,17 @@ def run_sharded(program, args: Sequence[Any], config: ClusterConfig,
         blocked: list[str] = []
         parts: list[dict[str, Any]] = []
         cpu_s: list[float] = []
+        reports: list[dict[str, Any]] = []
         events = 0
         time_us = 0.0
         for s in range(shards):
-            _, res, blk, stats, ev, now, cpu = _recv(s)
+            _, res, blk, stats, ev, now, cpu, report = _recv(s)
             for r, v in res.items():
                 results[r] = v
             blocked.extend(blk)
             parts.append(stats)
             cpu_s.append(cpu)
+            reports.append(report)
             events += ev
             time_us = max(time_us, now)
         # Satellite fix: shard workers simulate in their own processes;
@@ -581,15 +671,18 @@ def run_sharded(program, args: Sequence[Any], config: ClusterConfig,
         # events_scheduled()-based events/sec stays truthful.
         add_external_events(events)
         # projected wall time with one dedicated core per shard: the
-        # slowest worker's CPU plus the coordinator's own routing CPU
+        # slowest worker's CPU plus the coordinator's own forwarding CPU
         critical = (max(cpu_s) if cpu_s else 0.0) \
             + (time.process_time() - coord_cpu0)
         global _cp_seconds_total
         _cp_seconds_total += critical
+        for report in reports:
+            for gen, n in enumerate(report["gc_collections"]):
+                _worker_gc_total[gen] += n
         if blocked and config.detect_deadlock:
             raise DeadlockError(sorted(blocked))
         run = ShardedRun(config, shards, lookahead, time_us, {}, windows,
-                         exchanges, events, cpu_s, critical)
+                         exchanges, events, cpu_s, critical, reports)
         run._stats = _merge_stats(parts, run)
         return results, run
     finally:

@@ -20,12 +20,17 @@ arbitrary shard/node layouts.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.dht import round_shift, run_dht
+from repro.apps.dht import _dht_program, round_shift, run_dht
 from repro.apps.stencil import run_stencil
 from repro.cluster import ClusterConfig, effective_shards, run_ranks
 from repro.errors import FaultError, NetworkError, SimulationError
@@ -34,11 +39,23 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.datatypes import vector
 from repro.network.fabric import Fabric
 from repro.network.loggp import TransportParams
-from repro.network.shardlink import RankTable, ShardRouting
+from repro.network.shardlink import (
+    WIRE_ARGS,
+    WIRE_FIELDS,
+    RankTable,
+    ShardPacket,
+    ShardRouting,
+    encode_bucket,
+)
 from repro.network.topology import Machine
 from repro.rma.typed import get_typed, put_typed
 from repro.sim.engine import events_scheduled
-from repro.sim.shard import ShardedRun, ShardFabric, critical_path_seconds
+from repro.sim.shard import (
+    ShardCluster,
+    ShardedRun,
+    ShardFabric,
+    critical_path_seconds,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +174,13 @@ def test_sharded_run_surface_and_stats():
     assert p_stats.pop("shard_critical_path_s") >= max(cpu_s)
     assert run.critical_path_s > 0.0
     assert critical_path_seconds() > 0.0
+    # one node per shard: every inter-node op crosses the link
+    assert p_stats.pop("shard_link_packets") == run.link_packets > 0
+    assert p_stats.pop("shard_link_bytes") == run.link_bytes > 0
+    assert p_stats.pop("shard_held_packets") == run.held_packets == 0
+    assert p_stats.pop("shard_gc_collections") == run.gc_collections \
+        == [[0, 0, 0]] * 4
+    assert run.gc_unreachable == [0] * 4
     assert p_stats == s_stats
 
 
@@ -490,3 +514,227 @@ def test_kv_ft_matches_serial_under_faults():
                          ckpt_every=2, seed=5, config=cfg)
 
     assert go(2) == go(1)
+
+
+# ---------------------------------------------------------------------------
+# The link: workers route, same-shard packets never leave their worker
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("shards, packets", [(2, 2752), (4, 2880)])
+def test_boundary_protocol_counts_are_pinned(shards, packets):
+    """Windows, exchanges and the packet total of a 64-rank DHT, as the
+    coordinator-routed protocol counted them: moving the routing into the
+    workers moved no packet to another boundary."""
+    _, run = run_ranks(64, _dht_program, args=(8, True, 0.4),
+                       config=ClusterConfig(nranks=64, ranks_per_node=4,
+                                            shards=shards))
+    assert (run.windows, run.exchanges) == (35, 66)
+    assert run.link_packets + run.held_packets == packets
+    assert run.held_packets > 0
+    assert run.link_bytes > run.link_packets
+
+
+def _neighbour_puts_program(ctx, nputs):
+    """Barriers around ``nputs`` puts from rank 0 to rank 1 — the other
+    node of the same shard at one rank per node, two nodes per shard."""
+    win = yield from ctx.win_allocate(8 * max(nputs, 1))
+    yield from win.lock_all()
+    yield from ctx.barrier()
+    if ctx.rank == 0:
+        for i in range(nputs):
+            yield from win.put(np.array([i + 0.5]), 1, 8 * i)
+        yield from win.flush(1)
+    yield from win.unlock_all()
+    yield from ctx.barrier()
+    return (win.local(np.float64, count=max(nputs, 1), mode="r").tolist(),
+            round(ctx.now, 9))
+
+
+def test_same_shard_traffic_costs_no_link_packets():
+    def go(nputs, shards):
+        return run_ranks(4, _neighbour_puts_program, args=(nputs,),
+                         config=ClusterConfig(nranks=4, ranks_per_node=1,
+                                              shards=shards))
+
+    nputs = 7
+    (quiet_res, quiet), (busy_res, busy) = go(0, 2), go(nputs, 2)
+    assert busy.link_packets == quiet.link_packets > 0
+    # each put and its ack
+    assert busy.held_packets == quiet.held_packets + 2 * nputs
+    assert quiet_res == go(0, 1)[0]
+    assert busy_res == go(nputs, 1)[0]
+    assert busy_res[1][0] == [i + 0.5 for i in range(nputs)]
+
+
+def test_inbox_merges_held_bucket_at_its_own_shard_index():
+    """Packets that tie on ``(sort_time, origin, op_id)`` keep the order
+    the coordinator used to give them: ascending source shard, each
+    source in ship order — with what this worker held back standing where
+    its own outbox stood."""
+    cfg = ClusterConfig(nranks=3, ranks_per_node=1, shards=3)
+    routing = ShardRouting(Machine(3, ranks_per_node=1), shards=3)
+    fabric = ShardCluster(cfg, routing, 1).fabric
+
+    def tie(mark, sort_time=2.0):
+        return ShardPacket("amo-resp", origin=1, target=1, op_id=4,
+                           sort_time=sort_time, value=mark)
+
+    seen = []
+    fabric._handlers = {"amo-resp": lambda pkt: seen.append(pkt.value)}
+    fabric._held = [tie("held-a"), tie("early", sort_time=1.0),
+                    tie("held-b")]
+    fabric.process_inbox([(0, encode_bucket([tie("s0-a"), tie("s0-b")])),
+                          (2, encode_bucket([tie("s2-a"),
+                                             tie("late", sort_time=3.0)]))])
+    assert seen == ["early", "s0-a", "s0-b", "held-a", "held-b", "s2-a",
+                    "late"]
+    assert fabric._held == []
+    # nothing inbound: the held bucket alone is a batch
+    fabric._held = [tie("only")]
+    fabric.process_inbox([])
+    assert seen[-1] == "only"
+
+
+def _overwrite_after_put_program(ctx):
+    win = yield from ctx.win_allocate(8)
+    yield from win.lock_all()
+    got = None
+    if ctx.rank == 1:
+        req = yield from ctx.na.notify_init(win, source=0, tag=1)
+        yield from ctx.na.start(req)
+    yield from ctx.barrier()
+    if ctx.rank == 0:
+        buf = np.array([1.25])
+        yield from ctx.na.put_notify(win, buf, 1, 0, tag=1)
+        buf[0] = -1.0
+    elif ctx.rank == 1:
+        yield from ctx.na.wait(req)
+        got = win.local(np.float64, count=1, mode="r")[0].item()
+    yield from win.unlock_all()
+    yield from ctx.barrier()
+    return got
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_held_put_carries_the_issue_time_snapshot(shards):
+    """A same-shard inter-node put waits in its worker as a live packet;
+    what it holds is the origin half's private copy, not the user's
+    buffer, so overwriting the buffer right after the call changes
+    nothing — serial and sharded alike."""
+    res, _ = run_ranks(4, _overwrite_after_put_program, config=ClusterConfig(
+        nranks=4, ranks_per_node=1, shards=shards))
+    assert res == [None, 1.25, None, None]
+
+
+#: one packet per ptype with every field that type carries set to a
+#: value its default cannot be mistaken for
+_WIRE_SAMPLES = {
+    "put": dict(origin=3, target=9, nbytes=16, t_commit=4.5, G=2e-4, L=1.1,
+                target_addr=4096, data=np.arange(16, dtype=np.uint8),
+                immediate=7, win_id=2, accumulate="sum",
+                acc_dtype=np.float64, scatter=[(4096, 8), (8192, 8)]),
+    "sys": dict(origin=3, target=9, nbytes=0, t_commit=4.5, G=2e-4, L=1.1,
+                sys_ptype="eager", payload={"tag": 5, "ctx": 1},
+                data=np.empty(0, dtype=np.uint8)),
+    "get": dict(origin=3, target=9, nbytes=16, t_exec=4.5, hop=0.25,
+                target_addr=4096, gather=[(4096, 8), (8192, 8)],
+                immediate=7, win_id=2),
+    "amo": dict(origin=3, target=9, nbytes=8, t_exec=4.5, target_addr=4096,
+                amo_op="sum", operand=5, compare=None, acc_dtype=np.int64,
+                immediate=7, win_id=2),
+    "ack": dict(origin=9, target=3, t_commit=4.5, t_exec=5.5),
+    "get-resp": dict(origin=9, target=3, t_commit=4.5, G=2e-4,
+                     data=np.arange(16, dtype=np.uint8)),
+    "amo-resp": dict(origin=9, target=3, value=-12),
+    "win-reg": dict(origin=3, target=-1, shard=1,
+                    payload={"call_idx": 0, "header": 64, "base": 128,
+                             "size": 512, "disp_unit": 8}),
+}
+
+
+def test_wire_tables_cover_every_ptype_and_exactly_the_hand_off():
+    header = ("ptype", "op_id", "sort_time")
+    for verb, names in WIRE_ARGS.items():
+        assert WIRE_FIELDS[verb] == header + names
+    handlers = ShardCluster(
+        ClusterConfig(nranks=2, ranks_per_node=1, shards=2),
+        ShardRouting(Machine(2, ranks_per_node=1), shards=2),
+        0).fabric._handlers
+    assert set(WIRE_FIELDS) == set(handlers) == set(_WIRE_SAMPLES)
+    for ptype, sample in _WIRE_SAMPLES.items():
+        assert header + tuple(sample) == WIRE_FIELDS[ptype]
+
+
+@pytest.mark.parametrize("ptype", list(_WIRE_SAMPLES))
+def test_packet_pickles_field_for_field(ptype):
+    pkt = ShardPacket(ptype, op_id=11, sort_time=3.75,
+                      **_WIRE_SAMPLES[ptype])
+    back, = pickle.loads(pickle.dumps(("deliver", [pkt])))[1]
+    for name in ShardPacket.__slots__:
+        sent, got = getattr(pkt, name), getattr(back, name)
+        if name == "data" and sent is not None:
+            assert got.dtype == np.uint8 and got.tolist() == sent.tolist()
+        else:
+            assert type(got) is type(sent) and got == sent, name
+
+
+# ---------------------------------------------------------------------------
+# Failures surface promptly, as named errors, and leave no worker behind
+# ---------------------------------------------------------------------------
+def _failing_program(ctx, mode, bad):
+    yield from ctx.barrier()
+    yield ctx.timeout(5.0)
+    if ctx.rank == bad:
+        if mode == "raise":
+            raise ValueError("rank program bug")
+        if mode == "exit":
+            os._exit(7)
+        yield ctx.fabric.send_sys(ctx.rank, (ctx.rank + 2) % ctx.size,
+                                  "ctrl-probe", 16,
+                                  payload={"hook": lambda: 0}).remote_done
+    yield from ctx.barrier()
+
+
+@pytest.mark.parametrize("bad", [0, 3])
+@pytest.mark.parametrize("mode, message", [
+    ("raise", "worker failed"), ("exit", "worker died"),
+    ("payload", "worker failed")])
+def test_worker_failure_surfaces_promptly_and_reaps_survivors(
+        mode, message, bad):
+    """The surviving worker exits on the coordinator's EOF instead of
+    sitting out the join timeout (every worker drops the pipe ends it
+    inherited from the fork)."""
+    t0 = time.perf_counter()
+    with pytest.raises(SimulationError,
+                       match=f"shard {bad // 2} {message}"):
+        run_ranks(4, _failing_program, args=(mode, bad),
+                  config=ClusterConfig(nranks=4, ranks_per_node=2,
+                                       shards=2))
+    assert time.perf_counter() - t0 < 2.0
+    assert multiprocessing.active_children() == []
+
+
+def _hook_payload_program(ctx, peer_of_zero):
+    """Rank 0 sends a sys message whose payload holds a lambda."""
+    yield from ctx.barrier()
+    if ctx.rank == 0:
+        yield ctx.fabric.send_sys(0, peer_of_zero, "ctrl-probe", 16,
+                                  payload={"hook": lambda: 0}).remote_done
+    yield from ctx.barrier()
+    return (dict(ctx.endpoint.ctrl_counts), round(ctx.now, 9))
+
+
+def test_unserialisable_payload_names_the_op_only_when_it_must_cross():
+    def go(peer, shards):
+        return run_ranks(4, _hook_payload_program, args=(peer,),
+                         config=ClusterConfig(nranks=4, ranks_per_node=1,
+                                              shards=shards))[0]
+
+    # rank 2 lives in the other shard: the error names shard, verb,
+    # origin -> target and op id, not a bare pipe traceback
+    with pytest.raises(SimulationError, match=r"shard 0: cannot serialise "
+                       r"sys 0 -> 2 \(op \d+\) for another shard"):
+        go(2, 2)
+    # rank 1 is another node of the same shard: never serialised, exactly
+    # as in a serial run
+    assert go(1, 2) == go(1, 1)
+    assert go(1, 1)[1][0] == {("ctrl-probe", 0): 1}

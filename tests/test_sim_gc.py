@@ -1,7 +1,8 @@
 """The GC-quiet event core (docs/architecture.md §9).
 
 ``Engine.run`` pauses CPython's automatic cyclic collector while the
-scheduler drains.  Three things keep that safe:
+scheduler drains, and a shard worker keeps it off from fork to finish.
+Three things keep that safe:
 
 * the caller's collector state comes back on every exit path;
 * a drained run leaves no cyclic garbage behind, for every rank-program
@@ -9,6 +10,10 @@ scheduler drains.  Three things keep that safe:
   collector is off, and a change that starts leaking cycles in the hot
   loop fails here instead of silently growing RSS;
 * results do not depend on whether the caller had the collector on.
+
+A shard worker's whole life — cluster build, windows, boundary batches —
+is held to the same zero-garbage invariant through the counters it
+reports at finish.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ from repro.apps import (
     run_stencil,
     run_tree_reduction,
 )
-from repro.apps.dht import run_dht
+from repro.apps.dht import _dht_program, run_dht
 from repro.apps.services import run_kv, run_kv_ft, run_pubsub
-from repro.cluster import ClusterConfig
+from repro.cluster import ClusterConfig, run_ranks
 from repro.errors import DeadlockError, SimulationError
 from repro.faults import FaultPlan
 from repro.sim.engine import Engine, events_scheduled
+from tests.test_shard_equiv import _mixed_program
 
 
 @contextmanager
@@ -255,6 +261,52 @@ def test_audit_sees_a_cycle_built_in_the_loop(run_audit):
     eng.process(leaky())
     eng.run()
     assert run_audit == [(0, "list")]
+
+
+@pytest.mark.parametrize("program, args", [
+    (_dht_program, (4, True, 0.4)), (_mixed_program, ())],
+    ids=["dht", "mixed"])
+def test_shard_workers_collect_nothing_and_orphan_nothing(gc_state,
+                                                          program, args):
+    """No automatic collection between a worker's fork and its finish,
+    whatever the coordinator's collector state; and the one explicit
+    collection at finish, with the worker's cluster still alive, finds
+    nothing unreachable."""
+    _, run = run_ranks(8, program, args=args, config=ClusterConfig(
+        nranks=8, ranks_per_node=2, shards=2))
+    assert run.held_packets > 0, "both the link and the held path ran"
+    assert run.link_packets > 0
+    assert run.gc_collections == [[0, 0, 0], [0, 0, 0]]
+    assert run.gc_unreachable == [0, 0]
+    assert gc.isenabled() is gc_state
+
+
+def _collecting_program(ctx):
+    yield from ctx.barrier()
+    if ctx.rank == 0:
+        gc.collect()
+    yield from ctx.barrier()
+
+
+def test_worker_collections_reach_the_run_and_the_bench_meta():
+    """What a worker's collector did do is reported, per worker, and
+    ``run_experiment``'s ``gc_collections`` counts it beside the
+    coordinator's own."""
+    from repro.bench.runner import _gc_collections
+    from repro.sim.shard import worker_gc_collections
+
+    with collector(False):
+        before, fleet = worker_gc_collections(), _gc_collections(2)
+        _, run = run_ranks(4, _collecting_program, config=ClusterConfig(
+            nranks=4, ranks_per_node=1, shards=2))
+        assert run.gc_collections == [[0, 0, 1], [0, 0, 0]]
+        assert [b - a for a, b in zip(before, worker_gc_collections())] \
+            == [0, 0, 1]
+        own = [g["collections"] for g in gc.get_stats()]
+        assert _gc_collections(0) == own
+        # the coordinator's one pre-fork collection and the worker's
+        assert [b - a for a, b in zip(fleet, _gc_collections(2))] \
+            == [0, 0, 2]
 
 
 # ---------------------------------------------------------------------------
