@@ -178,6 +178,10 @@ def _server_program_ft(ctx, plans, nservers, reqs_per_client, nkeys,
                 continue
             waits = [ctx.nic.notification_arrival()]
             if t_die is not None:
+                if ctx.now >= t_die:
+                    # died inside the matching pass (it takes virtual
+                    # time): crash-exit at the loop head, serve nothing
+                    continue
                 waits.append(ctx.timeout(t_die - ctx.now))
             yield waits[0] if len(waits) == 1 else ctx.engine.any_of(waits)
             continue

@@ -310,6 +310,10 @@ def _broker_program_ft(ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub):
                 continue
             waits = [ctx.nic.notification_arrival()]
             if t_die is not None:
+                if ctx.now >= t_die:
+                    # died inside the matching pass (it takes virtual
+                    # time): crash-exit at the loop head, serve nothing
+                    continue
                 waits.append(ctx.timeout(t_die - ctx.now))
             yield waits[0] if len(waits) == 1 else ctx.engine.any_of(waits)
             continue

@@ -28,7 +28,7 @@ UQ_SLOTS = 512
 _VECTOR_MIN = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class UqEntry:
     """One queued notification."""
 
@@ -60,15 +60,18 @@ class UnexpectedQueue:
         # ``_entries`` so a lookup can compare the whole queue in one
         # vectorized pass instead of a Python loop per entry — the §V
         # high-fan-in case queues thousands of wildcard notifications.
-        # Capacity is exactly ``slots`` (append raises on overflow).
-        self._win = np.empty(slots, dtype=np.int64)
-        self._src = np.empty(slots, dtype=np.int64)
-        self._tag = np.empty(slots, dtype=np.int64)
-        # Free-slot list, not a rotating cursor: entries are removed in
-        # match order, not FIFO order, so after wraparound a cursor would
-        # hand a live entry's slot to a new one and corrupt the per-slot
-        # cache accounting.  Lowest-index-first keeps the layout compact.
-        self._free_slots: list[int] = list(range(slots))
+        # Below ``_VECTOR_MIN`` entries nothing reads them, so they start
+        # at that size and double on demand up to ``slots``.
+        self._cols = np.empty((3, min(_VECTOR_MIN, slots)), dtype=np.int64)
+        self._win, self._src, self._tag = self._cols
+        # Free slots, lowest index first (keeps the layout compact): every
+        # slot at or above ``_fresh`` has never been handed out, every
+        # free slot below it sits in the ``_freed`` heap.  Not a rotating
+        # cursor: entries are removed in match order, not FIFO order, so
+        # after wraparound a cursor would hand a live entry's slot to a
+        # new one and corrupt the per-slot cache accounting.
+        self._fresh = 0
+        self._freed: list[int] = []
         self.appended = 0
         self.matched = 0
 
@@ -82,14 +85,20 @@ class UnexpectedQueue:
 
     def append(self, win_id: int, source: int, tag: int, nbytes: int,
                time: float, san: object = None) -> UqEntry:
-        if not self._free_slots:
+        if self._freed:
+            slot = heapq.heappop(self._freed)
+        elif self._fresh < self.slots:
+            slot = self._fresh
+            self._fresh += 1
+        else:
             raise MatchingError(
                 f"unexpected queue overflow ({self.slots} slots)")
-        slot = heapq.heappop(self._free_slots)
         slot_addr = self.region.addr + slot * CACHE_LINE
         entry = UqEntry(win_id, source, tag, nbytes, time, slot_addr,
                         san=san)
         n = len(self._entries)
+        if n == len(self._win):
+            self._grow(n)
         self._win[n] = win_id
         self._src[n] = source
         self._tag[n] = tag
@@ -97,6 +106,13 @@ class UnexpectedQueue:
         self.appended += 1
         self.cache.touch(slot_addr, CACHE_LINE, label="na-uq-append")
         return entry
+
+    def _grow(self, n: int) -> None:
+        """Double the mirror columns (all ``n`` of them in use)."""
+        cols = np.empty((3, min(2 * n, self.slots)), dtype=np.int64)
+        cols[:, :n] = self._cols
+        self._cols = cols
+        self._win, self._src, self._tag = cols
 
     def _first_match(self, win_id: int | None, source: int,
                      tag: int) -> int:
@@ -131,12 +147,11 @@ class UnexpectedQueue:
         if idx < n:
             # Close the gap in the mirror columns (numpy buffers
             # overlapping slice assignment, so in-place shift is safe).
-            self._win[idx:n] = self._win[idx + 1:n + 1]
-            self._src[idx:n] = self._src[idx + 1:n + 1]
-            self._tag[idx:n] = self._tag[idx + 1:n + 1]
+            cols = self._cols
+            cols[:, idx:n] = cols[:, idx + 1:n + 1]
         self.matched += 1
         heapq.heappush(
-            self._free_slots,
+            self._freed,
             (entry.slot_addr - self.region.addr) // CACHE_LINE)
         return entry
 

@@ -3,7 +3,9 @@
 An :class:`AddressSpace` is a flat byte array (NumPy ``uint8``) with a
 first-fit free-list allocator.  Addresses are plain integers (offsets), which
 lets the network layer address remote memory exactly like RDMA does: (rank,
-address, nbytes).
+address, nbytes).  The bytes live in a private anonymous mapping, so a
+space's size is *virtual*: the kernel hands over a zero page when one is
+first touched and takes every page back when the space is collected.
 
 A :class:`Region` is a typed view of an allocation — the unit user code works
 with.  ``region.ndarray(dtype)`` exposes the bytes as a NumPy array so
@@ -13,6 +15,7 @@ simulated applications compute on real data.
 from __future__ import annotations
 
 import bisect
+import mmap
 
 import numpy as np
 
@@ -121,9 +124,22 @@ class AddressSpace:
     POISON = 0xDB
 
     def __init__(self, rank: int, size: int = DEFAULT_SPACE):
+        if size <= 0:
+            raise AllocationError(
+                f"rank {rank}: address-space size must be positive, "
+                f"got {size}")
         self.rank = rank
         self.size = size
-        self.mem = np.zeros(size, dtype=np.uint8)
+        # Not ``np.zeros``: whether that is lazily zero-filled depends on
+        # glibc's (moving) mmap threshold and NumPy's hugepage policy; a
+        # mapping of our own is demand-zeroed always.  Private, so a
+        # forked shard worker's writes stay its own.  The array keeps the
+        # mapping alive — it is never closed by hand.
+        pages = mmap.mmap(-1, size,
+                          flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            pages.madvise(mmap.MADV_NOHUGEPAGE)
+        self.mem = np.frombuffer(pages, dtype=np.uint8)
         self._holes: list[tuple[int, int]] = [(0, size)]  # sorted by addr
         self.allocated_bytes = 0
         self.peak_bytes = 0

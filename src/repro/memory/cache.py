@@ -15,7 +15,6 @@ accounting, not latency — because the paper's claim is a miss *count*.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 #: Cache line size in bytes (x86-typical; also the notification entry size
@@ -53,13 +52,19 @@ class CacheModel:
 
     def __init__(self, size_bytes: int = 32 * 1024, ways: int = 8,
                  line: int = CACHE_LINE):
+        if size_bytes <= 0 or ways <= 0 or line <= 0:
+            raise ValueError(
+                f"cache size, ways and line must be positive, got "
+                f"size_bytes={size_bytes}, ways={ways}, line={line}")
         if size_bytes % (ways * line):
             raise ValueError("cache size must be a multiple of ways*line")
         self.line = line
         self.ways = ways
         self.nsets = size_bytes // (ways * line)
-        self._sets: list[OrderedDict] = [OrderedDict()
-                                         for _ in range(self.nsets)]
+        # Per set, the resident lines in LRU order (oldest first); a set
+        # gets its list when first touched.  A line of space 0 — all the
+        # matching path ever touches — is keyed by its bare number.
+        self._sets: list[list | None] = [None] * self.nsets
         self.stats = CacheStats()
 
     def _lines(self, addr: int, nbytes: int):
@@ -70,35 +75,73 @@ class CacheModel:
     def touch(self, addr: int, nbytes: int, space: int = 0,
               label: str = "") -> int:
         """Access ``[addr, addr+nbytes)``; returns the line-miss count."""
-        misses = 0
-        for lineno in self._lines(addr, nbytes):
-            key = (space, lineno)
-            st = self._sets[lineno % self.nsets]
-            if key in st:
-                st.move_to_end(key)
-                self.stats.hits += 1
+        line = self.line
+        first = addr // line
+        last = (addr + nbytes - 1) // line if nbytes > 1 else first
+        sets = self._sets
+        nsets = self.nsets
+        stats = self.stats
+        if first == last:
+            # One line — a request, a UQ slot, a counter: nearly every
+            # call.  The loop below, for one line, without the loop.
+            key = (space, first) if space else first
+            st = sets[first % nsets]
+            if st is None:
+                sets[first % nsets] = [key]
+            elif key in st:
+                if st[-1] != key:
+                    st.remove(key)
+                    st.append(key)
+                stats.hits += 1
+                return 0
             else:
-                misses += 1
-                self.stats.misses += 1
-                if label:
-                    self.stats.by_label[label] = \
-                        self.stats.by_label.get(label, 0) + 1
-                st[key] = True
+                st.append(key)
                 if len(st) > self.ways:
-                    st.popitem(last=False)
-                    self.stats.evictions += 1
+                    del st[0]
+                    stats.evictions += 1
+            stats.misses += 1
+            if label:
+                stats.by_label[label] = stats.by_label.get(label, 0) + 1
+            return 1
+        ways = self.ways
+        hits = misses = evictions = 0
+        for lineno in range(first, last + 1):
+            key = (space, lineno) if space else lineno
+            st = sets[lineno % nsets]
+            if st is None:
+                sets[lineno % nsets] = [key]
+                misses += 1
+            elif key in st:
+                if st[-1] != key:
+                    st.remove(key)
+                    st.append(key)
+                hits += 1
+            else:
+                st.append(key)
+                misses += 1
+                if len(st) > ways:
+                    del st[0]
+                    evictions += 1
+        stats.hits += hits
+        stats.misses += misses
+        stats.evictions += evictions
+        if label and misses:
+            stats.by_label[label] = stats.by_label.get(label, 0) + misses
         return misses
 
     def flush_range(self, addr: int, nbytes: int, space: int = 0) -> None:
         """Invalidate lines (models DMA writing to memory, not cache)."""
         for lineno in self._lines(addr, nbytes):
             st = self._sets[lineno % self.nsets]
-            st.pop((space, lineno), None)
+            key = (space, lineno) if space else lineno
+            if st is not None and key in st:
+                st.remove(key)
 
     def flush_all(self) -> None:
-        for st in self._sets:
-            st.clear()
+        self._sets = [None] * self.nsets
 
     def resident(self, addr: int, space: int = 0) -> bool:
-        key = (space, addr // self.line)
-        return key in self._sets[(addr // self.line) % self.nsets]
+        lineno = addr // self.line
+        st = self._sets[lineno % self.nsets]
+        key = (space, lineno) if space else lineno
+        return st is not None and key in st

@@ -9,7 +9,7 @@ significant tag bits comes from, and the library enforces it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import NetworkError
@@ -59,7 +59,6 @@ class CqEntry:
     inline: Any | None = None     # numpy payload for shm inline transfer
     seq: int | None = None        # transfer sequence number (fault dedup)
     san: Any | None = None        # originating op's sanitizer clock
-    meta: dict = field(default_factory=dict)
 
 
 class CompletionQueue:

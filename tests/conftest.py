@@ -6,12 +6,23 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.network.loggp import TransportParams
 from repro.sim.engine import Engine
 
 pytest_plugins = ("repro.analysis.pytest_plugin",)
+
+# Tier-1 is a property of the commit, not of the draw: by default every
+# property test derives its examples from its own source, so a red run
+# means the code changed.  ``HYPOTHESIS_PROFILE=explore`` draws afresh
+# each run (and 1000 examples where a test pins no count of its own) to
+# *find* counter-examples; pin what it finds with ``@example``.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False, max_examples=1000,
+                          print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 def pytest_addoption(parser):

@@ -1,10 +1,18 @@
 """Cluster assembly, configuration, determinism, and stats."""
 
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster import Cluster, ClusterConfig, run_ranks
-from repro.errors import SimulationError
+from repro.errors import AllocationError, SimulationError
 
 
 def test_config_or_kwargs_not_both():
@@ -113,3 +121,66 @@ def test_rank_context_surface():
         return None
 
     run_ranks(3, prog)
+
+
+# -- what a rank costs (docs/architecture.md §9) -------------------------
+def test_rank_footprint_ceiling(monkeypatch):
+    """An idle rank's matching state, cache model and address space cost
+    what it has touched: the Python heap of a build stays under 16 KB per
+    rank (11 KB measured; 42 KB before the structures were demand-sized)
+    and the address spaces — virtual until written — are not in it."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # n^2 clocks
+    nranks = 256
+    Cluster(ClusterConfig(nranks=2))        # lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        cluster = Cluster(ClusterConfig(nranks=nranks, ranks_per_node=16,
+                                        space_bytes=1 << 20))
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cluster.ranks) == nranks
+    assert traced / nranks <= 16 * 1024
+
+
+_REPETITIONS = """
+import gc, json, resource
+from repro.apps.dht import run_dht
+from repro.cluster import ClusterConfig
+seen = []
+for _ in range(3):
+    run_dht(256, rounds=8, verify=True,
+            config=ClusterConfig(nranks=256, ranks_per_node=16,
+                                 space_bytes=1 << 20))
+    gc.collect()
+    with open("/proc/self/statm") as f:
+        resident = int(f.read().split()[1]) * resource.getpagesize()
+    seen.append((resident / 2**20,
+                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/statm")
+def test_repetitions_do_not_creep_without_allocator_pins():
+    """Three 256-rank runs in one interpreter, *without* the two
+    allocator variables ``benchmarks/perf`` pins: resident memory after
+    each is flat and the peak is the first run's.  (Address spaces from
+    ``np.zeros`` read 44 -> 83 -> 301 MB here: glibc raises its mmap
+    threshold when the first space is freed and memsets the next ones.)"""
+    drop = ("MALLOC_MMAP_THRESHOLD_", "NUMPY_MADVISE_HUGEPAGE",
+            "REPRO_SANITIZE", "REPRO_SHARDS")
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _REPETITIONS], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    (res1, peak1), _, (res3, peak3) = json.loads(out.stdout)
+    assert res3 <= res1 + 2.0
+    assert peak3 <= peak1 + 8.0
+
+
+def test_space_bytes_must_be_positive():
+    with pytest.raises(AllocationError, match="rank 0.*size.*got 0"):
+        Cluster(ClusterConfig(nranks=2, space_bytes=0))

@@ -1,5 +1,7 @@
 """Address spaces, the allocator, and regions — including property tests."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,33 @@ from hypothesis import strategies as st
 
 from repro.errors import AllocationError, BufferError_
 from repro.memory.address import AddressSpace, Region
+
+
+def test_fresh_space_is_zero_and_size_is_checked():
+    space = AddressSpace(3, 1 << 16)
+    assert space.mem.shape == (1 << 16,) and not space.mem.any()
+    for size in (0, -4096):
+        with pytest.raises(AllocationError, match=f"rank 3.*got {size}"):
+            AddressSpace(3, size)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_writes_stay_its_own():
+    """The mapping behind a space is private: a forked shard worker sees
+    the bytes written before the fork and keeps its own writes."""
+    space = AddressSpace(0, 1 << 16)
+    written, untouched = space.alloc(64), space.alloc(8192)
+    written.fill(1)
+    pid = os.fork()
+    if pid == 0:
+        inherited = bool((written.ndarray(mode="r") == 1).all())
+        written.fill(7)
+        untouched.fill(7)
+        os._exit(0 if inherited and space.mem[written.addr] == 7 else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert (written.ndarray(mode="r") == 1).all()
+    assert not untouched.ndarray(mode="r").any()
 
 
 def test_alloc_returns_aligned_region():

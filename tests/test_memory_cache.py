@@ -1,10 +1,12 @@
 """Cache-line model: LRU behaviour, stats, and a reference-model property."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.cache import CACHE_LINE, CacheModel
+from repro.memory.cache import CACHE_LINE, CacheModel, CacheStats
 
 
 def test_first_touch_misses_then_hits():
@@ -94,6 +96,15 @@ def test_bad_geometry_rejected():
         CacheModel(size_bytes=100, ways=3, line=64)
 
 
+@pytest.mark.parametrize("geometry", [
+    dict(size_bytes=0), dict(size_bytes=-512), dict(ways=0),
+    dict(ways=-8), dict(line=0), dict(line=-64)])
+def test_nonpositive_geometry_rejected(geometry):
+    # size_bytes=0 used to build and divide by zero in the first touch
+    with pytest.raises(ValueError, match="positive"):
+        CacheModel(**geometry)
+
+
 # -- property: model agrees with a brute-force fully-recent-order reference --
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=4095), min_size=1,
@@ -115,3 +126,76 @@ def test_cache_against_reference_lru(addrs):
         s.append(lineno)
         if len(s) > ways:
             s.pop(0)
+
+
+# -- property: the list-LRU model against the OrderedDict one it replaced --
+class _OrderedDictCache:
+    """The model as first written — one ``OrderedDict`` of ``(space,
+    line)`` keys per set, counters bumped per line — kept as the oracle."""
+
+    def __init__(self, size_bytes, ways, line):
+        self.line = line
+        self.ways = ways
+        self.nsets = size_bytes // (ways * line)
+        self._sets = [OrderedDict() for _ in range(self.nsets)]
+        self.stats = CacheStats()
+
+    def _lines(self, addr, nbytes):
+        first = addr // self.line
+        last = (addr + max(nbytes, 1) - 1) // self.line
+        return range(first, last + 1)
+
+    def touch(self, addr, nbytes, space=0, label=""):
+        misses = 0
+        for lineno in self._lines(addr, nbytes):
+            key = (space, lineno)
+            st_ = self._sets[lineno % self.nsets]
+            if key in st_:
+                st_.move_to_end(key)
+                self.stats.hits += 1
+            else:
+                misses += 1
+                self.stats.misses += 1
+                if label:
+                    self.stats.by_label[label] = \
+                        self.stats.by_label.get(label, 0) + 1
+                st_[key] = True
+                if len(st_) > self.ways:
+                    st_.popitem(last=False)
+                    self.stats.evictions += 1
+        return misses
+
+    def flush_range(self, addr, nbytes, space=0):
+        for lineno in self._lines(addr, nbytes):
+            self._sets[lineno % self.nsets].pop((space, lineno), None)
+
+    def flush_all(self):
+        for st_ in self._sets:
+            st_.clear()
+
+    def resident(self, addr, space=0):
+        key = (space, addr // self.line)
+        return key in self._sets[(addr // self.line) % self.nsets]
+
+
+_ADDRS = st.integers(min_value=0, max_value=(1 << 14) - 1)
+_SIZES = st.sampled_from((0, 1, 8, 64, 200, 5000))
+_SPACES = st.sampled_from((0, 1))
+_CACHE_OPS = st.one_of(
+    st.tuples(st.just("touch"), _ADDRS, _SIZES, _SPACES,
+              st.sampled_from(("", "a", "b"))),
+    st.tuples(st.just("flush_range"), _ADDRS, _SIZES, _SPACES),
+    st.tuples(st.just("flush_all")),
+    st.tuples(st.just("resident"), _ADDRS, _SPACES))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(((2 * 64, 2, 64),        # one set
+                        (4 * 4 * 64, 4, 64),    # evicts early
+                        (32 * 1024, 8, 64))),   # the per-rank default
+       st.lists(_CACHE_OPS, max_size=150))
+def test_cache_agrees_with_ordereddict_oracle(geometry, ops):
+    model, oracle = CacheModel(*geometry), _OrderedDictCache(*geometry)
+    for op, *args in ops:
+        assert getattr(model, op)(*args) == getattr(oracle, op)(*args)
+        assert model.stats == oracle.stats

@@ -1,18 +1,23 @@
 """Property tests: the Unexpected Queue against a brute-force oracle.
 
-The UQ's slot ring, free-list, and cache accounting must never change
-*matching* semantics: ``find_and_remove`` returns the oldest entry the
-request matches, ``peek_match`` the oldest entry a probe matches, under
-every combination of ``ANY_SOURCE``/``ANY_TAG`` wildcards.  The oracle
-is a plain list scanned front to back with the textbook predicate.
+The UQ's slot ring, free-slot bookkeeping, growing mirror columns and
+cache accounting must never change *matching* semantics:
+``find_and_remove`` returns the oldest entry the request matches,
+``peek_match`` the oldest entry a probe matches, under every combination
+of ``ANY_SOURCE``/``ANY_TAG`` wildcards.  The oracle is a plain list
+scanned front to back with the textbook predicate.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.matching import UnexpectedQueue
+from repro.core.matching import _VECTOR_MIN, UnexpectedQueue
+from repro.errors import MatchingError
 from repro.memory.address import AddressSpace
 from repro.memory.cache import CACHE_LINE, CacheModel
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
@@ -131,3 +136,53 @@ def test_drain_order_matches_repeated_oracle_scan(appends, source, tag):
     assert [(e.win_id, e.source, e.tag, e.time)
             for e in uq._entries] == \
         [e for e in oracle if e not in matching]
+
+
+def _assert_first_match_is_scalar_scan(uq, oracle):
+    for win_id, source, tag in product(
+            WINS + (None,), SOURCES + (ANY_SOURCE,), TAGS + (ANY_TAG,)):
+        want = _oracle_first(oracle, win_id, source, tag)
+        assert uq._first_match(win_id, source, tag) == \
+            (oracle.index(want) if want is not None else -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_append_op(), _append_op(), _remove_op()),
+                min_size=40, max_size=160))
+def test_slots_lowest_free_first_through_growth_to_overflow(ops):
+    """Slot hand-out is "lowest free first" (it fixes every slot address,
+    hence the cache-miss counts) whether a slot is fresh or was freed,
+    the queue overflows exactly at ``slots``, and the mirror columns,
+    which start at ``_VECTOR_MIN`` and double, still answer like a
+    scalar scan after each growth."""
+    slots = 2 * _VECTOR_MIN + 8          # two doublings, the last clipped
+    uq = _make_uq(slots)
+    free = set(range(slots))
+    oracle = []                          # (win_id, source, tag, time)
+    capacity = len(uq._win)
+    assert capacity == _VECTOR_MIN
+    for time, (kind, win_id, source, tag) in enumerate(ops):
+        if kind == "append" and not free:
+            with pytest.raises(MatchingError, match="overflow"):
+                uq.append(win_id, source, tag, nbytes=8, time=float(time))
+        elif kind == "append":
+            entry = uq.append(win_id, source, tag, nbytes=8,
+                              time=float(time))
+            slot = min(free)
+            free.remove(slot)
+            assert entry.slot_addr == uq.region.addr + CACHE_LINE * slot
+            oracle.append((win_id, source, tag, float(time)))
+        else:
+            got = uq.find_and_remove(_Req(win_id, source, tag))
+            want = _oracle_first(oracle, win_id, source, tag)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (got.win_id, got.source, got.tag, got.time) == want
+                oracle.remove(want)
+                free.add((got.slot_addr - uq.region.addr) // CACHE_LINE)
+        assert len(uq) == len(oracle) == slots - len(free)
+        if len(uq._win) != capacity:
+            capacity = len(uq._win)
+            assert len(uq) <= capacity <= slots
+            _assert_first_match_is_scalar_scan(uq, oracle)
+    _assert_first_match_is_scalar_scan(uq, oracle)

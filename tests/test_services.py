@@ -296,6 +296,44 @@ def test_pubsub_ft_mirror_death_keeps_deliveries():
     assert faulty["crashed"] in (0, 1)
 
 
+def test_pubsub_ft_broker_death_inside_matching_pass(monkeypatch):
+    """A matching pass takes virtual time; a death instant that falls
+    inside one that matched nothing must crash-exit the broker, not arm
+    a negative death timer."""
+    from repro.core.engine import NotifyEngine
+    from repro.faults import FaultPlan
+    kw = dict(_PS_SMALL, nbrokers=3, ntopics=2, rate_rps=8_000.0,
+              replication=2)
+
+    def run(death_at):
+        return run_pubsub(
+            config=ClusterConfig(
+                nranks=8, ranks_per_node=2,
+                faults=FaultPlan(node_failures={2: death_at},
+                                 detect_us=300.0)),
+            **kw)
+
+    # find such a pass of broker 2 in a run whose death comes too late
+    passes = []
+    testany = NotifyEngine.testany
+
+    def spy(self, reqs):
+        t0 = self.ctx.now
+        idx = yield from testany(self, reqs)
+        if self.ctx.rank == 2 and idx is None and self.ctx.now > t0:
+            passes.append((t0, self.ctx.now))
+        return idx
+
+    with monkeypatch.context() as m:
+        m.setattr(NotifyEngine, "testany", spy)
+        late = run(1e9)
+    assert late["crashed"] == 0 and passes
+    t0, t1 = passes[len(passes) // 2]
+    r = run((t0 + t1) / 2)
+    assert r["crashed"] == 1
+    assert r["delivered"] == r["forwarded"] == late["delivered"]
+
+
 def test_pubsub_legacy_rejects_fault_plan_without_ft():
     with pytest.raises(ReproError, match="ft=True"):
         run_pubsub(config=_ft_config(nranks=7), **_PS_SMALL)
