@@ -1,9 +1,9 @@
-"""Bench-smoke gate: scheduler matrix + parallel equality + trend check.
+"""Bench-smoke gate: the byte-identity contract, and nothing else.
 
 Run by the CI ``bench-smoke`` job (and usable locally)::
 
     PYTHONPATH=src python benchmarks/smoke.py --jobs 2 --json out/ \
-        --baselines benchmarks/baselines --history benchmarks/history
+        --shards 1,2,4 --baselines benchmarks/baselines
 
 For each scaled-down experiment in :data:`repro.bench.runner.SMOKE_CONFIGS`
 this script
@@ -22,14 +22,12 @@ this script
    tables are compared: the sharded core schedules extra boundary-
    machinery events, so raw event counts legitimately differ;
 4. compares against the committed baseline in ``--baselines``: the row
-   values must match exactly (the simulation is deterministic) and the
-   measured events/sec must be at least ``1/TOLERANCE`` of the baseline's
-   (3x by default — generous enough for slow CI runners, tight enough to
-   catch an engine fast-path regression that reverts the overhaul);
-5. with ``--history DIR``, checks the measurement against the events/sec
-   trend ledger (fails when it falls below the best recent entry by more
-   than ``repro.bench.history.TREND_TOLERANCE``) and then appends it, so
-   the ledger accumulates one entry per CI run.
+   values and the simulated event count must match exactly (the
+   simulation is deterministic).
+
+Speed is not judged here: the printed events/sec is informational, and
+whether a change is faster or slower is ``BENCHMARK.json``'s question
+(``benchmarks/perf/run.py``).
 
 Exits non-zero on the first violated check.
 """
@@ -42,16 +40,12 @@ import os
 import sys
 
 from repro.bench.figures import ALL_EXPERIMENTS
-from repro.bench.history import append_entry, fleet_rate, trend_check
 from repro.bench.runner import (
     SMOKE_CONFIGS,
     bench_payload,
     run_experiment,
     write_bench_json,
 )
-
-#: events/sec may be this many times slower than the committed baseline
-TOLERANCE = 3.0
 
 #: experiments exercised by the ``--shards`` equivalence matrix — small
 #: cluster-driven sweeps whose tables carry no shard-count column, so
@@ -63,7 +57,7 @@ def coverage_failures(registry=None, configs=None) -> list[str]:
     """Registry/SMOKE_CONFIGS drift, as loud failure messages.
 
     Registering an experiment without a smoke config would silently
-    exempt it from the baseline and trend gates — this turns the gap
+    exempt it from the baseline gate — this turns the gap
     (in either direction) into a failed check instead.
     """
     registry = ALL_EXPERIMENTS if registry is None else registry
@@ -73,7 +67,7 @@ def coverage_failures(registry=None, configs=None) -> list[str]:
         failures.append(
             f"{eid}: registered in ALL_EXPERIMENTS but has no "
             f"SMOKE_CONFIGS entry — add one so CI gives it a committed "
-            f"baseline and a trend-ledger series")
+            f"baseline")
     for eid in sorted(set(configs) - set(registry)):
         failures.append(
             f"{eid}: SMOKE_CONFIGS entry for an experiment that is not "
@@ -99,8 +93,7 @@ def baseline_failures(eid: str, base_path: str,
                 f"output"]
     except ValueError as exc:
         return [f"{eid}: baseline {base_path} is not valid JSON: {exc}"]
-    missing = [k for k in ("rows", "events", "events_per_s")
-               if k not in base]
+    missing = [k for k in ("rows", "events") if k not in base]
     if missing:
         return [f"{eid}: baseline {base_path} lacks required keys "
                 f"{missing}; regenerate it"]
@@ -113,12 +106,6 @@ def baseline_failures(eid: str, base_path: str,
             f"{eid}: simulated event count changed "
             f"({base['events']} -> {now['events']}); update the "
             f"baseline if the schedule change is intentional")
-    floor = base["events_per_s"] / TOLERANCE
-    if now["events_per_s"] < floor:
-        failures.append(
-            f"{eid}: events/sec regressed: {now['events_per_s']:,.0f}"
-            f" < {floor:,.0f} (baseline "
-            f"{base['events_per_s']:,.0f} / {TOLERANCE}x tolerance)")
     return failures
 
 
@@ -152,9 +139,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="comma-separated scheduler equivalence matrix; "
                          "the first entry is the primary (default "
                          "'calendar,heap')")
-    ap.add_argument("--history", metavar="DIR", default=None,
-                    help="events/sec trend ledger: check against it, then "
-                         "append this run")
     ap.add_argument("--shards", default=None,
                     help="comma-separated shard counts (e.g. '1,2,4'): "
                          "re-run the SHARD_SMOKE experiments at each and "
@@ -226,23 +210,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.extend(baseline_failures(
                 eid, f"{args.baselines}/BENCH_{eid}.json",
                 bench_payload(par_table, par_meta)))
-
-        if args.history is not None:
-            # check before appending, so today's slow run can't raise
-            # tomorrow's floor; only same-configuration entries count.
-            # require_history: a registered experiment must arrive with
-            # a seeded ledger series, not silently skip the trend gate.
-            msg = trend_check(args.history, eid, par_meta["events_per_s"],
-                              kwargs=par_meta["kwargs"],
-                              require_history=True)
-            if msg is not None:
-                failures.append(msg)
-            entry = append_entry(args.history, par_meta)
-            fleet = fleet_rate(entry)  # None: no point ran sharded
-            print(f"  ledger += {entry['events_per_s']:,.0f} ev/s "
-                  + (f"(fleet {fleet:,.0f}) " if fleet is not None else "")
-                  + f"gc {entry['gc_collections']} "
-                  f"[rev {entry['rev'] or '?'}]")
 
     print(f"[smoke] total parallel wall {total_wall:.2f}s")
     if failures:

@@ -4,15 +4,18 @@ Serving applications driven by the open-loop generator in
 :mod:`repro.bench.load`:
 
 * :func:`~repro.apps.services.kv.run_kv` — sharded key-value store
-  (notified puts with counting replication acks, one-sided directory
-  gets);
-* :func:`~repro.apps.services.kv_ft.run_kv_ft` — the same store with
-  the :mod:`repro.ft` layer on: replication failover, buddy epoch
-  checkpoints, crash-exiting servers under node-failure injection;
+  (mirrored notified puts with counting credit acks, notified-put RPC
+  gets with retry, buddy checkpoints, crash-exiting servers under
+  node-failure injection); :func:`~repro.apps.services.kv_ft.run_kv_ft`
+  is the same driver with the failure experiments' defaults;
 * :func:`~repro.apps.services.pubsub.run_pubsub` — pub/sub broker
   (publisher fan-out, counting-notification batch wakeup on
-  subscribers), with ``replication=``/``ft=`` knobs for mirror-broker
-  durability under broker deaths.
+  subscribers, ``replication=`` mirror brokers for durability under
+  broker deaths).
+
+Each role has one program; the :mod:`repro.ft` layer is always
+underneath, and a fault plan in the cluster configuration is the only
+difference between a fault-free run and a failure experiment.
 """
 
 from repro.apps.services.kv import build_kv_workload, run_kv

@@ -1,531 +1,17 @@
-"""Fault-tolerant KV service: replication failover under node deaths.
+"""The KV service as the failure experiments run it.
 
-The :mod:`repro.apps.services.kv` store with the :mod:`repro.ft` layer
-wired in, measuring *availability* and *recovery time* while the fault
-injector kills server nodes mid-run:
-
-Write path
-    A put mirrors its record to the first R **live** servers of the
-    key's ring chain (:class:`~repro.ft.replicate.ReplicatedWindow`) and
-    waits for R zero-byte credit acks through one counting request.
-    When a replica dies before acking,
-    :meth:`~repro.ft.replicate.ReplicatedWindow.wait_acks` re-points the
-    outstanding credit at the next live chain member; the client only
-    sees :class:`~repro.errors.FaultError` when the whole chain is dead.
-
-Read path
-    A get RPCs the first live chain server.  If that server dies before
-    replying, the client retries against the next live chain member
-    under a fresh tag and reply slot (a stale late reply can then never
-    alias the retry — it parks in the unexpected queue).  With
-    ``replication >= 2`` the retry target holds every acked record, so
-    reads of acked values survive recovery; with ``replication == 1``
-    staleness and loss become measurable instead of fatal.
-
-Epoch checkpoints
-    All ranks cut a collective epoch-0 checkpoint after setup.  From
-    then on each server ships an incremental snapshot of its applied
-    store to a buddy (the next server rank) every ``ckpt_every``
-    applies: one notified put of the packed records, acked by a
-    zero-byte credit — a server never ships epoch ``k+1`` until the
-    buddy acked ``k``, which both bounds buddy memory to one slot and
-    gives the sanitizer the happens-before edge ordering successive
-    slot overwrites.  The buddy's latest snapshot per dead server is
-    reported as the recoverable-record count.
-
-Termination
-    Dead servers crash-exit at their planned death time; live servers
-    cannot count down static expectations (failover re-points records),
-    so clients send a zero-byte end-of-stream credit to every live
-    server after settling, and a server exits once all ``nclients``
-    credits arrived (a counting request).  Acks happen-before client
-    settle happens-before EOS, so no work can linger at a live server
-    past its EOS count.
-
-Every wire operation is a notified put and the fault plan is
-node-failure-only (no RNG draws), so results — including every latency
-and failover count — are byte-identical between the serial core and
-``--shards`` runs.
+:func:`run_kv_ft` is :func:`repro.apps.services.kv.run_kv` with the
+defaults of the availability experiments: every get reply is verified
+against the values ever written to its key, and each server ships a
+buddy checkpoint every eighth apply.  The programs, the fault-plan
+validation and the result surface are ``run_kv``'s.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.apps.services.kv import (
-    _RECORD_BYTES,
-    _VALUE_BYTES,
-    build_kv_workload,
-    copy_servers,
-    seed_value,
-)
-from repro.cluster import ClusterConfig, run_ranks
-from repro.errors import FaultError, ReproError
-from repro.ft.checkpoint import checkpoint as cut_checkpoint
-from repro.ft.detector import FailureDetector
-from repro.ft.replicate import ReplicatedWindow
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
-
-#: float64 slots in a shipped checkpoint header: [epoch, record_count]
-_CKPT_HEADER = 2
+from repro.apps.services.kv import run_kv
 
 
-def _chain(nservers: int):
-    """Replica preference order for a primary: the full server ring."""
-    def chain(primary: int) -> list[int]:
-        return [(primary + j) % nservers for j in range(nservers)]
-    return chain
-
-
-def _ckpt_payload(store: dict[int, float], epoch: int,
-                  nkeys: int) -> np.ndarray:
-    """Pack a server's applied store as [epoch, count, key, val, ...]."""
-    out = np.zeros(_CKPT_HEADER + 2 * nkeys, dtype=np.float64)
-    out[0] = float(epoch)
-    out[1] = float(len(store))
-    for j, key in enumerate(sorted(store)):
-        out[_CKPT_HEADER + 2 * j] = float(key)
-        out[_CKPT_HEADER + 2 * j + 1] = store[key]
-    return out
-
-
-def _parse_ckpt(raw: np.ndarray) -> tuple[int, dict[int, float]]:
-    epoch = int(raw[0])
-    count = int(raw[1])
-    store = {int(raw[_CKPT_HEADER + 2 * j]): float(raw[_CKPT_HEADER + 2 * j + 1])
-             for j in range(count)}
-    return epoch, store
-
-
-def _ft_windows(ctx, nclients, nservers, reqs_per_client, nkeys):
-    """Collective window allocation, identical on every rank.
-
-    The RPC/reply spaces are ``nservers`` times the legacy size: a get
-    retried against the k-th chain member uses tag
-    ``k * reqs_per_client + i``, which indexes a fresh request slot and
-    a fresh reply slot — stale replies can never alias a retry.
-    """
-    span = nservers * reqs_per_client
-    kv_win = yield from ctx.win_allocate(
-        max(nclients * reqs_per_client * _RECORD_BYTES, _RECORD_BYTES))
-    rpc_win = yield from ctx.win_allocate(
-        max(nclients * span * _VALUE_BYTES, _VALUE_BYTES))
-    ack_win = yield from ctx.win_allocate(_VALUE_BYTES)
-    reply_win = yield from ctx.win_allocate(
-        max(span * _VALUE_BYTES, _VALUE_BYTES))
-    eos_win = yield from ctx.win_allocate(_VALUE_BYTES)
-    ckpt_win = yield from ctx.win_allocate(
-        (_CKPT_HEADER + 2 * nkeys) * 8)
-    return kv_win, rpc_win, ack_win, reply_win, eos_win, ckpt_win
-
-
-def _server_program_ft(ctx, plans, nservers, reqs_per_client, nkeys,
-                       ckpt_every):
-    """FT server: apply/ack/serve until EOS or planned crash."""
-    nclients = len(plans)
-    span = nservers * reqs_per_client
-    (kv_win, rpc_win, ack_win, reply_win, eos_win,
-     ckpt_win) = yield from _ft_windows(ctx, nclients, nservers,
-                                        reqs_per_client, nkeys)
-    det = FailureDetector(ctx)
-    t_die = det.death_time(ctx.rank)
-    buddy = (ctx.rank + 1) % nservers
-    put_req = yield from ctx.na.notify_init(kv_win, source=ANY_SOURCE,
-                                            tag=ANY_TAG)
-    get_req = yield from ctx.na.notify_init(rpc_win, source=ANY_SOURCE,
-                                            tag=ANY_TAG)
-    eos_req = yield from ctx.na.notify_init(eos_win, source=ANY_SOURCE,
-                                            tag=0,
-                                            expected_count=nclients)
-    ckpt_req = yield from ctx.na.notify_init(ckpt_win, source=ANY_SOURCE,
-                                             tag=ANY_TAG)
-    ack_req = yield from ctx.na.notify_init(
-        ack_win, source=buddy if nservers > 1 else ANY_SOURCE, tag=1)
-    yield from ctx.barrier()
-    # Epoch-0 collective checkpoint: every rank cuts the same setup cut.
-    yield from cut_checkpoint(ctx, [kv_win], requests=(put_req,),
-                              epoch=0)
-    if t_die is not None and ctx.now >= t_die:
-        raise ReproError(
-            f"server {ctx.rank} is planned dead at t={t_die:g}us, before "
-            f"setup finished at t={ctx.now:g}us — raise the death time")
-
-    store: dict[int, float] = {}
-    order: list[tuple[str, int, int]] = []
-    served = 0
-    applied = 0
-    since_ckpt = 0
-    epoch = 0
-    ckpt_pending = False
-    buddy_ckpts: dict[int, tuple[int, dict[int, float]]] = {}
-    empty = np.empty(0, dtype=np.uint8)
-    yield from ctx.na.start(put_req)
-    yield from ctx.na.start(get_req)
-    yield from ctx.na.start(eos_req)
-    yield from ctx.na.start(ckpt_req)
-    crashed = False
-    eos = False
-    while True:
-        if t_die is not None and ctx.now >= t_die:
-            crashed = True
-            break
-        reqs = [put_req, get_req, eos_req, ckpt_req]
-        if ckpt_pending:
-            reqs.append(ack_req)
-        idx = yield from ctx.na.testany(reqs)
-        if idx is None:
-            if ctx.nic.notification_pending():
-                continue
-            waits = [ctx.nic.notification_arrival()]
-            if t_die is not None:
-                if ctx.now >= t_die:
-                    # died inside the matching pass (it takes virtual
-                    # time): crash-exit at the loop head, serve nothing
-                    continue
-                waits.append(ctx.timeout(t_die - ctx.now))
-            yield waits[0] if len(waits) == 1 else ctx.engine.any_of(waits)
-            continue
-        req = reqs[idx]
-        st = req.last_status
-        if req is eos_req:
-            eos = True
-            break
-        if req is put_req:
-            client_idx = st.source - nservers
-            slot = (client_idx * reqs_per_client + st.tag) * _RECORD_BYTES
-            rec = kv_win.local(np.float64, offset=slot, count=2, mode="r")
-            store[int(rec[0])] = float(rec[1])
-            order.append(("put", st.source, st.tag))
-            applied += 1
-            since_ckpt += 1
-            yield from ctx.na.put_notify(ack_win, empty, st.source, 0,
-                                         tag=st.tag)
-            yield from ack_win.flush_local(st.source)
-            yield from ctx.na.start(put_req)
-            if (ckpt_every and since_ckpt >= ckpt_every
-                    and not ckpt_pending and nservers > 1
-                    and not det.detected(buddy)):
-                # Ship the applied store to the buddy; the next ship
-                # waits for this one's credit (one slot, flow-controlled,
-                # and the ack match orders successive slot overwrites).
-                epoch += 1
-                payload = _ckpt_payload(store, epoch, nkeys)
-                yield from ctx.na.put_notify(ckpt_win, payload, buddy, 0,
-                                             tag=0)
-                yield from ckpt_win.flush_local(buddy)
-                yield from ctx.na.start(ack_req)
-                ckpt_pending = True
-                since_ckpt = 0
-        elif req is get_req:
-            client_idx = st.source - nservers
-            slot = (client_idx * span + st.tag) * _VALUE_BYTES
-            reqv = rpc_win.local(np.float64, offset=slot, count=1,
-                                 mode="r")
-            key = int(reqv[0])
-            value = store.get(key, seed_value(key))
-            order.append(("get", st.source, st.tag))
-            yield from ctx.na.put_notify(
-                reply_win, np.array([value]), st.source,
-                st.tag * _VALUE_BYTES, tag=st.tag)
-            yield from reply_win.flush_local(st.source)
-            served += 1
-            yield from ctx.na.start(get_req)
-        elif req is ckpt_req:
-            # Buddy snapshot arrived: copy it out (the match is the
-            # acquire for the read), then credit the shipper so it may
-            # overwrite the slot with the next epoch.
-            raw = ckpt_win.local(np.float64, offset=0,
-                                 count=_CKPT_HEADER + 2 * nkeys,
-                                 mode="r").copy()
-            ck_epoch, ck_store = _parse_ckpt(raw)
-            buddy_ckpts[st.source] = (ck_epoch, ck_store)
-            yield from ctx.na.put_notify(ack_win, empty, st.source, 0,
-                                         tag=1)
-            yield from ack_win.flush_local(st.source)
-            yield from ctx.na.start(ckpt_req)
-        else:                                   # ack_req: buddy credit
-            ckpt_pending = False
-    return {"store": store, "order": order, "served": served,
-            "acked": applied, "crashed": crashed, "eos": eos,
-            "died_at": t_die if crashed else None,
-            "ckpt_epochs": epoch, "buddy_ckpts": buddy_ckpts}
-
-
-def _client_program_ft(ctx, plans, nservers, replication, reqs_per_client,
-                       nkeys, warmup_us, legal):
-    """FT client: open-loop issue, settle with failover, EOS credits."""
-    me_idx = ctx.rank - nservers
-    plan = plans[me_idx]
-    nclients = len(plans)
-    span = nservers * reqs_per_client
-    (kv_win, rpc_win, ack_win, reply_win, eos_win,
-     ckpt_win) = yield from _ft_windows(ctx, nclients, nservers,
-                                        reqs_per_client, nkeys)
-    det = FailureDetector(ctx)
-    chain = _chain(nservers)
-    rwin = ReplicatedWindow(ctx, kv_win, chain, replication, detector=det)
-    yield from ctx.barrier()
-    yield from cut_checkpoint(ctx, [kv_win], epoch=0)
-    t0 = ctx.now
-
-    puts: list[tuple[int, object, object]] = []   # (rid, req, rput)
-    gets: list[tuple[int, object, int, int]] = []  # (rid, req, target, att)
-    failed_issue = 0
-    for i in range(len(plan.arrivals)):
-        due = t0 + plan.arrivals[i]
-        if ctx.now < due:
-            yield ctx.timeout(due - ctx.now)
-        key = int(plan.keys[i])
-        primary = copy_servers(key, nservers, 1)[0]
-        if plan.is_get[i]:
-            live = det.live(chain(primary))
-            if not live:
-                failed_issue += 1
-                continue
-            target = live[0]
-            req = yield from ctx.na.notify_init(
-                reply_win, source=target, tag=i)
-            yield from ctx.na.start(req)
-            yield from ctx.na.put_notify(
-                rpc_win, np.array([float(key)]), target,
-                (me_idx * span + i) * _VALUE_BYTES, tag=i)
-            gets.append((i, req, target, 0))
-        else:
-            slot = me_idx * reqs_per_client + i
-            record = np.array([float(key), float(slot)])
-            try:
-                targets = rwin.targets(primary)
-            except FaultError:
-                failed_issue += 1
-                continue
-            req = yield from ctx.na.notify_init(
-                ack_win, source=ANY_SOURCE, tag=i,
-                expected_count=len(targets))
-            yield from ctx.na.start(req)
-            rput = yield from rwin.put_notify(
-                record, primary, slot * _RECORD_BYTES, tag=i,
-                targets=targets)
-            puts.append((i, req, rput))
-
-    # Settle with failover.  Latencies still come from the match log's
-    # NIC arrival clocks (shard-tie invariant); a request that needed a
-    # failover is marked "affected" for the recovery-time accounting.
-    lat_put: list[float] = []
-    lat_get: list[float] = []
-    lat_affected: list[float] = []
-    put_info: list[dict] = []
-    failed = failed_issue
-    failovers = 0
-    done = 0
-    t_last = t0
-    for rid, req, rput in puts:
-        try:
-            yield from rwin.wait_acks(req, rput)
-        except FaultError:
-            failed += 1
-            continue
-        t_done = max(t for _, _, t in req.match_log)
-        lat = t_done - (t0 + plan.arrivals[rid])
-        failovers += rput.failovers
-        done += 1
-        t_last = max(t_last, t_done)
-        put_info.append({"rid": rid, "key": int(plan.keys[rid]),
-                         "value": float(me_idx * reqs_per_client + rid),
-                         "targets": list(rput.targets),
-                         "failovers": rput.failovers})
-        if plan.arrivals[rid] >= warmup_us:
-            lat_put.append(lat)
-            if rput.failovers:
-                lat_affected.append(lat)
-    for rid, req, target, attempt in gets:
-        key = int(plan.keys[rid])
-        tag = rid
-        ok = True
-        while True:
-            done_req = yield from ctx.na.test(req)
-            if done_req:
-                break
-            if det.detected(target):
-                # Retry against the next live chain member under a
-                # fresh tag + reply slot; the abandoned request keeps
-                # its slot so a stale late reply can never alias us.
-                live = det.live(chain(copy_servers(key, nservers, 1)[0]))
-                attempt += 1
-                if not live or attempt >= nservers:
-                    ok = False
-                    break
-                target = live[0]
-                tag = attempt * reqs_per_client + rid
-                failovers += 1
-                req = yield from ctx.na.notify_init(
-                    reply_win, source=target, tag=tag)
-                yield from ctx.na.start(req)
-                yield from ctx.na.put_notify(
-                    rpc_win, np.array([float(key)]), target,
-                    (me_idx * span + tag) * _VALUE_BYTES, tag=tag)
-                continue
-            if ctx.nic.notification_pending():
-                continue
-            arrival = ctx.nic.notification_arrival()
-            timer = det.timer()
-            yield (arrival if timer is None
-                   else ctx.engine.any_of([arrival, timer]))
-        if not ok:
-            failed += 1
-            continue
-        t_done = max(t for _, _, t in req.match_log)
-        yield from ctx.na.request_free(req)
-        value = float(reply_win.local(np.float64,
-                                      offset=tag * _VALUE_BYTES,
-                                      count=1, mode="r")[0])
-        if legal is not None and value not in legal[key]:
-            raise ReproError(
-                f"client {me_idx} get({key}) read {value}, not one of "
-                f"the {len(legal[key])} values ever written to it")
-        lat = t_done - (t0 + plan.arrivals[rid])
-        done += 1
-        t_last = max(t_last, t_done)
-        if plan.arrivals[rid] >= warmup_us:
-            lat_get.append(lat)
-            if attempt:
-                lat_affected.append(lat)
-    # End-of-stream credits to every live server (no trailing barrier:
-    # dead servers cannot join collectives).
-    empty = np.empty(0, dtype=np.uint8)
-    for s in det.live(range(nservers)):
-        yield from ctx.na.put_notify(eos_win, empty, s, 0, tag=0)
-        yield from eos_win.flush_local(s)
-    return {"lat_put": lat_put, "lat_get": lat_get,
-            "lat_affected": lat_affected, "done": done, "failed": failed,
-            "failovers": failovers, "put_info": put_info,
-            "t_end": t_last - t0}
-
-
-def run_kv_ft(nservers: int = 4, nclients: int = 8, replication: int = 2,
-              reqs_per_client: int = 32, rate_rps: float = 4000.0,
-              get_frac: float = 0.5, nkeys: int = 64,
-              zipf_skew: float = 0.9, warmup_frac: float = 0.2,
-              process: str = "poisson", verify: bool = True,
-              ckpt_every: int = 8, seed: int = 42,
-              config: ClusterConfig | None = None) -> dict:
-    """Run the KV service with the fault-tolerance layer on.
-
-    The cluster configuration's :class:`~repro.faults.FaultPlan` (if
-    any) must be node-failure-only (``FaultPlan.shardable``) and may
-    only kill *server* ranks — clients survive to report results.
-    Returns the legacy result surface plus availability, failover, and
-    checkpoint-recovery accounting.
-    """
-    if nservers < 1 or nclients < 1:
-        raise ReproError("need at least one server and one client")
-    if not 1 <= replication <= nservers:
-        raise ReproError(
-            f"replication {replication} outside [1, nservers={nservers}]")
-    if not 1 <= nservers * reqs_per_client <= 0xFFFF:
-        raise ReproError(
-            "nservers * reqs_per_client must fit the 16-bit tag space "
-            "(retries use tag = attempt * reqs_per_client + i)")
-    nranks = nservers + nclients
-    if config is None:
-        config = ClusterConfig(nranks=nranks, ranks_per_node=2)
-    if config.nranks != nranks:
-        raise ReproError(f"config has {config.nranks} ranks, "
-                         f"need {nranks}")
-    plan_f = config.faults
-    deaths: dict[int, float] = {}
-    if plan_f is not None and plan_f.active:
-        if not plan_f.shardable:
-            raise ReproError(
-                "run_kv_ft needs a node-failure-only FaultPlan "
-                "(probabilistic fault classes are serial-only and would "
-                "break the --shards byte-equality contract)")
-        deaths = dict(plan_f.node_failures)
-        bad = [r for r in deaths if not 0 <= r < nservers]
-        if bad:
-            raise ReproError(
-                f"only server ranks (0..{nservers - 1}) may die, "
-                f"plan kills {sorted(bad)}")
-        if len(deaths) >= nservers:
-            raise ReproError("at least one server must survive")
-    plans = build_kv_workload(seed, nclients, reqs_per_client, rate_rps,
-                              get_frac, nkeys, zipf_skew, process)
-    from repro.apps.services.kv import _legal_values
-    legal = (_legal_values(plans, reqs_per_client, nkeys)
-             if verify else None)
-    expected_us = reqs_per_client * nclients / rate_rps * 1e6
-    warmup_us = warmup_frac * expected_us
-
-    def program(ctx):
-        # analyze: skip  (rank count and loop bounds come from the plan)
-        if ctx.rank < nservers:
-            result = yield from _server_program_ft(
-                ctx, plans, nservers, reqs_per_client, nkeys, ckpt_every)
-        else:
-            result = yield from _client_program_ft(
-                ctx, plans, nservers, replication, reqs_per_client,
-                nkeys, warmup_us, legal)
-        return result
-
-    results, _cluster = run_ranks(nranks, program, config=config)
-    servers = results[:nservers]
-    clients = results[nservers:]
-    lat_put = sorted(x for c in clients for x in c["lat_put"])
-    lat_get = sorted(x for c in clients for x in c["lat_get"])
-    lat_affected = sorted(x for c in clients for x in c["lat_affected"])
-    total = reqs_per_client * nclients
-    done = sum(c["done"] for c in clients)
-    failed = sum(c["failed"] for c in clients)
-
-    # -- acked-write audit ---------------------------------------------
-    # (1) Every acking server really applied the record (its order log
-    # carries the match) — an ack without an apply would be a protocol
-    # bug.  (2) An acked write is *lost* when no live member of its
-    # final replica set survives to serve it.
-    dead_now = set(deaths)
-    orders = [set(s["order"]) for s in servers]
-    acked_lost = 0
-    for c_idx, c in enumerate(clients):
-        for info in c["put_info"]:
-            rid = info["rid"]
-            for srv in info["targets"]:
-                if ("put", nservers + c_idx, rid) not in orders[srv]:
-                    raise ReproError(
-                        f"server {srv} acked put tag {rid} of client "
-                        f"{c_idx} without applying it")
-            if all(srv in dead_now for srv in info["targets"]):
-                acked_lost += 1
-
-    # -- checkpoint recovery -------------------------------------------
-    # Records of each dead server recoverable from its buddy's latest
-    # shipped snapshot.
-    ckpt_recoverable = 0
-    for dead in dead_now:
-        holder = servers[(dead + 1) % nservers]
-        ck = holder["buddy_ckpts"].get(dead)
-        if ck is not None:
-            ckpt_recoverable += len(ck[1])
-
-    return {
-        "nservers": nservers,
-        "nclients": nclients,
-        "replication": replication,
-        "requests": total,
-        "completed": done,
-        "failed": failed,
-        "availability": done / total if total else 1.0,
-        "failovers": sum(c["failovers"] for c in clients),
-        "acked_lost": acked_lost,
-        "deaths": {r: float(t) for r, t in sorted(deaths.items())},
-        "crashed": sum(1 for s in servers if s["crashed"]),
-        "served": sum(s["served"] for s in servers),
-        "acked": sum(s["acked"] for s in servers),
-        "stores": [s["store"] for s in servers],
-        "server_orders": [s["order"] for s in servers],
-        "ckpt_epochs": sum(s["ckpt_epochs"] for s in servers),
-        "ckpt_recoverable": ckpt_recoverable,
-        "lat_put_us": lat_put,
-        "lat_get_us": lat_get,
-        "lat_affected_us": lat_affected,
-        "warmup_us": warmup_us,
-        "t_end_us": max((c["t_end"] for c in clients), default=0.0),
-    }
+def run_kv_ft(*, verify: bool = True, ckpt_every: int = 8, **kwargs) -> dict:
+    """``run_kv`` with reply verification and buddy checkpoints on."""
+    return run_kv(verify=verify, ckpt_every=ckpt_every, **kwargs)

@@ -8,8 +8,12 @@ Publish path
     Publishers are open-loop (arrivals from
     :func:`repro.bench.load.arrival_times`, topic choice Zipf-skewed):
     message ``i`` is a 16-byte ``[topic, publish_time]`` record
-    ``put_notify``-ed into the publisher's private slot on the owning
-    broker — fire-and-forget, one wire transaction.
+    ``put_notify``-ed into the publisher's private slot on the first
+    ``replication`` **live** brokers of the topic's ring (owner first) —
+    fire-and-forget, one wire transaction per copy.  Only the owner
+    forwards; the others store the record as a mirror (durability), so
+    delivery counts stay the static plan and a fault plan may only kill
+    brokers that own no published topic: pure mirrors.
 
 Fan-out path
     The broker drains publisher notifications through one wildcard
@@ -34,10 +38,19 @@ Wakeup path — the counting feature
     same-timestamp event ordering (the sharded core's tie-break
     freedom).
 
-All schedules and fan-out sets derive from the seed, every count is
-precomputed on every rank (no control traffic), and latencies are
-virtual-time differences — so the tables are byte-identical across
-``--jobs``, ``--shards``, and scheduler choices.
+Termination
+    A broker does not count publishes down (mirrors re-point under
+    failures): each publisher sends a zero-byte end-of-stream credit to
+    every live broker after its last publish, and a broker exits once
+    all ``npubs`` credits arrived (a counting request).  A mirror broker
+    with a planned death crash-exits at its death time
+    (``waitany(reqs, until=t_die)``); there is no trailing barrier, dead
+    ranks cannot join collectives.
+
+All schedules and fan-out sets derive from the seed, subscribers know
+their delivery counts from the plan, and latencies are virtual-time
+differences — so the tables are byte-identical across ``--jobs``,
+``--shards``, and scheduler choices.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ import numpy as np
 from repro.bench.load import ZipfKeys, arrival_times
 from repro.cluster import ClusterConfig, run_ranks
 from repro.errors import ReproError
+from repro.ft.detector import FailureDetector
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.sim.rng import RngStream
 
@@ -96,76 +110,123 @@ def build_pubsub_workload(seed: int, npubs: int, nsubs: int, nbrokers: int,
     return PubSubPlan(arrivals, topics, subs_of_topic, deliveries)
 
 
-def _publisher_program(ctx, plan, nbrokers, npubs, msgs_per_pub):
-    """Open-loop publisher: fire-and-forget notified puts to brokers."""
+def _windows(ctx, npubs, msgs_per_pub, sub_bytes):
+    """Collective window allocation (same order on all ranks): pub_win,
+    sub_win, eos_win.  Only a subscriber's ``sub_win`` has an inbox."""
+    pub_win = yield from ctx.win_allocate(npubs * msgs_per_pub * _PUB_RECORD)
+    sub_win = yield from ctx.win_allocate(max(sub_bytes, 8))
+    eos_win = yield from ctx.win_allocate(8)
+    return pub_win, sub_win, eos_win
+
+
+def _publisher_program(ctx, plan, nbrokers, npubs, msgs_per_pub,
+                       replication):
+    """Open-loop publisher: fire-and-forget notified puts to the first R
+    live brokers of the topic's ring, then end-of-stream credits."""
     p_idx = ctx.rank - nbrokers
     arrivals = plan.arrivals[p_idx]
     topics = plan.topics[p_idx]
-    pub_win = yield from ctx.win_allocate(_PUB_RECORD)
-    yield from ctx.win_allocate(8)        # sub_win (unused on publishers)
+    pub_win, _sub_win, eos_win = yield from _windows(
+        ctx, npubs, msgs_per_pub, 0)
+    det = FailureDetector(ctx)
     yield from ctx.barrier()
     t0 = ctx.now
+    mirrored = 0
     for i in range(len(arrivals)):
         due = t0 + arrivals[i]
         if ctx.now < due:
             yield ctx.timeout(due - ctx.now)
         topic = int(topics[i])
-        broker = topic % nbrokers
+        ring = [(topic + j) % nbrokers for j in range(nbrokers)]
+        targets = det.live(ring)[:replication]
         record = np.array([float(topic), ctx.now])
-        yield from ctx.na.put_notify(
-            pub_win, record, broker, (p_idx * msgs_per_pub + i) * _PUB_RECORD,
-            tag=i)
-        yield from pub_win.flush_local(broker)
-    yield from ctx.barrier()
-    return {"published": len(arrivals)}
+        for broker in targets:
+            yield from ctx.na.put_notify(
+                pub_win, record, broker,
+                (p_idx * msgs_per_pub + i) * _PUB_RECORD, tag=i)
+            yield from pub_win.flush_local(broker)
+        mirrored += len(targets) - 1
+    empty = np.empty(0, dtype=np.uint8)
+    for b in det.live(range(nbrokers)):
+        yield from ctx.na.put_notify(eos_win, empty, b, 0, tag=0)
+        yield from eos_win.flush_local(b)
+    return {"published": len(arrivals), "mirrored": mirrored,
+            "live_requests": ctx.na.live_requests}
 
 
 def _broker_program(ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub):
-    """Match publisher records, fan out to each topic's subscribers."""
+    """Match publisher records: fan owned topics out to their
+    subscribers, store mirrors; exit on the publishers' end-of-stream
+    credits, or crash-exit at the planned death time."""
     b = ctx.rank
-    expected = sum(1 for p in range(npubs) for t in plan.topics[p]
-                   if int(t) % nbrokers == b)
-    pub_win = yield from ctx.win_allocate(
-        max(npubs * msgs_per_pub * _PUB_RECORD, _PUB_RECORD))
-    sub_win = yield from ctx.win_allocate(8)
+    na = ctx.na
+    pub_win, sub_win, eos_win = yield from _windows(
+        ctx, npubs, msgs_per_pub, 0)
+    t_die = FailureDetector(ctx).death_time(b)
     # Inbox segment offsets: subscriber s's inbox lays broker segments
     # back to back; this broker's segment starts after brokers < b.
     seg_base = [sum(plan.deliveries[bb][s] for bb in range(b))
                 for s in range(nsubs)]
     cursor = [0] * nsubs
-    req = yield from ctx.na.notify_init(pub_win, source=ANY_SOURCE,
+    pub_req = yield from na.notify_init(pub_win, source=ANY_SOURCE,
                                         tag=ANY_TAG)
+    eos_req = yield from na.notify_init(eos_win, source=ANY_SOURCE, tag=0,
+                                        expected_count=npubs)
     yield from ctx.barrier()
+    if t_die is not None and ctx.now >= t_die:
+        raise ReproError(
+            f"broker {b} is planned dead at t={t_die:g}us, before setup "
+            f"finished at t={ctx.now:g}us — raise the death time")
     order: list[tuple[int, int]] = []
-    for _ in range(expected):
-        yield from ctx.na.start(req)
-        st = yield from ctx.na.wait(req)
+    mirrored = 0
+    crashed = False
+    yield from na.start(pub_req)
+    yield from na.start(eos_req)
+    while True:
+        hit = yield from na.waitany([pub_req, eos_req], until=t_die)
+        if hit is None:                         # the planned death
+            crashed = True
+            break
+        idx, st = hit
+        if idx == 1:                            # end of stream
+            break
         p_idx = st.source - nbrokers
         slot = (p_idx * msgs_per_pub + st.tag) * _PUB_RECORD
         rec = pub_win.local(np.float64, offset=slot, count=2, mode="r")
         topic, pub_time = int(rec[0]), float(rec[1])
-        order.append((st.source, st.tag))
-        out = np.array([float(topic), pub_time, float(p_idx)])
-        for s in plan.subs_of_topic[topic]:
-            disp = (seg_base[s] + cursor[s]) * _SUB_RECORD
-            cursor[s] += 1
-            sub_rank = nbrokers + npubs + s
-            yield from ctx.na.put_notify(sub_win, out, sub_rank, disp,
+        if topic % nbrokers == b:
+            order.append((st.source, st.tag))
+            out = np.array([float(topic), pub_time, float(p_idx)])
+            for s in plan.subs_of_topic[topic]:
+                disp = (seg_base[s] + cursor[s]) * _SUB_RECORD
+                cursor[s] += 1
+                sub_rank = nbrokers + npubs + s
+                yield from na.put_notify(sub_win, out, sub_rank, disp,
                                          tag=topic)
-            yield from sub_win.flush_local(sub_rank)
-    yield from ctx.barrier()
-    return {"forwarded": sum(cursor), "order": order}
+                yield from sub_win.flush_local(sub_rank)
+        else:
+            mirrored += 1
+        yield from na.start(pub_req)
+    if not crashed:
+        # End of stream: every publish happened-before its publisher's
+        # credit, so nothing can arrive for pub_req any more.
+        for req in (pub_req, eos_req):
+            na.cancel(req)
+            yield from na.request_free(req)
+    return {"forwarded": sum(cursor), "order": order,
+            "mirrored": mirrored, "crashed": crashed,
+            "live_requests": na.live_requests}
 
 
 def _subscriber_program(ctx, plan, nbrokers, npubs, nsubs, batch,
-                        warmup_us):
+                        warmup_us, msgs_per_pub):
     """Counting-notification batch wakeup + match-log consumption."""
     s = ctx.rank - nbrokers - npubs
     total = sum(plan.deliveries[b][s] for b in range(nbrokers))
     seg_base = [sum(plan.deliveries[bb][s] for bb in range(b))
                 for b in range(nbrokers)]
-    yield from ctx.win_allocate(_PUB_RECORD)   # pub_win (unused on subs)
-    sub_win = yield from ctx.win_allocate(max(total * _SUB_RECORD, 8))
+    _pub, sub_win, _eos = yield from _windows(
+        ctx, npubs, msgs_per_pub, total * _SUB_RECORD)
     yield from ctx.barrier()
     t0 = ctx.now
 
@@ -213,183 +274,9 @@ def _subscriber_program(ctx, plan, nbrokers, npubs, nsubs, batch,
     if sum(consumed) != total:
         raise ReproError(
             f"subscriber {s}: consumed {sum(consumed)} of {total}")
-    yield from ctx.barrier()
     return {"delivered": total, "measured": measured, "lat": lat,
-            "deliveries": deliveries, "t_last_wake": last_wake - t0}
-
-
-# ----------------------------------------------------------------------
-# fault-tolerant variants (replication + crash-exiting mirror brokers)
-# ----------------------------------------------------------------------
-# The ft path mirrors every publish to the first R live brokers of the
-# topic's ring (durability), while ONLY the topic's static primary
-# forwards to subscribers — so delivery counts stay the static plan and
-# the subscriber program is reused unchanged (minus the trailing
-# barrier).  Deaths may therefore only hit brokers that are not the
-# primary of any published topic: pure mirrors.  Brokers exit on
-# end-of-stream credits from publishers instead of static counts, and a
-# mirror broker with a planned death crash-exits at its death time.
-
-def _ft_pubsub_windows(ctx, npubs, nsubs, msgs_per_pub, total_sub_bytes):
-    """Collective window allocation for the ft path (same order on all
-    ranks): pub_win, sub_win, eos_win."""
-    pub_win = yield from ctx.win_allocate(
-        max(npubs * msgs_per_pub * _PUB_RECORD, _PUB_RECORD))
-    sub_win = yield from ctx.win_allocate(max(total_sub_bytes, 8))
-    eos_win = yield from ctx.win_allocate(8)
-    return pub_win, sub_win, eos_win
-
-
-def _publisher_program_ft(ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub,
-                          replication):
-    """Publisher mirroring each record to R live brokers of the ring."""
-    from repro.ft.detector import FailureDetector
-    p_idx = ctx.rank - nbrokers
-    arrivals = plan.arrivals[p_idx]
-    topics = plan.topics[p_idx]
-    pub_win, _sub_win, eos_win = yield from _ft_pubsub_windows(
-        ctx, npubs, nsubs, msgs_per_pub, 8)
-    det = FailureDetector(ctx)
-    yield from ctx.barrier()
-    t0 = ctx.now
-    mirrored = 0
-    for i in range(len(arrivals)):
-        due = t0 + arrivals[i]
-        if ctx.now < due:
-            yield ctx.timeout(due - ctx.now)
-        topic = int(topics[i])
-        ring = [(topic + j) % nbrokers for j in range(nbrokers)]
-        targets = det.live(ring)[:replication]
-        record = np.array([float(topic), ctx.now])
-        for broker in targets:
-            yield from ctx.na.put_notify(
-                pub_win, record, broker,
-                (p_idx * msgs_per_pub + i) * _PUB_RECORD, tag=i)
-            yield from pub_win.flush_local(broker)
-        mirrored += len(targets) - 1
-    empty = np.empty(0, dtype=np.uint8)
-    for b in det.live(range(nbrokers)):
-        yield from ctx.na.put_notify(eos_win, empty, b, 0, tag=0)
-        yield from eos_win.flush_local(b)
-    return {"published": len(arrivals), "mirrored": mirrored}
-
-
-def _broker_program_ft(ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub):
-    """Broker forwarding owned topics, storing mirrors, exiting on EOS
-    credits (or crash-exiting at its planned death time)."""
-    from repro.ft.detector import FailureDetector
-    b = ctx.rank
-    pub_win, sub_win, eos_win = yield from _ft_pubsub_windows(
-        ctx, npubs, nsubs, msgs_per_pub, 8)
-    det = FailureDetector(ctx)
-    t_die = det.death_time(b)
-    seg_base = [sum(plan.deliveries[bb][s] for bb in range(b))
-                for s in range(nsubs)]
-    cursor = [0] * nsubs
-    pub_req = yield from ctx.na.notify_init(pub_win, source=ANY_SOURCE,
-                                            tag=ANY_TAG)
-    eos_req = yield from ctx.na.notify_init(eos_win, source=ANY_SOURCE,
-                                            tag=0, expected_count=npubs)
-    yield from ctx.barrier()
-    if t_die is not None and ctx.now >= t_die:
-        raise ReproError(
-            f"broker {b} is planned dead at t={t_die:g}us, before setup "
-            f"finished at t={ctx.now:g}us — raise the death time")
-    order: list[tuple[int, int]] = []
-    mirrored = 0
-    crashed = False
-    yield from ctx.na.start(pub_req)
-    yield from ctx.na.start(eos_req)
-    while True:
-        if t_die is not None and ctx.now >= t_die:
-            crashed = True
-            break
-        idx = yield from ctx.na.testany([pub_req, eos_req])
-        if idx is None:
-            if ctx.nic.notification_pending():
-                continue
-            waits = [ctx.nic.notification_arrival()]
-            if t_die is not None:
-                if ctx.now >= t_die:
-                    # died inside the matching pass (it takes virtual
-                    # time): crash-exit at the loop head, serve nothing
-                    continue
-                waits.append(ctx.timeout(t_die - ctx.now))
-            yield waits[0] if len(waits) == 1 else ctx.engine.any_of(waits)
-            continue
-        if idx == 1:
-            break
-        st = pub_req.last_status
-        p_idx = st.source - nbrokers
-        slot = (p_idx * msgs_per_pub + st.tag) * _PUB_RECORD
-        rec = pub_win.local(np.float64, offset=slot, count=2, mode="r")
-        topic, pub_time = int(rec[0]), float(rec[1])
-        if topic % nbrokers == b:
-            order.append((st.source, st.tag))
-            out = np.array([float(topic), pub_time, float(p_idx)])
-            for s in plan.subs_of_topic[topic]:
-                disp = (seg_base[s] + cursor[s]) * _SUB_RECORD
-                cursor[s] += 1
-                sub_rank = nbrokers + npubs + s
-                yield from ctx.na.put_notify(sub_win, out, sub_rank, disp,
-                                             tag=topic)
-                yield from sub_win.flush_local(sub_rank)
-        else:
-            mirrored += 1
-        yield from ctx.na.start(pub_req)
-    return {"forwarded": sum(cursor), "order": order,
-            "mirrored": mirrored, "crashed": crashed}
-
-
-def _subscriber_program_ft(ctx, plan, nbrokers, npubs, nsubs, batch,
-                           warmup_us, msgs_per_pub):
-    """Legacy subscriber logic behind the ft window layout, no trailing
-    barrier (dead mirror brokers cannot join collectives)."""
-    s = ctx.rank - nbrokers - npubs
-    total = sum(plan.deliveries[b][s] for b in range(nbrokers))
-    seg_base = [sum(plan.deliveries[bb][s] for bb in range(b))
-                for b in range(nbrokers)]
-    _pub, sub_win, _eos = yield from _ft_pubsub_windows(
-        ctx, npubs, nsubs, msgs_per_pub, total * _SUB_RECORD)
-    yield from ctx.barrier()
-    t0 = ctx.now
-    matched = 0
-    consumed = [0] * nbrokers
-    deliveries: list[tuple[int, int]] = []
-    lat: list[float] = []
-    measured = 0
-    last_wake = t0
-    while matched < total:
-        want = min(batch, total - matched)
-        req = yield from ctx.na.notify_init(sub_win, source=ANY_SOURCE,
-                                            tag=ANY_TAG,
-                                            expected_count=want)
-        yield from ctx.na.start(req)
-        yield from ctx.na.wait(req)
-        batch_log = list(req.match_log)
-        yield from ctx.na.request_free(req)
-        matched += want
-        wake = max(t for _, _, t in batch_log)
-        last_wake = max(last_wake, wake)
-        for source, tag, _t in batch_log:
-            slot = (seg_base[source] + consumed[source]) * _SUB_RECORD
-            consumed[source] += 1
-            rec = sub_win.local(np.float64, offset=slot, count=3,
-                                mode="r")
-            topic, pub_time = int(rec[0]), float(rec[1])
-            if topic != tag:
-                raise ReproError(
-                    f"subscriber {s}: slot topic {topic} != "
-                    f"notification tag {tag}")
-            deliveries.append((topic, int(rec[2])))
-            if pub_time - t0 >= warmup_us:
-                lat.append(wake - pub_time)
-                measured += 1
-    if sum(consumed) != total:
-        raise ReproError(
-            f"subscriber {s}: consumed {sum(consumed)} of {total}")
-    return {"delivered": total, "measured": measured, "lat": lat,
-            "deliveries": deliveries, "t_last_wake": last_wake - t0}
+            "deliveries": deliveries, "t_last_wake": last_wake - t0,
+            "live_requests": ctx.na.live_requests}
 
 
 def run_pubsub(nbrokers: int = 2, npubs: int = 4, nsubs: int = 6,
@@ -397,22 +284,16 @@ def run_pubsub(nbrokers: int = 2, npubs: int = 4, nsubs: int = 6,
                rate_rps: float = 4000.0, batch: int = 4,
                zipf_skew: float = 0.9, warmup_frac: float = 0.2,
                process: str = "poisson", replication: int = 1,
-               ft: bool = False, seed: int = 42,
+               seed: int = 42,
                config: ClusterConfig | None = None) -> dict:
     """Run the pub/sub broker service; returns delivery traces + latencies.
 
     ``rate_rps`` is the aggregate publish rate.  End-to-end latency is
     publish → subscriber batch wakeup, so larger ``batch`` trades wakeup
     amortization against tail latency — the counting-notification
-    trade-off, measurable here.
-
-    ``ft=True`` (implied by ``replication > 1``) switches to the
-    fault-tolerant programs: publishes mirror to the first
-    ``replication`` live brokers of the topic ring for durability, while
-    only the static primary forwards — so deliveries stay the
-    precomputed plan and deaths may only hit pure-mirror brokers (the
-    plan is validated).  The legacy path is untouched and stays
-    byte-identical to earlier revisions.
+    trade-off, measurable here.  The cluster configuration's
+    :class:`~repro.faults.FaultPlan` (if any) must be node-failure-only
+    and may only kill pure-mirror brokers (see the module docstring).
     """
     if min(nbrokers, npubs, nsubs) < 1:
         raise ReproError("need at least one broker/publisher/subscriber")
@@ -425,7 +306,6 @@ def run_pubsub(nbrokers: int = 2, npubs: int = 4, nsubs: int = 6,
     if not 1 <= replication <= nbrokers:
         raise ReproError(
             f"replication {replication} outside [1, nbrokers={nbrokers}]")
-    ft = ft or replication > 1
     nranks = nbrokers + npubs + nsubs
     if config is None:
         config = ClusterConfig(nranks=nranks, ranks_per_node=2)
@@ -437,13 +317,9 @@ def run_pubsub(nbrokers: int = 2, npubs: int = 4, nsubs: int = 6,
                                  process)
     plan_f = config.faults
     if plan_f is not None and plan_f.active:
-        if not ft:
-            raise ReproError(
-                "run_pubsub under a fault plan needs ft=True (or "
-                "replication > 1)")
         if not plan_f.shardable:
             raise ReproError(
-                "run_pubsub ft mode needs a node-failure-only FaultPlan")
+                "run_pubsub needs a node-failure-only FaultPlan")
         primaries = {int(t) % nbrokers
                      for p in range(npubs) for t in plan.topics[p]}
         bad = [r for r in plan_f.node_failures
@@ -458,52 +334,37 @@ def run_pubsub(nbrokers: int = 2, npubs: int = 4, nsubs: int = 6,
     def program(ctx):
         # analyze: skip  (rank count and loop bounds come from the plan)
         if ctx.rank < nbrokers:
-            if ft:
-                result = yield from _broker_program_ft(
-                    ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub)
-            else:
-                result = yield from _broker_program(
-                    ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub)
+            result = yield from _broker_program(
+                ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub)
         elif ctx.rank < nbrokers + npubs:
-            if ft:
-                result = yield from _publisher_program_ft(
-                    ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub,
-                    replication)
-            else:
-                result = yield from _publisher_program(
-                    ctx, plan, nbrokers, npubs, msgs_per_pub)
+            result = yield from _publisher_program(
+                ctx, plan, nbrokers, npubs, msgs_per_pub, replication)
         else:
-            if ft:
-                result = yield from _subscriber_program_ft(
-                    ctx, plan, nbrokers, npubs, nsubs, batch, warmup_us,
-                    msgs_per_pub)
-            else:
-                result = yield from _subscriber_program(
-                    ctx, plan, nbrokers, npubs, nsubs, batch, warmup_us)
+            result = yield from _subscriber_program(
+                ctx, plan, nbrokers, npubs, nsubs, batch, warmup_us,
+                msgs_per_pub)
         return result
 
     results, _cluster = run_ranks(nranks, program, config=config)
     brokers = results[:nbrokers]
+    pubs = results[nbrokers:nbrokers + npubs]
     subs = results[nbrokers + npubs:]
-    lat = sorted(x for r in subs for x in r["lat"])
-    out = {
+    return {
         "nbrokers": nbrokers,
         "npubs": npubs,
         "nsubs": nsubs,
+        "replication": replication,
         "published": msgs_per_pub * npubs,
         "forwarded": sum(r["forwarded"] for r in brokers),
         "delivered": sum(r["delivered"] for r in subs),
         "measured": sum(r["measured"] for r in subs),
+        "mirrored": sum(r["mirrored"] for r in pubs),
+        "mirror_stored": sum(r["mirrored"] for r in brokers),
+        "crashed": sum(1 for r in brokers if r["crashed"]),
         "broker_orders": [r["order"] for r in brokers],
         "sub_deliveries": [r["deliveries"] for r in subs],
-        "lat_us": lat,
+        "live_requests": [r["live_requests"] for r in results],
+        "lat_us": sorted(x for r in subs for x in r["lat"]),
         "warmup_us": warmup_us,
         "t_end_us": max(r["t_last_wake"] for r in subs),
     }
-    if ft:
-        pubs = results[nbrokers:nbrokers + npubs]
-        out["replication"] = replication
-        out["mirrored"] = sum(r["mirrored"] for r in pubs)
-        out["mirror_stored"] = sum(r["mirrored"] for r in brokers)
-        out["crashed"] = sum(1 for r in brokers if r["crashed"])
-    return out

@@ -20,14 +20,6 @@ Options:
     experiment under ``DIR`` (rows plus wall-time and events/sec metadata).
 ``--markdown PATH``
     Additionally write the tables as a markdown report.
-``--history DIR``
-    Append each experiment's events/sec metadata to the trend ledger
-    under ``DIR`` (one ``<id>.jsonl`` per experiment; see
-    :mod:`repro.bench.history`).  Defaults to ``benchmarks/history``
-    when used with ``--trend``.
-``--trend``
-    Don't run anything: render the events/sec trajectory recorded in the
-    ledger (optionally restricted to the given experiment ids) and exit.
 """
 
 from __future__ import annotations
@@ -57,13 +49,9 @@ def main(argv: list[str]) -> int:
         argv, json_dir = _pop_option(argv, "--json")
         argv, jobs_s = _pop_option(argv, "--jobs")
         argv, shards_s = _pop_option(argv, "--shards")
-        argv, history_dir = _pop_option(argv, "--history")
     except SystemExit as exc:
         print(exc, file=sys.stderr)
         return 2
-    trend = "--trend" in argv
-    if trend:
-        argv = [a for a in argv if a != "--trend"]
     try:
         jobs = int(jobs_s) if jobs_s is not None else 1
     except ValueError:
@@ -75,11 +63,6 @@ def main(argv: list[str]) -> int:
         print(f"--shards needs an integer, got {shards_s!r}",
               file=sys.stderr)
         return 2
-    if trend:
-        from repro.bench.history import render_trend
-        print(render_trend(history_dir or "benchmarks/history",
-                           argv or None))
-        return 0
     ids = argv or list(ALL_EXPERIMENTS)
     unknown = [i for i in ids if i not in ALL_EXPERIMENTS]
     if unknown:
@@ -89,8 +72,7 @@ def main(argv: list[str]) -> int:
     md_parts = ["# Regenerated experiment tables", ""]
     for eid in ids:
         t0 = time.perf_counter()
-        table, meta = run_experiment(eid, jobs=jobs, shards=shards,
-                                     history_dir=history_dir)
+        table, meta = run_experiment(eid, jobs=jobs, shards=shards)
         dt = time.perf_counter() - t0
         print(table)
         print(f"[{eid} regenerated in {dt:.1f}s wall; "

@@ -431,9 +431,9 @@ def shard_weak(nranks_list=(1024, 4096, 10000), shards: int = 4,
     quantities (simulated events, virtual time) so scheduler/parallel/
     baseline byte-equality checks hold; the wall-clock side — events/sec
     and wall seconds, the numbers that show the sharded speedup — is
-    captured by :func:`repro.bench.runner.run_experiment` metadata and
-    lands in the trend ledger.  Compare ``--shards 1`` vs ``--shards 4``
-    invocations to see the speedup.
+    captured by :func:`repro.bench.runner.run_experiment` metadata.
+    Compare ``--shards 1`` vs ``--shards 4`` invocations to see the
+    speedup.
 
     ``space_bytes`` is deliberately small: each rank's address space is
     eagerly allocated, so the default 64 MB/rank would need ~640 GB at

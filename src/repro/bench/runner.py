@@ -56,7 +56,7 @@ SWEEP_PARAMS: dict[str, str] = {
 #: scaled-down configurations used by the CI bench-smoke job and the
 #: regression baselines under benchmarks/baselines/.  Every experiment in
 #: :data:`repro.bench.figures.ALL_EXPERIMENTS` has an entry so each one
-#: gets a committed baseline and a seeded trend-ledger series.
+#: gets a committed baseline.
 SMOKE_CONFIGS: dict[str, dict[str, Any]] = {
     "fig1": {"nranks_list": (2, 4, 8), "scale": 0.25},
     "fig2": {},
@@ -186,8 +186,7 @@ def _sweep_points(eid: str, kwargs: dict[str, Any]):
     return param, list(values)
 
 
-def run_experiment(eid: str, jobs: int = 1,
-                   history_dir: str | None = None, shards: int = 0,
+def run_experiment(eid: str, jobs: int = 1, shards: int = 0,
                    **kwargs: Any) -> tuple[Table, dict[str, Any]]:
     """Run one experiment, optionally fanning sweep points over ``jobs``
     worker processes.  Returns ``(table, meta)``.
@@ -203,9 +202,7 @@ def run_experiment(eid: str, jobs: int = 1,
     one dedicated core per shard; ``None`` when no point ran sharded) —
     and ``gc_collections``, the cyclic-collector runs per generation
     spent inside the experiment, summed over the interpreters that ran
-    its points and the shard workers they forked.  With
-    ``history_dir`` set, the metadata is appended to the events/sec
-    trend ledger (see :mod:`repro.bench.history`).
+    its points and the shard workers they forked.
 
     ``shards`` selects *within-point* parallelism: each individual sweep
     point runs on the sharded conservative-parallel DES core
@@ -272,9 +269,6 @@ def run_experiment(eid: str, jobs: int = 1,
         "seeds": [p[2] for p in payloads],
         "kwargs": {k: _jsonable(v) for k, v in kwargs.items()},
     }
-    if history_dir is not None:
-        from repro.bench.history import append_entry
-        append_entry(history_dir, meta)
     return table, meta
 
 

@@ -2,8 +2,9 @@
 
 Requests are advanced **only inside test and wait** (§IV-B): test searches
 the UQ first, then polls the hardware destination completion queues,
-appending non-matching notifications to the UQ for later matching.  Wait is
-a loop around test that blocks on CQ arrival when nothing is pending.
+appending non-matching notifications to the UQ for later matching.  Wait
+and waitany are loops around test that sleep in :meth:`NotifyEngine.park`
+— and nowhere else — when nothing is pending.
 
 Timing constants are calibrated so a single-notification matched test costs
 the paper's receive overhead ``o_r = 0.07 µs`` (Table/model of §V-A); the
@@ -154,6 +155,15 @@ class NotifyEngine:
                              label="na-request")
         yield self.engine.timeout(self.params.t_start)
 
+    def cancel(self, req: NotifyRequest) -> None:
+        """Deactivate a request that will not be waited on again
+        (MPI_Cancel), so it can be restarted or freed.  What it matched
+        in this start epoch stays consumed; a later notification it would
+        have matched parks in the UQ like any other unmatched arrival.
+        """
+        req._check_usable()
+        req.active = False
+
     def request_free(self,
                      req: NotifyRequest) -> Generator[object, object, None]:
         """Free a persistent request (MPI_Request_free)."""
@@ -251,6 +261,29 @@ class NotifyEngine:
             return None
         return self.engine.timeout(nxt - now)
 
+    def park(self, reqs: list[NotifyRequest],
+             until: float | None = None) -> Generator[object, object, None]:
+        """The one place a matching loop goes to sleep.
+
+        Returns at once when the NIC already holds a notification or the
+        clock reached ``until``; otherwise blocks on the next arrival,
+        raced against :meth:`_death_timer` of ``reqs`` and the ``until``
+        deadline.  The caller tests again after every return.
+        """
+        nic = self.ctx.nic
+        if nic.notification_pending():
+            return
+        now = self.engine.now
+        if until is not None and now >= until:
+            return
+        timer = self._death_timer(reqs)
+        waits = [nic.notification_arrival()]
+        if timer is not None:
+            waits.append(timer)
+        if until is not None:
+            waits.append(self.engine.timeout(until - now))
+        yield waits[0] if len(waits) == 1 else self.engine.any_of(waits)
+
     def wait(self, req: NotifyRequest) -> Generator[object, object, Status]:
         """Block until the request completes; returns the status of the
         **last** matching notified access.
@@ -259,17 +292,13 @@ class NotifyEngine:
         latency when the request's (specific) source rank has died and the
         request cannot complete — see :meth:`_death_timer`.
         """
+        reqs = [req]
         while True:
             done = yield from self.test(req)
             if done:
                 assert req.last_status is not None
                 return req.last_status
-            if self.ctx.nic.notification_pending():
-                continue
-            timer = self._death_timer([req])
-            arrival = self.ctx.nic.notification_arrival()
-            yield (arrival if timer is None
-                   else self.engine.any_of([arrival, timer]))
+            yield from self.park(reqs)
 
     def probe(self, win: Window, source: int = ANY_SOURCE,
               tag: int = ANY_TAG) -> Generator[object, object,
@@ -316,26 +345,31 @@ class NotifyEngine:
                 return i
         return None
 
-    def waitany(self, reqs: list[NotifyRequest]
-                ) -> Generator[object, object, tuple[int, Status]]:
-        """Block until any request completes; returns (index, status).
+    def waitany(self, reqs: list[NotifyRequest], until: float | None = None
+                ) -> Generator[object, object, tuple[int, Status] | None]:
+        """Block until any request completes; returns (index, status), or
+        None once the clock has reached ``until`` with nothing complete.
+
+        A sweep's test of a later request can park a notification in the
+        UQ that an *earlier* request of the same sweep matches; the NIC
+        is then empty and sleeping on it would lose the wakeup, so a
+        sweep that appended to the UQ is repeated instead.
 
         Fails fast (:class:`~repro.errors.FaultError`) only when *every*
         request is source-specific to a detected-dead rank; as long as one
         request could still be matched by a live rank the wait stays up.
         """
-        while True:
+        uq = self.uq
+        while until is None or self.engine.now < until:
+            appended = uq.appended
             idx = yield from self.testany(reqs)
             if idx is not None:
                 status = reqs[idx].last_status
                 assert status is not None
                 return idx, status
-            if self.ctx.nic.notification_pending():
-                continue
-            timer = self._death_timer(reqs)
-            arrival = self.ctx.nic.notification_arrival()
-            yield (arrival if timer is None
-                   else self.engine.any_of([arrival, timer]))
+            if uq.appended == appended:
+                yield from self.park(reqs, until)
+        return None
 
     def waitall(self, reqs: list[NotifyRequest]
                 ) -> Generator[object, object, list[Status]]:

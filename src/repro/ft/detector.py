@@ -65,26 +65,3 @@ class FailureDetector:
         """The ranks not yet detected dead, in the given order."""
         t = self.ctx.now if now is None else now
         return [r for r in ranks if not self.detected(r, t)]
-
-    def next_detection(self, now: float | None = None) -> float | None:
-        """The earliest future detection instant, or None."""
-        if self.plan is None or not self.plan.node_failures:
-            return None
-        t = self.ctx.now if now is None else now
-        times = [when + self.plan.detect_us
-                 for when in self.plan.node_failures.values()
-                 if when + self.plan.detect_us > t]
-        return min(times, default=None)
-
-    def timer(self):
-        """An engine timeout to the next detection instant, or None.
-
-        Blocking recovery loops race their wakeup event against this
-        timer so they re-examine the failure picture as soon as it can
-        have changed — never earlier (no spurious wakeups on fault-free
-        runs) and never later (no stall to deadlock detection).
-        """
-        nxt = self.next_detection()
-        if nxt is None:
-            return None
-        return self.ctx.engine.timeout(nxt - self.ctx.now)

@@ -135,11 +135,11 @@ class ReplicatedWindow:
 
         ``req`` is the writer's counting credit request
         (``expected_count == len(put.targets)``, wildcard source).  The
-        loop blocks like ``na.wait`` but races arrivals against the
-        failure detector: when a replica that has not acked is detected
-        dead, the mirrored put is re-issued to the next live chain
-        member (which acks the same tag), keeping the expected credit
-        count reachable.  When no live replacement exists the wait
+        loop sleeps like ``na.wait`` (``na.park``: arrivals raced against
+        the next detection instant): when a replica that has not acked
+        is detected dead, the mirrored put is re-issued to the next live
+        chain member (which acks the same tag), keeping the expected
+        credit count reachable.  When no live replacement exists the wait
         raises :class:`FaultError` naming the dead rank — fail fast, not
         a hang.  Returns the status of the count-crossing ack.
         """
@@ -167,9 +167,4 @@ class ReplicatedWindow:
                     yield from na.put_notify(self.win, put.data, repl,
                                              put.disp, tag=put.tag)
                 continue
-            if self.ctx.nic.notification_pending():
-                continue
-            arrival = self.ctx.nic.notification_arrival()
-            timer = self.det.timer()
-            yield (arrival if timer is None
-                   else self.ctx.engine.any_of([arrival, timer]))
+            yield from na.park([req])

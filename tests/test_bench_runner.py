@@ -67,6 +67,24 @@ def test_single_point_sweep_runs_serially():
     assert len(table.rows) == 1
 
 
+def test_runner_reports_no_fleet_rate_for_serial_run():
+    """A run with no sharded point has no critical path: the meta says
+    ``None``, not a rate of zero — and counts the collector runs the
+    experiment paid for."""
+    _table, meta = run_experiment("fig3a", jobs=1, **TINY)
+    assert meta["cp_s"] is None and meta["events_per_s_cp"] is None
+    assert meta["scheduler"] in ("heap", "calendar")
+    assert len(meta["gc_collections"]) == 3
+    assert min(meta["gc_collections"]) >= 0
+
+
+def test_runner_reports_fleet_rate_for_sharded_run():
+    _table, meta = run_experiment("fig4c", jobs=2, shards=2,
+                                  **SMOKE_CONFIGS["fig4c"])
+    assert meta["cp_s"] > 0 and meta["events_per_s_cp"] > 0
+    assert len(meta["gc_collections"]) == 3
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(KeyError, match="unknown experiment"):
         run_experiment("nope")

@@ -1,0 +1,84 @@
+"""Refactor guard for the benchmark harness (read-only on benchmarks/perf).
+
+``benchmarks/perf/`` resolves the simulator's callables *by name* at run
+time — ``spans.SPEC`` for the traced pass, plain imports everywhere else
+— and may not be edited alongside ``src/``.  A rename under ``src/``
+therefore breaks the benchmark without breaking a single tier-1 test;
+these checks say so, and say which name.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+import types
+
+import pytest
+
+_PERF = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "perf"
+
+
+def _load_spans():
+    """``spans.py`` by path: it imports only the standard library."""
+    spec = importlib.util.spec_from_file_location("_perf_spans",
+                                                  _PERF / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolved_spec():
+    """Every ``(modname, owner_name, attr, object)`` exactly as
+    ``Recorder.install`` looks it up."""
+    spans = _load_spans()
+    for _layer, modname, owner_name, names in spans.SPEC:
+        module = importlib.import_module(modname)
+        owner = module if owner_name is None else getattr(module,
+                                                          owner_name)
+        for attr in names or spans._public_functions(owner, modname):
+            yield modname, owner_name, attr, vars(owner)[attr]
+
+
+def test_every_spec_entry_resolves():
+    resolved = list(_resolved_spec())
+    assert len(resolved) > 50
+    for modname, owner_name, attr, fn in resolved:
+        # the wrappers call ``fn(*args, **kwargs)``: a plain function
+        assert isinstance(fn, types.FunctionType), (modname, owner_name,
+                                                    attr)
+
+
+def test_no_two_module_level_entries_share_a_function_object():
+    """``_patch_everywhere`` rebinds by identity: an alias such as
+    ``run_kv_ft = run_kv`` would be wrapped twice."""
+    seen: dict[int, tuple] = {}
+    for modname, owner_name, attr, fn in _resolved_spec():
+        if owner_name is not None:
+            continue
+        assert id(fn) not in seen, ((modname, attr), seen[id(fn)])
+        seen[id(fn)] = (modname, attr)
+
+
+def _repro_imports():
+    for path in sorted(_PERF.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.module == "repro"
+                    or node.module.startswith("repro.")):
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def test_every_repro_import_of_the_harness_resolves():
+    imports = list(_repro_imports())
+    assert imports
+    for fname, modname, name in imports:
+        module = importlib.import_module(modname)
+        if not hasattr(module, name):    # ``from pkg import submodule``
+            try:
+                importlib.import_module(f"{modname}.{name}")
+            except ImportError:
+                pytest.fail(f"{fname}: cannot import {name} "
+                            f"from {modname}")

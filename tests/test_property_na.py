@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
@@ -204,3 +204,63 @@ def test_counting_requests_partition_stream(counts):
     results, _ = run_cluster(2, prog)
     boundaries = np.cumsum(counts) - 1
     assert results[0] == [tags[b] for b in boundaries]
+
+
+# ---------------------------------------------------------------------------
+# waitany never loses a wakeup
+# ---------------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=4),
+    sends=st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                             st.integers(min_value=0, max_value=150)),
+                   min_size=1, max_size=6),
+    delay=st.integers(min_value=0, max_value=300),
+    same_node=st.booleans())
+# one notification for the first of two requests, polled into the UQ by
+# the test of the second: the receiver used to sleep on it forever
+@example(k=2, sends=[(0, 0)], delay=117, same_node=False)
+def test_waitany_matches_every_notification_exactly_once(k, sends, delay,
+                                                         same_node):
+    """A server-style sweep: ``k`` persistent single-count requests (one
+    tag each, some never notified) stay armed in one ``waitany`` list
+    until every notification sent — at drawn gaps, in drawn tag order,
+    to a receiver that starts late — has been matched.  No draw may
+    deadlock, and each notification is matched exactly once."""
+    sends = [(tag % k, gap) for tag, gap in sends]
+
+    def prog(ctx):
+        win = yield from ctx.win_allocate(64)
+        if ctx.rank == 0:
+            yield from ctx.barrier()
+            for i, (tag, gap) in enumerate(sends):
+                if gap:
+                    yield ctx.timeout(gap * 0.01)
+                yield from ctx.na.put_notify(win, np.zeros(1), 1, i * 8,
+                                             tag=tag)
+            return None
+        reqs = []
+        for tag in range(k):
+            req = yield from ctx.na.notify_init(win, source=0, tag=tag)
+            yield from ctx.na.start(req)
+            reqs.append(req)
+        yield from ctx.barrier()
+        if delay:
+            yield ctx.timeout(delay * 0.01)
+        seen = []
+        while len(seen) < len(sends):
+            idx, st_ = yield from ctx.na.waitany(reqs)
+            assert st_.tag == idx and len(reqs[idx].match_log) == 1
+            seen.append((idx, reqs[idx].match_log[0][2]))
+            yield from ctx.na.start(reqs[idx])
+        assert len(ctx.na.uq) == 0 and not ctx.nic.notification_pending()
+        return seen
+
+    results, _ = run_cluster(2, prog, ranks_per_node=2 if same_node else 1)
+    seen = results[1]
+    assert sorted(t for t, _ in seen) == sorted(t for t, _ in sends)
+    # one source: notifications of a tag match in arrival order, and no
+    # arrival clock is reported twice for it
+    for tag in range(k):
+        times = [t for g, t in seen if g == tag]
+        assert times == sorted(times) and len(set(times)) == len(times)

@@ -20,16 +20,13 @@ from repro.apps.services import (
     build_kv_workload,
     build_pubsub_workload,
     run_kv,
+    run_kv_ft,
     run_pubsub,
 )
-from repro.apps.services.kv import (
-    _expected_gets,
-    _expected_records,
-    copy_servers,
-    seed_value,
-)
+from repro.apps.services.kv import copy_servers, seed_value
 from repro.cluster import ClusterConfig
 from repro.errors import ReproError
+from repro.faults import FaultPlan
 
 _KV_SMALL = dict(nservers=2, nclients=2, replication=2, reqs_per_client=8,
                  rate_rps=500_000.0, nkeys=16, verify=True, seed=7)
@@ -43,6 +40,23 @@ def _kv_config(shards: int = 0) -> ClusterConfig:
 
 def _ps_config(shards: int = 0) -> ClusterConfig:
     return ClusterConfig(nranks=7, ranks_per_node=2, shards=shards)
+
+
+def _expected_records(plans, server: int, nservers: int,
+                      replication: int) -> int:
+    """How many put records ``server`` receives — the test's own
+    recomputation from the plans (the service itself does not count)."""
+    return sum(1 for plan in plans
+               for key, is_get in zip(plan.keys, plan.is_get)
+               if not is_get
+               and server in copy_servers(int(key), nservers, replication))
+
+
+def _expected_gets(plans, server: int, nservers: int) -> int:
+    """How many get requests ``server`` (as primary) serves."""
+    return sum(1 for plan in plans
+               for key, is_get in zip(plan.keys, plan.is_get)
+               if is_get and copy_servers(int(key), nservers, 1)[0] == server)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +230,11 @@ def test_kv_latencies_are_float64_virtual_times():
 
 
 # ---------------------------------------------------------------------------
-# Fault-tolerant variants
+# One program per role: the same services under node deaths
 # ---------------------------------------------------------------------------
-def _ft_config(nranks=6, death_at=2500.0, detect_us=300.0):
-    from repro.faults import FaultPlan
+def _ft_config(nranks=6, death_at=2500.0, detect_us=300.0, shards=0):
     return ClusterConfig(
-        nranks=nranks, ranks_per_node=2,
+        nranks=nranks, ranks_per_node=2, shards=shards,
         faults=FaultPlan(node_failures={1: death_at},
                          detect_us=detect_us))
 
@@ -231,31 +244,25 @@ _KV_FT = dict(nservers=3, nclients=3, replication=2, reqs_per_client=8,
               seed=5)
 
 
-def test_kv_ft_knob_delegates():
-    from repro.apps.services import run_kv_ft
+def test_run_kv_ft_is_run_kv_with_the_failure_defaults():
     kw = dict(_KV_FT)
-    kw.pop("ckpt_every")
-    a = run_kv(ft=True, config=_ft_config(), **kw)
+    del kw["ckpt_every"], kw["verify"]
+    a = run_kv(verify=True, ckpt_every=8, config=_ft_config(), **kw)
     b = run_kv_ft(config=_ft_config(), **kw)
     assert a == b
-    assert "availability" in a and "acked_lost" in a
+    assert a["crashed"] == 1 and a["availability"] == 1.0
+    assert run_kv_ft is not run_kv      # the harness patches by identity
 
 
 def test_kv_ft_serial_repeat_is_identical():
-    a = run_kv_ft_once()
-    b = run_kv_ft_once()
+    a = run_kv_ft(config=_ft_config(), **_KV_FT)
+    b = run_kv_ft(config=_ft_config(), **_KV_FT)
     assert a == b
-
-
-def run_kv_ft_once():
-    from repro.apps.services import run_kv_ft
-    return run_kv_ft(config=_ft_config(), **_KV_FT)
 
 
 def test_kv_ft_replication_one_loses_acked_writes():
     """The control row: with a single copy, writes acked only by the
     dying server are lost — the quantity replication eliminates."""
-    from repro.apps.services import run_kv_ft
     kw = dict(_KV_FT, replication=1, verify=False, seed=3,
               reqs_per_client=16)
     r1 = run_kv_ft(config=_ft_config(), **kw)
@@ -266,7 +273,6 @@ def test_kv_ft_replication_one_loses_acked_writes():
 
 
 def test_kv_ft_buddy_checkpoints_cover_dead_server():
-    from repro.apps.services import run_kv_ft
     r = run_kv_ft(config=_ft_config(), **_KV_FT)
     assert r["crashed"] == 1
     assert r["ckpt_epochs"] > 0
@@ -276,24 +282,107 @@ def test_kv_ft_buddy_checkpoints_cover_dead_server():
         assert r["ckpt_recoverable"] >= 0
 
 
+def test_run_kv_validates_the_fault_plan_itself():
+    def cfg(**plan):
+        return ClusterConfig(nranks=4, ranks_per_node=2,
+                             faults=FaultPlan(**plan))
+    with pytest.raises(ReproError, match="server ranks"):
+        run_kv(nservers=2, nclients=2, config=cfg(node_failures={3: 100.0}))
+    with pytest.raises(ReproError, match="survive"):
+        run_kv(nservers=2, nclients=2,
+               config=cfg(node_failures={0: 100.0, 1: 200.0}))
+    with pytest.raises(ReproError, match="node-failure-only"):
+        run_kv(nservers=2, nclients=2, config=cfg(drop_prob=0.1))
+
+
+# -- the lost wakeup, at service level (both deadlocked before) ------------
+def test_kv_fault_free_with_buddy_checkpoints_completes():
+    """A server's sweep of a later request polls a notification matching
+    an earlier one into the UQ; it must not then sleep on an empty NIC."""
+    r = run_kv_ft(nservers=2, nclients=2, replication=2, reqs_per_client=8,
+                  rate_rps=4e6, nkeys=16, seed=25)
+    assert r["completed"] == r["requests"] == 16
+    assert r["failed"] == 0 and r["crashed"] == 0
+
+
+def test_kv_saturated_default_topology_completes():
+    r = run_kv(nservers=4, nclients=8, reqs_per_client=192, rate_rps=16e6)
+    assert r["completed"] == r["requests"] == 8 * 192
+    assert r["live_requests"] == [0] * 12
+
+
+# -- shard equality at a saturated rate -------------------------------------
+_KV_SAT = dict(nservers=4, nclients=4, replication=2, reqs_per_client=16,
+               rate_rps=16e6, nkeys=16, verify=True, seed=11)
+_PS_SAT = dict(nbrokers=2, npubs=2, nsubs=4, ntopics=4, fanout=2,
+               msgs_per_pub=16, rate_rps=8e6, batch=2, seed=11)
+
+
+def test_kv_saturated_is_identical_across_shard_counts():
+    runs = [run_kv(config=ClusterConfig(nranks=8, ranks_per_node=2,
+                                        shards=n), **_KV_SAT)
+            for n in (1, 2, 4)]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0]["completed"] == 64
+
+
+def test_pubsub_saturated_is_identical_across_shard_counts():
+    runs = [run_pubsub(config=ClusterConfig(nranks=8, ranks_per_node=2,
+                                            shards=n), **_PS_SAT)
+            for n in (1, 2, 4)]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0]["delivered"] == runs[0]["forwarded"]
+
+
+# -- persistent requests are freed ------------------------------------------
+def test_fault_free_services_free_every_request():
+    kv = run_kv(config=_kv_config(), **_KV_SMALL)
+    assert kv["live_requests"] == [0] * 4
+    kv = run_kv_ft(config=ClusterConfig(nranks=6, ranks_per_node=2),
+                   **_KV_FT)
+    assert kv["live_requests"] == [0] * 6
+    ps = run_pubsub(config=_ps_config(), **_PS_SMALL)
+    assert ps["live_requests"] == [0] * 7
+
+
+def test_survivors_of_a_server_death_free_every_request():
+    """Clients cancel and free what they abandoned on the dead server
+    (credits that ran out of replicas, gets they retried elsewhere);
+    only the crashed server exits holding its five requests."""
+    r = run_kv_ft(config=_ft_config(),
+                  **dict(_KV_FT, reqs_per_client=32, rate_rps=32_000.0))
+    assert r["crashed"] == 1 and r["failovers"] > 0
+    retried_gets = [o for order in r["server_orders"] for o in order
+                    if o[0] == "get" and o[2] >= 32]    # tag = k*32 + i
+    assert retried_gets
+    assert r["live_requests"] == [0, 5, 0, 0, 0, 0]
+
+
+# -- pub/sub under a mirror-broker death -------------------------------------
+_PS_MIRROR = dict(_PS_SMALL, nbrokers=3, ntopics=2, rate_rps=8_000.0,
+                  replication=2)
+
+
+def _ps_death_config(death_at):
+    return ClusterConfig(
+        nranks=8, ranks_per_node=2,
+        faults=FaultPlan(node_failures={2: death_at}, detect_us=300.0))
+
+
 def test_pubsub_ft_mirror_death_keeps_deliveries():
     """Broker 2 (pure mirror under ntopics=2) dies mid-run: every
-    delivery still happens and mirrors flow to live brokers."""
-    kw = dict(_PS_SMALL, nbrokers=3, ntopics=2, rate_rps=8_000.0,
-              replication=2)
-    from repro.faults import FaultPlan
+    delivery still happens and mirrors flow to live brokers — the fault
+    plan is all it takes, there is no mode to switch on."""
     base = run_pubsub(config=ClusterConfig(nranks=8, ranks_per_node=2),
-                      **kw)
-    faulty = run_pubsub(
-        config=ClusterConfig(
-            nranks=8, ranks_per_node=2,
-            faults=FaultPlan(node_failures={2: 2500.0},
-                             detect_us=300.0)),
-        **dict(kw, seed=7))
+                      **_PS_MIRROR)
+    faulty = run_pubsub(config=_ps_death_config(400.0), **_PS_MIRROR)
     for r in (base, faulty):
         assert r["delivered"] == r["forwarded"]
-        assert r["mirrored"] >= 0
-    assert faulty["crashed"] in (0, 1)
+        assert r["mirrored"] == r["published"]
+    assert base["crashed"] == 0 and base["live_requests"] == [0] * 8
+    assert faulty["crashed"] == 1
+    assert faulty["mirror_stored"] < base["mirror_stored"]
+    assert faulty["live_requests"] == [0, 0, 2, 0, 0, 0, 0, 0]
 
 
 def test_pubsub_ft_broker_death_inside_matching_pass(monkeypatch):
@@ -301,17 +390,6 @@ def test_pubsub_ft_broker_death_inside_matching_pass(monkeypatch):
     inside one that matched nothing must crash-exit the broker, not arm
     a negative death timer."""
     from repro.core.engine import NotifyEngine
-    from repro.faults import FaultPlan
-    kw = dict(_PS_SMALL, nbrokers=3, ntopics=2, rate_rps=8_000.0,
-              replication=2)
-
-    def run(death_at):
-        return run_pubsub(
-            config=ClusterConfig(
-                nranks=8, ranks_per_node=2,
-                faults=FaultPlan(node_failures={2: death_at},
-                                 detect_us=300.0)),
-            **kw)
 
     # find such a pass of broker 2 in a run whose death comes too late
     passes = []
@@ -326,14 +404,9 @@ def test_pubsub_ft_broker_death_inside_matching_pass(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(NotifyEngine, "testany", spy)
-        late = run(1e9)
+        late = run_pubsub(config=_ps_death_config(1e9), **_PS_MIRROR)
     assert late["crashed"] == 0 and passes
     t0, t1 = passes[len(passes) // 2]
-    r = run((t0 + t1) / 2)
+    r = run_pubsub(config=_ps_death_config((t0 + t1) / 2), **_PS_MIRROR)
     assert r["crashed"] == 1
     assert r["delivered"] == r["forwarded"] == late["delivered"]
-
-
-def test_pubsub_legacy_rejects_fault_plan_without_ft():
-    with pytest.raises(ReproError, match="ft=True"):
-        run_pubsub(config=_ft_config(nranks=7), **_PS_SMALL)
