@@ -64,14 +64,10 @@ def test_put_unaffected_by_reliability_mode(benchmark):
 
 def test_retransmission_degrades_gracefully(benchmark):
     def sweep():
-        lossy = ClusterConfig(
-            nranks=2, params=TransportParams(drop_rate=0.2, rto=5.0),
-            seed=3)
-        clean = ClusterConfig(nranks=2)
         return (run_pingpong("na", 64, iters=30,
-                             config=clean)["half_rtt_us"],
+                             config=_lossy_config(0.0))["half_rtt_us"],
                 run_pingpong("na", 64, iters=30,
-                             config=lossy)["half_rtt_us"])
+                             config=_lossy_config(0.2))["half_rtt_us"])
 
     t_clean, t_lossy = run_once(benchmark, sweep)
     print()

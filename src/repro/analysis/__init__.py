@@ -6,12 +6,17 @@ communicator sizes they actually run at
 (:mod:`repro.analysis.instantiate`), and checks the protocol graph
 before a single simulated cycle:
 
-* :mod:`repro.analysis.budget` — notification-budget balance under the
-  ``ANY_SOURCE``/``ANY_TAG`` wildcard lattice;
-* :mod:`repro.analysis.deadlock` — wait-for cycles across ranks;
+* :mod:`repro.analysis.replay` — the one statement of ``<window,
+  source, tag>`` matching: the wildcard lattice and the maximal-progress
+  replay the cross-rank checkers share;
+* :mod:`repro.analysis.budget` — notification-budget balance under that
+  lattice;
+* :mod:`repro.analysis.deadlock` — wait-for cycles in the replay's stuck
+  state;
 * :mod:`repro.analysis.epochs` — epoch/flush discipline lint;
-* :mod:`repro.analysis.races` — data-race / buffer-overlap detection
-  over symbolic byte intervals and a static happens-before lattice.
+* :mod:`repro.analysis.races` — data-race / buffer-overlap detection:
+  :mod:`repro.sanitizer`'s tracker driven over the replayed
+  linearization.
 
 Entry points: ``python -m repro.analysis <paths>``, the ``--analyze``
 pytest flag, and :func:`analyze_paths` for programmatic use.
@@ -28,6 +33,7 @@ from repro.analysis.extract import extract_file
 from repro.analysis.instantiate import instantiate
 from repro.analysis.ir import Program
 from repro.analysis.races import check_races
+from repro.analysis.replay import replay
 from repro.analysis.report import Finding, Report
 
 __all__ = [
@@ -52,9 +58,10 @@ def analyze_program(program: Program) -> list[Finding]:
         if not 1 <= size <= MAX_NRANKS:
             continue
         traces = instantiate(program, size)
+        replayed = replay(traces)
         findings.extend(check_budget(program, size, traces))
-        findings.extend(check_deadlock(program, size, traces))
-        findings.extend(check_races(program, size, traces))
+        findings.extend(check_deadlock(program, size, traces, replayed))
+        findings.extend(check_races(program, size, traces, replayed))
     return findings
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from repro.analysis.instantiate import COp, Trace
 from repro.analysis.ir import Program
+from repro.analysis.replay import compatible
 from repro.analysis.report import Finding
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 
@@ -33,34 +34,20 @@ _COUNTED_MECHS = ("na", "counter")
 
 @dataclass
 class _Supply:
-    rank: int            # target rank holding the notification
-    mech: str
-    win: object
-    source: int
-    tag: int
-    line: int
-    post_rank: int
+    op: COp              # the post; ``op.target`` holds the notification
     taken_by: int = -1   # demand index, -1 = free
 
 
 @dataclass
 class _Demand:
     rank: int
-    mech: str
-    win: object
-    source: int
-    tag: int
-    expected: int
-    line: int
+    op: COp              # the wait
     matched: int = 0
 
 
-def _compatible(supply: _Supply, demand: _Demand) -> bool:
-    return (supply.rank == demand.rank
-            and supply.mech == demand.mech
-            and supply.win == demand.win
-            and demand.source in (ANY_SOURCE, supply.source)
-            and demand.tag in (ANY_TAG, supply.tag))
+def _feeds(supply: _Supply, demand: _Demand) -> bool:
+    return supply.op.target == demand.rank and \
+        compatible(supply.op, demand.op)
 
 
 def _max_flow(supplies: list[_Supply], demands: list[_Demand]) -> None:
@@ -68,7 +55,7 @@ def _max_flow(supplies: list[_Supply], demands: list[_Demand]) -> None:
     demands."""
     adjacency: list[list[int]] = [
         [d for d, demand in enumerate(demands)
-         if _compatible(supply, demand)]
+         if _feeds(supply, demand)]
         for supply in supplies
     ]
 
@@ -78,7 +65,7 @@ def _max_flow(supplies: list[_Supply], demands: list[_Demand]) -> None:
                 continue
             visited.add(d)
             demand = demands[d]
-            if demand.matched < demand.expected:
+            if demand.matched < demand.op.expected:
                 _take(s, d)
                 return True
             # try to re-route one of this demand's suppliers elsewhere
@@ -120,16 +107,9 @@ def check_budget(program: Program, size: int,
             if op.mech not in _COUNTED_MECHS:
                 continue
             if op.kind == "post":
-                assert op.target is not None
-                supplies.append(_Supply(
-                    rank=op.target, mech=op.mech, win=op.win,
-                    source=op.source, tag=op.tag, line=op.line,
-                    post_rank=trace.rank))
+                supplies.append(_Supply(op))
             elif op.kind == "wait":
-                demands.append(_Demand(
-                    rank=trace.rank, mech=op.mech, win=op.win,
-                    source=op.source, tag=op.tag,
-                    expected=op.expected, line=op.line))
+                demands.append(_Demand(trace.rank, op))
 
     if not supplies and not demands:
         return []
@@ -137,43 +117,44 @@ def check_budget(program: Program, size: int,
 
     findings: list[Finding] = []
     for demand in demands:
-        if demand.matched >= demand.expected:
+        wait = demand.op
+        if demand.matched >= wait.expected:
             continue
-        any_compatible = any(
-            _compatible(s, demand) for s in supplies)
-        pattern = _pattern(demand.source, demand.tag)
-        if not any_compatible:
-            ranks = (demand.rank,) if demand.source == ANY_SOURCE \
-                else tuple(sorted({demand.rank, demand.source}))
+        pattern = _pattern(wait.source, wait.tag)
+        if not any(_feeds(s, demand) for s in supplies):
+            ranks = (demand.rank,) if wait.source == ANY_SOURCE \
+                else tuple(sorted({demand.rank, wait.source}))
             findings.append(Finding(
                 check="budget.starved-wait", path=program.path,
-                line=demand.line, program=program.qualname,
+                line=wait.line, program=program.qualname,
                 message=(f"rank {demand.rank} waits for "
-                         f"{demand.expected} notification(s) matching "
+                         f"{wait.expected} notification(s) matching "
                          f"{pattern} but no rank ever posts one"),
                 ranks=ranks, size=size))
         else:
             findings.append(Finding(
                 check="budget.threshold-overcount", path=program.path,
-                line=demand.line, program=program.qualname,
+                line=wait.line, program=program.qualname,
                 message=(f"rank {demand.rank} waits for "
-                         f"{demand.expected} notification(s) matching "
+                         f"{wait.expected} notification(s) matching "
                          f"{pattern} but only {demand.matched} can "
                          f"ever arrive"),
                 ranks=(demand.rank,), size=size))
 
     # leftover supply that no wait can consume
-    leftovers: dict[tuple[int, int, object, int, int], list[_Supply]] = {}
+    leftovers: dict[tuple[int | None, int, object, int, int], int] = {}
     for supply in supplies:
         if supply.taken_by == -1:
-            key = (supply.rank, supply.post_rank, supply.win,
-                   supply.tag, supply.line)
-            leftovers.setdefault(key, []).append(supply)
-    for (rank, post_rank, _win, tag, line), group in leftovers.items():
+            post = supply.op
+            key = (post.target, post.source, post.win, post.tag,
+                   post.line)
+            leftovers[key] = leftovers.get(key, 0) + 1
+    for (rank, post_rank, _win, tag, line), count in leftovers.items():
+        assert rank is not None
         findings.append(Finding(
             check="budget.dropped-notification", path=program.path,
             line=line, program=program.qualname,
-            message=(f"{len(group)} notification(s) posted by rank "
+            message=(f"{count} notification(s) posted by rank "
                      f"{post_rank} to rank {rank} with tag {tag} are "
                      f"never consumed by any wait"),
             ranks=tuple(sorted({post_rank, rank})), size=size))

@@ -1,156 +1,49 @@
 """Static deadlock detection over the symbolic wait-for graph.
 
-The concrete rank traces are replayed under a maximal-progress abstract
-scheduler: posts and sends complete eagerly (they never block in the
-simulator), blocking waits consume matching notifications in arrival
-order (the engine's own matching order), and barriers/fences release
-when every unfinished rank has reached one.  When the replay reaches a
-state where no rank can advance, the blocked ranks' wait-for edges are
-examined; a cycle is a definite deadlock and is reported with the full
-blocking chain.  Rank starvation *without* a cycle (a wait whose poster
-already terminated) is left to the budget checker, so each defect gets
-exactly one diagnostic.
+The concrete rank traces are replayed by :mod:`repro.analysis.replay`.
+When the replay reaches a state where no rank can advance, the blocked
+ranks' wait-for edges are examined; a cycle is a definite deadlock and
+is reported with the full blocking chain.  Rank starvation *without* a
+cycle (a wait whose poster already terminated) is left to the budget
+checker, so each defect gets exactly one diagnostic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.analysis.instantiate import COp, Trace
 from repro.analysis.ir import Program
+from repro.analysis.replay import COLLECTIVES, Replay, compatible, replay
 from repro.analysis.report import Finding
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 
 
-@dataclass
-class _RankState:
-    trace: Trace
-    index: int = 0
-    #: notifications delivered to this rank: (mech, win, source, tag)
-    inbox: list[tuple[str, object, int, int]] = field(
-        default_factory=list)
-    #: sends addressed to this rank: (source, tag)
-    sends: list[tuple[int, int]] = field(default_factory=list)
+def _has_supply(run: Replay, rank: int, op: COp) -> bool:
+    """Whether what is still to come — deliveries sitting unconsumed at
+    ``rank`` plus everything the stuck ranks have yet to execute — could
+    satisfy the ``op`` that ``rank`` is blocked on.
 
-    @property
-    def finished(self) -> bool:
-        return self.index >= len(self.trace.ops)
-
-    @property
-    def current(self) -> COp | None:
-        if self.finished:
-            return None
-        return self.trace.ops[self.index]
-
-
-def _matches(entry: tuple[str, object, int, int], op: COp) -> bool:
-    mech, win, source, tag = entry
-    return (mech == op.mech
-            and (op.mech == "p2p" or win == op.win)
-            and op.source in (ANY_SOURCE, source)
-            and op.tag in (ANY_TAG, tag))
-
-
-def _try_wait(state: _RankState, op: COp) -> bool:
-    hits = [i for i, entry in enumerate(state.inbox)
-            if _matches(entry, op)]
-    if len(hits) < op.expected:
-        return False
-    for i in reversed(hits[:op.expected]):
-        del state.inbox[i]
-    return True
-
-
-def _try_recv(state: _RankState, op: COp) -> bool:
-    for i, (source, tag) in enumerate(state.sends):
-        if op.source in (ANY_SOURCE, source) and \
-                op.tag in (ANY_TAG, tag):
-            del state.sends[i]
-            return True
-    return False
-
-
-def _replay(traces: list[Trace]) -> list[_RankState]:
-    states = [_RankState(trace=t) for t in traces]
-    while True:
-        progressed = False
-        for state in states:
-            while not state.finished:
-                op = state.trace.ops[state.index]
-                if op.kind == "post":
-                    assert op.target is not None
-                    states[op.target].inbox.append(
-                        (op.mech, op.win, op.source, op.tag))
-                elif op.kind == "send":
-                    assert op.target is not None
-                    states[op.target].sends.append((op.source, op.tag))
-                elif op.kind == "wait":
-                    if not _try_wait(state, op):
-                        break
-                elif op.kind == "recv":
-                    if not _try_recv(state, op):
-                        break
-                elif op.kind == "barrier":
-                    break
-                state.index += 1
-                progressed = True
-        # collective release: every unfinished rank parked at a barrier
-        waiting = [s for s in states if not s.finished]
-        if waiting and all(s.current is not None
-                           and s.current.kind == "barrier"
-                           for s in waiting):
-            for s in waiting:
-                s.index += 1
-            progressed = True
-        if not progressed:
-            return states
-
-
-def _has_supply(states: list[_RankState], rank: int) -> bool:
-    """Whether anything in the whole trace set could ever satisfy the
-    op ``rank`` is blocked on.
-
-    A wait with no compatible supply anywhere is *starvation* — that is
-    the budget checker's finding, and counting it into a cycle would
-    double-report the same defect as a deadlock.
+    A wait that no unblocking of its peers can complete is *starvation*
+    — that is the budget checker's finding, and counting it into a cycle
+    would double-report the same defect as a deadlock.
     """
-    op = states[rank].current
-    if op is None:
-        return False
-    if op.kind == "barrier":
+    if op.kind in COLLECTIVES:
         return True
-    for state in states:
-        for other in state.trace.ops:
-            if other.kind == "post" and op.kind == "wait" and \
-                    other.target == rank and \
-                    _matches((other.mech, other.win, other.source,
-                              other.tag), op):
-                return True
-            if other.kind == "send" and op.kind == "recv" and \
-                    other.target == rank and \
-                    op.source in (ANY_SOURCE, other.source) and \
-                    op.tag in (ANY_TAG, other.tag):
-                return True
-    return False
+    to_come = [run.op(pid) for pid in run.states[rank].inbox]
+    for state in run.states:
+        to_come += state.trace.ops[state.index:]
+    return sum(other.target == rank and compatible(other, op)
+               for other in to_come) >= op.expected
 
 
-def _wait_edges(states: list[_RankState], rank: int) -> list[int]:
-    """Ranks that could still unblock ``rank``."""
-    state = states[rank]
-    op = state.current
-    if op is None:
-        return []
-    blocked = {i for i, s in enumerate(states) if not s.finished}
-    if op.kind == "barrier":
-        return [i for i in blocked
-                if i != rank and (states[i].current is None
-                                  or states[i].current.kind != "barrier")]
-    if op.kind in ("wait", "recv"):
-        if op.source == ANY_SOURCE:
-            return [i for i in blocked if i != rank]
-        return [op.source] if op.source in blocked and \
-            op.source != rank else []
-    return []                                # pragma: no cover - defensive
+def _wait_edges(stuck: dict[int, COp], rank: int) -> list[int]:
+    """Stuck ranks that could still unblock ``rank``."""
+    op = stuck[rank]
+    if op.kind in COLLECTIVES:
+        return [i for i, other in stuck.items()
+                if other.kind not in COLLECTIVES]
+    if op.source == ANY_SOURCE:
+        return [i for i in stuck if i != rank]
+    return [op.source] if op.source in stuck and op.source != rank else []
 
 
 def _find_cycle(edges: dict[int, list[int]]) -> list[int] | None:
@@ -179,41 +72,30 @@ def _find_cycle(edges: dict[int, list[int]]) -> list[int] | None:
     return None
 
 
-def check_deadlock(program: Program, size: int,
-                   traces: list[Trace]) -> list[Finding]:
-    if any(not t.exact for t in traces) or \
-            any(t.has_poll for t in traces) or \
-            any(t.has_pscw for t in traces):
+def check_deadlock(program: Program, size: int, traces: list[Trace],
+                   replayed: Replay | None = None) -> list[Finding]:
+    run = replayed or replay(traces)
+    if run is None:
         return []
-    states = _replay(traces)
-    blocked = [i for i, s in enumerate(states)
-               if not s.finished and _has_supply(states, i)]
-    if not blocked:
-        return []
-    edges = {rank: [peer for peer in _wait_edges(states, rank)
-                    if peer in blocked] for rank in blocked}
+    stuck = {rank: op for rank, op in run.stuck.items()
+             if _has_supply(run, rank, op)}
+    edges = {rank: _wait_edges(stuck, rank) for rank in stuck}
     cycle = _find_cycle(edges)
     if cycle is None:
         return []                 # pure starvation: budget's domain
-    chain_parts = []
-    for rank in cycle:
-        op = states[rank].current
-        assert op is not None
-        chain_parts.append(f"rank {rank} blocked at line {op.line} "
-                           f"({_describe(op)})")
-    chain = " -> ".join(chain_parts) + f" -> rank {cycle[0]}"
-    first = states[cycle[0]].current
-    assert first is not None
+    chain = " -> ".join(
+        f"rank {rank} blocked at line {stuck[rank].line} "
+        f"({_describe(stuck[rank])})" for rank in cycle)
     return [Finding(
         check="deadlock.wait-cycle", path=program.path,
-        line=first.line, program=program.qualname,
-        message=f"wait-for cycle: {chain}",
+        line=stuck[cycle[0]].line, program=program.qualname,
+        message=f"wait-for cycle: {chain} -> rank {cycle[0]}",
         ranks=tuple(sorted(cycle)), size=size)]
 
 
 def _describe(op: COp) -> str:
-    if op.kind == "barrier":
-        return "barrier"
+    if op.kind in COLLECTIVES:
+        return COLLECTIVES[op.kind]
     src = "ANY_SOURCE" if op.source == ANY_SOURCE else str(op.source)
     tag = "ANY_TAG" if op.tag == ANY_TAG else str(op.tag)
     verb = "recv" if op.kind == "recv" else f"{op.mech} wait"

@@ -18,12 +18,23 @@ marker that downgrades the cross-rank checks to "cannot prove".
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 from dataclasses import dataclass, field
+from types import ModuleType
 
+from repro import fompi
 from repro.analysis import ir
 from repro.analysis import symbols as sym
+from repro.cluster import Rank
+from repro.core.counters import CounterEngine
+from repro.core.engine import NotifyEngine
+from repro.core.overwriting import OverwriteEngine
+from repro.memory.address import Region
+from repro.mpi.comm import Communicator
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.rma import typed
+from repro.rma.window import Window
 
 _ANALYZE_RE = re.compile(r"#\s*analyze:\s*(.+?)\s*$")
 _RAW_OK_RE = re.compile(r"#\s*protocol:\s*raw-ok")
@@ -37,160 +48,194 @@ _WILDCARDS = {
     "MPI_ANY_TAG": ANY_TAG,
 }
 
-#: foMPI shim functions: name -> (kind, {role: positional index after ctx})
-#: (keyword names per repro.fompi signatures)
-_FOMPI_TABLE: dict[str, tuple[str, dict[str, int]]] = {
-    "Win_allocate": ("win_allocate", {"size": 0, "disp_unit": 1}),
-    "Win_free": ("win_free", {"win": 0}),
-    "Win_flush": ("win_flush", {"target": 0, "win": 1}),
-    "Win_flush_local": ("win_flush_local", {"target": 0, "win": 1}),
-    "Put_notify": ("put_notify",
-                    {"win": 7, "target": 3, "tag": 8, "disp": 4,
-                     "count": 5, "dtype": 6}),
-    "Get_notify": ("get_notify",
-                   {"buf": 0, "win": 7, "target": 3, "tag": 8,
-                    "disp": 4, "count": 5, "dtype": 6}),
-    "Notify_init": ("notify_init",
-                    {"win": 0, "source": 1, "tag": 2, "expected": 3}),
-    "Start": ("na_start", {"req": 0}),
-    "Wait": ("na_wait", {"req": 0}),
-    "Test": ("na_test", {"req": 0}),
-    "Request_free": ("na_request_free", {"req": 0}),
+#: One resolved API-table row: IR op kind, and per argument role its
+#: ``(position in the call, keyword name)``.
+_Entry = tuple[str, dict[str, tuple[int, str]]]
+
+
+def _bind(owner: type | ModuleType,
+          table: dict[str, tuple[str, dict[str, str]]]) -> dict[str, _Entry]:
+    """Resolve a table of ``name -> (kind, {role: parameter name})``
+    against the signatures of ``owner``'s callables.
+
+    The tables below say which parameter plays which role; *where* that
+    parameter sits is read from the runtime, so a signature change moves
+    the analyzer with it — and a role naming a parameter the callable
+    does not have fails here, at import, instead of silently dropping
+    the argument.  A method's ``self`` is not among a call's arguments.
+    """
+    out: dict[str, _Entry] = {}
+    for name, (kind, roles) in table.items():
+        params = list(inspect.signature(getattr(owner, name)).parameters)
+        if isinstance(owner, type):
+            del params[0]
+        for param in roles.values():
+            if param not in params:
+                raise TypeError(f"analysis API table: {owner.__name__}."
+                                f"{name}() has no parameter {param!r}")
+        out[name] = (kind, {role: (params.index(param), param)
+                            for role, param in roles.items()})
+    return out
+
+
+_REQ = {"req": "req"}
+_REQS = {"reqs": "reqs"}
+_PUT = {"win": "win", "data": "data", "target": "target",
+        "disp": "target_disp", "tag": "tag"}
+
+#: ctx.<engine>.<method>(...), by the attribute the engine hangs off
+_ENGINE_TABLES = {
+    "na": _bind(NotifyEngine, {
+        "put_notify": ("put_notify", _PUT),
+        "get_notify": ("get_notify",
+                       {"win": "win", "buf": "buf_region",
+                        "target": "target", "disp": "target_disp",
+                        "nbytes": "nbytes", "tag": "tag",
+                        "local_offset": "local_offset"}),
+        "accumulate_notify": ("accumulate_notify", _PUT),
+        "notify_init": ("notify_init",
+                        {"win": "win", "source": "source", "tag": "tag",
+                         "expected": "expected_count"}),
+        "start": ("na_start", _REQ),
+        "wait": ("na_wait", _REQ),
+        "test": ("na_test", _REQ),
+        "testany": ("na_testany", _REQS),
+        "waitany": ("na_waitany", _REQS),
+        "waitall": ("na_waitall", _REQS),
+        "request_free": ("na_request_free", _REQ),
+        "probe": ("na_probe",
+                  {"win": "win", "source": "source", "tag": "tag"}),
+        "flush_notify": ("flush_notify",
+                         {"win": "win", "target": "target", "tag": "tag"}),
+    }),
+    "counters": _bind(CounterEngine, {
+        "counter_init": ("counter_init",
+                         {"win": "win", "source": "source", "tag": "tag",
+                          "expected": "expected_count"}),
+        "start": ("counter_start", _REQ),
+        "test": ("counter_test", _REQ),
+        "wait": ("counter_wait", _REQ),
+        "request_free": ("counter_request_free", _REQ),
+        "put_counted": ("put_counted", _PUT),
+    }),
+    "gaspi": _bind(OverwriteEngine, {
+        "notification_init": ("gaspi_init", {"win": "win", "num": "num"}),
+        "waitsome": ("waitsome", {"space": "space"}),
+        "write_notify": ("write_notify",
+                         {"win": "win", "data": "data", "target": "target",
+                          "disp": "target_disp", "slot": "slot"}),
+    }),
+    "comm": _bind(Communicator, {
+        "send": ("send", {"target": "dest", "tag": "tag"}),
+        "ssend": ("send", {"target": "dest", "tag": "tag"}),
+        "isend": ("isend", {"target": "dest", "tag": "tag"}),
+        "recv": ("recv", {"source": "source", "tag": "tag"}),
+        "irecv": ("irecv", {"source": "source", "tag": "tag"}),
+        "sendrecv": ("sendrecv",
+                     {"target": "dest", "sendtag": "sendtag",
+                      "source": "source", "tag": "recvtag"}),
+        "wait": ("comm_wait", _REQ),
+        "waitall": ("comm_waitall", _REQS),
+        "waitany": ("comm_waitany", _REQS),
+        "probe": ("comm_probe", {"source": "source", "tag": "tag"}),
+        "iprobe": ("nop", {}),
+        "barrier": ("barrier", {}),
+        "bcast": ("collective", {}),
+        "reduce": ("collective", {}),
+        "allreduce": ("collective", {}),
+        "send_typed": ("send", {"target": "dest", "tag": "tag"}),
+        "recv_typed": ("recv", {"source": "source", "tag": "tag"}),
+    }),
 }
 
-#: fompi keyword-name -> role, for calls passing keywords
-_FOMPI_KW = {
-    "win": "win", "target_rank": "target", "source_rank": "source",
-    "tag": "tag", "expected_count": "expected", "request": "req",
-    "size": "size", "disp_unit": "disp_unit", "target_disp": "disp",
-    "target_count": "count", "target_datatype": "dtype",
-}
-
-#: ctx.na.<method>: kind + argument roles (positional index / kw name)
-_NA_TABLE: dict[str, tuple[str, dict[str, tuple[int, str]]]] = {
-    "put_notify": ("put_notify",
-                   {"win": (0, "win"), "data": (1, "data"),
-                    "target": (2, "target"), "disp": (3, "target_disp"),
-                    "tag": (4, "tag")}),
-    "get_notify": ("get_notify",
-                   {"win": (0, "win"), "buf": (1, "buf_region"),
-                    "target": (2, "target"), "disp": (3, "target_disp"),
-                    "nbytes": (4, "nbytes"), "tag": (5, "tag"),
-                    "local_offset": (6, "local_offset")}),
-    "accumulate_notify": ("accumulate_notify",
-                          {"win": (0, "win"), "data": (1, "data"),
-                           "target": (2, "target"),
-                           "disp": (3, "target_disp"),
-                           "tag": (5, "tag")}),
-    "notify_init": ("notify_init",
-                    {"win": (0, "win"), "source": (1, "source"),
-                     "tag": (2, "tag"), "expected": (3, "expected_count")}),
-    "start": ("na_start", {"req": (0, "req")}),
-    "wait": ("na_wait", {"req": (0, "req")}),
-    "test": ("na_test", {"req": (0, "req")}),
-    "testany": ("na_testany", {"reqs": (0, "reqs")}),
-    "waitany": ("na_waitany", {"reqs": (0, "reqs")}),
-    "waitall": ("na_waitall", {"reqs": (0, "reqs")}),
-    "request_free": ("na_request_free", {"req": (0, "req")}),
-    "probe": ("na_probe",
-              {"win": (0, "win"), "source": (1, "source"),
-               "tag": (2, "tag")}),
-    "flush_notify": ("flush_notify",
-                     {"win": (0, "win"), "target": (1, "target"),
-                      "tag": (2, "tag")}),
-}
-
-_COUNTER_TABLE: dict[str, tuple[str, dict[str, tuple[int, str]]]] = {
-    "counter_init": ("counter_init",
-                     {"win": (0, "win"), "source": (1, "source"),
-                      "tag": (2, "tag"),
-                      "expected": (3, "expected_count")}),
-    "start": ("counter_start", {"req": (0, "req")}),
-    "test": ("counter_test", {"req": (0, "req")}),
-    "wait": ("counter_wait", {"req": (0, "req")}),
-    "request_free": ("counter_request_free", {"req": (0, "req")}),
-    "put_counted": ("put_counted",
-                    {"win": (0, "win"), "data": (1, "data"),
-                     "target": (2, "target"), "disp": (3, "target_disp"),
-                     "tag": (4, "tag")}),
-}
-
-_GASPI_TABLE: dict[str, tuple[str, dict[str, tuple[int, str]]]] = {
-    "notification_init": ("gaspi_init",
-                          {"win": (0, "win"), "num": (1, "num")}),
-    "waitsome": ("waitsome", {"space": (0, "space")}),
-    "write_notify": ("write_notify",
-                     {"win": (0, "win"), "data": (1, "data"),
-                      "target": (2, "target"), "disp": (3, "target_disp"),
-                      "slot": (4, "slot")}),
-}
-
-_COMM_TABLE: dict[str, tuple[str, dict[str, tuple[int, str]]]] = {
-    "send": ("send", {"target": (1, "dest"), "tag": (2, "tag")}),
-    "ssend": ("send", {"target": (1, "dest"), "tag": (2, "tag")}),
-    "isend": ("isend", {"target": (1, "dest"), "tag": (2, "tag")}),
-    "recv": ("recv", {"source": (1, "source"), "tag": (2, "tag")}),
-    "irecv": ("irecv", {"source": (1, "source"), "tag": (2, "tag")}),
-    "sendrecv": ("sendrecv",
-                 {"target": (1, "dest"), "sendtag": (2, "sendtag"),
-                  "source": (4, "source"), "tag": (5, "recvtag")}),
-    "wait": ("comm_wait", {"req": (0, "req")}),
-    "waitall": ("comm_waitall", {"reqs": (0, "reqs")}),
-    "waitany": ("comm_waitany", {"reqs": (0, "reqs")}),
-    "probe": ("comm_probe", {"source": (0, "source"), "tag": (1, "tag")}),
-    "iprobe": ("nop", {}),
+#: ctx.<method>(...)
+_CTX_TABLE = _bind(Rank, {
+    "win_allocate": ("win_allocate",
+                     {"size": "nbytes", "disp_unit": "disp_unit"}),
+    "alloc": ("alloc", {"size": "nbytes"}),
     "barrier": ("barrier", {}),
-    "bcast": ("collective", {}),
-    "reduce": ("collective", {}),
-    "allreduce": ("collective", {}),
-    "send_typed": ("send", {"target": (2, "dest"), "tag": (3, "tag")}),
-    "recv_typed": ("recv", {"source": (2, "source"), "tag": (3, "tag")}),
-}
+    "san_acquire": ("san_acquire", {}),
+    "san_acquire_at": ("san_acquire", {}),
+    # pure time/computation: no protocol effect
+    "compute": ("nop", {}),
+    "compute_flops": ("nop", {}),
+    "timeout": ("nop", {}),
+})
+
+#: the sanitizer blessings among them, whatever they are called on
+_BLESSINGS = frozenset(name for name, (kind, _roles) in _CTX_TABLE.items()
+                       if kind == "san_acquire")
+
+_TARGET = {"target": "target"}
 
 #: window methods reached through an arbitrary base expression
-_WIN_TABLE: dict[str, tuple[str, dict[str, tuple[int, str]]]] = {
-    "put": ("win_put", {"data": (0, "data"), "target": (1, "target"),
-                        "disp": (2, "target_disp")}),
-    "get": ("win_get", {"buf": (0, "buf_region"), "target": (1, "target"),
-                        "disp": (2, "target_disp"),
-                        "nbytes": (3, "nbytes"),
-                        "local_offset": (4, "local_offset")}),
+_WIN_TABLE = _bind(Window, {
+    "put": ("win_put", {"data": "data", "target": "target",
+                        "disp": "target_disp"}),
+    "get": ("win_get", {"buf": "buf_region", "target": "target",
+                        "disp": "target_disp", "nbytes": "nbytes",
+                        "local_offset": "local_offset"}),
     "accumulate": ("win_accumulate",
-                   {"data": (0, "data"), "target": (1, "target"),
-                    "disp": (2, "target_disp")}),
-    "fetch_and_op": ("win_fetch_and_op", {"target": (1, "target")}),
-    "compare_and_swap": ("win_compare_and_swap", {"target": (2, "target")}),
-    "flush": ("win_flush", {"target": (0, "target")}),
-    "flush_local": ("win_flush_local", {"target": (0, "target")}),
+                   {"data": "data", "target": "target",
+                    "disp": "target_disp"}),
+    "fetch_and_op": ("win_fetch_and_op", _TARGET),
+    "compare_and_swap": ("win_compare_and_swap", _TARGET),
+    "flush": ("win_flush", _TARGET),
+    "flush_local": ("win_flush_local", _TARGET),
     "flush_all": ("win_flush_all", {}),
     "flush_local_all": ("win_flush_local_all", {}),
     "fence": ("win_fence", {}),
     "fence_end": ("win_fence_end", {}),
-    "post": ("win_post", {"group": (0, "origins")}),
-    "start": ("win_start", {"group": (0, "targets")}),
+    "post": ("win_post", {"group": "origins"}),
+    "start": ("win_start", {"group": "targets"}),
     "complete": ("win_complete", {}),
-    "wait": ("win_wait_pscw", {"group": (0, "origins")}),
-    "lock": ("win_lock", {"target": (0, "target")}),
-    "unlock": ("win_unlock", {"target": (0, "target")}),
+    "wait": ("win_wait_pscw", {"group": "origins"}),
+    "lock": ("win_lock", _TARGET),
+    "unlock": ("win_unlock", _TARGET),
     "lock_all": ("win_lock_all", {}),
     "unlock_all": ("win_unlock_all", {}),
     "free": ("win_free", {}),
-}
+})
 
-#: typed-RMA module functions (first arg ctx or win)
-_TYPED_TABLE: dict[str, tuple[str, dict[str, tuple[int, str]]]] = {
+_VIEW = {"dtype": "dtype", "offset": "offset", "count": "count",
+         "mode": "mode"}
+
+#: NumPy views of window / region memory, through any base expression
+_VIEW_TABLE = {**_bind(Window, {"local": ("win_view", _VIEW)}),
+               **_bind(Region, {"ndarray": ("region_read", _VIEW)})}
+
+#: typed-RMA module functions (first argument ``ctx`` or ``win``)
+_TYPED_TABLE = _bind(typed, {
     "put_notify_typed": ("put_notify",
-                         {"win": (1, "win"), "target": (4, "target"),
-                          "tag": (8, "tag")}),
-    "put_typed": ("put_typed",
-                  {"win": (0, "win"), "target": (3, "target")}),
+                         {"win": "win", "target": "target", "tag": "tag"}),
+    "put_typed": ("put_typed", {"win": "win", "target": "target"}),
     "get_typed": ("get_typed",
-                  {"win": (0, "win"), "buf": (1, "buf"),
-                   "target": (3, "target")}),
-}
+                  {"win": "win", "buf": "buf", "target": "target"}),
+})
 
-#: ctx methods that are pure time/computation (no protocol effect)
-_CTX_NOPS = frozenset({"compute", "compute_flops", "timeout"})
+_FOMPI_REQ = {"req": "request"}
+_FOMPI_FLUSH = {"target": "target_rank", "win": "win"}
+_FOMPI_RMA = {"win": "win", "target": "target_rank", "tag": "tag",
+              "disp": "target_disp", "count": "target_count",
+              "dtype": "target_dtype"}
+
+#: foMPI shim functions (``ctx`` passed explicitly as first argument)
+_FOMPI_TABLE = _bind(fompi, {
+    "Win_allocate": ("win_allocate",
+                     {"size": "size_bytes", "disp_unit": "disp_unit"}),
+    "Win_free": ("win_free", {"win": "win"}),
+    "Win_flush": ("win_flush", _FOMPI_FLUSH),
+    "Win_flush_local": ("win_flush_local", _FOMPI_FLUSH),
+    "Put_notify": ("put_notify", _FOMPI_RMA),
+    "Get_notify": ("get_notify", {"buf": "origin_region", **_FOMPI_RMA}),
+    "Notify_init": ("notify_init",
+                    {"win": "win", "source": "source_rank", "tag": "tag",
+                     "expected": "expected_count"}),
+    "Start": ("na_start", _FOMPI_REQ),
+    "Wait": ("na_wait", _FOMPI_REQ),
+    "Test": ("na_test", _FOMPI_REQ),
+    "Request_free": ("na_request_free", _FOMPI_REQ),
+})
 
 
 @dataclass
@@ -352,109 +397,49 @@ class _Translator(ast.NodeVisitor):
         if not isinstance(node, ast.Call):
             return None
         func = node.func
-        line = node.lineno
         if isinstance(func, ast.Attribute):
             base = func.value
             # ctx.<engine>.<method>(...)
             if isinstance(base, ast.Attribute) and \
                     isinstance(base.value, ast.Name) and \
                     base.value.id == self.ctx_name:
-                table = {"na": _NA_TABLE, "counters": _COUNTER_TABLE,
-                         "gaspi": _GASPI_TABLE,
-                         "comm": _COMM_TABLE}.get(base.attr)
-                if table is not None:
-                    entry = table.get(func.attr)
-                    if entry is None:
-                        return ir.Op("unknown", line=line)
-                    return self._build_op(entry, node, line)
-                return ir.Op("unknown", line=line)
+                table = _ENGINE_TABLES.get(base.attr, {})
+                return self._build_op(table.get(func.attr), node)
             # ctx.<method>(...)
             if isinstance(base, ast.Name) and base.id == self.ctx_name:
-                if func.attr == "win_allocate":
-                    return self._ctx_alloc_op("win_allocate", node, line)
-                if func.attr == "barrier":
-                    return ir.Op("barrier", line=line)
-                if func.attr == "alloc":
-                    return self._ctx_alloc_op("alloc", node, line)
-                if func.attr in ("san_acquire", "san_acquire_at"):
-                    return ir.Op("san_acquire", line=line)
-                if func.attr in _CTX_NOPS:
-                    return ir.Op("nop", line=line)
-                return ir.Op("unknown", line=line)
+                return self._build_op(_CTX_TABLE.get(func.attr), node)
             # fompi.<Func>(ctx, ...)
             if isinstance(base, ast.Name) and base.id in self.fompi_aliases:
-                return self._build_fompi(func.attr, node, line)
+                return self._build_op(_FOMPI_TABLE.get(func.attr), node)
             # <expr>.<window method>(...)
             entry = _WIN_TABLE.get(func.attr)
             if entry is not None:
-                op = self._build_op(entry, node, line)
+                op = self._build_op(entry, node)
                 op.args["win"] = self.expr(base)
                 return op
             return None
         if isinstance(func, ast.Name):
             if func.id in self.fompi_names and func.id in _FOMPI_TABLE:
-                return self._build_fompi(func.id, node, line)
+                return self._build_op(_FOMPI_TABLE[func.id], node)
             if func.id in self.typed_names and func.id in _TYPED_TABLE:
-                entry = _TYPED_TABLE[func.id]
-                return self._build_op(
-                    (entry[0], {r: (i, r) for r, (i, _k) in
-                                entry[1].items()}), node, line,
-                    kwnames={kw: role for role, (_i, kw)
-                             in entry[1].items()})
+                return self._build_op(_TYPED_TABLE[func.id], node)
         return None
 
-    def _ctx_alloc_op(self, kind: str, node: ast.Call,
-                      line: int) -> ir.Op:
-        """``ctx.alloc(nbytes)`` / ``ctx.win_allocate(nbytes, disp_unit)``."""
-        op = ir.Op(kind, line=line)
-        if node.args and not isinstance(node.args[0], ast.Starred):
-            op.args["size"] = self.expr(node.args[0])
-        if kind == "win_allocate" and len(node.args) > 1 and \
-                not isinstance(node.args[1], ast.Starred):
-            op.args["disp_unit"] = self.expr(node.args[1])
-        for keyword in node.keywords:
-            if keyword.arg == "nbytes":
-                op.args["size"] = self.expr(keyword.value)
-            elif keyword.arg == "disp_unit" and kind == "win_allocate":
-                op.args["disp_unit"] = self.expr(keyword.value)
-        return op
-
-    def _build_op(self, entry: tuple[str, dict[str, tuple[int, str]]],
-                  node: ast.Call, line: int,
-                  kwnames: dict[str, str] | None = None) -> ir.Op:
-        kind, roles = entry
-        op = ir.Op(kind, line=line)
-        kw_to_role = kwnames or {kw: role for role, (_i, kw)
-                                 in roles.items()}
-        for role, (idx, _kw) in roles.items():
-            if idx < len(node.args):
-                arg = node.args[idx]
-                if not isinstance(arg, ast.Starred):
-                    op.args[role] = self.expr(arg)
-        for keyword in node.keywords:
-            if keyword.arg is not None and keyword.arg in kw_to_role:
-                op.args[kw_to_role[keyword.arg]] = self.expr(
-                    keyword.value)
-        self._fill_defaults(op)
-        return op
-
-    def _build_fompi(self, name: str, node: ast.Call,
-                     line: int) -> ir.Op | None:
-        entry = _FOMPI_TABLE.get(name)
+    def _build_op(self, entry: _Entry | None, node: ast.Call) -> ir.Op:
+        """The Op of one recognized call; a callable the tables do not
+        know is an ``unknown`` op."""
         if entry is None:
-            return ir.Op("unknown", line=line)
+            return ir.Op("unknown", line=node.lineno)
         kind, roles = entry
-        op = ir.Op(kind, line=line)
-        # fompi calls pass ctx explicitly as the first argument
-        for role, idx in roles.items():
-            pos = idx + 1
-            if pos < len(node.args):
-                arg = node.args[pos]
-                if not isinstance(arg, ast.Starred):
-                    op.args[role] = self.expr(arg)
+        op = ir.Op(kind, line=node.lineno)
+        by_keyword = {kw: role for role, (_pos, kw) in roles.items()}
+        for role, (pos, _kw) in roles.items():
+            if pos < len(node.args) and \
+                    not isinstance(node.args[pos], ast.Starred):
+                op.args[role] = self.expr(node.args[pos])
         for keyword in node.keywords:
-            if keyword.arg is not None and keyword.arg in _FOMPI_KW:
-                op.args[_FOMPI_KW[keyword.arg]] = self.expr(keyword.value)
+            if keyword.arg in by_keyword:
+                op.args[by_keyword[keyword.arg]] = self.expr(keyword.value)
         self._fill_defaults(op)
         return op
 
@@ -570,16 +555,13 @@ class _Translator(ast.NodeVisitor):
 
     def _effect_call(self, node: ast.expr) -> ir.Op | None:
         """Plain (non-yield) calls with protocol-relevant effects."""
-        if not isinstance(node, ast.Call):
-            return None
-        func = node.func
-        if isinstance(func, ast.Attribute) and \
-                isinstance(func.value, ast.Name) and \
-                func.value.id == self.ctx_name and \
-                func.attr in ("alloc", "san_acquire", "san_acquire_at"):
-            if func.attr == "alloc":
-                return self._ctx_alloc_op("alloc", node, node.lineno)
-            return ir.Op("san_acquire", line=node.lineno)
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                isinstance(node.func.value, ast.Name) and \
+                node.func.value.id == self.ctx_name:
+            entry = _CTX_TABLE.get(node.func.attr)
+            if entry is not None and entry[0] in ("alloc", "san_acquire"):
+                return self._build_op(entry, node)
         return None
 
     def _expr_stmt(self, value: ast.expr, line: int) -> list[ir.Stmt]:
@@ -655,35 +637,21 @@ class _Translator(ast.NodeVisitor):
                 func = call.func
                 if not isinstance(func, ast.Attribute):
                     continue
-                if func.attr in ("san_acquire", "san_acquire_at"):
+                if func.attr in _BLESSINGS:
                     # blessings inside helper closures still count
                     out.append(ir.ExprStmt(line=call.lineno, value=ir.Op(
                         "san_acquire", line=call.lineno)))
                     continue
-                if func.attr not in ("local", "ndarray"):
+                if func.attr not in _VIEW_TABLE:
                     continue
-                mode = "rw"
-                view_args: dict[str, sym.SymExpr] = {
-                    "base": self.expr(func.value)}
-                # local()/ndarray() share (dtype, offset, count, mode)
-                for role, idx in (("dtype", 0), ("offset", 1),
-                                  ("count", 2)):
-                    if idx < len(call.args) and \
-                            not isinstance(call.args[idx], ast.Starred):
-                        view_args[role] = self.expr(call.args[idx])
-                if len(call.args) > 3 and \
-                        isinstance(call.args[3], ast.Constant):
-                    mode = str(call.args[3].value)
-                for keyword in call.keywords:
-                    if keyword.arg == "mode" and \
-                            isinstance(keyword.value, ast.Constant):
-                        mode = str(keyword.value.value)
-                    elif keyword.arg in ("dtype", "offset", "count"):
-                        view_args[keyword.arg] = self.expr(keyword.value)
-                kind = ("win_view" if func.attr == "local"
-                        else "region_read")
-                out.append(ir.ExprStmt(line=call.lineno, value=ir.Op(
-                    kind, args=view_args, line=call.lineno, mode=mode)))
+                op = self._build_op(_VIEW_TABLE[func.attr], call)
+                op.args["base"] = self.expr(func.value)
+                mode = op.args.pop("mode", None)
+                if isinstance(mode, sym.Const):     # else: not syntactic
+                    op.mode = str(mode.value)
+                else:
+                    op.mode = "rw"
+                out.append(ir.ExprStmt(line=call.lineno, value=op))
         return out
 
 

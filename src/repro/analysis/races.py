@@ -1,39 +1,42 @@
 """Static data-race and buffer-overlap checking over concrete traces.
 
-Mirrors the dynamic vector-clock sanitizer (:mod:`repro.sanitizer`)
-symbolically: every remote operation is a fresh clock actor, commits
-chain through per-``(origin, target)`` in-order channels for small
-(FMA-class) transfers, notification matches and counter waits acquire
-the matched commits' clocks, flushes acquire pending operations, and
-barriers (plus the collective halves of ``win_allocate``/``win_free``)
-join all ranks.  Two conflicting accesses to overlapping byte ranges
-with no happens-before path between them are reported as one of
+The happens-before rules are the dynamic sanitizer's, not a copy of
+them: :class:`_ClockPass` *is* a :class:`repro.sanitizer.Sanitizer`,
+driven over the replayed linearization (:mod:`repro.analysis.replay`)
+the way ``network/fabric.py`` and ``rma/window.py`` drive it over a
+simulated run — ``op_begin`` / ``op_child`` / ``op_commit`` per remote
+operation, ``acquire_op`` per notification match and flush,
+``release`` + ``acquire`` across a collective, ``cpu_access`` per local
+view.  Instead of raising on the first conflict of one schedule, its
+record hook collects every access; two conflicting accesses to
+overlapping bytes with no happens-before path are reported as one of
 
 * ``race.overlap-write``  — unordered writes overlap,
 * ``race.unordered-read`` — a read overlaps an unordered write,
 * ``race.stale-view``     — a local numpy view races a remote access.
 
-The checker runs only on programs whose geometry resolved exactly
-(``Trace.race_exact``); the *matching* between posts and waits comes
-from a maximal-progress replay and is then verified per wait — any
-compatible post that is not provably issued after the wait completed
-downgrades that wait to a sound k-th-smallest lower bound, so the
-static happens-before is never stronger than every real schedule.
+What is static-only is the part no single run can see.  The checker
+runs only on programs whose geometry resolved exactly
+(``Trace.race_exact``); the replay's matching of posts to waits is
+verified per wait — any compatible post that is not provably issued
+after the wait completed downgrades that wait to a sound k-th-smallest
+lower bound, so the static happens-before is never stronger than every
+real schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.analysis.instantiate import AllocVal, COp, Trace, WindowVal
+from repro.analysis.instantiate import COp, Trace, WindowVal
 from repro.analysis.ir import Program
+from repro.analysis.replay import OpId, Replay, compatible, replay
 from repro.analysis.report import Finding
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
-
-#: FMA payload ceiling (repro.network.loggp.LogGPParams.fma_max default):
-#: transfers at or below this ride an in-order channel on every
-#: transport pairing, so chaining them is sound for any node mapping.
-FMA_MAX = 4096
+from repro.network.loggp import TransportParams
+from repro.network.transports.ugni import BteEngine, FmaEngine
+from repro.sanitizer import ATOMIC, READ, WRITE, Access, OpClock, Sanitizer
+from repro.sanitizer.clocks import covers, join_into
+from repro.sanitizer.shadow import kinds_conflict
 
 #: pairwise ordering tests before the sweep gives up (defensive cap)
 MAX_PAIR_TESTS = 2_000_000
@@ -41,298 +44,168 @@ MAX_PAIR_TESTS = 2_000_000
 #: clock-fixpoint passes for downgraded-wait lower bounds
 MAX_BOUND_PASSES = 8
 
-_READ, _WRITE, _ATOMIC = "R", "W", "A"
+#: a byte range of one segment: ("win", index, owner) | ("buf", rank, idx)
+Seg = tuple[str, int, int]
+
+#: the tracker speaks flat addresses; every segment gets one stride of an
+#: abstract address space, so overlap is always within one segment
+_SEG_STRIDE = 1 << 48
 
 
 @dataclass
 class _Access:
-    """One byte-range access with its sanitizer-style clock stamp."""
+    """One access the tracker recorded, with the clock it was made at."""
 
-    seg: tuple[object, ...]     # ("win", index, owner) | ("buf", rank, idx)
-    start: int
-    end: int
-    kind: str                   # _READ | _WRITE | _ATOMIC
-    actor: int
-    tick: int
+    rec: Access
     vc: dict[int, int]
-    by: int                     # rank that performed the access
+    by: int                     # rank whose trace op performed it
     line: int
-    is_view: bool = False
-
-
-@dataclass
-class _Post:
-    """Clock footprint of one post, rebuilt each fixpoint pass."""
-
-    issue_vc: dict[int, int] = field(default_factory=dict)
-    #: what a matching wait acquires (commit vc; READ-leg vc for gets)
-    acq_vc: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
-class _RankState:
-    trace: Trace
-    index: int = 0
-    #: delivered notifications: (mech, win, source, tag, post id)
-    inbox: list[tuple[str, object, int, int, tuple[int, int]]] = field(
-        default_factory=list)
 
     @property
-    def finished(self) -> bool:
-        return self.index >= len(self.trace.ops)
+    def is_view(self) -> bool:
+        return self.rec.actor == self.by    # CPU access, not an op's leg
 
 
-_BARRIER_CLASS = frozenset({"barrier", "walloc", "wfree"})
+class _ClockPass(Sanitizer):
+    """The tracker driven over a replayed linearization.
 
-OpId = tuple[int, int]          # (rank, index into trace.ops)
-#: replay linearization: ("op", op id) | ("sync", rendezvous group)
-Schedule = list[tuple[str, "OpId | list[OpId]"]]
+    It is its own engine: ``now`` is the position in the linearization.
+    """
 
-
-def _wait_matches(entry: tuple[str, object, int, int, OpId],
-                  op: COp) -> bool:
-    mech, win, source, tag, _pid = entry
-    return (mech == op.mech and win == op.win
-            and op.source in (ANY_SOURCE, source)
-            and op.tag in (ANY_TAG, tag))
-
-
-def _replay(traces: list[Trace]) -> tuple[
-        Schedule, dict[OpId, list[OpId]]] | None:
-    """Maximal-progress replay: a global linearization plus the
-    arrival-order matching of posts to waits.  ``None`` on starvation
-    (the budget/deadlock checkers own that defect)."""
-    states = [_RankState(trace=t) for t in traces]
-    schedule: Schedule = []
-    matching: dict[OpId, list[OpId]] = {}
-    while True:
-        progressed = False
-        for rank, state in enumerate(states):
-            while not state.finished:
-                op = state.trace.ops[state.index]
-                if op.kind == "post":
-                    assert op.target is not None
-                    states[op.target].inbox.append(
-                        (op.mech, op.win, op.source, op.tag,
-                         (rank, state.index)))
-                elif op.kind == "wait":
-                    hits = [i for i, entry in enumerate(state.inbox)
-                            if _wait_matches(entry, op)]
-                    if len(hits) < op.expected:
-                        break
-                    taken = hits[:op.expected]
-                    matching[(rank, state.index)] = [
-                        state.inbox[i][4] for i in taken]
-                    for i in reversed(taken):
-                        del state.inbox[i]
-                elif op.kind in _BARRIER_CLASS:
-                    break
-                schedule.append(("op", (rank, state.index)))
-                state.index += 1
-                progressed = True
-        waiting = [s for s in states if not s.finished]
-        if waiting and all(
-                s.trace.ops[s.index].kind in _BARRIER_CLASS
-                for s in waiting):
-            group = [(rank, s.index) for rank, s in enumerate(states)
-                     if not s.finished]
-            schedule.append(("sync", group))
-            for s in waiting:
-                s.index += 1
-            progressed = True
-        if not progressed:
-            if any(not s.finished for s in states):
-                return None
-            return schedule, matching
-
-
-class _ClockPass:
-    """One sanitizer-mirroring clock computation over the schedule."""
-
-    def __init__(self, traces: list[Trace], actors: dict[OpId, int],
-                 matching: dict[OpId, list[OpId]],
-                 downgraded: set[OpId],
-                 bounds: dict[OpId, dict[int, int]],
-                 collect: bool):
-        self.traces = traces
-        self.actors = actors
-        self.matching = matching
+    def __init__(self, run: Replay, downgraded: set[OpId],
+                 bounds: dict[OpId, dict[int, int]], collect: bool):
+        super().__init__(self, len(run.states))
+        self.run = run
         self.downgraded = downgraded
         self.bounds = bounds
         self.collect = collect
-        size = len(traces)
-        self.vc: list[dict[int, int]] = [{r: 1} for r in range(size)]
-        self.tick: list[int] = [1] * size
-        #: per-rank pending remote ops: (win, target, is_get, clock)
-        self.pending: list[list[
-            tuple[WindowVal | None, int | None, bool,
-                  dict[int, int]]]] = [[] for _ in range(size)]
-        #: small-transfer in-order chains per (origin, target)
-        self.chan: dict[tuple[int, int], dict[int, int]] = {}
-        self.posts: dict[OpId, _Post] = {}
+        self.now = 0.0
+        #: the trace op being executed: who and where (the static
+        #: counterpart of ``tracker.call_site``)
+        self.by = self.line = 0
+        self.site = ""
+        self.segs: dict[Seg, int] = {}
+        #: per-rank ops awaiting a flush, as ``Window._pending`` keeps
+        #: them: (win, target, remote leg, local leg)
+        self.pending: list[list[tuple[
+            WindowVal | None, int | None, OpClock, OpClock | None]]] = [
+                [] for _ in run.states]
+        #: post id -> the clock its notification carries
+        self.posts: dict[OpId, OpClock] = {}
         self.completion: dict[OpId, int] = {}
         self.accesses: list[_Access] = []
 
-    # -- clock plumbing (mirrors sanitizer.tracker) ----------------------
-    def _release(self, rank: int) -> dict[int, int]:
-        snap = dict(self.vc[rank])
-        self.tick[rank] += 1
-        self.vc[rank][rank] = self.tick[rank]
-        return snap
+    def _record(self, rank: int, rec: Access, vc: dict[int, int]) -> None:
+        self.accesses.append(_Access(rec, dict(vc), self.by, self.line))
 
-    def _acquire(self, rank: int, vc: dict[int, int]) -> None:
-        mine = self.vc[rank]
-        for actor, t in vc.items():
-            if mine.get(actor, 0) < t:
-                mine[actor] = t
-
-    def _bump(self, rank: int) -> int:
-        self.tick[rank] += 1
-        self.vc[rank][rank] = self.tick[rank]
-        return self.tick[rank]
-
-    def _touch(self, seg: tuple[object, ...], start: int, nbytes: int,
-               kind: str, actor: int, tick: int, vc: dict[int, int],
-               by: int, line: int, is_view: bool = False) -> None:
-        if self.collect and nbytes > 0:
-            self.accesses.append(_Access(
-                seg=seg, start=start, end=start + nbytes, kind=kind,
-                actor=actor, tick=tick, vc=dict(vc), by=by, line=line,
-                is_view=is_view))
-
-    def _du(self, target: int, win: WindowVal | None) -> int:
-        if win is None:
-            return 1
-        return self.traces[target].win_meta.get(win.index, (-1, 1))[1]
+    def _addr(self, seg: Seg, offset: int) -> int:
+        return self.segs.setdefault(seg, len(self.segs)) * _SEG_STRIDE \
+            + offset
 
     # -- op execution ----------------------------------------------------
-    def execute(self, schedule: Schedule) -> None:
-        for _tag, payload in schedule:
-            if isinstance(payload, list):
-                self._sync(payload)
+    def execute(self) -> None:
+        for step, item in enumerate(self.run.schedule):
+            self.now = float(step)
+            if isinstance(item, list):
+                self._collective(item)
                 continue
-            rank, index = payload
-            op = self.traces[rank].ops[index]
+            op = self.run.op(item)
+            self.by, self.line = item[0], op.line
+            self.site = f"line {op.line} (rank {self.by})"
             if op.kind in ("post", "rma"):
-                self._remote_op(rank, index, op)
+                self._remote_op(item, op)
             elif op.kind == "wait":
-                self._wait(rank, index, op)
+                self._wait(item, op)
             elif op.kind == "flush":
-                self._flush(rank, op.win, op.target, op.local)
-            elif op.kind == "view":
-                self._view(rank, op)
+                self._flush(self.by, op.win, op.target, op.local)
+            elif op.kind == "view" and self.collect:
+                self._view(op)
 
-    def _remote_op(self, rank: int, index: int, op: COp) -> None:
-        assert op.target is not None
-        actor = self.actors[(rank, index)]
-        snap = self._release(rank)
-        parent = dict(snap)
-        parent[actor] = 1
-        win_seg = ("win", op.win.index if op.win is not None else -1,
-                   op.target)
-        du = self._du(op.target, op.win)
-        start = op.disp * du
+    def _remote_op(self, oid: OpId, op: COp) -> None:
+        assert op.target is not None and op.win is not None
+        rank = self.by
+        begun = self.op_begin(rank, self.site)
+        unit = self.run.states[op.target].trace.win_meta.get(
+            op.win.index, (-1, 1))[1]
+        nbytes = max(op.nbytes, 0)
+        blocks = [(self._addr(("win", op.win.index, op.target),
+                              op.disp * unit), nbytes)]
         if op.rma == "get":
-            child = dict(parent)
-            child[actor + 1] = 1
-            self._touch(win_seg, start, op.nbytes, _READ, actor, 1,
-                        parent, rank, op.line)
+            # two legs, two actors, as ``Fabric.get`` has them: the
+            # remote read and the dependent delivery into ``op.buf``
+            delivery = self.op_child(begun)
+            self.op_commit(begun, rank, op.target, blocks, kind=READ,
+                           record=self.collect)
             if op.buf is not None:
-                self._touch(("buf", op.buf.rank, op.buf.index),
-                            op.buf_off, op.nbytes, _WRITE, actor + 1, 1,
-                            child, rank, op.line)
-            self.pending[rank].append((op.win, op.target, True, child))
-            acq = parent
+                self.op_commit(
+                    delivery, op.target, rank,
+                    [(self._addr(("buf", op.buf.rank, op.buf.index),
+                                 op.buf_off), nbytes)],
+                    record=self.collect)
+            self.pending[rank].append(
+                (op.win, op.target, delivery, delivery))
         else:
-            commit = parent
-            if 0 <= op.nbytes <= FMA_MAX:
-                chain = self.chan.get((rank, op.target))
-                if chain:
-                    for a, t in chain.items():
-                        if commit.get(a, 0) < t:
-                            commit[a] = t
-                self.chan[(rank, op.target)] = dict(commit)
-            kind = _ATOMIC if op.rma == "acc" else _WRITE
-            self._touch(win_seg, start, op.nbytes, kind, actor, 1,
-                        commit, rank, op.line)
-            self.pending[rank].append((op.win, op.target, False, commit))
-            acq = commit
+            # at or below the FMA ceiling a transfer rides an in-order
+            # channel on every transport pairing, so chaining it is
+            # sound for any node mapping
+            chan = (FmaEngine.san_channel
+                    if 0 <= op.nbytes <= TransportParams.fma_max
+                    else BteEngine.san_channel)
+            self.op_commit(begun, rank, op.target, blocks,
+                           kind=ATOMIC if op.rma == "acc" else WRITE,
+                           chan=chan, record=self.collect)
+            self.pending[rank].append((op.win, op.target, begun, None))
         if op.kind == "post":
-            self.posts[(rank, index)] = _Post(issue_vc=snap, acq_vc=acq)
+            self.posts[oid] = begun     # a get notifies at its READ leg
 
-    def _wait(self, rank: int, index: int, op: COp) -> None:
-        wid = (rank, index)
-        if wid in self.downgraded or op.mech == "gaspi":
+    def _wait(self, oid: OpId, op: COp) -> None:
+        if oid in self.downgraded or op.mech == "gaspi":
             # gaspi waitsome picks slots nondeterministically: acquire
             # nothing; downgraded waits acquire their pool lower bound
-            bound = self.bounds.get(wid)
-            if bound:
-                self._acquire(rank, bound)
+            self.acquire(self.by, self.bounds.get(oid))
         else:
-            for pid in self.matching.get(wid, []):
-                post = self.posts.get(pid)
-                if post is not None:
-                    self._acquire(rank, post.acq_vc)
-        self.completion[wid] = self._bump(rank)
+            for pid in self.run.matching[oid]:
+                self.acquire_op(self.by, self.posts[pid])
+        self.release(self.by)
+        self.completion[oid] = self._tick[self.by]
 
     def _flush(self, rank: int, win: WindowVal | None,
                target: int | None, local: bool) -> None:
         keep = []
         for entry in self.pending[rank]:
-            pwin, ptarget, is_get, pvc = entry
-            hit = (win is None or pwin == win) and \
-                  (target is None or ptarget == target)
-            if not hit:
+            pwin, ptarget, remote, local_leg = entry
+            if (win is not None and pwin != win) or \
+                    (target is not None and ptarget != target):
                 keep.append(entry)
-                continue
-            if local and not is_get:
+            elif not local:
+                self.acquire_op(rank, remote)
+            elif local_leg is None:
                 keep.append(entry)      # puts need a full flush
-                continue
-            self._acquire(rank, pvc)
+            else:
+                self.acquire_op(rank, local_leg)
         self.pending[rank] = keep
 
-    def _view(self, rank: int, op: COp) -> None:
+    def _view(self, op: COp) -> None:
         if op.win is not None:
-            seg: tuple[object, ...] = ("win", op.win.index, rank)
-        elif op.buf is not None:
-            seg = ("buf", op.buf.rank, op.buf.index)
+            seg: Seg = ("win", op.win.index, self.by)
         else:
-            return
-        kind = _WRITE if op.rma == "w" else _READ
-        self._touch(seg, op.disp, op.nbytes, kind, rank,
-                    self.tick[rank], self.vc[rank], rank, op.line,
-                    is_view=True)
+            assert op.buf is not None
+            seg = ("buf", op.buf.rank, op.buf.index)
+        self.cpu_access(self.by, self._addr(seg, op.disp),
+                        max(op.nbytes, 0),
+                        WRITE if op.rma == "w" else READ, self.site)
 
-    def _sync(self, group: list[OpId]) -> None:
+    def _collective(self, group: list[OpId]) -> None:
         # win_free flushes its window everywhere before the rendezvous
-        for rank, index in group:
-            op = self.traces[rank].ops[index]
+        for oid in group:
+            op = self.run.op(oid)
             if op.kind == "wfree":
-                self._flush(rank, op.win, None, False)
+                self._flush(oid[0], op.win, None, False)
         joined: dict[int, int] = {}
         for rank, _index in group:
-            for actor, t in self.vc[rank].items():
-                if joined.get(actor, 0) < t:
-                    joined[actor] = t
+            join_into(joined, self.release(rank))
         for rank, _index in group:
-            self.vc[rank] = dict(joined)
-            self._bump(rank)
-
-
-def _assign_actors(traces: list[Trace]) -> dict[OpId, int]:
-    """Deterministic fresh actor ids (gets take two: READ + delivery)."""
-    actors: dict[OpId, int] = {}
-    next_id = len(traces)
-    for rank, trace in enumerate(traces):
-        for index, op in enumerate(trace.ops):
-            if op.kind in ("post", "rma"):
-                actors[(rank, index)] = next_id
-                next_id += 2 if op.rma == "get" else 1
-    return actors
-
-
-def _wait_pattern(op: COp) -> tuple[str, object, int, int]:
-    return (op.mech, op.win, op.source, op.tag)
+            self.acquire(rank, joined)
 
 
 def _kth_smallest_bound(pool: list[dict[int, int]],
@@ -354,123 +227,91 @@ def _kth_smallest_bound(pool: list[dict[int, int]],
     return out
 
 
-def _compute_clocks(traces: list[Trace],
-                    schedule: Schedule,
-                    actors: dict[OpId, int],
-                    matching: dict[OpId, list[OpId]],
-                    downgraded: set[OpId],
+def _compute_clocks(run: Replay, downgraded: set[OpId],
                     wait_depth: dict[OpId, int],
                     pools: dict[OpId, list[OpId]]) -> _ClockPass:
     """Iterate clock passes until downgraded-wait bounds stabilize."""
     bounds: dict[OpId, dict[int, int]] = {}
     passes = MAX_BOUND_PASSES if downgraded else 1
-    result: _ClockPass | None = None
     for step in range(passes):
-        collect = step == passes - 1
-        run = _ClockPass(traces, actors, matching, downgraded, bounds,
-                         collect)
-        run.execute(schedule)
+        clocks = _ClockPass(run, downgraded, bounds, step == passes - 1)
+        clocks.execute()
         new_bounds = {
             wid: _kth_smallest_bound(
-                [run.posts[pid].acq_vc for pid in pools.get(wid, [])
-                 if pid in run.posts],
-                wait_depth.get(wid, 0))
+                [clocks.posts[pid].vc for pid in pools[wid]],
+                wait_depth[wid])
             for wid in downgraded}
-        result = run
         if new_bounds == bounds:
-            if collect:
-                break
-            bounds = new_bounds
-            final = _ClockPass(traces, actors, matching, downgraded,
-                               bounds, True)
-            final.execute(schedule)
-            result = final
             break
         bounds = new_bounds
-    assert result is not None
-    return result
+    if not clocks.collect:
+        clocks = _ClockPass(run, downgraded, bounds, True)
+        clocks.execute()
+    return clocks
 
 
-def _verify(traces: list[Trace], run: _ClockPass,
-            matching: dict[OpId, list[OpId]],
-            downgraded: set[OpId],
+def _verify(run: Replay, clocks: _ClockPass, downgraded: set[OpId],
             pools: dict[OpId, list[OpId]]) -> set[OpId]:
     """Waits whose replay matching is not forced in every schedule."""
     bad: set[OpId] = set()
-    for rank, trace in enumerate(traces):
+    for rank, state in enumerate(run.states):
         consumed: set[OpId] = set()
-        for index, op in enumerate(trace.ops):
-            if op.kind != "wait":
-                continue
+        for index, op in enumerate(state.trace.ops):
             wid = (rank, index)
-            if wid in downgraded or op.mech == "gaspi":
+            if op.kind != "wait" or wid in downgraded or \
+                    op.mech == "gaspi":
                 continue
-            mine = set(matching.get(wid, ()))
-            exclusive = True
-            for pid in pools.get(wid, []):
-                if pid in mine or pid in consumed:
-                    continue
-                post = run.posts.get(pid)
-                if post is None:
-                    continue
-                if post.issue_vc.get(rank, 0) < run.completion[wid]:
-                    exclusive = False
-                    break
-            if exclusive:
-                consumed |= mine
-            else:
+            mine = set(run.matching[wid])
+            # a rival post threatens the matching unless it was issued
+            # knowing this wait had already completed
+            if any(clocks.posts[pid].vc.get(rank, 0)
+                   < clocks.completion[wid]
+                   for pid in pools[wid]
+                   if pid not in mine and pid not in consumed):
                 bad.add(wid)
+            else:
+                consumed |= mine
     return bad
 
 
-def _conflict(a: _Access, b: _Access) -> bool:
-    if a.kind == _READ and b.kind == _READ:
-        return False
-    if a.kind == _ATOMIC and b.kind == _ATOMIC:
-        return False
-    return True
-
-
-def _ordered(a: _Access, b: _Access) -> bool:
-    if a.actor == b.actor:
-        return a.tick <= b.tick
-    return b.vc.get(a.actor, 0) >= a.tick
-
-
-def _seg_desc(seg: tuple[object, ...]) -> str:
+def _seg_desc(seg: Seg) -> str:
     if seg[0] == "win":
         return f"window {seg[1]} of rank {seg[2]}"
     return f"buffer {seg[2]} of rank {seg[1]}"
 
 
-_KIND_WORD = {_READ: "read", _WRITE: "write", _ATOMIC: "accumulate"}
+_KIND_WORD = {READ: "read", WRITE: "write", ATOMIC: "accumulate"}
 
 
 def _sweep(program: Program, size: int,
-           accesses: list[_Access]) -> list[Finding]:
-    by_seg: dict[tuple[object, ...], list[_Access]] = {}
-    for access in accesses:
-        by_seg.setdefault(access.seg, []).append(access)
+           clocks: _ClockPass) -> list[Finding]:
+    segs = list(clocks.segs)            # ordinal -> segment
+    by_seg: dict[Seg, list[_Access]] = {}
+    for access in clocks.accesses:
+        by_seg.setdefault(segs[access.rec.addr // _SEG_STRIDE],
+                          []).append(access)
     findings: list[Finding] = []
     seen: set[tuple[object, ...]] = set()
     tests = 0
     for seg, group in sorted(by_seg.items(), key=lambda kv: repr(kv[0])):
-        group.sort(key=lambda a: (a.start, a.end, a.line))
+        group.sort(key=lambda a: (a.rec.addr, a.rec.end, a.line))
         for i, a in enumerate(group):
             for b in group[i + 1:]:
-                if b.start >= a.end:
+                if b.rec.addr >= a.rec.end:
                     break               # sorted by start: no later overlap
                 tests += 1
                 if tests > MAX_PAIR_TESTS:
                     return findings
-                if not _conflict(a, b):
+                if not kinds_conflict(a.rec.kind, b.rec.kind):
                     continue
-                if _ordered(a, b) or _ordered(b, a):
+                if a.rec.actor == b.rec.actor or \
+                        covers(b.vc, a.rec.actor, a.rec.tick) or \
+                        covers(a.vc, b.rec.actor, b.rec.tick):
                     continue
                 first, second = sorted((a, b), key=lambda x: (x.line,
                                                               x.by))
-                key = (seg, first.line, second.line, first.kind,
-                       second.kind)
+                key = (seg, first.line, second.line, first.rec.kind,
+                       second.rec.kind)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -479,20 +320,21 @@ def _sweep(program: Program, size: int,
                     continue
                 if first.is_view or second.is_view:
                     check = "race.stale-view"
-                elif _READ in (first.kind, second.kind):
+                elif READ in (first.rec.kind, second.rec.kind):
                     check = "race.unordered-read"
                 else:
                     check = "race.overlap-write"
-                lo = max(first.start, second.start)
-                hi = min(first.end, second.end)
+                base = clocks.segs[seg] * _SEG_STRIDE
+                lo = max(a.rec.addr, b.rec.addr) - base
+                hi = min(a.rec.end, b.rec.end) - base
                 findings.append(Finding(
                     check=check, path=program.path, line=first.line,
                     program=program.qualname,
                     message=(
-                        f"{_KIND_WORD[first.kind]} at line {first.line} "
-                        f"(rank {first.by}) and "
-                        f"{_KIND_WORD[second.kind]} at line "
-                        f"{second.line} (rank {second.by}) touch "
+                        f"{_KIND_WORD[first.rec.kind]} at "
+                        f"{first.rec.site} and "
+                        f"{_KIND_WORD[second.rec.kind]} at "
+                        f"{second.rec.site} touch "
                         f"{_seg_desc(seg)} bytes [{lo}, {hi}) with no "
                         f"ordering edge (notification, flush, or "
                         f"barrier) between them"),
@@ -501,58 +343,45 @@ def _sweep(program: Program, size: int,
     return findings
 
 
-def check_races(program: Program, size: int,
-                traces: list[Trace]) -> list[Finding]:
+def check_races(program: Program, size: int, traces: list[Trace],
+                replayed: Replay | None = None) -> list[Finding]:
     """Report unordered conflicting overlapping accesses, or nothing
     when the program is outside the exactly-modelled fragment."""
-    for trace in traces:
-        if not trace.exact or not trace.race_exact or \
-                trace.has_poll or trace.has_pscw:
-            return []
-        for op in trace.ops:
-            if op.mech == "p2p" or op.kind in ("send", "recv"):
-                return []
-            if op.kind == "barrier" and op.mech == "coll":
-                return []
-    replayed = _replay(traces)
-    if replayed is None:
+    if any(not trace.race_exact
+           or any(op.mech in ("p2p", "coll") for op in trace.ops)
+           for trace in traces):
+        return []
+    run = replayed or replay(traces)
+    if run is None or run.stuck:
         return []                       # starvation: budget's domain
-    schedule, matching = replayed
-    actors = _assign_actors(traces)
 
     # per-wait pools (compatible posts program-wide) and pattern depth
     pools: dict[OpId, list[OpId]] = {}
     wait_depth: dict[OpId, int] = {}
-    posts_by_target: dict[int, list[tuple[OpId, COp]]] = {}
+    posts_to: dict[int, list[tuple[OpId, COp]]] = {}
     for rank, trace in enumerate(traces):
         for index, op in enumerate(trace.ops):
             if op.kind == "post":
                 assert op.target is not None
-                posts_by_target.setdefault(op.target, []).append(
+                posts_to.setdefault(op.target, []).append(
                     ((rank, index), op))
     for rank, trace in enumerate(traces):
         depth: dict[tuple[str, object, int, int], int] = {}
         for index, op in enumerate(trace.ops):
             if op.kind != "wait":
                 continue
-            pattern = _wait_pattern(op)
+            pattern = (op.mech, op.win, op.source, op.tag)
             depth[pattern] = depth.get(pattern, 0) + op.expected
-            wid = (rank, index)
-            wait_depth[wid] = depth[pattern]
-            pools[wid] = [
-                pid for pid, post in posts_by_target.get(rank, [])
-                if _wait_matches((post.mech, post.win, post.source,
-                                  post.tag, pid), op)]
+            wait_depth[rank, index] = depth[pattern]
+            pools[rank, index] = [pid for pid, post in posts_to.get(rank, [])
+                                  if compatible(post, op)]
 
     downgraded: set[OpId] = set()
-    total_waits = len(wait_depth)
-    run = _compute_clocks(traces, schedule, actors, matching,
-                          downgraded, wait_depth, pools)
-    for _ in range(total_waits + 1):
-        bad = _verify(traces, run, matching, downgraded, pools)
+    clocks = _compute_clocks(run, downgraded, wait_depth, pools)
+    for _ in wait_depth:                # each round downgrades >= 1 wait
+        bad = _verify(run, clocks, downgraded, pools)
         if not bad:
             break
         downgraded |= bad
-        run = _compute_clocks(traces, schedule, actors, matching,
-                              downgraded, wait_depth, pools)
-    return _sweep(program, size, run.accesses)
+        clocks = _compute_clocks(run, downgraded, wait_depth, pools)
+    return _sweep(program, size, clocks)

@@ -308,12 +308,12 @@ def effective_shards(config: ClusterConfig) -> int:
 
     ``config.shards`` wins when set (>= 1); ``0`` consults the
     ``REPRO_SHARDS`` environment variable.  Features the sharded core
-    does not model (probabilistic fault injection, lossy fabrics,
-    ``reliable=False``) raise when sharding was requested explicitly and
-    quietly fall back to serial when it came from the environment — so
-    exporting ``REPRO_SHARDS`` never changes what an incompatible run
-    computes.  Node-failure-only plans (``FaultPlan.shardable``) make no
-    RNG draws, so they shard exactly and are admitted.  The count is
+    does not model (probabilistic fault injection, ``reliable=False``)
+    raise when sharding was requested explicitly and quietly fall back
+    to serial when it came from the environment — so exporting
+    ``REPRO_SHARDS`` never changes what an incompatible run computes.
+    Node-failure-only plans (``FaultPlan.shardable``) make no RNG draws,
+    so they shard exactly and are admitted.  The count is
     clamped to the node count (shards are node-aligned).
     """
     n = config.shards
@@ -329,8 +329,6 @@ def effective_shards(config: ClusterConfig) -> int:
     if (config.faults is not None and config.faults.active
             and not config.faults.shardable):
         reasons.append("probabilistic fault injection")
-    if config.params.drop_rate > 0:
-        reasons.append("drop_rate > 0")
     if not config.params.reliable:
         reasons.append("reliable=False")
     if reasons:

@@ -38,7 +38,6 @@ from repro.network.transports.ugni import BteEngine, FmaEngine
 from repro.sanitizer.shadow import ATOMIC, READ, WRITE
 from repro.sim.engine import Engine, Event
 from repro.sim.resources import Signal, Store
-from repro.sim.rng import RngStream
 from repro.sim.trace import Tracer
 
 #: header sizes charged for control-only wire messages (bytes)
@@ -187,7 +186,6 @@ class Fabric:
         self.spaces = spaces
         self.params = params or TransportParams()
         self.tracer = tracer or Tracer(enabled=False)
-        self.rng = RngStream(seed, "fabric")
         #: fault injection (None on a fault-free fabric — the fast path)
         self.faults: FaultInjector | None = None
         if fault_plan is not None and fault_plan.active:
@@ -241,18 +239,6 @@ class Fabric:
         nic.rx_next_free = end
         nic.rx_bytes += nbytes
         return end
-
-    def _drop_penalty(self) -> float:
-        """Extra delay from retransmissions on a lossy network."""
-        p = self.params.drop_rate
-        if p <= 0.0:
-            return 0.0
-        extra = 0.0
-        tries = 0
-        while tries < 5 and self.rng.random() < p:
-            extra += self.params.rto
-            tries += 1
-        return extra
 
     def _fate(self, origin: int, target: int, nbytes: int,
               same_node: bool) -> TransferFate | None:
@@ -416,8 +402,7 @@ class Fabric:
             # a lost transfer still occupies the origin engine, but rides
             # no wire: no hop, retransmission or jitter extras
             plan = eng.plan(nbytes) if lost else eng.plan(
-                nbytes, extra_delay=self._drop_penalty()
-                + self._hop_extra(origin, target)
+                nbytes, extra_delay=self._hop_extra(origin, target)
                 + (fate.extra_delay if fate is not None else 0.0))
         handle = OpHandle("put", plan.cpu_busy,
                           Event(self.engine, "put.local"),
@@ -552,8 +537,7 @@ class Fabric:
             # response leg is the target half's to plan; injected retry /
             # jitter delay (``fate``) rides on it.
             hop = self._hop_extra(origin, target)
-            req = nic.fma.plan(GET_REQUEST_BYTES,
-                               extra_delay=self._drop_penalty() + hop)
+            req = nic.fma.plan(GET_REQUEST_BYTES, extra_delay=hop)
             handle.cpu_busy, t_req = req.cpu_busy, req.commit_at
         handle.commit_at = t_req
         san_op = None
@@ -616,8 +600,7 @@ class Fabric:
             tnic = self.nics[target]
             teng = tnic.fma if nbytes <= self.params.fma_max else tnic.bte
             extra = fate.extra_delay if fate is not None else 0.0
-            resp = teng.plan(nbytes,
-                             extra_delay=self._drop_penalty() + hop + extra,
+            resp = teng.plan(nbytes, extra_delay=hop + extra,
                              not_before=t_req)
             serve_at, t_data, G = (resp.inject_end, resp.commit_at,
                                    teng.params.G)
@@ -731,8 +714,7 @@ class Fabric:
             hop = self._hop_extra(origin, target)
             extra = fate.extra_delay if fate is not None else 0.0
             req = nic.fma.plan(AMO_REQUEST_BYTES,
-                               extra_delay=self._drop_penalty() + hop
-                               + extra)
+                               extra_delay=hop + extra)
             handle.cpu_busy = req.cpu_busy
             t_exec = req.commit_at
             done_at = t_exec + self.params.fma.L + hop
@@ -818,8 +800,7 @@ class Fabric:
             eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
             G, L = eng.params.G, eng.params.L
             plan = eng.plan(nbytes) if lost else eng.plan(
-                nbytes, extra_delay=self._drop_penalty()
-                + self._hop_extra(origin, target)
+                nbytes, extra_delay=self._hop_extra(origin, target)
                 + (fate.extra_delay if fate is not None else 0.0))
         handle = OpHandle(f"sys-{ptype}", plan.cpu_busy,
                           Event(self.engine, "sys.local"),

@@ -107,10 +107,6 @@ class TransportParams:
     #: network reliability mode (§VIII): if False, a notified get needs an
     #: extra round trip before the target-side notification may fire
     reliable: bool = True
-    #: probability that an inter-node packet needs one retransmission
-    drop_rate: float = 0.0
-    #: retransmission timeout, µs
-    rto: float = 10.0
 
     def engine_for(self, nbytes: int, same_node: bool) -> LogGPParams:
         if same_node:

@@ -30,10 +30,10 @@ op id)`` here and by the event counter in serial, and a *get under
 contention* plans its response leg at the boundary, not at issue.
 
 ``shards=1`` never enters this module.  Gated out by
-:func:`repro.cluster.effective_shards`: probabilistic fault injection,
-lossy fabrics and ``reliable=False``; node-failure-only fault plans shard
-exactly.  Workers run unsanitized, with the cyclic collector off from
-fork to finish (§9), and direct cross-shard object access fails loudly.
+:func:`repro.cluster.effective_shards`: probabilistic fault injection
+and ``reliable=False``; node-failure-only fault plans shard exactly.
+Workers run unsanitized, with the cyclic collector off from fork to
+finish (§9), and direct cross-shard object access fails loudly.
 """
 
 from __future__ import annotations

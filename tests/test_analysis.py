@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.analysis import analyze_file
+import pytest
+
+from repro.analysis import analyze_file, extract
 from repro.analysis.extract import extract_file
 from repro.analysis.instantiate import instantiate
+from repro.core.engine import NotifyEngine
 
 
 def _analyze(source: str):
@@ -74,6 +77,64 @@ def test_nested_programs_are_extracted():
             return worker
     """)
     assert [p.qualname for p in programs] == ["make.<locals>.worker"]
+
+
+# ---------------------------------------------------------------------------
+# argument positions and keywords are the runtime's own
+# ---------------------------------------------------------------------------
+
+def test_positional_target_follows_the_runtime_signature():
+    # get_typed(win, buf, origin_type, origin_region, target, ...)
+    (program,) = _extract("""
+        from repro.rma.typed import get_typed
+
+        def program(ctx):
+            # analyze: nranks=2
+            win = yield from ctx.win_allocate(64)
+            region = ctx.alloc(64)
+            yield from get_typed(win, region.ndarray(), t, region, 1)
+    """)
+    (op,) = [op for op in program.walk_ops() if op.kind == "get_typed"]
+    assert op.args["target"].pretty() == "1"
+
+
+def test_fompi_keywords_resolve_window_size_and_payload_bytes():
+    (program,) = _extract("""
+        import numpy as np
+        from repro import fompi
+
+        def program(ctx):
+            # analyze: nranks=2
+            win = yield from fompi.Win_allocate(ctx, size_bytes=64)
+            if ctx.rank == 0:
+                yield from fompi.Put_notify(
+                    ctx, np.zeros(2), 2, np.float64, target_rank=1,
+                    target_disp=0, target_count=2,
+                    target_dtype=np.float64, win=win, tag=0)
+                yield from fompi.Win_flush(ctx, target_rank=1, win=win)
+            else:
+                req = yield from fompi.Notify_init(
+                    ctx, win, source_rank=0, tag=0, expected_count=1)
+                yield from fompi.Start(ctx, request=req)
+                yield from fompi.Wait(ctx, request=req)
+            yield from fompi.Win_free(ctx, win)
+    """)
+    traces = instantiate(program, 2)
+    assert all(t.exact and t.race_exact for t in traces), \
+        [(t.reason, t.race_reason) for t in traces]
+    assert traces[0].win_meta[0] == (64, 1)
+    (post,) = [op for op in traces[0].ops if op.kind == "post"]
+    assert (post.target, post.nbytes) == (1, 16)
+    (wait,) = [op for op in traces[1].ops if op.kind == "wait"]
+    assert (wait.source, wait.tag, wait.expected) == (0, 0, 1)
+
+
+def test_role_bound_to_a_missing_parameter_raises_when_tables_build():
+    # the tables are built by exactly this call at import
+    with pytest.raises(TypeError, match=r"NotifyEngine\.put_notify\(\) "
+                                        r"has no parameter 'window'"):
+        extract._bind(NotifyEngine, {
+            "put_notify": ("put_notify", {"win": "window"})})
 
 
 # ---------------------------------------------------------------------------

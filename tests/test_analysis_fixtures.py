@@ -45,6 +45,10 @@ CASES = [
      "# racy put", (1, 2), 3),
     ("stale_view.py", "race.stale-view",
      "# in flight", (0, 1), 2),
+    ("collective_free_cycle.py", "deadlock.wait-cycle",
+     "# posted only after the peer's free", (0, 1), 2),
+    ("collective_alloc_cycle.py", "deadlock.wait-cycle",
+     "# posted only after the peer's allocate", (0, 1), 2),
 ]
 
 
@@ -61,6 +65,18 @@ def test_fixture_yields_exact_diagnostic(filename, check, marker,
     assert finding.ranks == ranks
     assert finding.size == size
     assert finding.program == "program"
+
+
+@pytest.mark.parametrize("filename,collective", [
+    ("collective_free_cycle.py", "win_free"),
+    ("collective_alloc_cycle.py", "win_allocate"),
+])
+def test_cycle_through_a_collective_names_it(filename, collective):
+    (finding,) = analyze_file(os.path.join(CORPUS, filename))
+    assert f"(na wait source=1 tag=0) -> rank 1 blocked at line " \
+        in finding.message
+    assert f"({collective}) -> rank 0" in finding.message
+    assert "barrier" not in finding.message
 
 
 def test_fixtures_never_execute(monkeypatch):

@@ -13,6 +13,7 @@ from repro.apps.particles import run_particles
 from repro.apps.stencil import run_stencil
 from repro.apps.tree import run_tree_reduction
 from repro.cluster import ClusterConfig
+from repro.faults import FaultPlan
 from repro.network.loggp import TransportParams
 
 
@@ -57,9 +58,9 @@ def test_tree_on_dragonfly_groups():
 
 
 def test_cholesky_on_lossy_network():
-    params = TransportParams(drop_rate=0.05, rto=3.0)
+    lossy = FaultPlan(drop_prob=0.05, rto=3.0)
     r = run_cholesky("na", 3, ntiles=5, b=8, verify=True,
-                     config=ClusterConfig(nranks=3, params=params, seed=11))
+                     config=ClusterConfig(nranks=3, faults=lossy, seed=11))
     assert r["verified"]          # retransmission delays, never corrupts
 
 

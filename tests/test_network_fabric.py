@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan
 from repro.memory.address import AddressSpace
 from repro.network.cq import decode_immediate, encode_immediate
 from repro.network.fabric import Fabric
@@ -13,12 +14,13 @@ from repro.sim.trace import Tracer
 
 
 def make_fabric(nranks=2, ranks_per_node=1, params=None, trace=False,
-                seed=1):
+                seed=1, fault_plan=None):
     eng = Engine()
     machine = Machine(nranks, ranks_per_node)
     spaces = [AddressSpace(r, 1 << 20) for r in range(nranks)]
     fabric = Fabric(eng, machine, spaces, params=params or TransportParams(),
-                    tracer=Tracer(enabled=trace), seed=seed)
+                    tracer=Tracer(enabled=trace), seed=seed,
+                    fault_plan=fault_plan)
     return eng, fabric, spaces
 
 
@@ -242,12 +244,13 @@ def test_in_order_delivery_same_pair_same_engine():
 
 
 def test_drop_rate_adds_retransmission_delay():
-    base = TransportParams()
-    lossy = TransportParams(drop_rate=1.0, rto=50.0)   # always retransmits
-    eng1, f1, _ = make_fabric(params=base)
+    eng1, f1, _ = make_fabric()
     h1 = f1.put(0, 1, 0, np.zeros(64, np.uint8))
-    eng2, f2, _ = make_fabric(params=lossy)
+    # this seed drops the first delivery attempt and delivers the second
+    lossy = FaultPlan(drop_prob=0.5, rto=50.0, seed=1)
+    eng2, f2, _ = make_fabric(fault_plan=lossy)
     h2 = f2.put(0, 1, 0, np.zeros(64, np.uint8))
+    assert f2.faults.retries == 1
     assert h2.commit_at > h1.commit_at + 40.0
 
 

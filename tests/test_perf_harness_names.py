@@ -82,3 +82,24 @@ def test_every_repro_import_of_the_harness_resolves():
             except ImportError:
                 pytest.fail(f"{fname}: cannot import {name} "
                             f"from {modname}")
+
+
+def test_analysis_probe_call_shapes():
+    """``probes.analysis_probes`` calls the analyzer positionally, in
+    exactly this sequence: a checker that starts to *require* a shared
+    replay (or any other new argument) breaks the benchmark, not a test
+    — except this one."""
+    from repro.analysis import analyze_paths, collect_files, extract_file
+    from repro.analysis.instantiate import instantiate
+    from repro.analysis.races import check_races
+
+    fixture = str(_PERF.parent.parent / "tests" / "fixtures"
+                  / "bad_protocols" / "stale_view.py")
+    found = []
+    for path in collect_files([fixture]):
+        for program in extract_file(path):
+            for size in sorted(set(program.sizes)):
+                traces = instantiate(program, size)
+                found += check_races(program, size, traces)
+    assert [f.check for f in found] == ["race.stale-view"]
+    assert analyze_paths([fixture]) == found

@@ -1,9 +1,11 @@
 """Differential validation: static race findings vs the dynamic sanitizer.
 
 Hypothesis generates random deadlock-free rank programs (unconditional
-notified puts, optional flushes, local window views before and after
-the waits, wildcard or per-tag waits consuming a subset of the incoming
-notifications), runs each one under the dynamic sanitizer, and asserts
+notified puts, gets and accumulates, optional ``flush`` / ``flush_local``,
+local window views before and after the waits, views of the buffer the
+gets deliver into, wildcard or per-tag waits consuming a subset of the
+incoming notifications), runs each one under the dynamic sanitizer, and
+asserts
 the soundness contract of :mod:`repro.analysis.races`: **whenever the
 sanitizer raises a** :class:`~repro.errors.RaceError`, **the static
 checker reports at least one** ``race.*`` **finding on the same
@@ -16,7 +18,7 @@ wolf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,11 +33,18 @@ SLOTS = 4
 
 @dataclass(frozen=True)
 class Put:
+    """One notified operation on ``slot`` of the target's window."""
+
     origin: int
     target: int
     slot: int
     tag: int
     flush: bool
+    #: "put" | "get" | "acc": put_notify / get_notify / accumulate_notify
+    #: (a get delivers into the same slot of the origin's local buffer)
+    kind: str = "put"
+    #: complete with ``flush_local`` instead of ``flush``
+    local: bool = False
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,8 @@ class GenProgram:
     #: per rank: slots viewed before / after the wait phase
     pre_views: tuple[tuple[int, ...], ...]
     post_views: tuple[tuple[int, ...], ...]
+    #: per rank: slots of the local get buffer read at the very end
+    buf_views: tuple[tuple[int, ...], ...] = ()
 
 
 def render(gen: GenProgram) -> str:
@@ -62,6 +73,7 @@ def render(gen: GenProgram) -> str:
         "def program(ctx):",
         f"    # analyze: nranks={gen.nranks}",
         f"    win = yield from ctx.win_allocate({SLOTS * 8})",
+        f"    buf = ctx.alloc({SLOTS * 8})",
     ]
     for rank in range(gen.nranks):
         head = "if" if rank == 0 else "elif"
@@ -70,12 +82,20 @@ def render(gen: GenProgram) -> str:
         for put in gen.puts:
             if put.origin != rank:
                 continue
-            body.append(
-                f"yield from ctx.na.put_notify(win, "
-                f"np.array([{float(put.tag)}]), {put.target}, "
-                f"{put.slot * 8}, tag={put.tag})")
+            if put.kind == "get":
+                body.append(
+                    f"yield from ctx.na.get_notify(win, buf, "
+                    f"{put.target}, {put.slot * 8}, nbytes=8, "
+                    f"tag={put.tag}, local_offset={put.slot * 8})")
+            else:
+                verb = {"put": "put_notify", "acc": "accumulate_notify"}
+                body.append(
+                    f"yield from ctx.na.{verb[put.kind]}(win, "
+                    f"np.array([{float(put.tag)}]), {put.target}, "
+                    f"{put.slot * 8}, tag={put.tag})")
             if put.flush:
-                body.append(f"yield from win.flush({put.target})")
+                flush = "flush_local" if put.local else "flush"
+                body.append(f"yield from win.{flush}({put.target})")
         for i, slot in enumerate(gen.pre_views[rank]):
             body.append(
                 f"pre{i} = win.local(np.float64, offset={slot * 8}, "
@@ -98,6 +118,11 @@ def render(gen: GenProgram) -> str:
             body.append(
                 f"post{i} = win.local(np.float64, offset={slot * 8}, "
                 f"count=1, mode=\"r\")")
+        for i, slot in enumerate(gen.buf_views[rank]
+                                 if gen.buf_views else ()):
+            body.append(
+                f"got{i} = buf.ndarray(np.float64, offset={slot * 8}, "
+                f"count=1, mode=\"r\")")
         for line in body or ["pass"]:
             lines.append("        " + line)
     lines.append("    yield from win.free()")
@@ -117,7 +142,9 @@ def gen_programs(draw: st.DrawFn) -> GenProgram:
                 target=draw(st.integers(0, nranks - 1)),
                 slot=draw(st.integers(0, SLOTS - 1)),
                 tag=tag,
-                flush=draw(st.booleans())))
+                flush=draw(st.booleans()),
+                kind=draw(st.sampled_from(("put", "get", "acc"))),
+                local=draw(st.booleans())))
             tag += 1
     waits: list[tuple[tuple[int, int], ...]] = []
     for rank in range(nranks):
@@ -132,7 +159,8 @@ def gen_programs(draw: st.DrawFn) -> GenProgram:
         waits=tuple(waits),
         wildcard=tuple(draw(st.booleans()) for _ in range(nranks)),
         pre_views=tuple(tuple(draw(views)) for _ in range(nranks)),
-        post_views=tuple(tuple(draw(views)) for _ in range(nranks)))
+        post_views=tuple(tuple(draw(views)) for _ in range(nranks)),
+        buf_views=tuple(tuple(draw(views)) for _ in range(nranks)))
 
 
 def static_races(source: str, name: str) -> list[str]:
@@ -191,3 +219,60 @@ def test_known_clean_program_clean_in_both() -> None:
     source = render(gen)
     assert not dynamic_race(source, "known_clean", 2)
     assert static_races(source, "known_clean") == []
+
+
+def _one_op(**op: object) -> GenProgram:
+    """Rank 0 issues one flushed op on slot 0 of rank 1, which waits for
+    its notification; both then look at slot 0 (window and buffer)."""
+    return GenProgram(
+        nranks=2,
+        puts=(Put(origin=0, target=1, slot=0, tag=0, flush=True, **op),),
+        waits=((), ((0, 0),)),
+        wildcard=(False, False),
+        pre_views=((), ()),
+        post_views=((), (0,)),
+        buf_views=((0,), ()))
+
+
+def test_get_delivery_needs_a_flush_of_either_kind() -> None:
+    """The get's two legs: the notification carries the READ at the
+    target, only a flush (local is enough) carries the delivery."""
+    for local in (False, True):
+        source = render(_one_op(kind="get", local=local))
+        assert not dynamic_race(source, "get_flushed", 2)
+        assert static_races(source, "get_flushed") == []
+    source = render(replace(_one_op(), puts=(
+        Put(origin=0, target=1, slot=0, tag=0, flush=False, kind="get"),)))
+    assert dynamic_race(source, "get_unflushed", 2)
+    races = static_races(source, "get_unflushed")
+    assert any("race.stale-view" in r for r in races), races
+
+
+def test_flush_local_does_not_order_a_puts_remote_commit() -> None:
+    source = render(replace(_one_op(kind="put", local=True),
+                            waits=((), ())))
+    assert dynamic_race(source, "put_flush_local", 2)
+    assert any("race.stale-view" in r
+               for r in static_races(source, "put_flush_local"))
+
+
+def test_concurrent_accumulates_commute_but_not_with_a_put() -> None:
+    def two_writers(second: str) -> GenProgram:
+        return GenProgram(
+            nranks=3,
+            puts=(Put(origin=1, target=0, slot=0, tag=0, flush=True,
+                      kind="acc"),
+                  Put(origin=2, target=0, slot=0, tag=1, flush=True,
+                      kind=second)),
+            waits=(((1, 0), (2, 1)), (), ()),
+            wildcard=(False, False, False),
+            pre_views=((), (), ()),
+            post_views=((0,), (), ()))
+
+    source = render(two_writers("acc"))
+    assert not dynamic_race(source, "acc_acc", 3)
+    assert static_races(source, "acc_acc") == []
+    source = render(two_writers("put"))
+    assert dynamic_race(source, "acc_put", 3)
+    races = static_races(source, "acc_put")
+    assert any("race.overlap-write" in r for r in races), races
