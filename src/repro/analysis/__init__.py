@@ -1,8 +1,8 @@
 """Static protocol verifier for Notified Access programs.
 
-Lifts generator rank programs into a symbolic per-rank IR
-(:mod:`repro.analysis.extract`), instantiates them for the concrete
-communicator sizes they actually run at
+Lifts generator rank programs into a per-rank IR over plain ``ast``
+expressions (:mod:`repro.analysis.extract`), evaluates them for the
+concrete communicator sizes they actually run at
 (:mod:`repro.analysis.instantiate`), and checks the protocol graph
 before a single simulated cycle:
 

@@ -22,10 +22,10 @@ Checks:
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 
 from repro.analysis import ir
-from repro.analysis import symbols as sym
 from repro.analysis.report import Finding
 
 _OPENERS = frozenset({"win_fence", "win_lock", "win_lock_all",
@@ -58,12 +58,23 @@ def _merge(a: _State, b: _State) -> _State:
     return _State(wins=wins, dirty=dirty)
 
 
-def _root(expr: sym.SymExpr | None) -> str | None:
-    while isinstance(expr, sym.Sub):
+def _root(expr: ast.expr | None) -> str | None:
+    while ir.is_item(expr):
         expr = expr.value
-    if isinstance(expr, sym.Name):
+    if isinstance(expr, ast.Name):
         return expr.id
     return None
+
+
+def _is_literalish(expr: ast.expr) -> bool:
+    """Constants and arithmetic over constants — never an Event."""
+    if isinstance(expr, ast.Constant):
+        return True
+    if isinstance(expr, ast.UnaryOp):
+        return _is_literalish(expr.operand)
+    if isinstance(expr, ast.BinOp):
+        return _is_literalish(expr.left) and _is_literalish(expr.right)
+    return False
 
 
 class _Lint:
@@ -115,10 +126,10 @@ class _Lint:
             twice = self._stmts(stmt.body, merged.copy())
             return _merge(merged, twice)
         if isinstance(stmt, ir.YieldRaw):
-            if stmt.is_literal:
+            if _is_literalish(stmt.value):
                 self._emit(
                     "epoch.non-event-yield", stmt.line,
-                    f"plain `yield {stmt.value.pretty()}` is not a "
+                    f"plain `yield {ast.unparse(stmt.value)}` is not a "
                     f"simulator event; use `yield from` on an API call")
             return state
         if isinstance(stmt, ir.Unknown):
@@ -128,19 +139,19 @@ class _Lint:
             return state
         return state          # Return/Break/Continue: linear approximation
 
-    def _bind(self, target: sym.SymExpr, value: ir.Op | None,
+    def _bind(self, target: ast.expr, value: ir.Op | None,
               state: _State) -> None:
         names: list[str] = []
-        if isinstance(target, sym.Name):
+        if isinstance(target, ast.Name):
             names = [target.id]
-        elif isinstance(target, sym.TupleExpr):
-            names = [t.id for t in target.items
-                     if isinstance(t, sym.Name)]
+        elif isinstance(target, ast.Tuple):
+            names = [t.id for t in target.elts
+                     if isinstance(t, ast.Name)]
         for name in names:
             state.wins.pop(name, None)
             state.dirty.pop(name, None)
         if value is not None and value.kind == "win_allocate" and \
-                isinstance(target, sym.Name):
+                isinstance(target, ast.Name):
             state.wins[target.id] = "closed"
 
     def _op(self, op: ir.Op, state: _State) -> None:

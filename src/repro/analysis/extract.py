@@ -10,9 +10,11 @@ into :class:`repro.analysis.ir.Program`.
 The translation is deliberately partial: every communication call of the
 repro API (``ctx.na.*``, ``ctx.counters.*``, ``ctx.gaspi.*``,
 ``ctx.comm.*``, window epoch/flush methods, the foMPI shim, typed RMA)
-becomes an :class:`~repro.analysis.ir.Op`; all other Python is either a
-pure symbolic expression or an :class:`~repro.analysis.ir.Unknown`
-marker that downgrades the cross-rank checks to "cannot prove".
+becomes an :class:`~repro.analysis.ir.Op`; all other Python is either
+an expression, kept as the ``ast`` node it is (valued later by
+:func:`repro.analysis.symbols.evaluate`), or an
+:class:`~repro.analysis.ir.Unknown` marker that downgrades the
+cross-rank checks to "cannot prove".
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ from __future__ import annotations
 import ast
 import inspect
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import ModuleType
+from typing import Any, cast
+
+import numpy as np
 
 from repro import fompi
 from repro.analysis import ir
@@ -32,7 +37,6 @@ from repro.core.engine import NotifyEngine
 from repro.core.overwriting import OverwriteEngine
 from repro.memory.address import Region
 from repro.mpi.comm import Communicator
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.rma import typed
 from repro.rma.window import Window
 
@@ -40,17 +44,14 @@ _ANALYZE_RE = re.compile(r"#\s*analyze:\s*(.+?)\s*$")
 _RAW_OK_RE = re.compile(r"#\s*protocol:\s*raw-ok")
 _RACE_OK_RE = re.compile(r"#\s*protocol:\s*race-ok")
 
-#: modules whose attributes resolve to wildcard constants
-_WILDCARDS = {
-    "ANY_SOURCE": ANY_SOURCE,
-    "ANY_TAG": ANY_TAG,
-    "MPI_ANY_SOURCE": ANY_SOURCE,
-    "MPI_ANY_TAG": ANY_TAG,
-}
+#: One resolved API-table row: IR op kind, per argument role its
+#: ``(position in the call, keyword name)``, and per role the runtime
+#: signature declares a default for, that default as an expression.
+_Entry = tuple[str, dict[str, tuple[int, str]], dict[str, ast.expr]]
 
-#: One resolved API-table row: IR op kind, and per argument role its
-#: ``(position in the call, keyword name)``.
-_Entry = tuple[str, dict[str, tuple[int, str]]]
+#: an expression outside the modelled fragment (a Constant's value is
+#: returned as is, so it need not be a Python literal)
+_OPAQUE = ast.Constant(cast(Any, sym.UNKNOWN))
 
 
 def _bind(owner: type | ModuleType,
@@ -59,22 +60,35 @@ def _bind(owner: type | ModuleType,
     against the signatures of ``owner``'s callables.
 
     The tables below say which parameter plays which role; *where* that
-    parameter sits is read from the runtime, so a signature change moves
-    the analyzer with it — and a role naming a parameter the callable
-    does not have fails here, at import, instead of silently dropping
-    the argument.  A method's ``self`` is not among a call's arguments.
+    parameter sits and what it defaults to is read from the runtime, so
+    a signature change moves the analyzer with it — and a role naming a
+    parameter the callable does not have, or one whose default is not a
+    value the evaluator has (a plain constant or a numpy scalar type),
+    fails here, at import, instead of silently dropping the argument.
+    A method's ``self`` is not among a call's arguments.
     """
     out: dict[str, _Entry] = {}
     for name, (kind, roles) in table.items():
-        params = list(inspect.signature(getattr(owner, name)).parameters)
+        signature = inspect.signature(getattr(owner, name)).parameters
+        params = list(signature)
         if isinstance(owner, type):
             del params[0]
-        for param in roles.values():
+        where = f"analysis API table: {owner.__name__}.{name}()"
+        defaults: dict[str, ast.expr] = {}
+        for role, param in roles.items():
             if param not in params:
-                raise TypeError(f"analysis API table: {owner.__name__}."
-                                f"{name}() has no parameter {param!r}")
+                raise TypeError(f"{where} has no parameter {param!r}")
+            default = signature[param].default
+            if default is inspect.Parameter.empty:
+                continue
+            if isinstance(default, type) and issubclass(default, np.generic):
+                default = sym.DTypeVal(np.dtype(default).itemsize)
+            elif not isinstance(default, (int, float, str, type(None))):
+                raise TypeError(f"{where}: default of {param!r} is not a "
+                                f"constant ({default!r})")
+            defaults[role] = ast.Constant(default)
         out[name] = (kind, {role: (params.index(param), param)
-                            for role, param in roles.items()})
+                            for role, param in roles.items()}, defaults)
     return out
 
 
@@ -163,8 +177,8 @@ _CTX_TABLE = _bind(Rank, {
 })
 
 #: the sanitizer blessings among them, whatever they are called on
-_BLESSINGS = frozenset(name for name, (kind, _roles) in _CTX_TABLE.items()
-                       if kind == "san_acquire")
+_BLESSINGS = frozenset(name for name, entry in _CTX_TABLE.items()
+                       if entry[0] == "san_acquire")
 
 _TARGET = {"target": "target"}
 
@@ -249,147 +263,14 @@ class _Annotations:
     race_ok_lines: set[int] = field(default_factory=set)
 
 
-class _Translator(ast.NodeVisitor):
+class _Translator:
     """Translates one function body; stateless across functions."""
 
-    def __init__(self, ctx_name: str, fompi_aliases: set[str],
-                 fompi_names: set[str], typed_names: set[str],
-                 np_aliases: set[str] | frozenset[str] = frozenset(),
-                 helpers: dict[str, tuple[tuple[str, ...],
-                                          sym.SymExpr]] | None = None):
-        self.ctx_name = ctx_name
-        self.fompi_aliases = fompi_aliases
-        self.fompi_names = fompi_names
+    def __init__(self, scope: sym.Scope, typed_names: set[str]):
+        self.ctx_name = scope.ctx_name
+        self.fompi_aliases = scope.fompi_aliases
+        self.fompi_names = scope.fompi_names
         self.typed_names = typed_names
-        self.np_aliases = np_aliases
-        self.helpers = helpers if helpers is not None else {}
-
-    # -- expressions ----------------------------------------------------
-    def expr(self, node: ast.expr | None) -> sym.SymExpr:
-        if node is None:
-            return sym.Const(None)
-        method = getattr(self, f"_e_{type(node).__name__}", None)
-        if method is None:
-            return sym.Opaque(type(node).__name__)
-        return method(node)
-
-    def _e_Constant(self, node: ast.Constant) -> sym.SymExpr:
-        return sym.Const(node.value)
-
-    def _e_Name(self, node: ast.Name) -> sym.SymExpr:
-        if node.id in _WILDCARDS and node.id in self.fompi_names:
-            return sym.Const(_WILDCARDS[node.id])
-        return sym.Name(node.id)
-
-    def _e_Attribute(self, node: ast.Attribute) -> sym.SymExpr:
-        base = node.value
-        if isinstance(base, ast.Name) and base.id == self.ctx_name:
-            if node.attr == "rank":
-                return sym.Rank()
-            if node.attr == "size":
-                return sym.Size()
-            return sym.Opaque(f"ctx.{node.attr}")
-        if isinstance(base, ast.Name) and base.id in self.fompi_aliases \
-                and node.attr in _WILDCARDS:
-            return sym.Const(_WILDCARDS[node.attr])
-        if isinstance(base, ast.Name) and base.id in self.np_aliases \
-                and node.attr in sym.NP_DTYPES:
-            return sym.Const(sym.DTypeVal(sym.NP_DTYPES[node.attr]))
-        if node.attr in _WILDCARDS and _ends_with_constants(node):
-            return sym.Const(_WILDCARDS[node.attr])
-        return sym.Opaque(f".{node.attr}")
-
-    def _e_BinOp(self, node: ast.BinOp) -> sym.SymExpr:
-        op = _BINOP_SYMS.get(type(node.op).__name__)
-        if op is None:
-            return sym.Opaque("binop")
-        return sym.Bin(op, self.expr(node.left), self.expr(node.right))
-
-    def _e_UnaryOp(self, node: ast.UnaryOp) -> sym.SymExpr:
-        op = {"USub": "-", "UAdd": "+", "Invert": "~", "Not": "not"}.get(
-            type(node.op).__name__)
-        if op is None:  # pragma: no cover - exhaustive
-            return sym.Opaque("unary")
-        return sym.Un(op, self.expr(node.operand))
-
-    def _e_Compare(self, node: ast.Compare) -> sym.SymExpr:
-        if len(node.ops) != 1:
-            return sym.Opaque("chained-compare")
-        op = _CMP_SYMS.get(type(node.ops[0]).__name__)
-        if op is None:
-            return sym.Opaque("compare")
-        return sym.Cmp(op, self.expr(node.left),
-                       self.expr(node.comparators[0]))
-
-    def _e_BoolOp(self, node: ast.BoolOp) -> sym.SymExpr:
-        op = "and" if isinstance(node.op, ast.And) else "or"
-        return sym.Bool(op, tuple(self.expr(v) for v in node.values))
-
-    def _e_IfExp(self, node: ast.IfExp) -> sym.SymExpr:
-        return sym.IfExp(self.expr(node.test), self.expr(node.body),
-                         self.expr(node.orelse))
-
-    def _e_Tuple(self, node: ast.Tuple) -> sym.SymExpr:
-        return sym.TupleExpr(tuple(self.expr(e) for e in node.elts))
-
-    def _e_List(self, node: ast.List) -> sym.SymExpr:
-        return sym.ListExpr(tuple(self.expr(e) for e in node.elts))
-
-    def _e_Dict(self, node: ast.Dict) -> sym.SymExpr:
-        if any(k is None for k in node.keys):
-            return sym.Opaque("dict-splat")
-        return sym.DictExpr(tuple(self.expr(k) for k in node.keys
-                                  if k is not None),
-                            tuple(self.expr(v) for v in node.values))
-
-    def _e_Subscript(self, node: ast.Subscript) -> sym.SymExpr:
-        if isinstance(node.slice, ast.Slice):
-            return sym.Opaque("slice")
-        return sym.Sub(self.expr(node.value), self.expr(node.slice))
-
-    def _e_Call(self, node: ast.Call) -> sym.SymExpr:
-        func = node.func
-        if node.keywords and any(kw.arg is None for kw in node.keywords):
-            return sym.Opaque("call-splat")
-        args = tuple(self.expr(a) for a in node.args
-                     if not isinstance(a, ast.Starred))
-        if isinstance(func, ast.Name):
-            if func.id in sym._PURE_FUNCS and not node.keywords:
-                return sym.PureCall(func.id, args)
-            helper = self.helpers.get(func.id)
-            if helper is not None and not node.keywords and \
-                    len(args) == len(node.args) and \
-                    len(args) == len(helper[0]):
-                return sym.HelperCall(func.id, helper[0], helper[1], args)
-            return sym.Opaque(f"{func.id}()")
-        if isinstance(func, ast.Attribute):
-            base = func.value
-            if isinstance(base, ast.Name) and \
-                    base.id in self.np_aliases and \
-                    func.attr in sym.NP_CTORS and \
-                    len(args) == len(node.args):
-                ctor = self._np_ctor(func.attr, node, args)
-                if ctor is not None:
-                    return ctor
-            if func.attr in sym._PURE_METHODS and not node.keywords:
-                return sym.MethodCall(self.expr(func.value), func.attr,
-                                      args)
-            return sym.Opaque(f".{func.attr}()")
-        return sym.Opaque("call")
-
-    def _np_ctor(self, name: str, node: ast.Call,
-                 args: tuple[sym.SymExpr, ...]) -> sym.SymExpr | None:
-        if any(kw.arg != "dtype" for kw in node.keywords):
-            return None
-        dtype: sym.SymExpr = sym.Const(None)
-        for keyword in node.keywords:
-            dtype = self.expr(keyword.value)
-        pos = {"zeros": 1, "ones": 1, "empty": 1, "array": 1,
-               "full": 2}.get(name)
-        if pos is not None and len(args) > pos:
-            dtype = args[pos]
-            args = args[:pos] + args[pos + 1:]
-        return sym.ArrayCtor(name, args, dtype)
 
     # -- api-call recognition -------------------------------------------
     def recognize(self, node: ast.expr) -> ir.Op | None:
@@ -415,7 +296,7 @@ class _Translator(ast.NodeVisitor):
             entry = _WIN_TABLE.get(func.attr)
             if entry is not None:
                 op = self._build_op(entry, node)
-                op.args["win"] = self.expr(base)
+                op.args["win"] = base
                 return op
             return None
         if isinstance(func, ast.Name):
@@ -430,37 +311,19 @@ class _Translator(ast.NodeVisitor):
         know is an ``unknown`` op."""
         if entry is None:
             return ir.Op("unknown", line=node.lineno)
-        kind, roles = entry
+        kind, roles, defaults = entry
         op = ir.Op(kind, line=node.lineno)
         by_keyword = {kw: role for role, (_pos, kw) in roles.items()}
         for role, (pos, _kw) in roles.items():
             if pos < len(node.args) and \
                     not isinstance(node.args[pos], ast.Starred):
-                op.args[role] = self.expr(node.args[pos])
+                op.args[role] = node.args[pos]
         for keyword in node.keywords:
             if keyword.arg in by_keyword:
-                op.args[by_keyword[keyword.arg]] = self.expr(keyword.value)
-        self._fill_defaults(op)
+                op.args[by_keyword[keyword.arg]] = keyword.value
+        for role, default in defaults.items():
+            op.args.setdefault(role, default)
         return op
-
-    @staticmethod
-    def _fill_defaults(op: ir.Op) -> None:
-        if op.kind in ("notify_init", "na_probe", "comm_probe"):
-            op.args.setdefault("source", sym.Const(ANY_SOURCE))
-            op.args.setdefault("tag", sym.Const(ANY_TAG))
-        if op.kind == "notify_init":
-            op.args.setdefault("expected", sym.Const(1))
-        if op.kind == "counter_init":
-            op.args.setdefault("expected", sym.Const(1))
-        if op.kind == "recv":
-            op.args.setdefault("source", sym.Const(ANY_SOURCE))
-            op.args.setdefault("tag", sym.Const(ANY_TAG))
-        if op.kind == "irecv":
-            op.args.setdefault("source", sym.Const(ANY_SOURCE))
-            op.args.setdefault("tag", sym.Const(ANY_TAG))
-        if op.kind in ("put_notify", "get_notify", "accumulate_notify",
-                       "flush_notify", "put_counted", "send", "isend"):
-            op.args.setdefault("tag", sym.Const(0))
 
     # -- statements ------------------------------------------------------
     def stmts(self, nodes: list[ast.stmt]) -> list[ir.Stmt]:
@@ -483,34 +346,31 @@ class _Translator(ast.NodeVisitor):
                 return prefix
             return prefix + [self._assign(node.target, node.value, line)]
         if isinstance(node, ast.AugAssign):
-            op = _BINOP_SYMS.get(type(node.op).__name__)
-            target = self.expr(node.target)
-            if op is None or not isinstance(target,
-                                            (sym.Name, sym.Sub)):
+            target = node.target
+            if isinstance(node.op, ast.MatMult) or not (
+                    isinstance(target, ast.Name) or ir.is_item(target)):
                 return prefix + [ir.Unknown(line=line, reason="augassign")]
             return prefix + [ir.Assign(
                 line=line, target=target,
-                value=sym.Bin(op, target, self.expr(node.value)))]
+                value=ast.BinOp(target, node.op, node.value))]
         if isinstance(node, ast.Expr):
             return prefix + self._expr_stmt(node.value, line)
         if isinstance(node, ast.If):
-            return prefix + [ir.If(line=line, cond=self.expr(node.test),
+            return prefix + [ir.If(line=line, cond=node.test,
                                    body=self.stmts(node.body),
                                    orelse=self.stmts(node.orelse))]
         if isinstance(node, ast.For):
             if node.orelse:
                 return prefix + [ir.Unknown(line=line,
                                             reason="for-else")]
-            return prefix + [ir.For(line=line,
-                                    target=self.expr(node.target),
-                                    iter=self.expr(node.iter),
+            return prefix + [ir.For(line=line, target=node.target,
+                                    iter=node.iter,
                                     body=self.stmts(node.body))]
         if isinstance(node, ast.While):
             if node.orelse:
                 return prefix + [ir.Unknown(line=line,
                                             reason="while-else")]
-            return prefix + [ir.While(line=line,
-                                      cond=self.expr(node.test),
+            return prefix + [ir.While(line=line, cond=node.test,
                                       body=self.stmts(node.body))]
         if isinstance(node, ast.Return):
             return prefix + [ir.Return(line=line)]
@@ -527,31 +387,24 @@ class _Translator(ast.NodeVisitor):
 
     def _assign(self, target: ast.expr, value: ast.expr,
                 line: int) -> ir.Stmt:
-        tgt = self.expr(target)
-        if not isinstance(tgt, (sym.Name, sym.Sub, sym.TupleExpr)):
+        if not isinstance(target, (ast.Name, ast.Tuple)) and \
+                not ir.is_item(target):
             if isinstance(value, (ast.Yield, ast.YieldFrom)):
                 return ir.Unknown(line=line, reason="assign-target")
             # a store through a slice/attribute of some object cannot
             # introduce protocol ops; at worst it mutates the root name
             root = _root_name(target)
             if root is None:
-                return ir.ExprStmt(line=line, value=self.expr(value))
-            return ir.Assign(line=line, target=sym.Name(root),
-                             value=sym.Opaque("mutated"))
-        if isinstance(value, (ast.Yield, ast.YieldFrom)):
-            inner = value.value
-            if isinstance(value, ast.YieldFrom):
-                op = self.recognize(inner) if inner is not None else None
-                if op is None:
-                    op = ir.Op("unknown", line=line)
-                return ir.Assign(line=line, target=tgt, value=op)
+                return ir.ExprStmt(line=line, value=value)
+            return _mutated(root, line)
+        if isinstance(value, ast.YieldFrom):
+            op = self.recognize(value.value) or ir.Op("unknown", line=line)
+            return ir.Assign(line=line, target=target, value=op)
+        if isinstance(value, ast.Yield):
             # x = yield <expr>: the sent value is unknowable
-            return ir.Assign(line=line, target=tgt,
-                             value=sym.Opaque("yield"))
-        op = self._effect_call(value)
-        if op is not None:
-            return ir.Assign(line=line, target=tgt, value=op)
-        return ir.Assign(line=line, target=tgt, value=self.expr(value))
+            return ir.Assign(line=line, target=target, value=_OPAQUE)
+        return ir.Assign(line=line, target=target,
+                         value=self._effect_call(value) or value)
 
     def _effect_call(self, node: ast.expr) -> ir.Op | None:
         """Plain (non-yield) calls with protocol-relevant effects."""
@@ -568,20 +421,11 @@ class _Translator(ast.NodeVisitor):
         if isinstance(value, ast.Constant):
             return []                       # docstring
         if isinstance(value, ast.YieldFrom):
-            op = (self.recognize(value.value)
-                  if value.value is not None else None)
-            if op is None:
-                op = ir.Op("unknown", line=line)
+            op = self.recognize(value.value) or ir.Op("unknown", line=line)
             return [ir.ExprStmt(line=line, value=op)]
         if isinstance(value, ast.Yield):
-            inner = value.value
-            if inner is None:
-                return [ir.YieldRaw(line=line, value=sym.Const(None),
-                                    is_literal=True)]
-            expr = self.expr(inner)
-            literal = _is_literalish(expr)
-            return [ir.YieldRaw(line=line, value=expr,
-                                is_literal=literal)]
+            return [ir.YieldRaw(line=line,
+                                value=value.value or ast.Constant(None))]
         op = self._effect_call(value)
         if op is not None:
             return [ir.ExprStmt(line=line, value=op)]
@@ -592,8 +436,8 @@ class _Translator(ast.NodeVisitor):
                 not value.keywords and len(value.args) == 1:
             return [ir.ExprStmt(line=line, value=ir.Op(
                 f"list_{value.func.attr}",
-                args={"base": self.expr(value.func.value),
-                      "item": self.expr(value.args[0])}, line=line))]
+                args={"base": value.func.value,
+                      "item": value.args[0]}, line=line))]
         if isinstance(value, ast.Call):
             # A plain call cannot run protocol ops (those need `yield
             # from`), but it may mutate anything reachable from its
@@ -613,9 +457,7 @@ class _Translator(ast.NodeVisitor):
                 root = _root_name(operand)
                 if root is not None and root != self.ctx_name:
                     roots.add(root)
-            return [ir.Assign(line=line, target=sym.Name(root),
-                              value=sym.Opaque("mutated"))
-                    for root in sorted(roots)]
+            return [_mutated(root, line) for root in sorted(roots)]
         return []                           # pure/benign expression
 
     def _view_ops(self, node: ast.stmt) -> list[ir.Stmt]:
@@ -645,9 +487,9 @@ class _Translator(ast.NodeVisitor):
                 if func.attr not in _VIEW_TABLE:
                     continue
                 op = self._build_op(_VIEW_TABLE[func.attr], call)
-                op.args["base"] = self.expr(func.value)
+                op.args["base"] = func.value
                 mode = op.args.pop("mode", None)
-                if isinstance(mode, sym.Const):     # else: not syntactic
+                if isinstance(mode, ast.Constant):  # else: not syntactic
                     op.mode = str(mode.value)
                 else:
                     op.mode = "rw"
@@ -655,17 +497,10 @@ class _Translator(ast.NodeVisitor):
         return out
 
 
-_BINOP_SYMS = {
-    "Add": "+", "Sub": "-", "Mult": "*", "Div": "/", "FloorDiv": "//",
-    "Mod": "%", "Pow": "**", "BitAnd": "&", "BitOr": "|", "BitXor": "^",
-    "LShift": "<<", "RShift": ">>",
-}
-
-_CMP_SYMS = {
-    "Eq": "==", "NotEq": "!=", "Lt": "<", "LtE": "<=", "Gt": ">",
-    "GtE": ">=", "In": "in", "NotIn": "not in", "Is": "is",
-    "IsNot": "is not",
-}
+def _mutated(root: str, line: int) -> ir.Stmt:
+    """Whatever ``root`` held is no longer known."""
+    return ir.Assign(line=line, target=ast.Name(root, ast.Store()),
+                     value=_OPAQUE)
 
 
 def _root_name(node: ast.expr) -> str | None:
@@ -677,32 +512,13 @@ def _root_name(node: ast.expr) -> str | None:
     return None
 
 
-def _ends_with_constants(node: ast.Attribute) -> bool:
-    """True for ``<...>.constants.ANY_TAG``-style chains."""
-    base = node.value
-    return isinstance(base, ast.Attribute) and base.attr == "constants"
-
-
-def _is_literalish(expr: sym.SymExpr) -> bool:
-    """Constants and arithmetic over constants — never an Event."""
-    if isinstance(expr, sym.Const):
-        return not isinstance(expr.value, str) or True
-    if isinstance(expr, sym.Un):
-        return _is_literalish(expr.operand)
-    if isinstance(expr, sym.Bin):
-        return _is_literalish(expr.left) and _is_literalish(expr.right)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # module-level extraction
 # ---------------------------------------------------------------------------
 
 def _fold_module_consts(tree: ast.Module) -> dict[str, object]:
     """Evaluate simple top-level constant assignments."""
-    consts: dict[str, object] = dict(_WILDCARDS)
-    translator = _Translator("\0", set(), set(), set())
-    env = sym.Env(rank=0, size=0, globals_=consts)
+    env = sym.Env(rank=0, size=0, globals_=sym.WILDCARDS)
     for node in tree.body:
         targets: list[ast.expr] = []
         value: ast.expr | None = None
@@ -712,26 +528,25 @@ def _fold_module_consts(tree: ast.Module) -> dict[str, object]:
             targets, value = [node.target], node.value
         if value is None:
             continue
-        result = translator.expr(value).evaluate(env)
+        result = sym.evaluate(value, env)
         if not sym.is_known(result):
             continue
         for target in targets:
             if isinstance(target, ast.Name):
-                consts[target.id] = result
                 env.globals[target.id] = result
             elif isinstance(target, ast.Tuple) and \
                     isinstance(result, (tuple, list)) and \
                     len(target.elts) == len(result):
                 for elt, val in zip(target.elts, result):
                     if isinstance(elt, ast.Name):
-                        consts[elt.id] = val
                         env.globals[elt.id] = val
-    return consts
+    return env.globals
 
 
-def _collect_imports(tree: ast.Module) -> tuple[set[str], set[str],
-                                                set[str], set[str]]:
-    """(fompi aliases, fompi direct names, typed names, numpy aliases)."""
+def _collect_imports(tree: ast.Module) -> tuple[sym.Scope, set[str]]:
+    """What the module's imports make of its names: the evaluator's
+    scope (foMPI / numpy aliases, names imported from the shim) and the
+    typed-RMA function names."""
     aliases: set[str] = set()
     names: set[str] = set()
     typed: set[str] = set()
@@ -752,7 +567,7 @@ def _collect_imports(tree: ast.Module) -> tuple[set[str], set[str],
                     typed.add(alias.asname or alias.name)
             elif module == "repro.mpi.constants":
                 for alias in node.names:
-                    if alias.name in _WILDCARDS:
+                    if alias.name in sym.WILDCARDS:
                         names.add(alias.asname or alias.name)
         elif isinstance(node, ast.Import):
             for alias in node.names:
@@ -762,13 +577,13 @@ def _collect_imports(tree: ast.Module) -> tuple[set[str], set[str],
                     aliases.add(alias.asname or alias.name)
                 elif alias.name == "numpy":
                     numpy_aliases.add(alias.asname or "numpy")
-    return aliases, names, typed, numpy_aliases
+    return sym.Scope(None, frozenset(aliases), frozenset(names),
+                     frozenset(numpy_aliases)), typed
 
 
 def _discover_sizes(tree: ast.Module,
                     consts: dict[str, object]) -> dict[str, list[int]]:
     """Map program name -> communicator sizes from run_ranks call sites."""
-    translator = _Translator("\0", set(), set(), set())
     env = sym.Env(rank=0, size=0, globals_=consts)
     sizes: dict[str, list[int]] = {}
     for node in ast.walk(tree):
@@ -779,7 +594,7 @@ def _discover_sizes(tree: ast.Module,
             func.attr if isinstance(func, ast.Attribute) else "")
         if name not in ("run_ranks", "run_cluster") or len(node.args) < 2:
             continue
-        n = translator.expr(node.args[0]).evaluate(env)
+        n = sym.evaluate(node.args[0], env)
         prog = node.args[1]
         if isinstance(n, int) and n >= 1 and isinstance(prog, ast.Name):
             sizes.setdefault(prog.id, [])
@@ -852,9 +667,9 @@ def _has_yield(fn: ast.FunctionDef) -> bool:
     return False
 
 
-def _lift_helper(fn: ast.FunctionDef, translator: _Translator,
-                 ) -> tuple[tuple[str, ...], sym.SymExpr] | None:
-    """Lift a straight-line pure helper function into one SymExpr.
+def _lift_helper(fn: ast.FunctionDef,
+                 scope: sym.Scope) -> sym.Helper | None:
+    """Lift a straight-line pure helper function into one expression.
 
     Supported bodies: an optional docstring followed by nested
     guard-``if``/``return`` chains ending in a plain ``return <expr>``.
@@ -867,19 +682,17 @@ def _lift_helper(fn: ast.FunctionDef, translator: _Translator,
         return None
     if _has_yield(fn):
         return None
-    params = tuple(arg.arg for arg in spec.args)
     body = list(fn.body)
     if body and isinstance(body[0], ast.Expr) and \
             isinstance(body[0].value, ast.Constant):
         body = body[1:]                         # docstring
-    expr = _fold_returns(body, translator)
+    expr = _fold_returns(body)
     if expr is None:
         return None
-    return params, expr
+    return sym.Helper(tuple(arg.arg for arg in spec.args), expr, scope)
 
 
-def _fold_returns(body: list[ast.stmt],
-                  translator: _Translator) -> sym.SymExpr | None:
+def _fold_returns(body: list[ast.stmt]) -> ast.expr | None:
     """Fold an if/return ladder into a nested conditional expression."""
     if not body:
         return None
@@ -887,20 +700,20 @@ def _fold_returns(body: list[ast.stmt],
     if isinstance(head, ast.Return):
         if head.value is None or rest:
             return None
-        return translator.expr(head.value)
+        return head.value
     if isinstance(head, ast.If):
-        then = _fold_returns(head.body, translator)
+        then = _fold_returns(head.body)
         if then is None:
             return None
         if head.orelse:
             if rest:
                 return None
-            other = _fold_returns(head.orelse, translator)
+            other = _fold_returns(head.orelse)
         else:
-            other = _fold_returns(rest, translator)
+            other = _fold_returns(rest)
         if other is None:
             return None
-        return sym.IfExp(translator.expr(head.test), then, other)
+        return ast.IfExp(head.test, then, other)
     return None
 
 
@@ -914,25 +727,27 @@ def extract_file(path: str, source: str | None = None) -> list[ir.Program]:
     except SyntaxError:
         return []
     consts = _fold_module_consts(tree)
-    aliases, fompi_names, typed_names, np_aliases = _collect_imports(tree)
+    module, typed_names = _collect_imports(tree)
     sizes = _discover_sizes(tree, consts)
     annotations = _parse_annotations(source, tree)
 
-    # Pure module-level helpers become inlinable symbolic bodies so
-    # rank/size-affine offsets routed through them stay resolvable.
-    helpers: dict[str, tuple[tuple[str, ...], sym.SymExpr]] = {}
-    helper_translator = _Translator("\0", aliases, fompi_names,
-                                    typed_names, np_aliases, helpers)
+    # Pure module-level helpers become inlinable expression bodies so
+    # rank/size-affine offsets routed through them stay resolvable.  A
+    # helper's own scope is the module as defined so far: the helpers
+    # above it.
     for node in tree.body:
         if not isinstance(node, ast.FunctionDef):
             continue
         fn_args = node.args.posonlyargs + node.args.args
         if fn_args and fn_args[0].arg == "ctx":
             continue
-        lifted = _lift_helper(node, helper_translator)
+        lifted = _lift_helper(node, module)
         if lifted is not None:
-            helpers[node.name] = lifted
+            module = replace(module, helpers={**module.helpers,
+                                              node.name: lifted})
 
+    scope = replace(module, ctx_name="ctx")
+    translator = _Translator(scope, typed_names)
     programs: list[ir.Program] = []
     parents: dict[int, str] = {}
     for node in ast.walk(tree):
@@ -947,12 +762,10 @@ def extract_file(path: str, source: str | None = None) -> list[ir.Program]:
         if not args or args[0].arg != "ctx" or not _has_yield(node):
             continue
         ann = annotations.get(node.name, _Annotations())
-        translator = _Translator(args[0].arg, aliases, fompi_names,
-                                 typed_names, np_aliases, helpers)
         parent = parents.get(id(node))
         qualname = f"{parent}.<locals>.{node.name}" if parent \
             else node.name
-        program = ir.Program(
+        programs.append(ir.Program(
             name=node.name, qualname=qualname, path=path,
             line=node.lineno,
             params=[a.arg for a in args[1:]],
@@ -963,6 +776,6 @@ def extract_file(path: str, source: str | None = None) -> list[ir.Program]:
             race_ok_lines=frozenset(ann.race_ok_lines),
             skipped=ann.skip,
             module_consts=consts,
-        )
-        programs.append(program)
+            scope=scope,
+        ))
     return programs

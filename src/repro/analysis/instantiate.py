@@ -10,6 +10,7 @@ program — the verifier reports nothing rather than guessing.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -172,8 +173,8 @@ class _Interp:
     def __init__(self, program: ir.Program, rank: int, size: int):
         self.program = program
         self.trace = Trace(rank=rank, size=size)
-        self.env = sym.Env(rank=rank, size=size,
-                           globals_=program.module_consts)
+        self.env = sym.Env(rank, size, program.module_consts,
+                           program.scope)
         for index, name in enumerate(program.params):
             if index < len(program.arg_values):
                 self.env.store(name, program.arg_values[index])
@@ -189,13 +190,19 @@ class _Interp:
         if self.steps > 250_000:
             raise _Inexact("trace too long")
 
+    def _value(self, op: ir.Op, role: str) -> object:
+        """What the call passed for ``role``; None when it passed nothing
+        (and the runtime signature declares no default)."""
+        expr = op.args.get(role)
+        return None if expr is None else sym.evaluate(expr, self.env)
+
     def _int(self, op: ir.Op, role: str, default: int | None = None) -> int:
         expr = op.args.get(role)
         if expr is None:
             if default is None:
                 raise _Inexact(f"{op.kind}: missing {role}")
             return default
-        value = expr.evaluate(self.env)
+        value = sym.evaluate(expr, self.env)
         if isinstance(value, bool) or not isinstance(value, int):
             raise _Inexact(f"{op.kind} line {op.line}: "
                            f"unresolved {role}")
@@ -205,7 +212,7 @@ class _Interp:
         expr = op.args.get("win")
         if expr is None:
             raise _Inexact(f"{op.kind}: missing window")
-        value = expr.evaluate(self.env)
+        value = sym.evaluate(expr, self.env)
         if isinstance(value, SpaceVal):
             return value.win
         if not isinstance(value, WindowVal):
@@ -223,20 +230,16 @@ class _Interp:
                  default: int | None) -> int | None:
         """Resolve an int role; missing -> ``default``, unresolved ->
         ``None`` after downgrading the race check."""
-        expr = op.args.get(role)
-        if expr is None:
-            return default
-        value = expr.evaluate(self.env)
+        value = self._value(op, role)
         if value is None:
-            return default             # explicit None keyword = default
+            return default             # also an explicit None keyword
         if isinstance(value, bool) or not isinstance(value, int):
             self._race_bail(f"line {op.line}: unresolved {role}")
             return None
         return value
 
     def _try_win(self, op: ir.Op) -> WindowVal | None:
-        expr = op.args.get("win")
-        value = expr.evaluate(self.env) if expr is not None else None
+        value = self._value(op, "win")
         if isinstance(value, SpaceVal):
             return value.win
         if isinstance(value, WindowVal):
@@ -271,13 +274,13 @@ class _Interp:
             if isinstance(stmt.value, ir.Op):
                 result = self._op(stmt.value)
             else:
-                result = stmt.value.evaluate(self.env)
+                result = sym.evaluate(stmt.value, self.env)
             self._bind(stmt.target, result, stmt.line)
         elif isinstance(stmt, ir.ExprStmt):
             if isinstance(stmt.value, ir.Op):
                 self._op(stmt.value)
         elif isinstance(stmt, ir.If):
-            cond = stmt.cond.evaluate(self.env)
+            cond = sym.evaluate(stmt.cond, self.env)
             if not sym.is_known(cond):
                 raise _Inexact(f"line {stmt.line}: unresolved branch")
             self._stmts(stmt.body if cond else stmt.orelse)
@@ -291,13 +294,11 @@ class _Interp:
             raise _Break
         elif isinstance(stmt, ir.Continue):
             raise _Continue
-        elif isinstance(stmt, ir.YieldRaw):
-            pass
         elif isinstance(stmt, ir.Unknown):
             raise _Inexact(f"line {stmt.line}: {stmt.reason}")
 
     def _for(self, stmt: ir.For) -> None:
-        iterable = stmt.iter.evaluate(self.env)
+        iterable = sym.evaluate(stmt.iter, self.env)
         if not sym.is_known(iterable) or \
                 not isinstance(iterable, (list, tuple)):
             raise _Inexact(f"line {stmt.line}: unresolved loop bounds")
@@ -314,7 +315,7 @@ class _Interp:
 
     def _while(self, stmt: ir.While) -> None:
         for _ in range(MAX_ITERATIONS):
-            cond = stmt.cond.evaluate(self.env)
+            cond = sym.evaluate(stmt.cond, self.env)
             if not sym.is_known(cond):
                 raise _Inexact(f"line {stmt.line}: unresolved while")
             if not cond:
@@ -327,22 +328,22 @@ class _Interp:
                 continue
         raise _Inexact(f"line {stmt.line}: while cap exceeded")
 
-    def _bind(self, target: sym.SymExpr, value: object,
+    def _bind(self, target: ast.expr, value: object,
               line: int) -> None:
-        if isinstance(target, sym.Name):
+        if isinstance(target, ast.Name):
             self.env.store(target.id, value)
-        elif isinstance(target, sym.TupleExpr):
+        elif isinstance(target, ast.Tuple):
             if sym.is_known(value) and \
                     isinstance(value, (list, tuple)) and \
-                    len(value) == len(target.items):
-                for part, item in zip(target.items, value):
+                    len(value) == len(target.elts):
+                for part, item in zip(target.elts, value):
                     self._bind(part, item, line)
             else:
-                for part in target.items:
+                for part in target.elts:
                     self._bind(part, sym.UNKNOWN, line)
-        elif isinstance(target, sym.Sub):
-            base = target.value.evaluate(self.env)
-            index = target.index.evaluate(self.env)
+        elif ir.is_item(target):
+            base = sym.evaluate(target.value, self.env)
+            index = sym.evaluate(target.slice, self.env)
             if sym.is_known(base) and sym.is_known(index) and \
                     isinstance(base, (list, dict)):
                 try:
@@ -351,7 +352,7 @@ class _Interp:
                 except Exception:
                     pass
             # cannot locate the cell: invalidate the whole container
-            if isinstance(target.value, sym.Name):
+            if isinstance(target.value, ast.Name):
                 self.env.store(target.value.id, sym.UNKNOWN)
 
     # -- op execution ----------------------------------------------------
@@ -469,8 +470,7 @@ class _Interp:
             num = self._int(op, "num", 1)
             return SpaceVal(win=win, num=num)
         if kind == "waitsome":
-            expr = op.args.get("space")
-            space = expr.evaluate(self.env) if expr is not None else None
+            space = self._value(op, "space")
             if not isinstance(space, SpaceVal):
                 raise _Inexact(f"line {op.line}: unresolved space")
             self._record(COp(kind="wait", mech="gaspi", line=op.line,
@@ -559,9 +559,7 @@ class _Interp:
         cop.disp = 0 if disp is None else disp
         if kind == "get_notify":
             cop.rma = "get"
-            buf_expr = op.args.get("buf")
-            buf = (buf_expr.evaluate(self.env)
-                   if buf_expr is not None else None)
+            buf = self._value(op, "buf")
             if isinstance(buf, AllocVal):
                 cop.buf = buf
             else:
@@ -584,16 +582,14 @@ class _Interp:
     def _data_nbytes(self, op: ir.Op) -> int:
         data_expr = op.args.get("data")
         if data_expr is not None:
-            value = data_expr.evaluate(self.env)
+            value = sym.evaluate(data_expr, self.env)
             if isinstance(value, sym.ArrayVal):
                 return value.nbytes
             self._race_bail(f"line {op.line}: unresolved payload size")
             return -1
         # foMPI-style (count, datatype) payloads
         count = self._opt_int(op, "count", None)
-        dtype_expr = op.args.get("dtype")
-        dtype = (dtype_expr.evaluate(self.env)
-                 if dtype_expr is not None else None)
+        dtype = self._value(op, "dtype")
         if count is not None and isinstance(dtype, sym.DTypeVal):
             return count * dtype.itemsize
         self._race_bail(f"line {op.line}: unresolved payload size")
@@ -603,9 +599,7 @@ class _Interp:
         mode = op.mode or "rw"
         if mode == "raw":
             return                      # raw views are the raw-view lint's job
-        base_expr = op.args.get("base")
-        base = (base_expr.evaluate(self.env)
-                if base_expr is not None else None)
+        base = self._value(op, "base")
         win: WindowVal | None = None
         buf: AllocVal | None = None
         seg_nbytes = -1
@@ -618,15 +612,11 @@ class _Interp:
         else:
             self._race_bail(f"line {op.line}: unresolved view base")
             return
-        itemsize = 1                    # np.uint8 default
-        dtype_expr = op.args.get("dtype")
-        if dtype_expr is not None:
-            dtype = dtype_expr.evaluate(self.env)
-            if isinstance(dtype, sym.DTypeVal):
-                itemsize = dtype.itemsize
-            elif dtype is not None:
-                self._race_bail(f"line {op.line}: unresolved view dtype")
-                return
+        dtype = self._value(op, "dtype")    # the signature's if omitted
+        if not isinstance(dtype, sym.DTypeVal):
+            self._race_bail(f"line {op.line}: unresolved view dtype")
+            return
+        itemsize = dtype.itemsize
         offset = self._opt_int(op, "offset", 0)
         if offset is None:
             return
@@ -675,15 +665,13 @@ class _Interp:
                       line=op.line)
 
     def _req_of(self, op: ir.Op) -> ReqVal:
-        expr = op.args.get("req")
-        value = expr.evaluate(self.env) if expr is not None else None
+        value = self._value(op, "req")
         if not isinstance(value, ReqVal):
             raise _Inexact(f"{op.kind} line {op.line}: unresolved request")
         return value
 
     def _reqs_of(self, op: ir.Op) -> list[ReqVal]:
-        expr = op.args.get("reqs")
-        value = expr.evaluate(self.env) if expr is not None else None
+        value = self._value(op, "reqs")
         if not sym.is_known(value) or \
                 not isinstance(value, (list, tuple)) or \
                 not all(isinstance(v, ReqVal) for v in value):
@@ -697,21 +685,15 @@ class _Interp:
                            f"for size {self.trace.size}")
 
     def _list_mutate(self, op: ir.Op) -> None:
-        base_expr = op.args.get("base")
-        item_expr = op.args.get("item")
-        if base_expr is None or item_expr is None:
-            return
-        base = base_expr.evaluate(self.env)
-        item = item_expr.evaluate(self.env)
-        if not isinstance(base, list):
-            if isinstance(base_expr, sym.Name):
-                self.env.store(base_expr.id, sym.UNKNOWN)
-            return
-        if op.kind == "list_append":
+        base_expr = op.args["base"]
+        base = sym.evaluate(base_expr, self.env)
+        item = self._value(op, "item")
+        if isinstance(base, list) and op.kind == "list_append":
             base.append(item)
-        elif sym.is_known(item) and isinstance(item, (list, tuple)):
+        elif isinstance(base, list) and sym.is_known(item) and \
+                isinstance(item, (list, tuple)):
             base.extend(item)
-        elif isinstance(base_expr, sym.Name):
+        elif isinstance(base_expr, ast.Name):   # lost track of the list
             self.env.store(base_expr.id, sym.UNKNOWN)
 
 

@@ -1,8 +1,9 @@
 """The per-rank protocol IR.
 
 A rank program is lifted into a tree of statements whose expressions are
-:mod:`repro.analysis.symbols` terms.  Communication API calls become
-:class:`Op` nodes carrying the symbolic arguments the checkers care
+the ``ast.expr`` nodes Python parsed (:func:`repro.analysis.symbols.
+evaluate` gives them values).  Communication API calls become
+:class:`Op` nodes carrying the argument expressions the checkers care
 about (window, peer rank, tag, threshold); everything the verifier
 cannot model becomes an :class:`Unknown` statement, which downgrades the
 affected checks instead of guessing.
@@ -10,9 +11,11 @@ affected checks instead of guessing.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
+from typing import TypeGuard
 
-from repro.analysis.symbols import Const, SymExpr
+from repro.analysis.symbols import Scope
 
 # ---------------------------------------------------------------------------
 # op vocabulary
@@ -50,98 +53,99 @@ COMPLETION_KINDS = frozenset({
 
 @dataclass
 class Op:
-    """One recognized runtime call, with symbolic arguments.
+    """One recognized runtime call, with its argument expressions.
 
     ``args`` maps role names (``win``, ``target``, ``source``, ``tag``,
-    ``expected``, ``req``, ``buf``, ...) to symbolic expressions.
+    ``expected``, ``req``, ``buf``, ...) to the expressions passed (or
+    the runtime signature's default).
     """
 
     kind: str
-    args: dict[str, SymExpr] = field(default_factory=dict)
+    args: dict[str, ast.expr] = field(default_factory=dict)
     line: int = 0
     #: mode string of a view op ("rw", "r", "raw"), when syntactic
     mode: str | None = None
 
-    def arg(self, name: str) -> SymExpr:
-        return self.args.get(name, Const(None))
-
-    def pretty(self) -> str:
-        inner = ", ".join(f"{k}={v.pretty()}"
+    def __str__(self) -> str:
+        inner = ", ".join(f"{k}={ast.unparse(v)}"
                           for k, v in sorted(self.args.items()))
         return f"{self.kind}({inner})"
+
+
+def is_item(node: ast.expr | None) -> TypeGuard[ast.Subscript]:
+    """``value[index]`` with a plain index: what a store can locate a
+    cell through (slices are outside the modelled fragment)."""
+    return isinstance(node, ast.Subscript) and \
+        not isinstance(node.slice, ast.Slice)
 
 
 # ---------------------------------------------------------------------------
 # statements
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(kw_only=True)
 class Stmt:
     line: int = 0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Assign(Stmt):
-    """``targets = value``; ``value`` is an expression or an Op result."""
+    """``target = value``; ``value`` is an expression or an Op result."""
 
-    #: assignment target pattern: a Name/Sub/TupleExpr of Names
-    target: SymExpr = field(default_factory=Const)
-    value: SymExpr | Op = field(default_factory=Const)
+    #: assignment target pattern: a Name, an item (:func:`is_item`) or a
+    #: Tuple of them
+    target: ast.expr
+    value: ast.expr | Op
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExprStmt(Stmt):
-    value: SymExpr | Op = field(default_factory=Const)
+    value: ast.expr | Op
 
 
-@dataclass
+@dataclass(kw_only=True)
 class If(Stmt):
-    cond: SymExpr = field(default_factory=Const)
+    cond: ast.expr
     body: list[Stmt] = field(default_factory=list)
     orelse: list[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class For(Stmt):
-    target: SymExpr = field(default_factory=Const)
-    iter: SymExpr = field(default_factory=Const)
+    target: ast.expr
+    iter: ast.expr
     body: list[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class While(Stmt):
-    cond: SymExpr = field(default_factory=Const)
+    cond: ast.expr
     body: list[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Return(Stmt):
     pass
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Break(Stmt):
     pass
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Continue(Stmt):
     pass
 
 
-@dataclass
+@dataclass(kw_only=True)
 class YieldRaw(Stmt):
-    """A plain ``yield <expr>`` (not ``yield from``).
+    """A plain ``yield <expr>`` (not ``yield from``)."""
 
-    ``is_literal`` marks yields of constants — never a simulator Event,
-    which the engine rejects at run time (the non-Event-yield lint).
-    """
-
-    value: SymExpr = field(default_factory=Const)
-    is_literal: bool = False
+    value: ast.expr
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Unknown(Stmt):
     """A statement outside the modelled fragment."""
 
@@ -172,6 +176,8 @@ class Program:
     skipped: bool = False
     #: module-level constants visible to the program
     module_consts: dict[str, object] = field(default_factory=dict)
+    #: what the module's imports and helpers make of the program's names
+    scope: Scope = Scope()
 
     def walk_ops(self) -> list[Op]:
         """All Op nodes in the tree, in source order."""

@@ -248,12 +248,17 @@ def run_pingpong(mode: str, size_bytes: int, iters: int = 50,
     if size_bytes % 8 or size_bytes <= 0:
         raise ReproError("size_bytes must be a positive multiple of 8")
     if config is None:
-        config = ClusterConfig(nranks=2,
+        # Pinned serial whatever REPRO_SHARDS / --shards says: a two-rank
+        # latency probe has nothing to shard, and ``raw`` mode exchanges
+        # op handles through ``ctx.cluster._raw_mailboxes``, which cannot
+        # cross a process.
+        config = ClusterConfig(nranks=2, shards=1,
                                ranks_per_node=2 if same_node else 1)
     program = _PROGRAMS[mode]
     results, cluster = run_ranks(
         2, lambda ctx: program(ctx, size_bytes, iters), config=config)
     half_rtt = float(results[0])
+    stats = cluster.stats()     # the surface a ShardedRun has too
     out = {
         "mode": mode,
         "size_bytes": size_bytes,
@@ -261,8 +266,8 @@ def run_pingpong(mode: str, size_bytes: int, iters: int = 50,
         "same_node": same_node,
         "half_rtt_us": half_rtt,
         "bandwidth_MBps": size_bytes / half_rtt if half_rtt else 0.0,
-        "wire_transactions": cluster.tracer.wire_transactions(),
+        "wire_transactions": stats["wire_transactions"],
     }
-    if cluster.fabric.faults is not None:
-        out["faults"] = cluster.stats()["faults"]
+    if "faults" in stats:
+        out["faults"] = stats["faults"]
     return out

@@ -239,10 +239,12 @@ def table1_loggp(iters: int = 30) -> Table:
 # ---------------------------------------------------------------------------
 def sec5_cache_misses() -> Table:
     """Measure compulsory cache misses of the matching path (§V)."""
-    scenarios = {}
 
     def program(ctx):
         win = yield from ctx.win_allocate(4096)
+        # handed out as rank 1's return value: a closure would be filled
+        # in a shard worker's copy, not in the caller's
+        scenarios = {}
         if ctx.rank == 0:
             yield from ctx.barrier()
             yield from ctx.na.put_notify(win, np.arange(8, dtype=np.float64),
@@ -269,14 +271,14 @@ def sec5_cache_misses() -> Table:
             before = ctx.cache.stats.snapshot()
             yield from ctx.na.wait(req)
             scenarios["warm, 1 notification"] = ctx.cache.stats.delta(before)
-        return None
+        return scenarios
 
-    run_ranks(2, program)
+    results, _cluster = run_ranks(2, program)
     t = Table("Section V: matching-path cache misses per matched "
               "notification",
               ["scenario", "misses(request)", "misses(UQ)", "misses(total)",
                "paper_bound"])
-    for name, d in scenarios.items():
+    for name, d in results[1].items():
         req_m = d.miss_for("na-request")
         uq_m = (d.miss_for("na-uq-head") + d.miss_for("na-uq-scan")
                 + d.miss_for("na-uq-append"))

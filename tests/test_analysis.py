@@ -6,6 +6,8 @@ entry point; nothing here ever executes a rank program.
 
 from __future__ import annotations
 
+import ast
+import inspect
 import textwrap
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from repro.analysis import analyze_file, extract
 from repro.analysis.extract import extract_file
 from repro.analysis.instantiate import instantiate
+from repro.analysis.symbols import DTypeVal
 from repro.core.engine import NotifyEngine
 
 
@@ -95,7 +98,7 @@ def test_positional_target_follows_the_runtime_signature():
             yield from get_typed(win, region.ndarray(), t, region, 1)
     """)
     (op,) = [op for op in program.walk_ops() if op.kind == "get_typed"]
-    assert op.args["target"].pretty() == "1"
+    assert ast.unparse(op.args["target"]) == "1"
 
 
 def test_fompi_keywords_resolve_window_size_and_payload_bytes():
@@ -135,6 +138,38 @@ def test_role_bound_to_a_missing_parameter_raises_when_tables_build():
                                         r"has no parameter 'window'"):
         extract._bind(NotifyEngine, {
             "put_notify": ("put_notify", {"win": "window"})})
+
+
+def test_role_defaults_are_the_runtime_signatures():
+    # omitted arguments take the declared default of the parameter the
+    # role is bound to — read at import, never re-typed in the analyzer
+    (program,) = _extract("""
+        def program(ctx):
+            win = yield from ctx.win_allocate(64)
+            req = yield from ctx.na.notify_init(win)
+            yield from ctx.na.put_notify(win, data, 1)
+            view = win.local()
+    """)
+    ops = {op.kind: op for op in program.walk_ops()}
+    declared = inspect.signature(NotifyEngine.notify_init).parameters
+    assert {role: ast.literal_eval(ops["notify_init"].args[role])
+            for role in ("source", "tag", "expected")} == {
+        "source": declared["source"].default,
+        "tag": declared["tag"].default,
+        "expected": declared["expected_count"].default}
+    assert ast.unparse(ops["put_notify"].args["tag"]) == "0"
+    assert ops["win_allocate"].args["disp_unit"].value == 1
+    # a numpy scalar type is the one non-literal default the evaluator
+    # has a value for
+    assert ops["win_view"].args["dtype"].value == DTypeVal(1)
+
+    class Owner:
+        def call(self, peers=()):
+            raise NotImplementedError
+
+    with pytest.raises(TypeError, match=r"Owner\.call\(\): default of "
+                                        r"'peers' is not a constant"):
+        extract._bind(Owner, {"call": ("send", {"target": "peers"})})
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +302,23 @@ def test_polling_disables_budget_and_deadlock():
                 yield from ctx.na.wait(req)
     """)
     assert findings == []
+
+
+def test_splatted_operands_are_unknown_not_dropped():
+    # `zip(*pairs)` used to evaluate as `zip()` — an empty loop and an
+    # "exact" trace with its posts missing; an unhashable dict key used
+    # to crash the evaluator.  Both are simply unresolved.
+    (program,) = _extract("""
+        def program(ctx):
+            # analyze: nranks=2
+            win = yield from ctx.win_allocate(64)
+            pairs = [(0, 1), (1, 0)]
+            table = {[0]: 1}
+            for src, dst in zip(*pairs):
+                yield from ctx.na.put_notify(win, data, dst)
+    """)
+    for trace in instantiate(program, 2):
+        assert not trace.exact and "loop bounds" in trace.reason
 
 
 def test_unsized_program_gets_epoch_lint_only():

@@ -85,6 +85,19 @@ def test_runner_reports_fleet_rate_for_sharded_run():
     assert len(meta["gc_collections"]) == 3
 
 
+@pytest.mark.parametrize("eid", ["fig2", "fig3a", "fig3b", "fig3c", "fig4a",
+                                 "fig5", "table1", "sec5"])
+def test_shards_flag_is_total(eid):
+    """``--shards`` is accepted by every experiment and changes no cell
+    (the ids of ``benchmarks/smoke.SHARD_SMOKE`` are gated in CI; fig4b
+    and shard_weak stay out for run time).  An experiment that reads a
+    serial-only attribute of the run, or hands results out through a
+    closure a forked worker fills, fails here."""
+    serial, _ = run_experiment(eid, **SMOKE_CONFIGS[eid])
+    sharded, _ = run_experiment(eid, shards=2, **SMOKE_CONFIGS[eid])
+    assert serial.rows and sharded.rows == serial.rows
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(KeyError, match="unknown experiment"):
         run_experiment("nope")
