@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro.bench.figures import ALL_EXPERIMENTS
@@ -46,6 +45,7 @@ from repro.bench.runner import (
     run_experiment,
     write_bench_json,
 )
+from repro.sim import scheduler
 
 #: experiments exercised by the ``--shards`` equivalence matrix — small
 #: cluster-driven sweeps whose tables carry no shard-count column, so
@@ -110,21 +110,21 @@ def baseline_failures(eid: str, base_path: str,
 
 
 def _run_with_scheduler(name: str, eid: str, jobs: int, kwargs: dict):
-    """Run one experiment with REPRO_SCHEDULER pinned to ``name``.
+    """Run one experiment with the module default scheduler pinned to
+    ``name``.
 
-    The env var (not Engine(scheduler=...)) is the right knob here: the
-    parallel runner's worker processes inherit it, so every engine in the
-    fork pool uses the same implementation.
+    The default (not ``Engine(scheduler=...)``) is the right knob here:
+    every engine of the experiment is built deep inside the figure
+    drivers, and the parallel runner's fork-started workers inherit the
+    module state, so every engine in the pool uses the same
+    implementation.
     """
-    prev = os.environ.get("REPRO_SCHEDULER")
-    os.environ["REPRO_SCHEDULER"] = name
+    prev = scheduler._DEFAULT
+    scheduler._DEFAULT = scheduler.scheduler_name(name)
     try:
         return run_experiment(eid, jobs=jobs, **kwargs)
     finally:
-        if prev is None:
-            del os.environ["REPRO_SCHEDULER"]
-        else:
-            os.environ["REPRO_SCHEDULER"] = prev
+        scheduler._DEFAULT = prev
 
 
 def main(argv: list[str] | None = None) -> int:

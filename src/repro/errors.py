@@ -14,8 +14,9 @@ class ReproError(Exception):
 class SimulationError(ReproError):
     """The simulation kernel detected an illegal state.
 
-    Examples: running a finished engine, deadlock (no runnable events while
-    processes are still blocked), or interrupting a dead process.
+    Examples: running an engine into the past, deadlock (no runnable events
+    while processes are still blocked), or stepping an engine with nothing
+    scheduled.
     """
 
 

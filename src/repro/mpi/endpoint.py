@@ -81,7 +81,6 @@ class MpiEndpoint:
         self.eager_copies = 0
         self.bounce_copies = 0
         self.rndv_sends = 0
-        self.eager_sends = 0
         self._san = getattr(ctx.cluster, "sanitizer", None)
 
     # ------------------------------------------------------------------
@@ -125,7 +124,6 @@ class MpiEndpoint:
         yield self.engine.timeout(self.params.mpi_overhead)
         if nbytes <= self.params.eager_max and not force_rndv:
             req = SendRequest(self.engine, dest, tag, data, "eager")
-            self.eager_sends += 1
             h = self.fabric.send_sys(
                 self.rank, dest, "eager", nbytes + EAGER_HEADER,
                 payload={"tag": tag, "nbytes": nbytes,

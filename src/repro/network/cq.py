@@ -55,7 +55,6 @@ class CqEntry:
     immediate: int | None = None
     win_id: int | None = None
     target_addr: int | None = None
-    local_id: int | None = None   # matches a pending handle at the origin
     inline: Any | None = None     # numpy payload for shm inline transfer
     seq: int | None = None        # transfer sequence number (fault dedup)
     san: Any | None = None        # originating op's sanitizer clock
@@ -76,8 +75,6 @@ class CompletionQueue:
         self.capacity = capacity
         self._entries: deque[CqEntry] = deque()
         self.arrival = Signal(engine, name=f"cq:{name}")
-        self.posted = 0
-        self.polled = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -88,13 +85,11 @@ class CompletionQueue:
                 f"completion queue {self.name!r} overrun "
                 f"(capacity {self.capacity})")
         self._entries.append(entry)
-        self.posted += 1
         self.arrival.fire(entry)
 
     def poll(self) -> CqEntry | None:
         """Pop the oldest entry, or None if empty (non-blocking)."""
         if self._entries:
-            self.polled += 1
             return self._entries.popleft()
         return None
 
@@ -104,6 +99,5 @@ class CompletionQueue:
 
     def drain(self) -> list[CqEntry]:
         out = list(self._entries)
-        self.polled += len(out)
         self._entries.clear()
         return out

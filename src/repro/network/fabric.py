@@ -108,7 +108,6 @@ class Nic:
         #: software protocol messages (MP, PSCW control)
         self.sys_inbox: Store = Store(eng, name=f"sys:{rank}")
         self.sys_arrival = Signal(eng, name=f"sysarr:{rank}")
-        self.ops_issued = 0
         #: receive-side link occupancy horizon (incast serialization)
         self.rx_next_free = 0.0
         self.rx_bytes = 0
@@ -389,7 +388,6 @@ class Fabric:
             target_addr = scatter[0][0] if scatter else target_addr
         same = self.machine.same_node(origin, target)
         nic = self.nics[origin]
-        nic.ops_issued += 1
         fate = (None if self.faults is None
                 else self._fate(origin, target, nbytes, same))
         lost = fate is not None and fate.lost
@@ -506,7 +504,6 @@ class Fabric:
         """
         same = self.machine.same_node(origin, target)
         nic = self.nics[origin]
-        nic.ops_issued += 1
         p = self.params
         for name, sg in (("gather", gather), ("scatter", scatter)):
             if sg is not None and sum(b for _, b in sg) != nbytes:
@@ -688,7 +685,6 @@ class Fabric:
             raise NetworkError(f"unknown atomic op {op!r}")
         same = self.machine.same_node(origin, target)
         nic = self.nics[origin]
-        nic.ops_issued += 1
         itemsize = np.dtype(dtype).itemsize
         fate = (None if self.faults is None
                 else self._fate(origin, target, itemsize, same))

@@ -6,14 +6,15 @@ generators that ``yield`` :class:`~repro.sim.engine.Event` objects; the
 :class:`~repro.sim.engine.Engine` advances virtual time (a float, in
 microseconds) and resumes processes when the events they wait on trigger.
 
-Determinism: the event heap orders by ``(time, priority, sequence)`` where
-``sequence`` is a global monotone counter, so same-time events always fire in
-insertion order and repeated runs are bit-identical.
+Determinism: the scheduler (a calendar queue, :mod:`repro.sim.scheduler`)
+orders by ``(time, priority, sequence)`` where ``sequence`` is a global
+monotone counter, so same-time events always fire in insertion order and
+repeated runs are bit-identical.
 """
 
 from repro.sim.conditions import AllOf, AnyOf
-from repro.sim.engine import Engine, Event, Interrupt, Process, Timeout
-from repro.sim.resources import Gate, Resource, Signal, Store
+from repro.sim.engine import Engine, Event, Process, Timeout
+from repro.sim.resources import Signal, Store
 from repro.sim.rng import RngStream
 from repro.sim.trace import Tracer, TraceRecord
 
@@ -22,13 +23,10 @@ __all__ = [
     "Event",
     "Process",
     "Timeout",
-    "Interrupt",
     "AllOf",
     "AnyOf",
-    "Resource",
     "Store",
     "Signal",
-    "Gate",
     "RngStream",
     "Tracer",
     "TraceRecord",

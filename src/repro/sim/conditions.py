@@ -16,10 +16,10 @@ class _Condition(Event):
     completion count ``e`` can never reach (``_fired`` is keyed by event, so
     a duplicate can only ever contribute one entry).
 
-    Once the condition triggers — or its last waiter is detached by an
-    interrupt — it removes its ``_collect`` callback from every still-pending
-    child, so loser events of an :class:`AnyOf` do not pin the condition (and
-    everything it references) for the rest of the simulation.
+    Once the condition triggers it removes its ``_collect`` callback from
+    every still-pending child, so loser events of an :class:`AnyOf` do not
+    pin the condition (and everything it references) for the rest of the
+    simulation.
     """
 
     __slots__ = ("_events", "_fired")
@@ -79,12 +79,6 @@ class _Condition(Event):
                     ev.callbacks.remove(collect)
                 except ValueError:
                     pass
-
-    def _abandoned(self) -> None:
-        # Last waiter interrupted away: nobody can ever observe this
-        # condition, so unhook from the children instead of leaking.
-        if self._state == 0:
-            self._detach_children()
 
     def _done(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError

@@ -12,17 +12,17 @@ layers expose blocking-looking calls (``yield from comm.send(...)``).
 Hot-path design (see docs/architecture.md §9): every simulated microsecond is
 paid for in pure-Python event dispatch, so the inner loop avoids allocation
 and indirection wherever the ordering contract allows.  The pending-event set
-lives in a pluggable scheduler (:mod:`repro.sim.scheduler`): a calendar queue
-by default — O(1) for the same-timestamp bursts LogGP traffic generates, with
-whole-tick batch drains — or the classic binary heap via
-``REPRO_SCHEDULER=heap``.  Resuming a process whose target already fired goes
-through a pooled :class:`_Relay` instead of a fresh ``Event``;
-``succeed``/``fail`` push the schedule record inline for the ubiquitous
-zero-delay case; and :meth:`Engine.run` drives the scheduler's batch drain
-rather than calling :meth:`Engine.step` per event.  The ordering contract is
-strict: events fire in ``(time, priority, schedule-seq)`` order, and none of
-the fast paths may change the sequence of schedule calls — the sanitizer's
-zero-perturbation guarantee and the golden-value tests depend on it.
+lives in a scheduler (:mod:`repro.sim.scheduler`): a calendar queue — O(1)
+for the same-timestamp bursts LogGP traffic generates, with whole-tick batch
+drains — and the classic binary heap as its reference oracle.  Resuming a
+process whose target already fired goes through a pooled :class:`_Relay`
+instead of a fresh ``Event``; ``succeed``/``fail`` push the schedule record
+inline for the ubiquitous zero-delay case; and both :meth:`Engine.run` and
+:meth:`Engine.step` consume events only through the scheduler's batch
+drain.  The ordering contract is strict: events fire in ``(time, priority,
+schedule-seq)`` order, and none of the fast paths may change the sequence of
+schedule calls — the sanitizer's zero-perturbation guarantee and the
+golden-value tests depend on it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.errors import DeadlockError, SimulationError
 from repro.sim.scheduler import NORMAL, URGENT, make_scheduler
 
 __all__ = [
-    "URGENT", "NORMAL", "Event", "Timeout", "Interrupt", "Process",
+    "URGENT", "NORMAL", "Event", "Timeout", "Process",
     "Engine", "events_scheduled", "add_external_events",
 ]
 
@@ -162,13 +162,6 @@ class Event:
         self.engine._unobserved.pop(id(self), None)
         return self
 
-    def _abandoned(self) -> None:
-        """Hook: the last waiter detached before this event triggered.
-
-        Composite events override this to detach their child callbacks so an
-        interrupted waiter does not leak ``_collect`` references.
-        """
-
     def _process(self) -> None:
         self._state = 2
         callbacks = self.callbacks
@@ -190,11 +183,11 @@ class Event:
 class _Relay(Event):
     """Pooled internal event that resumes a process at the current time.
 
-    Used for the "target already processed" resume path, for process
-    kick-off, and for interrupt delivery, where the engine would otherwise
-    allocate a fresh ``Event`` per resume.  A relay recycles itself back to
-    the engine's free list as soon as its callbacks have run; it is never
-    exposed to user code, so no reference can outlive the recycling.
+    Used for the "target already processed" resume path and for process
+    kick-off, where the engine would otherwise allocate a fresh ``Event``
+    per resume.  A relay recycles itself back to the engine's free list as
+    soon as its callbacks have run; it is never exposed to user code, so no
+    reference can outlive the recycling.
     """
 
     __slots__ = ()
@@ -283,14 +276,6 @@ class Timeout(Event):
         engine._push(engine.now + delay, NORMAL, self)
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A running generator; also an event that fires when the generator ends.
 
@@ -300,7 +285,7 @@ class Process(Event):
     :meth:`Engine.run` so bugs never vanish silently.
     """
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen",)
 
     def __init__(self, engine: "Engine",
                  gen: Generator[Event, Any, Any], name: str = ""):
@@ -308,11 +293,9 @@ class Process(Event):
         if not hasattr(gen, "send"):
             raise TypeError(f"process body must be a generator, got {gen!r}")
         self._gen = gen
-        self._waiting_on: Event | None = None
         # Kick off at the current time via a pooled relay (insertion order
         # preserved: the relay is scheduled URGENT exactly like the dedicated
-        # init event used to be).  _waiting_on stays None until the first
-        # resume so a pre-start interrupt still lets the process start.
+        # init event used to be).
         pool = engine._relay_pool
         relay = pool.pop() if pool else _Relay(engine)
         relay._state = 1
@@ -324,74 +307,14 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._state == 0
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Delivery rides a pooled :class:`_Relay` carrying the
-        :class:`Interrupt` as its exception — one sequence number, no
-        ``Event``-plus-closure allocation, exactly like the interrupt event
-        it replaced.  The process is detached from its current wait target
-        immediately (the interrupt wins over a pending resume), and detached
-        *again* at delivery time in :meth:`_interrupted` in case another
-        same-tick event resumed and re-parked it in between.
-        """
-        if self._state != 0:
-            raise SimulationError(f"cannot interrupt dead process {self!r}")
-        self._detach()
-        eng = self.engine
-        pool = eng._relay_pool
-        relay = pool.pop() if pool else _Relay(eng)
-        relay._exc = Interrupt(cause)
-        relay._state = 1
-        relay.callbacks.append(self._interrupted)
-        eng._push(eng.now, URGENT, relay)
-
     # -- internal -----------------------------------------------------------
-    def _detach(self) -> None:
-        """Remove ``_resume`` from the current wait target, if any.
-
-        When the target's callback list empties, let composite events detach
-        from their children so loser callbacks don't accumulate forever.  A
-        target that is an in-flight pooled relay simply fires with an empty
-        callback list and recycles itself as usual.
-        """
-        waiting_on = self._waiting_on
-        if waiting_on is not None:
-            callbacks = waiting_on.callbacks
-            try:
-                callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            if not callbacks:
-                waiting_on._abandoned()
-            self._waiting_on = None
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         if event._exc is not None:
             self._step(throw=event._exc)
         else:
             self._step(send=event._value)
 
-    def _interrupted(self, event: Event) -> None:
-        """Fired by the pooled interrupt relay.
-
-        The process may have been resumed by another same-tick event and
-        re-parked on a *new* target since :meth:`interrupt` detached it;
-        detach from wherever it waits now, so the stale ``_resume`` callback
-        cannot fire a second resume later, then deliver the interrupt.  A
-        process that already finished (raced interrupt) is left alone —
-        ``_step`` guards that too, but skipping the detach keeps a dead
-        process's state untouched.
-        """
-        if self._state != 0:
-            return
-        self._detach()
-        self._step(throw=event._exc)
-
     def _step(self, send: Any = None, throw: BaseException | None = None):
-        if self._state != 0:  # already finished (e.g. raced interrupt)
-            return
         eng = self.engine
         try:
             if throw is not None:
@@ -435,20 +358,17 @@ class Process(Event):
             relay._state = 1
             relay.callbacks.append(self._resume)
             eng._push(eng.now, URGENT, relay)
-            self._waiting_on = relay
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
 
 
 class Engine:
     """The event loop.  ``now`` is virtual time in microseconds.
 
-    ``scheduler`` selects the pending-event structure: ``"calendar"`` (the
-    default), ``"heap"``, or ``None`` to resolve from the
-    ``REPRO_SCHEDULER`` environment variable (see
-    :mod:`repro.sim.scheduler`).  Both orderings are byte-identical; the
-    choice only affects speed.
+    ``scheduler`` names the pending-event structure (see
+    :mod:`repro.sim.scheduler`): ``None`` for the default calendar queue,
+    or ``"heap"`` for the reference heap the tests and probes compare it
+    against.  Both orderings are byte-identical.
     """
 
     def __init__(self, scheduler: str | None = None):
@@ -531,12 +451,6 @@ class Engine:
         self._push(when, priority, batch)
         self._sched._seq += len(fns) - 1
 
-    def _register_process(self, proc: Process) -> None:
-        self._processes[id(proc)] = proc
-
-    def _unregister_process(self, proc: Process) -> None:
-        self._processes.pop(id(proc), None)
-
     def _crash(self, exc: BaseException, proc: Process) -> None:
         if self._crashed is None:
             self._crashed = (exc, proc)
@@ -570,20 +484,20 @@ class Engine:
 
     # -- run loop -----------------------------------------------------------
     def step(self) -> None:
-        """Process one event off the scheduler.
+        """Process every event of the next pending tick.
 
-        Unlike :meth:`run`, ``step`` leaves the cyclic collector alone: a
-        caller single-stepping the engine owns the loop around it, and
-        toggling the collector per event would cost more than it saves.
+        A drain bounded at :meth:`peek`: the same dispatch path as
+        :meth:`run`, including the same-tick cascade.  Unlike :meth:`run`,
+        ``step`` leaves the cyclic collector alone: a caller stepping the
+        engine owns the loop around it, and toggling the collector per
+        tick would cost more than it saves.
         """
-        when, event = self._sched.pop()
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
+        when = self._sched.peek()
+        if when == float("inf"):
+            raise SimulationError(
+                f"step() at t={self.now:.3f}us: nothing is scheduled")
         try:
-            event._process()
-            if self._crashed is not None:
-                self._raise_crash()
+            self._sched.drain(self, when)
         finally:
             # Keep the module-level events/sec denominator fresh for
             # step-driven simulations too, not only full run() calls.

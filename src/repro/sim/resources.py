@@ -1,96 +1,33 @@
-"""Shared-resource primitives used by the runtime layers.
+"""Queueing primitives used by the runtime layers.
 
-* :class:`Resource` — counted resource with FIFO queuing (models a CPU core,
-  a DMA engine, a NIC injection port).
 * :class:`Store` — FIFO of items with blocking ``get`` (models completion
   queues and message channels).
 * :class:`Signal` — a re-armable broadcast event (models "poke all waiters").
-* :class:`Gate` — a level-triggered condition: ``wait()`` passes immediately
-  while the gate is open.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 from typing import Any
 
-from repro.errors import SimulationError
 from repro.sim.engine import URGENT, Engine, Event
-
-
-class Resource:
-    """A counted resource with FIFO fairness.
-
-    Usage from a process::
-
-        yield from res.acquire()
-        ...critical section...
-        res.release()
-    """
-
-    __slots__ = ("engine", "capacity", "name", "_in_use", "_waiters")
-
-    def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise SimulationError(
-                f"resource capacity must be >=1, got {capacity}")
-        self.engine = engine
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiters: deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._waiters)
-
-    def acquire(self) -> Generator[Event, Any, None]:
-        """Generator-style blocking acquire (use with ``yield from``)."""
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            return
-        ev = Event(self.engine)
-        self._waiters.append(ev)
-        yield ev
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; True on success."""
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            return True
-        return False
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        if self._waiters:
-            # Hand the slot directly to the next waiter (count unchanged).
-            self._waiters.popleft().succeed(None, priority=URGENT)
-        else:
-            self._in_use -= 1
 
 
 class Store:
     """An unbounded FIFO of items with blocking ``get``.
 
     ``put`` is immediate (the network layers bound their queues explicitly
-    where the paper's protocol requires it).  An optional ``on_put`` hook
-    lets observers (e.g. pollers) react to arrivals.
+    where the paper's protocol requires it).
     """
 
-    __slots__ = ("engine", "name", "_items", "_getters", "on_put")
+    __slots__ = ("engine", "name", "_items", "_getters")
 
     def __init__(self, engine: Engine, name: str = ""):
         self.engine = engine
         self.name = name
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
-        self.on_put: Callable[[Any], None] | None = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -100,8 +37,6 @@ class Store:
             self._getters.popleft().succeed(item, priority=URGENT)
         else:
             self._items.append(item)
-        if self.on_put is not None:
-            self.on_put(item)
 
     def get(self) -> Generator[Event, Any, Any]:
         """Blocking get (use with ``yield from``); returns the item."""
@@ -118,21 +53,16 @@ class Store:
             return True, self._items.popleft()
         return False, None
 
-    def peek_all(self) -> list[Any]:
-        """Snapshot of queued items without removing them."""
-        return list(self._items)
-
 
 class Signal:
     """A re-armable broadcast: ``fire(value)`` wakes every current waiter."""
 
-    __slots__ = ("engine", "name", "_event", "fire_count")
+    __slots__ = ("engine", "name", "_event")
 
     def __init__(self, engine: Engine, name: str = ""):
         self.engine = engine
         self.name = name
         self._event = Event(engine)
-        self.fire_count = 0
 
     def wait(self) -> Event:
         """Event that triggers at the next :meth:`fire`. Yield it."""
@@ -140,37 +70,4 @@ class Signal:
 
     def fire(self, value: Any = None) -> None:
         ev, self._event = self._event, Event(self.engine)
-        self.fire_count += 1
         ev.succeed(value, priority=URGENT)
-
-
-class Gate:
-    """Level-triggered condition: waiters pass while the gate is open."""
-
-    __slots__ = ("engine", "name", "_opened", "_waiters")
-
-    def __init__(self, engine: Engine, opened: bool = False, name: str = ""):
-        self.engine = engine
-        self.name = name
-        self._opened = opened
-        self._waiters: deque[Event] = deque()
-
-    @property
-    def is_open(self) -> bool:
-        return self._opened
-
-    def open(self) -> None:
-        self._opened = True
-        while self._waiters:
-            self._waiters.popleft().succeed(None, priority=URGENT)
-
-    def close(self) -> None:
-        self._opened = False
-
-    def wait(self) -> Generator[Event, Any, None]:
-        """Block until the gate is open (use with ``yield from``)."""
-        if self._opened:
-            return
-        ev = Event(self.engine)
-        self._waiters.append(ev)
-        yield ev

@@ -2,15 +2,18 @@
 
 The engine's ordering contract (docs/architecture.md §9) is that events
 fire in ``(time, priority, schedule-sequence)`` order.  Both schedulers
-here implement that contract exactly, so they are interchangeable behind
-the same :class:`~repro.sim.engine.Engine` API — ``REPRO_SCHEDULER=heap``
-or ``REPRO_SCHEDULER=calendar`` selects one, and the CI bench-smoke job
-runs the byte-equality matrix across both.
+here implement that contract exactly, behind the same three calls —
+``push``, ``peek`` and ``drain`` — and the engine consumes events only
+through ``drain``.
 
 **HeapScheduler** is the classic binary heap of ``(time, prio, seq,
 event)`` tuples: O(log n) per operation, with heapq doing the work in C.
+It is the reference the calendar queue is checked against —
+``Engine(scheduler="heap")`` selects it for tests and probes, and the
+bench-smoke gate runs whole experiments on both and requires
+byte-identical tables and event counts.
 
-**CalendarScheduler** (the default) is a calendar queue with a
+**CalendarScheduler** (what every run uses) is a calendar queue with a
 ladder-style overflow rung, specialised for the traffic LogGP models
 generate: dense bursts of events at *identical* timestamps (every
 commit/notification/ack hook of one transfer lands on the same
@@ -23,7 +26,7 @@ microsecond).  It is two-level:
   plus one list append, with no tuple allocation and no heap sift.
   URGENT events are kept out of these lists entirely: in practice they
   are only ever scheduled *at the current time* (process kick-off,
-  interrupt delivery, already-fired resume relays, condition triggers),
+  already-fired resume relays, process completion, condition triggers),
   so they go to a single active-tick side list, with a rarely-used
   ``{timestamp: [events]}`` escape hatch for a future-time URGENT.
   Draining a timestamp walks the URGENT side list, then the NORMAL
@@ -53,19 +56,18 @@ slot, overflow}; slot index is monotone in time and each slot is sorted
 before consumption, so timestamps pop in ascending order.  (2) within a
 timestamp, the URGENT-first re-checking drain above reproduces
 ``(priority, seq)`` order.  (1) + (2) compose to the full ``(time,
-priority, seq)`` contract, which the hypothesis equivalence test in
-``tests/test_sim_scheduler.py`` checks against the heap directly.
+priority, seq)`` contract, which the hypothesis tests in
+``tests/test_property_scheduler.py`` check against the heap by comparing
+the dispatch sequences of ``drain``.
 
 The calendar scheduler only supports the engine's two priorities
 (``URGENT == 0``, ``NORMAL == 1``); the heap accepts arbitrary ints.
-``peek``/``len`` are exact at scheduler-transaction boundaries (between
-``pop`` calls and outside ``drain``); while ``drain`` is mid-bucket they
-conservatively count the bucket as still pending.
+``peek`` is exact outside ``drain``; while ``drain`` is mid-bucket it
+conservatively reports the bucket as still pending.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 from heapq import heappop, heappush
 from typing import Any
@@ -101,19 +103,9 @@ class HeapScheduler:
         self._seq = seq = self._seq + 1
         heappush(self._q, (when, prio, seq, event))
 
-    def pop(self) -> tuple[float, Any]:
-        when, _prio, _seq, event = heappop(self._q)
-        return when, event
-
     def peek(self) -> float:
         q = self._q
         return q[0][0] if q else _INF
-
-    def __len__(self) -> int:
-        return len(self._q)
-
-    def __bool__(self) -> bool:
-        return bool(self._q)
 
     # -- run loop -----------------------------------------------------------
     def drain(self, engine, until: float | None) -> bool:
@@ -155,7 +147,7 @@ class CalendarScheduler:
 
     __slots__ = ("_seq", "_times", "_tget", "_slots", "_base", "_width",
                  "_nslots", "_cur_slot", "_cur", "_pos", "_over",
-                 "_awhen", "_an", "_au", "_fu", "_aui", "_ani")
+                 "_awhen", "_an", "_au", "_fu")
 
     def __init__(self) -> None:
         self._seq = 0
@@ -179,10 +171,6 @@ class CalendarScheduler:
         self._au: list = []
         #: rare escape hatch: URGENT events at a non-active future time
         self._fu: dict[float, list] = {}
-        # consumption indices into _au/_an, used by the step()-driven pop()
-        # path (drain() keeps its cursors in locals and prunes on exception)
-        self._aui = 0
-        self._ani = 0
 
     # -- scheduling ---------------------------------------------------------
     def push(self, when: float, prio: int, event: Any) -> None:
@@ -232,7 +220,7 @@ class CalendarScheduler:
         else:
             raise SimulationError(
                 f"calendar scheduler supports only URGENT/NORMAL "
-                f"priorities, got {prio!r} (use REPRO_SCHEDULER=heap)")
+                f"priorities, got {prio!r}")
 
     def _place(self, when: float) -> None:
         """Index a newly pending timestamp into the calendar."""
@@ -324,54 +312,9 @@ class CalendarScheduler:
             self._cur_slot = n
             self._rebuild()
 
-    def _activate(self, when: float) -> None:
-        """Make ``when`` the active bucket (merging any future-urgent list).
-
-        ``_au`` is empty here — it is cleared whenever a bucket is reaped —
-        so extending it with the escape-hatch list preserves seq order
-        (everything in ``_fu[when]`` was pushed before activation).
-        """
-        self._awhen = when
-        self._an = self._times[when]
-        fu = self._fu.pop(when, None)
-        if fu:
-            self._au.extend(fu)
-
-    def _reap(self) -> None:
-        """Drop the exhausted active bucket."""
-        del self._times[self._awhen]
-        self._awhen = None
-        self._an = None
-        self._au.clear()
-        self._aui = 0
-        self._ani = 0
-
-    def pop(self) -> tuple[float, Any]:
-        while True:
-            when = self._awhen
-            if when is not None:
-                au = self._au
-                ui = self._aui
-                if ui < len(au):
-                    self._aui = ui + 1
-                    return when, au[ui]
-                an = self._an
-                ni = self._ani
-                if ni < len(an):
-                    self._ani = ni + 1
-                    return when, an[ni]
-                self._reap()
-                continue
-            nxt = self._advance()
-            if nxt is None:
-                raise IndexError("pop from an empty scheduler")
-            self._activate(nxt)
-
     def peek(self) -> float:
-        when = self._awhen
-        if when is not None and (self._aui < len(self._au)
-                                 or self._ani < len(self._an)):
-            return when
+        if self._awhen is not None and (self._au or self._an):
+            return self._awhen
         if self._pos < len(self._cur):
             return self._cur[self._pos]
         for j in range(self._cur_slot + 1, self._nslots):
@@ -381,21 +324,6 @@ class CalendarScheduler:
         if self._over:
             return min(self._over)
         return _INF
-
-    def __len__(self) -> int:
-        total = sum(map(len, self._times.values()))
-        total += sum(map(len, self._fu.values()))
-        if self._awhen is not None:
-            total += len(self._au) - self._aui - self._ani
-        return total
-
-    def __bool__(self) -> bool:
-        if self._awhen is not None:
-            if (self._aui < len(self._au)
-                    or self._ani < len(self._an)):
-                return True
-            return len(self._times) > 1 or bool(self._fu)
-        return bool(self._times) or bool(self._fu)
 
     # -- run loop -----------------------------------------------------------
     def drain(self, engine, until: float | None) -> bool:
@@ -410,22 +338,15 @@ class CalendarScheduler:
         after every event so a fresh URGENT still preempts older NORMALs.
         Consumed-prefix counters live in locals and prune the lists if an
         exception (a crash escalation, a sanitizer race) escapes, leaving
-        the bucket exactly resumable.
+        the bucket exactly resumable: the next drain starts with it, and
+        ``peek`` reports its time meanwhile.
         """
         times = self._times
         au = self._au
         fu = self._fu
+        # A bucket an exception left behind: its time is <= engine.now <=
+        # until, so it resumes without a boundary check.
         when = self._awhen
-        if when is not None:
-            # Leftover bucket from the step()-driven path: prune what pop()
-            # already consumed, then treat it like a fresh activation.  Its
-            # time is <= engine.now <= until, so no boundary check.
-            if self._ani:
-                del self._an[:self._ani]
-                self._ani = 0
-            if self._aui:
-                del au[:self._aui]
-                self._aui = 0
         while True:
             if when is None:
                 # Inlined bottom-rung advance (one frame per bucket saved).
@@ -442,8 +363,9 @@ class CalendarScheduler:
                     self._pos -= 1      # un-consume: stays at _cur[_pos]
                     engine.now = until
                     return True
-                # Inlined _activate() (au is empty between buckets, so the
-                # escape-hatch merge preserves seq order).
+                # Activate the bucket.  au is empty between buckets and
+                # everything in fu[when] was pushed before activation, so
+                # the escape-hatch merge preserves seq order.
                 self._awhen = when
                 self._an = times[when]
                 if fu:
@@ -481,30 +403,30 @@ class CalendarScheduler:
                     del au[:ui]
                 if ni:
                     del n[:ni]
-                self._aui = 0
-                self._ani = 0
                 raise
-            # Inlined _reap(): au is exhausted-and-cleared by the loop above
-            # and the drain cursors are locals, so dropping the bucket is
-            # just the dict delete (``_an`` may go stale; every reader
-            # checks ``_awhen`` first).
+            # Drop the exhausted bucket: au is exhausted-and-cleared by the
+            # loop above and the drain cursors are locals, so this is just
+            # the dict delete (``_an`` may go stale; every reader checks
+            # ``_awhen`` first).
             del times[when]
             self._awhen = None
             when = None
 
 
-#: registry for REPRO_SCHEDULER / Engine(scheduler=...)
+#: registry for Engine(scheduler=...)
 SCHEDULERS = {
     "heap": HeapScheduler,
     "calendar": CalendarScheduler,
 }
 
+#: what ``Engine()`` builds.  Only the bench-smoke gate re-points it, for
+#: the length of one whole-experiment leg of its calendar ≡ heap matrix.
 _DEFAULT = "calendar"
 
 
 def scheduler_name(name: str | None = None) -> str:
-    """Resolve a scheduler name: explicit arg > REPRO_SCHEDULER > default."""
-    name = name or os.environ.get("REPRO_SCHEDULER") or _DEFAULT
+    """Resolve a scheduler name: explicit arg, else the default."""
+    name = name or _DEFAULT
     if name not in SCHEDULERS:
         raise SimulationError(
             f"unknown scheduler {name!r}; available: {sorted(SCHEDULERS)}")
@@ -512,5 +434,5 @@ def scheduler_name(name: str | None = None) -> str:
 
 
 def make_scheduler(name: str | None = None):
-    """Build the scheduler selected by ``name`` / ``REPRO_SCHEDULER``."""
+    """Build the scheduler selected by ``name`` (default: the calendar)."""
     return SCHEDULERS[scheduler_name(name)]()

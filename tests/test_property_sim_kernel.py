@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 
 
 @st.composite
@@ -65,30 +65,3 @@ def test_random_schedules_deterministic_and_monotone(specs):
         return
     b = build()
     assert a == b
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.floats(0, 3, allow_nan=False),
-                          st.floats(0.1, 2, allow_nan=False)),
-                min_size=1, max_size=10),
-       st.integers(min_value=1, max_value=3))
-def test_resource_never_oversubscribed(arrivals, capacity):
-    eng = Engine()
-    res = Resource(eng, capacity=capacity)
-    active = [0]
-    peak = [0]
-
-    def worker(e, delay, hold):
-        yield e.timeout(delay)
-        yield from res.acquire()
-        active[0] += 1
-        peak[0] = max(peak[0], active[0])
-        yield e.timeout(hold)
-        active[0] -= 1
-        res.release()
-
-    for delay, hold in arrivals:
-        eng.process(worker(eng, delay, hold))
-    eng.run()
-    assert peak[0] <= capacity
-    assert active[0] == 0

@@ -187,54 +187,6 @@ def test_failed_condition_detaches_pending_children(engine):
     assert pending.callbacks == []
 
 
-def test_interrupt_detaches_condition_children(engine):
-    """Interrupting a process blocked on a condition must unhook both the
-    process from the condition and the condition from its children."""
-    from repro.sim.engine import Interrupt
-
-    ev1, ev2 = engine.event("e1"), engine.event("e2")
-
-    def waiter(e):
-        try:
-            yield e.all_of([ev1, ev2])
-        except Interrupt:
-            return "interrupted"
-
-    def killer(e, victim):
-        yield e.timeout(1.0)
-        victim.interrupt("bored")
-
-    p = engine.process(waiter(engine))
-    engine.process(killer(engine, p))
-    engine.run(detect_deadlock=False)
-    assert p.value == "interrupted"
-    # The abandoned condition detached its _collect from both children.
-    assert ev1.callbacks == []
-    assert ev2.callbacks == []
-
-
-def test_interrupt_detaches_plain_event_waiter(engine):
-    from repro.sim.engine import Interrupt
-
-    ev = engine.event("plain")
-
-    def waiter(e):
-        try:
-            yield ev
-        except Interrupt:
-            return "interrupted"
-
-    def killer(e, victim):
-        yield e.timeout(1.0)
-        victim.interrupt()
-
-    p = engine.process(waiter(engine))
-    engine.process(killer(engine, p))
-    engine.run(detect_deadlock=False)
-    assert p.value == "interrupted"
-    assert ev.callbacks == []
-
-
 def test_unobserved_event_failure_surfaces_at_run_exit(engine):
     """A failed event nobody ever waits on must not vanish silently."""
     from repro.errors import SimulationError

@@ -185,61 +185,3 @@ def test_relay_pool_reuse_does_not_leak_values():
     # running its callbacks, so two relays ping-pong across the four resumes
     # (kick-off plus three yields) instead of five fresh Events.
     assert len(eng._relay_pool) == 2
-
-
-def test_golden_trace_interrupt_vs_relay_ordering():
-    """Golden trace pinning interrupt delivery order against the pooled
-    relay machinery: interrupts ride URGENT relays, so at one tick they
-    fire after earlier URGENT resumes and before all NORMAL events, in
-    schedule order — identically on every scheduler.
-
-    Regression for the interrupt rewrite: the old fresh-Event interrupt
-    path had the same ordering, and this trace must never move.
-    """
-    from repro.sim.engine import Interrupt
-
-    def build(scheduler):
-        eng = Engine(scheduler=scheduler)
-        trace = []
-        done = eng.event()
-        done.succeed("early")
-
-        def victim(e):
-            try:
-                yield e.event()
-            except Interrupt as i:
-                trace.append(("interrupt", i.cause, e.now))
-            got = yield done           # already fired: pooled-relay resume
-            trace.append(("relay-resume", got, e.now))
-            yield e.timeout(1.0)
-            trace.append(("end", e.now))
-
-        def normal_tick(e, tag):
-            yield e.timeout(1.0)
-            trace.append(("normal", tag, e.now))
-
-        v = eng.process(victim(eng), name="victim")
-
-        def interrupter(e):
-            yield e.timeout(1.0)
-            trace.append(("pre-interrupt", e.now))
-            v.interrupt("go")
-
-        eng.process(interrupter(eng), name="interrupter")
-        eng.process(normal_tick(eng, "a"), name="a")
-        eng.process(normal_tick(eng, "b"), name="b")
-        eng.run()
-        return trace
-
-    golden = [
-        ("pre-interrupt", 1.0),
-        # the interrupt relay (URGENT) preempts the remaining NORMAL
-        # ticks at t=1, and the relay resume follows in the same cascade
-        ("interrupt", "go", 1.0),
-        ("relay-resume", "early", 1.0),
-        ("normal", "a", 1.0),
-        ("normal", "b", 1.0),
-        ("end", 2.0),
-    ]
-    assert build("heap") == golden
-    assert build("calendar") == golden

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.engine import Engine, Interrupt
+from repro.sim.engine import Engine
 
 
 def test_time_starts_at_zero(engine):
@@ -211,34 +211,6 @@ def test_same_time_events_fire_in_creation_order(engine):
     assert order == [0, 1, 2, 3, 4]
 
 
-def test_interrupt_wakes_blocked_process(engine):
-    def sleeper(e):
-        try:
-            yield e.event()
-        except Interrupt as i:
-            return f"interrupted:{i.cause}"
-
-    def interrupter(e, victim):
-        yield e.timeout(2.0)
-        victim.interrupt("timeout")
-
-    v = engine.process(sleeper(engine))
-    engine.process(interrupter(engine, v))
-    engine.run()
-    assert v.value == "interrupted:timeout"
-    assert engine.now == 2.0
-
-
-def test_interrupt_dead_process_rejected(engine):
-    def quick(e):
-        yield e.timeout(0.5)
-
-    p = engine.process(quick(engine))
-    engine.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
 def test_yield_non_event_crashes_process(engine):
     def bad(e):
         yield "not an event"
@@ -385,6 +357,48 @@ def test_step_accounts_events_scheduled(engine):
     assert events_scheduled() == before + engine.events_scheduled()
 
 
+def test_step_on_empty_engine_names_the_error(engine):
+    """Stepping an engine with nothing scheduled is a named kernel error,
+    not an ``IndexError`` from the scheduler's internals."""
+    with pytest.raises(SimulationError, match="nothing is scheduled"):
+        engine.step()
+
+    def prog(e):
+        yield e.timeout(1.0)
+
+    engine.process(prog(engine))
+    engine.run()
+    with pytest.raises(SimulationError, match="nothing is scheduled"):
+        engine.step()
+    assert engine.now == 1.0
+
+
+def test_step_runs_one_tick_including_its_cascade(engine):
+    """``step()`` dispatches every event of the next pending tick — the
+    zero-delay cascade too — and nothing of the tick after it."""
+    log = []
+
+    def child(e, tag):
+        log.append((tag, e.now))
+        yield e.timeout(0.0)
+        log.append((tag + "-again", e.now))
+
+    def parent(e):
+        yield e.timeout(2.0)
+        e.process(child(e, "c"))
+        yield e.timeout(1.0)
+        log.append(("parent", e.now))
+
+    engine.process(parent(engine))
+    engine.step()                          # t=0: kick-off only
+    assert log == [] and engine.now == 0.0 and engine.peek() == 2.0
+    engine.step()                          # t=2: child and its cascade
+    assert log == [("c", 2.0), ("c-again", 2.0)]
+    assert engine.now == 2.0 and engine.peek() == 3.0
+    engine.step()
+    assert log[-1] == ("parent", 3.0)
+
+
 def test_bounded_run_reports_unobserved_failure(engine):
     """Regression: a failed, never-observed event processed before
     ``until`` must be reported at the bounded-drain boundary instead of
@@ -424,117 +438,3 @@ def test_failure_observed_within_quantum_not_reported(engine):
     engine.run(until=5.0, detect_deadlock=False)
     engine.run()
     assert p.value == "saw it"
-
-
-def test_interrupt_reuses_relay_pool(engine):
-    """Regression: interrupt() used to allocate a fresh Event plus closure
-    per interrupt; it must ride the engine's relay pool instead."""
-    def sleeper(e):
-        while True:
-            try:
-                yield e.event()
-            except Interrupt:
-                pass
-
-    def interrupter(e, victim):
-        for _ in range(5):
-            yield e.timeout(1.0)
-            victim.interrupt()
-
-    v = engine.process(sleeper(engine))
-    engine.process(interrupter(engine, v))
-    engine.run(until=10.0, detect_deadlock=False)
-    # every interrupt recycled its relay: the pool never grows past the
-    # small steady-state set (kick-off relays + interrupt relay)
-    assert len(engine._relay_pool) <= 2
-
-
-def test_interrupt_while_parked_on_pooled_relay(engine):
-    """Interrupting a process parked on a pooled _Relay (the already-fired
-    resume path) must deliver the interrupt and leave the abandoned relay
-    recycling cleanly with an empty callback list.
-
-    The only way to catch a process on an in-flight relay is a second
-    interrupt in the same urgent cascade: the first delivery makes the
-    victim yield an already-processed event (parking it on a relay with a
-    higher schedule-seq), and the second interrupt relay — scheduled
-    earlier, so firing first — must detach it from that relay.
-    """
-    done = engine.event()
-    done.succeed("early")
-    log = []
-
-    def victim(e):
-        try:
-            yield e.event()
-        except Interrupt as i:
-            log.append(("int", i.cause))
-        try:
-            got = yield done     # already fired -> parks on a pooled relay
-            log.append(("resumed", got))
-        except Interrupt as i:
-            log.append(("int", i.cause))
-        yield e.timeout(1.0)
-        log.append("end")
-
-    v = engine.process(victim(engine))
-
-    def interrupter(e):
-        yield e.timeout(1.0)
-        v.interrupt("a")
-        v.interrupt("b")
-
-    engine.process(interrupter(engine))
-    engine.run()
-    assert log == [("int", "a"), ("int", "b"), "end"]
-    assert engine.now == 2.0
-
-
-def test_double_interrupt_no_stale_resume(engine):
-    """Two same-tick interrupts: the second must detach the process from
-    whatever it re-parked on, so no stale resume fires later."""
-    log = []
-
-    def victim(e):
-        try:
-            yield e.event()
-        except Interrupt as i:
-            log.append(f"int{i.cause}")
-        try:
-            yield e.timeout(5.0)
-        except Interrupt as i:
-            log.append(f"int{i.cause}")
-        yield e.timeout(1.0)
-        log.append("done")
-
-    v = engine.process(victim(engine))
-
-    def interrupter(e):
-        yield e.timeout(2.0)
-        v.interrupt(1)
-        v.interrupt(2)
-
-    engine.process(interrupter(engine))
-    engine.run()
-    assert log == ["int1", "int2", "done"]
-    # the detached 5us timeout still pops (with no waiter) at t=7
-    assert engine.now == 7.0
-
-
-def test_interrupt_raced_by_completion_is_noop(engine):
-    """An interrupt scheduled in the same tick the process finishes must
-    not corrupt the dead process (delivery-side guard)."""
-    def quick(e):
-        yield e.timeout(1.0)
-        return "ok"
-
-    p = engine.process(quick(engine))
-
-    def interrupter(e):
-        yield e.timeout(1.0)
-        if p.is_alive:
-            p.interrupt("too late?")
-
-    engine.process(interrupter(engine))
-    engine.run()
-    assert p.value == "ok"

@@ -1,17 +1,18 @@
-"""Tests of the pluggable event schedulers (heap vs calendar).
+"""Tests of the event schedulers (calendar queue vs reference heap).
 
-The calendar queue must be observationally identical to the binary heap:
-same pop order for any push sequence respecting the engine's invariants
-(times are never in the past relative to the last pop), same golden event
-traces across calendar bucket boundaries, overflow rungs, and rebuild
-thresholds.
+The calendar queue must be observationally identical to the binary heap
+on the one path the engine consumes it by, ``drain``: same dispatch order
+for any push sequence respecting the engine's invariants (times are never
+in the past relative to the current tick), same golden event traces
+across calendar bucket boundaries, overflow rungs, and rebuild
+thresholds.  The randomized half of that oracle lives in
+``tests/test_property_scheduler.py``; the golden orders of its named
+inputs are pinned here.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import NORMAL, URGENT, Engine
@@ -23,6 +24,18 @@ from repro.sim.scheduler import (
     make_scheduler,
     scheduler_name,
 )
+from tests.test_property_scheduler import (
+    BUCKET_EDGES,
+    BUCKET_TIMES,
+    CRASH_MID_BUCKET,
+    FUTURE_URGENT,
+    GROW,
+    OVERFLOW,
+    SAME_TICK_URGENT,
+    Script,
+    fired,
+    same_dispatch,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -32,24 +45,19 @@ def test_registry_contains_both():
     assert set(SCHEDULERS) == {"heap", "calendar"}
 
 
-def test_default_is_calendar(monkeypatch):
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+def test_default_is_calendar():
     assert scheduler_name() == "calendar"
     assert isinstance(make_scheduler(), CalendarScheduler)
 
 
-def test_env_selects_heap(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-    assert scheduler_name() == "heap"
-    assert isinstance(make_scheduler(), HeapScheduler)
-    # explicit argument wins over the environment
-    assert scheduler_name("calendar") == "calendar"
+def test_heap_is_selected_by_name():
+    assert scheduler_name("heap") == "heap"
+    assert isinstance(make_scheduler("heap"), HeapScheduler)
 
 
-def test_unknown_scheduler_rejected(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "splay-tree")
+def test_unknown_scheduler_rejected():
     with pytest.raises(SimulationError, match="unknown scheduler"):
-        scheduler_name()
+        scheduler_name("splay-tree")
 
 
 def test_engine_accepts_scheduler_argument():
@@ -62,89 +70,21 @@ def test_calendar_rejects_exotic_priority():
     with pytest.raises(SimulationError, match="URGENT/NORMAL"):
         sched.push(1.0, 7, object())
     # the heap takes anything orderable
-    h = HeapScheduler()
-    h.push(1.0, 7, "x")
-    assert h.pop() == (1.0, "x")
+    script = Script(HeapScheduler())
+    script.push(1.0, 7)
+    script.drain()
+    assert fired(script.log) == [(1.0, 0)]
 
 
 # ---------------------------------------------------------------------------
-# direct pop-order equivalence
+# golden dispatch orders of the property tests' named inputs
 # ---------------------------------------------------------------------------
-def _drain_interleaved(sched, pushes):
-    """Push/pop interleaving like the engine: pops never go back in time,
-    pushes during the drain land at >= the last popped time."""
-    order = []
-    for when, prio, tag in pushes:
-        sched.push(when, prio, tag)
-    while len(sched):
-        when, tag = sched.pop()
-        order.append((when, tag))
-    return order
-
-
-@st.composite
-def push_sequences(draw):
-    """Random (time, priority, tag) schedules with engine-like times."""
-    n = draw(st.integers(min_value=1, max_value=120))
-    times = st.one_of(
-        st.floats(min_value=0.0, max_value=50.0, allow_nan=False,
-                  allow_infinity=False),
-        # heavy same-timestamp collisions, the calendar's home turf
-        st.sampled_from([0.0, 1.0, 1.5, 2.0, 40.0]),
-    )
-    pushes = []
-    for tag in range(n):
-        pushes.append((draw(times), draw(st.sampled_from([URGENT, NORMAL])),
-                       tag))
-    return pushes
-
-
-@settings(max_examples=120, deadline=None)
-@given(pushes=push_sequences())
-def test_heap_and_calendar_pop_identically(pushes):
-    heap = HeapScheduler()
-    cal = CalendarScheduler()
-    assert _drain_interleaved(heap, pushes) \
-        == _drain_interleaved(cal, pushes)
-
-
-@settings(max_examples=60, deadline=None)
-@given(pushes=push_sequences(),
-       extra=st.lists(st.tuples(
-           st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-           st.sampled_from([URGENT, NORMAL])), max_size=20))
-def test_equivalent_under_mid_drain_pushes(pushes, extra):
-    """Interleave pops with future-relative pushes (the cascade pattern):
-    both schedulers must still agree event-for-event."""
-    def run(sched):
-        for when, prio, tag in pushes:
-            sched.push(when, prio, ("init", tag))
-        pending = list(extra)
-        order = []
-        while len(sched):
-            when, tag = sched.pop()
-            order.append((when, tag))
-            if pending:
-                delay, prio = pending.pop()
-                # push relative to the pop time, like an engine callback
-                sched.push(when + delay, prio, ("mid", len(pending)))
-        return order
-
-    assert run(HeapScheduler()) == run(CalendarScheduler())
-
-
 def test_same_tick_urgent_preempts_older_normals():
     """A same-time URGENT pushed mid-bucket (higher seq) must still beat
     NORMAL entries pushed earlier (lower seq) — the heap's
     ``(t, 0, big) < (t, 1, small)`` tuple order."""
-    for name in SCHEDULERS:
-        sched = make_scheduler(name)
-        sched.push(5.0, NORMAL, "n1")
-        sched.push(5.0, NORMAL, "n2")
-        assert sched.pop() == (5.0, "n1")
-        sched.push(5.0, URGENT, "u-late")
-        assert sched.pop() == (5.0, "u-late"), name
-        assert sched.pop() == (5.0, "n2"), name
+    log = same_dispatch(**SAME_TICK_URGENT)
+    assert fired(log) == [(5.0, 0), (5.0, 2), (5.0, 1)]
 
 
 def test_seq_counts_match():
@@ -156,62 +96,52 @@ def test_seq_counts_match():
     assert heap._seq == cal._seq == 7
 
 
-def test_peek_and_len():
+def test_peek_between_drains():
     for name in SCHEDULERS:
-        sched = make_scheduler(name)
-        assert sched.peek() == float("inf")
-        assert len(sched) == 0 and not sched
-        sched.push(9.0, NORMAL, "b")
-        sched.push(3.0, URGENT, "a")
-        assert sched.peek() == 3.0
-        assert len(sched) == 2 and sched
-        assert sched.pop() == (3.0, "a")
-        assert sched.peek() == 9.0
-        sched.pop()
-        assert len(sched) == 0
-        with pytest.raises(IndexError):
-            sched.pop()
+        script = Script(make_scheduler(name))
+        assert script.sched.peek() == float("inf")
+        script.push(9.0, NORMAL)
+        script.push(3.0, URGENT)
+        assert script.sched.peek() == 3.0
+        assert script.drain(until=3.0) is True
+        assert script.sched.peek() == 9.0
+        assert script.drain() is False
+        assert script.sched.peek() == float("inf")
+        assert fired(script.log) == [(3.0, 1), (9.0, 0)], name
 
 
-# ---------------------------------------------------------------------------
-# calendar internals: bucket boundaries, overflow, rebuild
-# ---------------------------------------------------------------------------
 def test_golden_order_across_bucket_boundaries():
-    """Timestamps straddling calendar slot boundaries pop in time order."""
-    cal = CalendarScheduler()
-    # default geometry: base 0.0, width 1.0, 32 slots -> horizon at 32.0
-    times = [0.5, 1.0, 1.0000001, 31.9, 32.0, 33.5, 100.0, 1000.0]
-    for i, t in enumerate(reversed(times)):
-        cal.push(t, NORMAL, f"e{len(times) - 1 - i}")
-    got = []
-    while len(cal):
-        got.append(cal.pop())
-    assert got == [(t, f"e{i}") for i, t in enumerate(times)]
+    """Timestamps straddling calendar slot boundaries fire in time order."""
+    log = same_dispatch(**BUCKET_EDGES)
+    n = len(BUCKET_TIMES)
+    assert fired(log) == [(t, n - 1 - i) for i, t in enumerate(BUCKET_TIMES)]
 
 
 def test_overflow_rung_and_rebuild():
     """Events far beyond the horizon land in the ladder rung and surface
     in order after the year-exhausted rebuild."""
-    cal = CalendarScheduler()
-    far = [1e6 + i * 0.25 for i in range(50)]
-    for i, t in enumerate(far):
-        cal.push(t, NORMAL, i)
-    assert cal._over                       # beyond-horizon: ladder top
-    got = [cal.pop() for _ in range(len(far))]
-    assert got == [(t, i) for i, t in enumerate(far)]
-    assert cal._base == far[0]             # rebuild re-seeded the geometry
+    script = Script(CalendarScheduler())
+    for when, prio in OVERFLOW["initial"]:
+        script.push(when, prio)
+    assert script.sched._over              # beyond-horizon: ladder top
+    script.drain()
+    far = [when for when, _ in OVERFLOW["initial"]]
+    assert fired(script.log) == [(t, i) for i, t in enumerate(far)]
+    assert script.sched._base == far[0]    # rebuild re-seeded the geometry
+    assert fired(same_dispatch(**OVERFLOW)) == fired(script.log)
 
 
 def test_grow_rebuild_threshold():
     """Pushing more than 2*nslots distinct timestamps grows the calendar."""
-    cal = CalendarScheduler()
-    assert cal._nslots == _MIN_SLOTS
-    n = 2 * _MIN_SLOTS + 8
-    for i in range(n):
-        cal.push(i * 0.001, NORMAL, i)
-    assert cal._nslots > _MIN_SLOTS
-    got = [cal.pop() for _ in range(n)]
-    assert got == [(i * 0.001, i) for i in range(n)]
+    script = Script(CalendarScheduler())
+    assert script.sched._nslots == _MIN_SLOTS
+    for when, prio in GROW["initial"]:
+        script.push(when, prio)
+    assert script.sched._nslots > _MIN_SLOTS
+    script.drain()
+    n = len(GROW["initial"])
+    assert fired(script.log) == [(i * 0.001, i) for i in range(n)]
+    assert fired(same_dispatch(**GROW)) == fired(script.log)
 
 
 def test_golden_trace_crossing_rebuild_threshold():
@@ -240,13 +170,18 @@ def test_golden_trace_crossing_rebuild_threshold():
 def test_future_urgent_escape_hatch():
     """URGENT at a non-active future time (the rare path) still orders
     before NORMAL at that time and after everything earlier."""
-    for name in SCHEDULERS:
-        sched = make_scheduler(name)
-        sched.push(10.0, NORMAL, "n10")
-        sched.push(10.0, URGENT, "u10")
-        sched.push(5.0, NORMAL, "n5")
-        got = [sched.pop() for _ in range(3)]
-        assert got == [(5.0, "n5"), (10.0, "u10"), (10.0, "n10")], name
+    log = same_dispatch(**FUTURE_URGENT)
+    assert fired(log) == [(5.0, 2), (10.0, 1), (10.0, 0)]
+
+
+def test_crash_mid_bucket_resumes_in_order():
+    """An exception escaping mid-bucket leaves the rest of the bucket —
+    including the URGENT the crashing event pushed — pending, reported by
+    ``peek``, and dispatched in order by the next drain."""
+    log = same_dispatch(**CRASH_MID_BUCKET)
+    assert log == [(1.0, 0), ("boom", 0, 1.0, 1.0),
+                   (1.0, 3), (1.0, 1), (1.0, 2), (3.0, 4),
+                   ("stop", False, 3.0, float("inf"))]
 
 
 def test_urgent_only_timestamp_via_engine():
@@ -269,7 +204,7 @@ def test_urgent_only_timestamp_via_engine():
 # engine-level equivalence and drain/step interop
 # ---------------------------------------------------------------------------
 def _branchy_program(eng):
-    """A workload exercising conditions, zero-delays, and interrupts."""
+    """A workload exercising conditions and zero-delay cascades."""
     log = []
 
     def worker(e, tag, period):
@@ -317,14 +252,14 @@ def test_bounded_run_and_resume_equivalent():
 
 
 def test_step_then_run_interop():
-    """step()-driven consumption interleaved with run() drains cleanly on
-    the calendar's partially-consumed active bucket."""
+    """step()-driven ticks interleaved with run() drain cleanly and
+    identically on both schedulers."""
     def run(scheduler):
         eng = Engine(scheduler=scheduler)
         log = _branchy_program(eng)
         for _ in range(5):
             eng.step()
-        log.append(("stepped-to", eng.now))
+            log.append(("stepped-to", eng.now))
         eng.run()
         return log, eng.now
 
