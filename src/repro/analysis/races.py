@@ -85,8 +85,8 @@ class _ClockPass(Sanitizer):
         self.by = self.line = 0
         self.site = ""
         self.segs: dict[Seg, int] = {}
-        #: per-rank ops awaiting a flush, as ``Window._pending`` keeps
-        #: them: (win, target, remote leg, local leg)
+        #: per-rank ops awaiting a flush, as a *sanitized* ``Window``
+        #: keeps them: (win, target, remote leg, local leg)
         self.pending: list[list[tuple[
             WindowVal | None, int | None, OpClock, OpClock | None]]] = [
                 [] for _ in run.states]

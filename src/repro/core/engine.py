@@ -399,6 +399,8 @@ class NotifyEngine:
           implementation must first wait for remote completion, adding the
           round trip the paper warns about.
         """
+        # A window sweeps out completed FMA-sized handles only: a BTE one
+        # stays until the flush, so this still sees the path out of order.
         pending = win._pending.get(target, [])
         same_node = self.ctx.machine.same_node(self.rank, target)
         in_order = all(

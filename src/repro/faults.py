@@ -15,9 +15,9 @@ link:
 * every dropped attempt costs one retransmission timeout, growing by an
   exponential ``backoff`` factor per retry (``rto``, ``rto*b``, ``rto*b²``,
   ...);
-* a delivery may be *duplicated*; the receiving NIC deduplicates by
-  transfer sequence number, so payload commit, accumulate updates, and
-  notification posts stay exactly-once (idempotent completion path);
+* a delivery may be *duplicated*; both copies run the transfer's one
+  guarded completion closure, which applies only the first, so payload
+  commit, accumulate updates, and notification posts stay exactly-once;
 * after ``max_retries`` consecutive drops — or when either endpoint's node
   has failed — the operation is abandoned and its ``remote_done`` event
   fails with :class:`~repro.errors.FaultError` after ``detect_us``.

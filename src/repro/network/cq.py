@@ -56,7 +56,6 @@ class CqEntry:
     win_id: int | None = None
     target_addr: int | None = None
     inline: Any | None = None     # numpy payload for shm inline transfer
-    seq: int | None = None        # transfer sequence number (fault dedup)
     san: Any | None = None        # originating op's sanitizer clock
 
 

@@ -22,7 +22,6 @@ boundary in :mod:`repro.sim.shard` (docs/architecture.md §3).
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -111,31 +110,12 @@ class Nic:
         #: receive-side link occupancy horizon (incast serialization)
         self.rx_next_free = 0.0
         self.rx_bytes = 0
-        #: transfer sequence numbers already delivered (fault dedup) and
-        #: how many duplicate deliveries the NIC filtered out
-        self._delivered_seqs: set[int] = set()
+        #: duplicate deliveries filtered out at this NIC (fault dedup)
         self.dup_suppressed = 0
         if fabric.faults is not None:
             self.fma.faults = fabric.faults
             self.bte.faults = fabric.faults
             self.shm.faults = fabric.faults
-
-    def first_delivery(self, seq: int | None) -> bool:
-        """True exactly once per transfer sequence number.
-
-        The completion path calls this before committing payload bytes or
-        posting a notification: a retransmitted-then-also-delivered (or
-        outright duplicated) transfer must have its side effects applied
-        exactly once — accumulates and notification counters are not
-        idempotent.
-        """
-        if seq is None:
-            return True
-        if seq in self._delivered_seqs:
-            self.dup_suppressed += 1
-            return False
-        self._delivered_seqs.add(seq)
-        return True
 
     def poll_notification(self) -> CqEntry | None:
         """Pop the oldest notification across uGNI CQ and shm ring.
@@ -190,7 +170,6 @@ class Fabric:
         if fault_plan is not None and fault_plan.active:
             self.faults = FaultInjector(fault_plan, seed,
                                         tracer=self.tracer)
-        self._op_seq = itertools.count(1)
         if local_ranks is None:
             # Serial fabric: a dense NIC list, exactly as before.
             self.nics = [Nic(self, r) for r in range(machine.nranks)]
@@ -313,13 +292,13 @@ class Fabric:
         at the same instant — the single-transaction guarantee of Fig. 2d.
 
         Fault-free, the two are separate scheduler events.  On a faulty
-        fabric they travel together as one event under one transfer
-        sequence number, behind the NIC's exactly-once filter, so a
-        duplicated delivery re-applies neither: accumulates, atomics and
+        fabric they travel together as one event, behind an exactly-once
+        filter: a transfer is delivered at most twice (``fate.duplicate``
+        adds one copy), both deliveries run the one closure built here, and
+        only the first applies anything — accumulates, atomics and
         notification counters are not idempotent.
         """
         nic = self.nics[target]
-        seq = None if self.faults is None else next(self._op_seq)
         post = None
         if immediate is not None:
             queue = nic.shm_ring if same else nic.dest_cq
@@ -329,20 +308,24 @@ class Fabric:
                                    nbytes=nbytes, time=self.engine.now,
                                    immediate=immediate, win_id=win_id,
                                    target_addr=target_addr, inline=inline,
-                                   seq=seq, san=san_op))
+                                   san=san_op))
 
-        if seq is None:
+        if self.faults is None:
             if apply is not None:
                 self._at(when, apply)
             if post is not None:
                 self._at(when, post)
             return
+        delivered = False
 
         def once() -> None:
-            if not nic.first_delivery(seq):
+            nonlocal delivered
+            if delivered:
+                nic.dup_suppressed += 1
                 self.faults.suppressed(origin, target, kind,
                                        self.engine.now)
                 return
+            delivered = True
             if apply is not None:
                 apply()
             if post is not None:

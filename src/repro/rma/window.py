@@ -26,6 +26,8 @@ from repro.network.fabric import OpHandle
 WIN_HEADER = 64
 #: ctrl-message sizes for PSCW (bytes)
 PSCW_MSG_BYTES = 16
+#: fewest ops a window records between two sweeps of completed handles
+_SWEEP_MIN = 4
 
 _EPOCH_NONE = "none"
 _EPOCH_FENCE = "fence"
@@ -107,7 +109,17 @@ class Window:
         self.region = region
         self.id = shared.win_id
         self.rank = ctx.rank
+        #: target -> the handles a flush of it waits on, keyed in order of
+        #: the first op since the target's last flush.  A sweep may empty a
+        #: list but keeps its key, so every flush yields exactly when it
+        #: would if no handle were ever dropped.
         self._pending: dict[int, list[OpHandle]] = {}
+        #: targets whose list held handles at or since the last sweep
+        self._holding: set[int] = set()
+        #: ops to record before the next sweep.  A sanitized window never
+        #: sweeps (the countdown starts at 0 and steps past it): the
+        #: tracker acquires through every handle at the flush.
+        self._sweep_in = 0 if self._san is not None else _SWEEP_MIN
         self._epoch = _EPOCH_NONE
         self._access_group: set[int] | None = None
         self._locked: set[int] = set()
@@ -154,6 +166,37 @@ class Window:
 
     def record_pending(self, target: int, handle: OpHandle) -> None:
         self._pending.setdefault(target, []).append(handle)
+        self._holding.add(target)
+        self._sweep_in -= 1
+        if self._sweep_in == 0:
+            self._sweep()
+
+    def _sweep(self) -> None:
+        """Drop the handles no flush can still wait on.
+
+        That is an op whose remote leg succeeded (no local leg completes
+        after its remote one), unless it is BTE-sized: ``flush_notify``
+        must still see that the target's path is out of order.  A lost op
+        stays, so that its flush raises.  Only targets recorded since the
+        last sweep, or still holding handles, are visited, and the next
+        sweep waits for as many ops as this one kept: O(1) per op however
+        many targets the window has seen.
+        """
+        pending = self._pending
+        fma_max = self.ctx.params.fma_max
+        holding = set()
+        kept = 0
+        for target in self._holding:
+            handles = pending.get(target)
+            if handles:
+                handles[:] = [h for h in handles
+                              if not h.remote_done.processed or h.failed
+                              or h.nbytes > fma_max]
+                if handles:
+                    holding.add(target)
+                    kept += len(handles)
+        self._holding = holding
+        self._sweep_in = max(kept, _SWEEP_MIN)
 
     def _issue(self, fn, *args, **kw):
         """Charge o_send (the software call cost, before injection), run the
@@ -239,8 +282,8 @@ class Window:
     # -- completion --------------------------------------------------------
     def flush(self, target: int) -> Generator[object, object, None]:
         """Wait for remote completion of all pending ops to ``target``."""
-        handles = self._pending.pop(target, [])
-        if handles:
+        handles = self._pending.pop(target, None)
+        if handles is not None:
             yield self.ctx.engine.all_of([h.remote_done for h in handles])
             san = self._san
             if san is not None:
@@ -255,8 +298,8 @@ class Window:
         Handles whose remote completion already arrived are pruned so that
         per-message flush_local loops (e.g. the stencil) stay O(1).
         """
-        handles = self._pending.get(target, [])
-        if handles:
+        handles = self._pending.get(target)
+        if handles is not None:
             yield self.ctx.engine.all_of([h.local_done for h in handles])
             san = self._san
             if san is not None:

@@ -8,7 +8,11 @@ exact counts per operation kind, inter-node (uGNI) and intra-node
 * **bytecodes** — ``sys.settrace`` ``opcode`` events in frames whose
   code lives under ``src/repro`` only, so the installed NumPy / stdlib
   cannot move the number;
-* **events** — simulator events scheduled (``events_scheduled()``).
+* **events** — simulator events scheduled (``events_scheduled()``);
+* **retained** — ``OpHandle`` and ``Event`` instances still alive once
+  every ack has landed, before the closing ``flush_all``: what a
+  completed op leaves behind (``gc.get_objects()`` after a fixed settle
+  time, in a separate untraced run of the same program).
 
 Each is the difference between a run of N = 200 and a run of N = 100
 operations of one fixed 2-rank program (allocate, ``lock_all``, N ops,
@@ -24,6 +28,7 @@ intended move, regenerate and say why::
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -33,7 +38,8 @@ import pytest
 
 import repro
 from repro.cluster import Cluster, ClusterConfig
-from repro.sim.engine import events_scheduled
+from repro.network.fabric import OpHandle
+from repro.sim.engine import Event, events_scheduled
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -43,6 +49,7 @@ PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _PAYLOAD = 64                      # bytes per op: FMA / eager territory
+_SETTLE = 1000.0                   # µs after the last op: every ack is in
 
 
 def _put(ctx, win, n):
@@ -99,7 +106,7 @@ OPS = {
 PLACEMENTS = {"inter": 1, "intra": 2}      # ranks per node
 
 
-def _run(op: str, ranks_per_node: int, n: int) -> None:
+def _run(op: str, ranks_per_node: int, n: int, settled=None) -> None:
     origin, target = OPS[op]
 
     def program(ctx):
@@ -108,6 +115,9 @@ def _run(op: str, ranks_per_node: int, n: int) -> None:
         side = origin if ctx.rank == 0 else target
         if side is not None:
             yield from side(ctx, win, n)
+        if settled is not None:
+            yield from ctx.compute(_SETTLE)
+            settled(ctx)
         yield from win.flush_all()
         yield from win.unlock_all()
 
@@ -116,8 +126,8 @@ def _run(op: str, ranks_per_node: int, n: int) -> None:
                           sanitize=False)).run(program)
 
 
-def _count(op: str, ranks_per_node: int, n: int) -> tuple[int, int]:
-    """(bytecodes under src/repro, events scheduled) of one run."""
+def _traced(fn) -> tuple[int, int]:
+    """(bytecodes under src/repro, events scheduled) of ``fn()``."""
     bytecodes = 0
 
     def local(frame, event, arg):
@@ -137,14 +147,33 @@ def _count(op: str, ranks_per_node: int, n: int) -> tuple[int, int]:
     outer = sys.gettrace()          # a coverage run's tracer, if any
     sys.settrace(tracer)
     try:
-        _run(op, ranks_per_node, n)
+        fn()
     finally:
         sys.settrace(outer)
     return bytecodes, events_scheduled() - events
 
 
+def _count(op: str, ranks_per_node: int, n: int) -> tuple[int, int]:
+    """(bytecodes under src/repro, events scheduled) of one run."""
+    return _traced(lambda: _run(op, ranks_per_node, n))
+
+
+def _retained(op: str, ranks_per_node: int, n: int) -> int:
+    """``OpHandle`` + ``Event`` instances alive on the settled cluster."""
+    alive = []
+
+    def settled(ctx):
+        if ctx.rank == 0:
+            alive.append(sum(isinstance(obj, (OpHandle, Event))
+                             for obj in gc.get_objects()))
+
+    gc.collect()                    # earlier runs' clusters are not counted
+    _run(op, ranks_per_node, n, settled)
+    return alive[0]
+
+
 def measure() -> dict[str, dict[str, int]]:
-    """``row -> {bytecodes, events}`` per 100 operations."""
+    """``row -> {bytecodes, events, retained}`` per 100 operations."""
     rows: dict[str, dict[str, int]] = {}
     for op in OPS:
         for placement, ranks_per_node in PLACEMENTS.items():
@@ -153,15 +182,17 @@ def measure() -> dict[str, dict[str, int]]:
             high = _count(op, ranks_per_node, 200)
             rows[f"{op}.{placement}"] = {
                 "bytecodes": high[0] - low[0],
-                "events": high[1] - low[1]}
+                "events": high[1] - low[1],
+                "retained": _retained(op, ranks_per_node, 200)
+                - _retained(op, ranks_per_node, 100)}
     return rows
 
 
 def table(rows: dict[str, dict[str, int]]) -> str:
     lines = [f"cost ledger, Python {PYTHON}: marginal cost of 100 ops",
-             f"{'row':<22}{'bytecodes':>12}{'events':>9}"]
+             f"{'row':<22}{'bytecodes':>12}{'events':>9}{'retained':>10}"]
     lines += [f"{name:<22}{row['bytecodes']:>12}{row['events']:>9}"
-              for name, row in rows.items()]
+              f"{row['retained']:>10}" for name, row in rows.items()]
     return "\n".join(lines)
 
 
@@ -189,6 +220,39 @@ def test_per_op_costs_match_the_committed_ledger():
         f"(Python {PYTHON}):\n  " + "\n  ".join(moved) + "\nIf the move "
         f"is intended, regenerate with `{REGENERATE}` and state the "
         "reason in CHANGES.md.")
+
+
+def _record_to_distinct_targets(n: int, completed: bool) -> int:
+    """Bytecodes of recording one op to each of ``n`` targets."""
+    cluster = Cluster(ClusterConfig(nranks=2))
+
+    def program(ctx):
+        win = yield from ctx.win_allocate(_PAYLOAD)
+        return win
+
+    win = cluster.run(program)[0]
+    done = cluster.engine.event()
+    if completed:
+        done.succeed()
+        cluster.engine.run()
+    handles = [OpHandle("put", 0.0, done, done, nbytes=_PAYLOAD, target=t)
+               for t in range(n)]
+
+    def record():
+        for target, handle in enumerate(handles):
+            win.record_pending(target, handle)
+
+    return _traced(record)[0]
+
+
+@pytest.mark.parametrize("completed", [True, False],
+                         ids=["completed", "in_flight"])
+def test_recording_to_distinct_targets_is_linear(completed):
+    """A window that forgets completed ops must not walk every target it
+    has seen, nor every op still in flight, per op: the cost per op stays
+    flat in the target count."""
+    assert (_record_to_distinct_targets(2000, completed)
+            <= 2.2 * _record_to_distinct_targets(1000, completed))
 
 
 if __name__ == "__main__":

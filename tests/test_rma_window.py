@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import RmaEpochError
+from repro.errors import FaultError, RmaEpochError
+from repro.faults import FaultPlan
 from tests.conftest import run_cluster
 
 
@@ -311,3 +312,134 @@ def test_complete_without_start_rejected():
     with pytest.raises(Exception) as ei:
         run_cluster(1, prog)
     assert isinstance(ei.value.__cause__, RmaEpochError)
+
+
+# ---------------------------------------------------------------------------
+# What a flush waits on: a window forgets completed ops between flushes
+# (every test below passes with a window that remembers every op, too)
+# ---------------------------------------------------------------------------
+#: enough back-to-back ops to make a window sweep its completed handles
+_MANY = 200
+
+
+def test_lost_put_still_fails_the_flush_after_completed_ops_are_swept():
+    plan = FaultPlan(node_failures={1: 100.0}, detect_us=20.0)
+
+    def prog(ctx):
+        win = yield from ctx.win_allocate(64)
+        yield from win.lock_all()
+        if ctx.rank != 0:
+            return None
+        for _ in range(_MANY):                  # commit before rank 1 dies
+            yield from win.put(np.zeros(1), 1)
+        assert ctx.now < 100.0
+        yield from ctx.compute(110.0 - ctx.now)
+        lost = yield from win.put(np.zeros(1), 1)
+        assert lost.failed
+        yield from ctx.compute(50.0)            # its failure has fired
+        for _ in range(_MANY):                  # sweeps visit target 1 again
+            yield from win.put(np.zeros(1), 2)
+        yield from win.flush(2)
+        try:
+            yield from win.flush(1)
+        except FaultError:
+            return "lost"
+        return "flushed"
+
+    results, _ = run_cluster(3, prog, faults=plan)
+    assert results[0] == "lost"
+
+
+@pytest.mark.parametrize("verb", ["flush", "flush_local"])
+def test_flush_of_completed_ops_costs_one_event_and_no_time(verb):
+    def prog(ctx):
+        win = yield from ctx.win_allocate(64)
+        yield from win.lock_all()
+        cost = None
+        if ctx.rank == 0:
+            for _ in range(_MANY):
+                yield from win.put(np.zeros(1), 1)
+            yield from ctx.compute(50.0)        # every ack has landed
+            for _ in range(_MANY):              # sweeps visit target 1 again
+                yield from win.put(np.zeros(1), 2)
+            cost = []
+            for _ in range(2):                  # the second finds nothing
+                events, t0 = ctx.engine.events_scheduled(), ctx.now
+                yield from getattr(win, verb)(1)
+                cost.append((ctx.engine.events_scheduled() - events,
+                             ctx.now - t0))
+        yield from win.unlock_all()
+        return cost
+
+    results, _ = run_cluster(3, prog)
+    assert results[0] == [(1, 0.0), (0, 0.0)]
+
+
+def test_flush_notify_after_a_completed_bte_put_keeps_the_round_trip():
+    """A completed BTE transfer still makes the target's path out of
+    order: the notified flush waits for the ops after it (§III)."""
+    def cost(bte, explicit):
+        def prog(ctx):
+            win = yield from ctx.win_allocate(32768 + 8)
+            yield from win.lock_all()
+            if ctx.rank == 1:
+                req = yield from ctx.na.notify_init(win, source=0, tag=4)
+                yield from ctx.na.start(req)
+                yield from ctx.na.wait(req)
+                yield from win.unlock_all()
+                return None
+            if bte:
+                yield from win.put(np.zeros(4096), 1)   # 32 KiB: the BTE
+                yield from ctx.compute(100.0)           # ... and completed
+            for _ in range(_MANY):                      # FMA, in flight
+                yield from win.put(np.zeros(1), 1, 32768)
+            t0 = ctx.now
+            if explicit:
+                yield from win.flush(1)
+                yield from ctx.na.put_notify(win, np.empty(0, np.uint8), 1,
+                                             0, tag=4)
+            else:
+                yield from ctx.na.flush_notify(win, 1, tag=4)
+            spent = ctx.now - t0
+            yield from win.unlock_all()
+            return spent
+
+        results, _ = run_cluster(2, prog)
+        return results[0]
+
+    assert cost(bte=True, explicit=False) == cost(bte=True, explicit=True)
+    assert cost(bte=True, explicit=False) > cost(bte=False,
+                                                 explicit=False) + 1.0
+
+
+def test_flush_all_visits_targets_in_first_issue_order():
+    order = []
+
+    def prog(ctx):
+        win = yield from ctx.win_allocate(64)
+        yield from win.lock_all()
+        if ctx.rank == 0:
+            flush = win.flush
+
+            def recording(target):
+                order.append(target)
+                return flush(target)
+
+            win.flush = recording
+            yield from win.put(np.zeros(1), 3)
+            yield from win.put(np.zeros(1), 1)
+            yield from ctx.compute(50.0)        # targets 3 and 1: completed
+            for _ in range(_MANY):
+                yield from win.put(np.zeros(1), 2)
+            yield from win.put(np.zeros(1), 1)  # in flight again
+            yield from win.put(np.zeros(1), 4)
+            yield from win.flush_all()
+            assert order == [3, 1, 2, 4]
+            yield from win.put(np.zeros(1), 4)  # a drained window starts over
+            yield from win.put(np.zeros(1), 2)
+            yield from win.flush_all()
+            assert order == [3, 1, 2, 4, 4, 2]
+        yield from win.unlock_all()
+        return None
+
+    run_cluster(5, prog)
