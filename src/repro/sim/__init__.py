@@ -6,14 +6,13 @@ generators that ``yield`` :class:`~repro.sim.engine.Event` objects; the
 :class:`~repro.sim.engine.Engine` advances virtual time (a float, in
 microseconds) and resumes processes when the events they wait on trigger.
 
-Determinism: the scheduler (a calendar queue, :mod:`repro.sim.scheduler`)
-orders by ``(time, priority, sequence)`` where ``sequence`` is a global
-monotone counter, so same-time events always fire in insertion order and
-repeated runs are bit-identical.
+Determinism: the scheduler (same-tick buckets under a heap of distinct
+timestamps, :mod:`repro.sim.scheduler`) orders by ``(time, priority,
+sequence)`` where ``sequence`` is a global monotone counter, so same-time
+events always fire in insertion order and repeated runs are bit-identical.
 """
 
-from repro.sim.conditions import AllOf, AnyOf
-from repro.sim.engine import Engine, Event, Process, Timeout
+from repro.sim.engine import AllOf, AnyOf, Engine, Event, Process, Timeout
 from repro.sim.resources import Signal, Store
 from repro.sim.rng import RngStream
 from repro.sim.trace import Tracer, TraceRecord

@@ -1,4 +1,5 @@
-"""The discrete-event engine: events, timeouts, processes, and the run loop.
+"""The discrete-event engine: events, timeouts, processes, conditions, and
+the run loop.
 
 Virtual time is a ``float`` measured in **microseconds** — the natural
 unit of the paper's LogGP parameters (L is ~1 µs on uGNI, G is
@@ -12,10 +13,11 @@ layers expose blocking-looking calls (``yield from comm.send(...)``).
 Hot-path design (see docs/architecture.md §9): every simulated microsecond is
 paid for in pure-Python event dispatch, so the inner loop avoids allocation
 and indirection wherever the ordering contract allows.  The pending-event set
-lives in a scheduler (:mod:`repro.sim.scheduler`): a calendar queue — O(1)
-for the same-timestamp bursts LogGP traffic generates, with whole-tick batch
-drains — and the classic binary heap as its reference oracle.  Resuming a
-process whose target already fired goes through a pooled :class:`_Relay`
+lives in a scheduler (:mod:`repro.sim.scheduler`): same-tick buckets under a
+heap of distinct timestamps — O(1) for the same-timestamp bursts LogGP
+traffic generates, with whole-tick batch drains — and the classic binary
+heap as its reference oracle.  A process resumes in one frame; resuming one
+whose target already fired goes through a pooled :class:`_Relay`
 instead of a fresh ``Event``; ``succeed``/``fail`` push the schedule record
 inline for the ubiquitous zero-delay case; and both :meth:`Engine.run` and
 :meth:`Engine.step` consume events only through the scheduler's batch
@@ -309,23 +311,27 @@ class Process(Event):
 
     # -- internal -----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if event._exc is not None:
-            self._step(throw=event._exc)
-        else:
-            self._step(send=event._value)
-
-    def _step(self, send: Any = None, throw: BaseException | None = None):
-        eng = self.engine
+        # The whole resume in one frame.  ``self._resume`` is re-bound per
+        # wait rather than cached on the process: a cached bound method
+        # would make every process a reference cycle.
+        gen = self._gen
         try:
-            if throw is not None:
-                target = self._gen.throw(throw)
+            if event._exc is None:
+                target = gen.send(event._value)
             else:
-                target = self._gen.send(send)
+                target = gen.throw(event._exc)
+            while not isinstance(target, Event):
+                # If the generator catches the error and yields a real
+                # event it keeps running; if the error escapes, the crash
+                # path below unregisters the process and fails its event.
+                target = gen.throw(SimulationError(
+                    f"process {self.name!r} yielded non-event {target!r}"))
         except StopIteration as stop:
-            eng._processes.pop(id(self), None)
+            self.engine._processes.pop(id(self), None)
             self.succeed(stop.value, priority=URGENT)
             return
         except BaseException as exc:
+            eng = self.engine
             eng._processes.pop(id(self), None)
             self._defused = bool(self.callbacks)
             if not self._defused:
@@ -334,20 +340,11 @@ class Process(Event):
             self.fail(exc, priority=URGENT)
             return
 
-        if not isinstance(target, Event):
-            # Re-enter through the normal step machinery: if the generator
-            # catches the error and yields a real event it keeps running;
-            # if the error (or anything else) escapes, the crash path
-            # unregisters the process and fails its event, instead of the
-            # yielded-value discard that used to strand the process and
-            # surface later as a spurious DeadlockError.
-            self._step(throw=SimulationError(
-                f"process {self.name!r} yielded non-event {target!r}"))
-            return
         if target._state == 2:
             # Already fired: resume immediately, but via the queue to keep
             # deterministic ordering.  A pooled relay carries the value so
             # no Event is allocated per resume.
+            eng = self.engine
             exc = target._exc
             if exc is not None:
                 eng._unobserved.pop(id(target), None)
@@ -360,6 +357,109 @@ class Process(Event):
             eng._push(eng.now, URGENT, relay)
         else:
             target.callbacks.append(self._resume)
+
+
+class _Condition(Event):
+    """Base for AllOf/AnyOf; value is a dict {event: value} of fired events.
+
+    Duplicate events in the input are collapsed at construction:
+    ``all_of([e, e])`` waits for ``e`` once instead of deadlocking on a
+    completion count ``e`` can never reach (``_fired`` is keyed by event, so
+    a duplicate can only ever contribute one entry).
+
+    Once the condition triggers it removes its ``_collect`` callback from
+    every still-pending child, so loser events of an :class:`AnyOf` do not
+    pin the condition (and everything it references) for the rest of the
+    simulation.
+    """
+
+    __slots__ = ("_events", "_fired")
+
+    #: trigger on the first child (AnyOf) rather than on every child
+    _any = False
+
+    def __init__(self, engine: "Engine", events: Iterable[Event]):
+        # Flattened Event.__init__ (conditions are allocated per composite
+        # wait, one of the hottest allocation sites in the MPI layer).
+        self.engine = engine
+        self.callbacks = []
+        self._value = None
+        self._exc = None
+        self._state = 0
+        self._defused = False
+        self.name = ""
+        # The one copy of the caller's events.  Most waits are over one or
+        # two; longer inputs dedup by identity (events hash by id) through
+        # dict.fromkeys, keeping first-occurrence order.
+        uniq = tuple(events)
+        if len(uniq) == 2:
+            if uniq[0] is uniq[1]:
+                uniq = uniq[:1]
+        elif len(uniq) > 2:
+            uniq = tuple(dict.fromkeys(uniq))
+        for ev in uniq:
+            if not isinstance(ev, Event):
+                raise TypeError(f"condition over non-event {ev!r}")
+        self._events = uniq
+        self._fired: dict[Event, Any] = {}
+        if not uniq:
+            self.succeed({}, priority=URGENT)
+            return
+        for ev in uniq:
+            if self._state != 0:
+                # Triggered while attaching (a processed child failed, or an
+                # AnyOf already won): don't hook the remaining children.
+                break
+            if ev._state == 2:
+                self._collect(ev)
+            else:
+                ev.callbacks.append(self._collect)
+
+    def _collect(self, ev: Event) -> None:
+        if self._state != 0:
+            return
+        if ev._exc is not None:
+            self.engine._unobserved.pop(id(ev), None)
+            self.fail(ev._exc, priority=URGENT)
+            self._detach_children()
+            return
+        fired = self._fired
+        fired[ev] = ev._value
+        if self._any or len(fired) == len(self._events):
+            # Inlined succeed(fired, priority=URGENT).  ``_fired`` is final
+            # from here on (a triggered condition ignores its children), so
+            # it is the value as it stands.
+            self._value = fired
+            self._state = 1
+            eng = self.engine
+            eng._push(eng.now, URGENT, self)
+            if len(fired) != len(self._events):
+                # Only AnyOf-style triggers leave losers behind; a complete
+                # AllOf has no pending children to detach from.
+                self._detach_children()
+
+    def _detach_children(self) -> None:
+        collect = self._collect
+        for ev in self._events:
+            if ev._state != 2:
+                try:
+                    ev.callbacks.remove(collect)
+                except ValueError:
+                    pass
+
+
+class AllOf(_Condition):
+    """Triggers once every (distinct) constituent event has triggered."""
+
+    __slots__ = ()
+
+
+class AnyOf(_Condition):
+    """Triggers as soon as one constituent event triggers."""
+
+    __slots__ = ()
+
+    _any = True
 
 
 class Engine:
@@ -398,12 +498,10 @@ class Engine:
         return Process(self, gen, name=name)
 
     def all_of(self, events: Iterable[Event]) -> Event:
-        from repro.sim.conditions import AllOf
-        return AllOf(self, list(events))
+        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> Event:
-        from repro.sim.conditions import AnyOf
-        return AnyOf(self, list(events))
+        return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float, priority: int) -> None:

@@ -1,4 +1,4 @@
-"""Event schedulers for the DES engine: binary heap and calendar queue.
+"""Event schedulers for the DES engine: binary heap and bucket queue.
 
 The engine's ordering contract (docs/architecture.md §9) is that events
 fire in ``(time, priority, schedule-sequence)`` order.  Both schedulers
@@ -13,11 +13,10 @@ It is the reference the calendar queue is checked against —
 bench-smoke gate runs whole experiments on both and requires
 byte-identical tables and event counts.
 
-**CalendarScheduler** (what every run uses) is a calendar queue with a
-ladder-style overflow rung, specialised for the traffic LogGP models
-generate: dense bursts of events at *identical* timestamps (every
-commit/notification/ack hook of one transfer lands on the same
-microsecond).  It is two-level:
+**CalendarScheduler** (what every run uses) is specialised for the
+traffic LogGP models generate: dense bursts of events at *identical*
+timestamps (every commit/notification/ack hook of one transfer lands on
+the same microsecond).  It is two-level:
 
 * The bottom level is a dict mapping each pending **timestamp** to a
   FIFO list of its NORMAL-priority events.  Because the
@@ -37,38 +36,31 @@ microsecond).  It is two-level:
   definition pick up elements appended mid-iteration — the same-tick
   cascade costs no re-scan.
 
-* The top level indexes *distinct* timestamps into a calendar: an array
-  of ``nslots`` buckets each covering ``width`` microseconds starting at
-  ``base``.  A slot's timestamp list stays unsorted until the drain
-  reaches it (one sort per slot, on mostly-small lists); timestamps
-  beyond the calendar horizon fall into an unsorted overflow rung (the
-  "ladder top").  When the year is exhausted the calendar **rebuilds**
-  from the overflow: ``base`` becomes the earliest pending timestamp,
-  ``width`` the mean gap between pending timestamps, and ``nslots`` the
-  next power of two at or above their count (clamped to
-  [``_MIN_SLOTS``, ``_MAX_SLOTS``]) — so the steady state is O(1)
-  amortised per distinct timestamp.  A rebuild is also triggered while
-  pushing, when the pending-timestamp count outgrows ``2 * nslots``.
+* The top level is a ``heapq`` of the *distinct* pending timestamps,
+  one entry per key of the bucket dict: a new timestamp costs one C
+  ``heappush`` of a float, a drained bucket one ``heappop``, and
+  ``peek`` is ``heap[0]``.  A bucket's time stays at the heap's root
+  while it drains (nothing is ever scheduled before the current tick),
+  so it leaves the heap and the dict together.
 
-Ordering proof sketch for the calendar: (1) across timestamps, every
-pending time lives in exactly one of {sorted bottom list, a calendar
-slot, overflow}; slot index is monotone in time and each slot is sorted
-before consumption, so timestamps pop in ascending order.  (2) within a
-timestamp, the URGENT-first re-checking drain above reproduces
-``(priority, seq)`` order.  (1) + (2) compose to the full ``(time,
-priority, seq)`` contract, which the hypothesis tests in
-``tests/test_property_scheduler.py`` check against the heap by comparing
-the dispatch sequences of ``drain``.
+Ordering proof sketch: (1) across timestamps, the heap holds every
+pending time exactly once and its root is the minimum, so buckets drain
+in ascending time.  (2) within a timestamp, the URGENT-first re-checking
+drain above reproduces ``(priority, seq)`` order.  (1) + (2) compose to
+the full ``(time, priority, seq)`` contract, which the hypothesis tests
+in ``tests/test_property_scheduler.py`` check against the heap by
+comparing the dispatch sequences of ``drain``.
 
 The calendar scheduler only supports the engine's two priorities
 (``URGENT == 0``, ``NORMAL == 1``); the heap accepts arbitrary ints.
-``peek`` is exact outside ``drain``; while ``drain`` is mid-bucket it
-conservatively reports the bucket as still pending.
+Both refuse a non-finite time with a :class:`SimulationError`: a NaN
+would corrupt either heap's order and ``inf`` is ``peek``'s "nothing
+scheduled".  ``peek`` is exact between drains; while ``drain`` is
+mid-bucket it reports the bucket as still pending.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heappop, heappush
 from typing import Any
 
@@ -82,9 +74,10 @@ NORMAL = 1
 
 _INF = float("inf")
 
-#: calendar geometry bounds (slots are cheap: one empty list each)
-_MIN_SLOTS = 32
-_MAX_SLOTS = 65536
+
+def _non_finite(when: float, event: Any) -> SimulationError:
+    return SimulationError(
+        f"cannot schedule {event!r} at non-finite time {when!r}")
 
 
 class HeapScheduler:
@@ -101,6 +94,8 @@ class HeapScheduler:
     # -- scheduling ---------------------------------------------------------
     def push(self, when: float, prio: int, event: Any) -> None:
         self._seq = seq = self._seq + 1
+        if when - when:                 # nan or ±inf
+            raise _non_finite(when, event)
         heappush(self._q, (when, prio, seq, event))
 
     def peek(self) -> float:
@@ -138,16 +133,15 @@ class HeapScheduler:
 
 
 class CalendarScheduler:
-    """Calendar queue over distinct timestamps with same-tick FIFO buckets.
+    """Same-tick FIFO buckets under a heap of distinct timestamps.
 
     See the module docstring for the design and the ordering argument.
     """
 
     name = "calendar"
 
-    __slots__ = ("_seq", "_times", "_tget", "_slots", "_base", "_width",
-                 "_nslots", "_cur_slot", "_cur", "_pos", "_over",
-                 "_awhen", "_an", "_au", "_fu")
+    __slots__ = ("_seq", "_times", "_tget", "_heap", "_awhen", "_an",
+                 "_au", "_fu")
 
     def __init__(self) -> None:
         self._seq = 0
@@ -156,14 +150,8 @@ class CalendarScheduler:
         #: never reassigned, so its bound ``get`` can be cached.
         self._times: dict[float, list] = {}
         self._tget = self._times.get
-        self._nslots = _MIN_SLOTS
-        self._slots: list[list[float]] = [[] for _ in range(_MIN_SLOTS)]
-        self._base = 0.0
-        self._width = 1.0
-        self._cur_slot = -1          # slot currently mirrored by the bottom
-        self._cur: list[float] = []  # sorted due timestamps (bottom rung)
-        self._pos = 0                # consumption pointer into _cur
-        self._over: list[float] = []  # beyond-horizon timestamps (ladder top)
+        #: the keys of ``_times``, once each, as a heap
+        self._heap: list[float] = []
         #: the bucket being drained: its timestamp (or None), its normal
         #: list, and the persistent active-tick URGENT side list.
         self._awhen: float | None = None
@@ -186,23 +174,10 @@ class CalendarScheduler:
             if b is not None:
                 b.append(event)
                 return
+            if when - when:             # nan or ±inf
+                raise _non_finite(when, event)
             self._times[when] = [event]
-            # Inlined _place(): this runs once per distinct timestamp and
-            # the call frame is measurable at fig1 rates.
-            idx = int((when - self._base) / self._width)
-            if idx <= self._cur_slot:
-                # Due in the active slot (or earlier, after float
-                # truncation): keep the bottom rung sorted.  Everything
-                # before ``_pos`` has been consumed and is <= now <= when,
-                # so inserting from ``_pos`` preserves order.
-                insort(self._cur, when, lo=self._pos)
-            elif idx < self._nslots:
-                self._slots[idx].append(when)
-            else:
-                self._over.append(when)
-            if len(self._times) > (self._nslots << 1) \
-                    and self._nslots < _MAX_SLOTS:
-                self._rebuild()
+            heappush(self._heap, when)
         elif prio == 0:
             if when == self._awhen:
                 self._au.append(event)
@@ -211,119 +186,22 @@ class CalendarScheduler:
             if f is not None:
                 f.append(event)
                 return
-            self._fu[when] = [event]
             if when not in self._times:
                 # Keep the time index single: an urgent-only timestamp
-                # still owns a (empty) normal bucket and a calendar entry.
+                # still owns a (empty) normal bucket and a heap entry.
+                if when - when:
+                    raise _non_finite(when, event)
                 self._times[when] = []
-                self._place(when)
+                heappush(self._heap, when)
+            self._fu[when] = [event]
         else:
             raise SimulationError(
                 f"calendar scheduler supports only URGENT/NORMAL "
                 f"priorities, got {prio!r}")
 
-    def _place(self, when: float) -> None:
-        """Index a newly pending timestamp into the calendar."""
-        idx = int((when - self._base) / self._width)
-        if idx <= self._cur_slot:
-            insort(self._cur, when, lo=self._pos)
-        elif idx < self._nslots:
-            self._slots[idx].append(when)
-        else:
-            self._over.append(when)
-        if len(self._times) > (self._nslots << 1) \
-                and self._nslots < _MAX_SLOTS:
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Re-seed the calendar from every pending timestamp.
-
-        Runs when the year is exhausted (all remaining timestamps sit in
-        the overflow rung) and when the pending-timestamp population
-        outgrows the slot array.  Geometry follows the classic calendar
-        queue: width = mean gap, nslots = next power of two >= count.
-        """
-        times = self._cur[self._pos:]
-        for j in range(self._cur_slot + 1, self._nslots):
-            times.extend(self._slots[j])
-        times.extend(self._over)
-        d = len(times)
-        self._cur = []
-        self._pos = 0
-        self._cur_slot = -1
-        self._over = []
-        if d == 0:
-            # Nothing pending: keep the old geometry.  A stale ``base`` is
-            # self-healing — far-future indexes land in the overflow rung
-            # and the next exhausted-year rebuild recomputes everything.
-            self._slots = [[] for _ in range(self._nslots)]
-            return
-        times.sort()
-        base = times[0]
-        span = times[-1] - base
-        nslots = 1 << max(d - 1, 1).bit_length()
-        if nslots < _MIN_SLOTS:
-            nslots = _MIN_SLOTS
-        elif nslots > _MAX_SLOTS:
-            nslots = _MAX_SLOTS
-        width = (span / d) if span > 0.0 else 1.0
-        self._base = base
-        self._width = width
-        self._nslots = nslots
-        slots: list[list[float]] = [[] for _ in range(nslots)]
-        last = nslots - 1
-        for t in times:
-            idx = int((t - base) / width)
-            if idx > last:
-                # ``span/width == d <= nslots`` so only float-rounding edges
-                # land here; clamping is monotone, so order is preserved.
-                idx = last
-            slots[idx].append(t)
-        self._slots = slots
-
-    # -- consumption --------------------------------------------------------
-    def _advance(self) -> float | None:
-        """Consume and return the next pending timestamp, or None."""
-        pos = self._pos
-        cur = self._cur
-        if pos < len(cur):
-            self._pos = pos + 1
-            return cur[pos]
-        if not self._times:
-            return None
-        while True:
-            slots = self._slots
-            j = self._cur_slot + 1
-            n = self._nslots
-            while j < n:
-                lst = slots[j]
-                if lst:
-                    lst.sort()
-                    self._cur = lst
-                    self._pos = 1
-                    self._cur_slot = j
-                    return lst[0]
-                j += 1
-            # Year exhausted: everything pending is in the overflow rung.
-            if not self._over:
-                raise SimulationError(
-                    "calendar scheduler index lost a pending timestamp "
-                    "(internal invariant violation)")
-            self._cur_slot = n
-            self._rebuild()
-
     def peek(self) -> float:
-        if self._awhen is not None and (self._au or self._an):
-            return self._awhen
-        if self._pos < len(self._cur):
-            return self._cur[self._pos]
-        for j in range(self._cur_slot + 1, self._nslots):
-            lst = self._slots[j]
-            if lst:
-                return min(lst)
-        if self._over:
-            return min(self._over)
-        return _INF
+        heap = self._heap
+        return heap[0] if heap else _INF
 
     # -- run loop -----------------------------------------------------------
     def drain(self, engine, until: float | None) -> bool:
@@ -339,9 +217,11 @@ class CalendarScheduler:
         Consumed-prefix counters live in locals and prune the lists if an
         exception (a crash escalation, a sanitizer race) escapes, leaving
         the bucket exactly resumable: the next drain starts with it, and
-        ``peek`` reports its time meanwhile.
+        ``peek`` reports its time meanwhile — or, if nothing of it is
+        left, the bucket is closed so ``peek`` moves on.
         """
         times = self._times
+        heap = self._heap
         au = self._au
         fu = self._fu
         # A bucket an exception left behind: its time is <= engine.now <=
@@ -349,18 +229,10 @@ class CalendarScheduler:
         when = self._awhen
         while True:
             if when is None:
-                # Inlined bottom-rung advance (one frame per bucket saved).
-                cur = self._cur
-                pos = self._pos
-                if pos < len(cur):
-                    when = cur[pos]
-                    self._pos = pos + 1
-                else:
-                    when = self._advance()
-                    if when is None:
-                        return False
+                if not heap:
+                    return False
+                when = heap[0]
                 if until is not None and when > until:
-                    self._pos -= 1      # un-consume: stays at _cur[_pos]
                     engine.now = until
                     return True
                 # Activate the bucket.  au is empty between buckets and
@@ -403,11 +275,16 @@ class CalendarScheduler:
                     del au[:ui]
                 if ni:
                     del n[:ni]
+                if not (au or n):
+                    heappop(heap)
+                    del times[when]
+                    self._awhen = None
                 raise
             # Drop the exhausted bucket: au is exhausted-and-cleared by the
-            # loop above and the drain cursors are locals, so this is just
-            # the dict delete (``_an`` may go stale; every reader checks
-            # ``_awhen`` first).
+            # loop above and the drain cursors are locals, so this is the
+            # heap pop and the dict delete (``_an`` may go stale; every
+            # reader checks ``_awhen`` first).
+            heappop(heap)
             del times[when]
             self._awhen = None
             when = None

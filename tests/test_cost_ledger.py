@@ -8,6 +8,9 @@ exact counts per operation kind, inter-node (uGNI) and intra-node
 * **bytecodes** — ``sys.settrace`` ``opcode`` events in frames whose
   code lives under ``src/repro`` only, so the installed NumPy / stdlib
   cannot move the number;
+* **kernel** — the part of ``bytecodes`` executed in frames under
+  ``src/repro/sim`` (scheduler, engine, processes, conditions), so a
+  change to the event kernel shows its own move beside the total;
 * **events** — simulator events scheduled (``events_scheduled()``);
 * **retained** — ``OpHandle`` and ``Event`` instances still alive once
   every ack has landed, before the closing ``flush_all``: what a
@@ -48,6 +51,7 @@ REGENERATE = "PYTHONPATH=src python tests/test_cost_ledger.py --write"
 PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_KERNEL = os.path.join(_SRC, "sim") + os.sep
 _PAYLOAD = 64                      # bytes per op: FMA / eager territory
 _SETTLE = 1000.0                   # µs after the last op: every ack is in
 
@@ -126,9 +130,10 @@ def _run(op: str, ranks_per_node: int, n: int, settled=None) -> None:
                           sanitize=False)).run(program)
 
 
-def _traced(fn) -> tuple[int, int]:
-    """(bytecodes under src/repro, events scheduled) of ``fn()``."""
-    bytecodes = 0
+def _traced(fn) -> tuple[int, int, int]:
+    """(bytecodes under src/repro, the part under src/repro/sim, events
+    scheduled) of ``fn()``."""
+    bytecodes = kernel = 0
 
     def local(frame, event, arg):
         nonlocal bytecodes
@@ -136,12 +141,20 @@ def _traced(fn) -> tuple[int, int]:
             bytecodes += 1
         return local
 
+    def local_kernel(frame, event, arg):
+        nonlocal bytecodes, kernel
+        if event == "opcode":
+            bytecodes += 1
+            kernel += 1
+        return local_kernel
+
     def tracer(frame, event, arg):
-        if not frame.f_code.co_filename.startswith(_SRC):
+        filename = frame.f_code.co_filename
+        if not filename.startswith(_SRC):
             return None
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
-        return local
+        return local_kernel if filename.startswith(_KERNEL) else local
 
     events = events_scheduled()
     outer = sys.gettrace()          # a coverage run's tracer, if any
@@ -150,11 +163,11 @@ def _traced(fn) -> tuple[int, int]:
         fn()
     finally:
         sys.settrace(outer)
-    return bytecodes, events_scheduled() - events
+    return bytecodes, kernel, events_scheduled() - events
 
 
-def _count(op: str, ranks_per_node: int, n: int) -> tuple[int, int]:
-    """(bytecodes under src/repro, events scheduled) of one run."""
+def _count(op: str, ranks_per_node: int, n: int) -> tuple[int, int, int]:
+    """(bytecodes, kernel bytecodes, events scheduled) of one run."""
     return _traced(lambda: _run(op, ranks_per_node, n))
 
 
@@ -173,7 +186,8 @@ def _retained(op: str, ranks_per_node: int, n: int) -> int:
 
 
 def measure() -> dict[str, dict[str, int]]:
-    """``row -> {bytecodes, events, retained}`` per 100 operations."""
+    """``row -> {bytecodes, kernel, events, retained}`` per 100
+    operations."""
     rows: dict[str, dict[str, int]] = {}
     for op in OPS:
         for placement, ranks_per_node in PLACEMENTS.items():
@@ -182,7 +196,8 @@ def measure() -> dict[str, dict[str, int]]:
             high = _count(op, ranks_per_node, 200)
             rows[f"{op}.{placement}"] = {
                 "bytecodes": high[0] - low[0],
-                "events": high[1] - low[1],
+                "kernel": high[1] - low[1],
+                "events": high[2] - low[2],
                 "retained": _retained(op, ranks_per_node, 200)
                 - _retained(op, ranks_per_node, 100)}
     return rows
@@ -190,9 +205,11 @@ def measure() -> dict[str, dict[str, int]]:
 
 def table(rows: dict[str, dict[str, int]]) -> str:
     lines = [f"cost ledger, Python {PYTHON}: marginal cost of 100 ops",
-             f"{'row':<22}{'bytecodes':>12}{'events':>9}{'retained':>10}"]
-    lines += [f"{name:<22}{row['bytecodes']:>12}{row['events']:>9}"
-              f"{row['retained']:>10}" for name, row in rows.items()]
+             f"{'row':<22}{'bytecodes':>12}{'kernel':>10}{'events':>9}"
+             f"{'retained':>10}"]
+    lines += [f"{name:<22}{row['bytecodes']:>12}{row['kernel']:>10}"
+              f"{row['events']:>9}{row['retained']:>10}"
+              for name, row in rows.items()]
     return "\n".join(lines)
 
 

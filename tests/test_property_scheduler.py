@@ -8,6 +8,10 @@ events from inside ``_process`` — the way relays, hooks and timeouts do —
 and logs every dispatch, every drain boundary and every ``peek``; the two
 schedulers must produce the same log.
 
+After every dispatch and every drain boundary the stub also checks the
+calendar's index invariant: one heap entry per pending timestamp, so a
+push at an already-pending time can never reach the heap.
+
 The named inputs below (``SAME_TICK_URGENT`` …) are the corner cases the
 calendar's design argues about; they ride along as explicit examples of
 the properties, and ``tests/test_sim_scheduler.py`` pins their golden
@@ -20,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import NORMAL, URGENT
-from repro.sim.scheduler import _MIN_SLOTS, CalendarScheduler, HeapScheduler
+from repro.sim.scheduler import CalendarScheduler, HeapScheduler
 
 
 class Clock:
@@ -73,9 +77,19 @@ class Script:
         self.log.append((now, k))
         for delay, prio in self.children.get(k, ()):
             self.push(now + delay, prio)
+        self.check_index()
         if k in self.boom:
             self.boom.discard(k)
             raise Boom(k)
+
+    def check_index(self) -> None:
+        """The calendar's heap holds each pending timestamp exactly once
+        (the heap oracle has no such index)."""
+        heap = getattr(self.sched, "_heap", None)
+        if heap is not None:
+            times = self.sched._times
+            assert len(heap) == len(times)
+            assert set(heap) == times.keys()
 
     def drain(self, until: float | None = None) -> bool:
         """Drain to ``until``; after a :class:`Boom`, drain on — the bucket
@@ -84,9 +98,11 @@ class Script:
             try:
                 stopped = self.sched.drain(self.clock, until)
             except Boom as exc:
+                self.check_index()
                 self.log.append(("boom", exc.args[0], self.clock.now,
                                  self.sched.peek()))
                 continue
+            self.check_index()
             self.log.append(("stop", stopped, self.clock.now,
                              self.sched.peek()))
             return stopped
@@ -128,19 +144,26 @@ SAME_TICK_URGENT = dict(initial=[(5.0, NORMAL), (5.0, NORMAL)],
                         children={0: [(0.0, URGENT)]})
 #: an URGENT at a non-active future time (the escape hatch)
 FUTURE_URGENT = dict(initial=[(10.0, NORMAL), (10.0, URGENT), (5.0, NORMAL)])
-#: timestamps straddling slot edges and the default horizon (32 × 1.0)
+#: distinct timestamps, some a rounding step apart, pushed latest first
 BUCKET_TIMES = [0.5, 1.0, 1.0000001, 31.9, 32.0, 33.5, 100.0, 1000.0]
 BUCKET_EDGES = dict(initial=[(t, NORMAL) for t in reversed(BUCKET_TIMES)])
-#: everything beyond the horizon: the overflow rung, then a rebuild
-OVERFLOW = dict(initial=[(1e6 + i * 0.25, NORMAL) for i in range(50)])
-#: more than 2 * nslots distinct pending timestamps: the grow rebuild
-GROW = dict(initial=[(i * 0.001, NORMAL)
-                     for i in range(2 * _MIN_SLOTS + 8)])
+#: far-future timestamps only, pushed latest first
+FAR_FUTURE = dict(initial=[(1e6 + i * 0.25, NORMAL)
+                           for i in reversed(range(50))])
+#: 37 distinct timestamps, each hit again and again out of order, URGENT
+#: and NORMAL: every repeat must land in its bucket, not the heap
+REPEATS = dict(initial=[((i * 7) % 37 * 0.125, (URGENT, NORMAL)[i % 3 > 0])
+                        for i in range(111)])
 #: a crash on the first of three same-tick NORMALs that has just pushed a
 #: same-tick URGENT, resumed by an unbounded drain
 CRASH_MID_BUCKET = dict(initial=[(1.0, NORMAL)] * 3,
                         children={0: [(0.0, URGENT), (2.0, NORMAL)]},
                         boom={0})
+#: a crash on the last event of a bucket: nothing of it is left to resume,
+#: so ``peek`` must already report the next timestamp
+CRASH_LAST_IN_BUCKET = dict(initial=[(1.0, NORMAL), (1.0, NORMAL),
+                                     (4.0, NORMAL)],
+                            children={}, boom={1})
 #: quanta that stop inside a cascade's future and re-fill from outside
 QUANTA = dict(initial=[(0.0, URGENT), (1.0, NORMAL), (3.0, NORMAL)],
               children={1: [(0.5, NORMAL), (0.0, URGENT)]},
@@ -152,8 +175,8 @@ PRIO = st.sampled_from([URGENT, NORMAL])
 TIMES = st.one_of(
     st.floats(min_value=0.0, max_value=50.0, allow_nan=False,
               allow_infinity=False),
-    # same-timestamp collisions (the calendar's home turf), slot and
-    # horizon edges, and the far overflow rung
+    # same-timestamp collisions (the calendar's home turf) and far-future
+    # times
     st.sampled_from([0.0, 1.0, 1.5, 2.0, 31.9, 32.0, 40.0, 1e6,
                      1e6 + 0.25]))
 DELAYS = st.one_of(
@@ -172,8 +195,8 @@ QUANTUM = st.floats(min_value=0.05, max_value=12.0, allow_nan=False)
 @given(initial=INITIAL)
 @example(**FUTURE_URGENT)
 @example(**BUCKET_EDGES)
-@example(**OVERFLOW)
-@example(**GROW)
+@example(**FAR_FUTURE)
+@example(**REPEATS)
 def test_drain_dispatch_identical(initial):
     """A schedule built before the drain dispatches identically."""
     same_dispatch(initial)
@@ -186,7 +209,7 @@ def test_drain_dispatch_identical(initial):
          children={0: [(1e6, URGENT), (0.0, NORMAL)], 2: [(0.0, URGENT)]})
 def test_equivalent_under_mid_drain_pushes(initial, children):
     """Events that push from inside ``_process`` — same-tick cascades,
-    future URGENTs, far-future overflow — dispatch identically."""
+    future URGENTs, far-future times — dispatch identically."""
     same_dispatch(initial, children=children)
 
 
@@ -208,6 +231,7 @@ def test_bounded_quanta_identical(initial, children, quanta, outside):
        boom=st.sets(st.integers(min_value=0, max_value=200), max_size=12),
        quanta=st.lists(QUANTUM, max_size=4))
 @example(**CRASH_MID_BUCKET, quanta=[])
+@example(**CRASH_LAST_IN_BUCKET, quanta=[])
 @example(initial=[(1.0, NORMAL)] * 2, children={1: [(0.0, URGENT)]},
          boom={1, 2}, quanta=[0.5])
 def test_crash_mid_bucket_then_resume_identical(initial, children, boom,

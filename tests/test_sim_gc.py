@@ -19,6 +19,7 @@ reports at finish.
 from __future__ import annotations
 
 import gc
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -261,6 +262,32 @@ def test_audit_sees_a_cycle_built_in_the_loop(run_audit):
     eng.process(leaky())
     eng.run()
     assert run_audit == [(0, "list")]
+
+
+def test_finished_process_is_freed_by_refcount_alone():
+    """With the collector off, a finished process dies the moment the
+    engine lets go of it: nothing the resume path attaches — a waiter
+    callback, a relay, a condition — closes a cycle through it.  (Its
+    generator stands in for it: events take no weak references.)"""
+    eng = Engine()
+    fired = eng.event()
+    fired.succeed()
+
+    def body():
+        yield eng.timeout(1.0)                          # pending target
+        yield fired                                     # relay resume
+        yield eng.any_of([eng.timeout(1.0), eng.event()])
+        return "done"
+
+    gen = body()
+    alive = weakref.ref(gen)
+    proc = eng.process(gen)
+    del gen
+    with collector(False):
+        eng.run()
+        assert proc.value == "done"
+        del proc
+        assert alive() is None
 
 
 @pytest.mark.parametrize("program, args", [

@@ -4,8 +4,9 @@ The calendar queue must be observationally identical to the binary heap
 on the one path the engine consumes it by, ``drain``: same dispatch order
 for any push sequence respecting the engine's invariants (times are never
 in the past relative to the current tick), same golden event traces
-across calendar bucket boundaries, overflow rungs, and rebuild
-thresholds.  The randomized half of that oracle lives in
+across bucket boundaries, far-future times and repeated timestamps, and
+the same named error for a non-finite time.  The randomized half of that
+oracle lives in
 ``tests/test_property_scheduler.py``; the golden orders of its named
 inputs are pinned here.
 """
@@ -17,7 +18,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.engine import NORMAL, URGENT, Engine
 from repro.sim.scheduler import (
-    _MIN_SLOTS,
     SCHEDULERS,
     CalendarScheduler,
     HeapScheduler,
@@ -27,10 +27,11 @@ from repro.sim.scheduler import (
 from tests.test_property_scheduler import (
     BUCKET_EDGES,
     BUCKET_TIMES,
+    CRASH_LAST_IN_BUCKET,
     CRASH_MID_BUCKET,
+    FAR_FUTURE,
     FUTURE_URGENT,
-    GROW,
-    OVERFLOW,
+    REPEATS,
     SAME_TICK_URGENT,
     Script,
     fired,
@@ -63,6 +64,33 @@ def test_unknown_scheduler_rejected():
 def test_engine_accepts_scheduler_argument():
     assert Engine(scheduler="heap")._sched.name == "heap"
     assert Engine(scheduler="calendar")._sched.name == "calendar"
+
+
+#: every engine call that schedules at a caller-computed time
+SCHEDULE_SITES = {
+    "timeout": lambda eng, t: eng.timeout(t),
+    "succeed": lambda eng, t: eng.event("e").succeed(delay=t),
+    "fail": lambda eng, t: eng.event("e").fail(RuntimeError(), delay=t),
+    "call_at": lambda eng, t: eng.call_at(t, lambda: None),
+    "call_at_batch": lambda eng, t: eng.call_at_batch(t, [lambda: None]),
+}
+
+
+@pytest.mark.parametrize("when", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("site", list(SCHEDULE_SITES))
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+def test_non_finite_time_is_a_named_error(scheduler, site, when):
+    """A NaN would corrupt either heap's order and ``inf`` reads as
+    "nothing scheduled": both are refused where they are scheduled, and
+    what was already pending is untouched."""
+    eng = Engine(scheduler=scheduler)
+    ran = []
+    eng.call_at(1.0, lambda: ran.append(eng.now))
+    with pytest.raises(SimulationError, match=f"non-finite time {when!r}"):
+        SCHEDULE_SITES[site](eng, when)
+    assert eng.peek() == 1.0
+    assert eng.run() == 1.0 and ran == [1.0]
 
 
 def test_calendar_rejects_exotic_priority():
@@ -117,36 +145,40 @@ def test_golden_order_across_bucket_boundaries():
     assert fired(log) == [(t, n - 1 - i) for i, t in enumerate(BUCKET_TIMES)]
 
 
-def test_overflow_rung_and_rebuild():
-    """Events far beyond the horizon land in the ladder rung and surface
-    in order after the year-exhausted rebuild."""
+def test_far_future_times_pop_in_order():
+    """Timestamps far beyond anything drained so far, pushed latest
+    first, surface in ascending order."""
     script = Script(CalendarScheduler())
-    for when, prio in OVERFLOW["initial"]:
+    for when, prio in FAR_FUTURE["initial"]:
         script.push(when, prio)
-    assert script.sched._over              # beyond-horizon: ladder top
     script.drain()
-    far = [when for when, _ in OVERFLOW["initial"]]
-    assert fired(script.log) == [(t, i) for i, t in enumerate(far)]
-    assert script.sched._base == far[0]    # rebuild re-seeded the geometry
-    assert fired(same_dispatch(**OVERFLOW)) == fired(script.log)
+    far = sorted(when for when, _ in FAR_FUTURE["initial"])
+    n = len(far)
+    assert fired(script.log) == [(t, n - 1 - i) for i, t in enumerate(far)]
+    assert fired(same_dispatch(**FAR_FUTURE)) == fired(script.log)
 
 
-def test_grow_rebuild_threshold():
-    """Pushing more than 2*nslots distinct timestamps grows the calendar."""
-    script = Script(CalendarScheduler())
-    assert script.sched._nslots == _MIN_SLOTS
-    for when, prio in GROW["initial"]:
+def test_one_heap_entry_per_pending_timestamp():
+    """A push at an already-pending time lands in its bucket: the heap
+    holds each distinct pending timestamp once, and is empty once the
+    drain is done."""
+    sched = CalendarScheduler()
+    script = Script(sched)
+    for when, prio in REPEATS["initial"]:
         script.push(when, prio)
-    assert script.sched._nslots > _MIN_SLOTS
+    distinct = {when for when, _ in REPEATS["initial"]}
+    assert len(sched._heap) == len(sched._times) == len(distinct) == 37
+    assert sched.peek() == min(distinct)
     script.drain()
-    n = len(GROW["initial"])
-    assert fired(script.log) == [(i * 0.001, i) for i in range(n)]
-    assert fired(same_dispatch(**GROW)) == fired(script.log)
+    assert sched._heap == [] and sched._times == {}
+    times = [when for when, _ in fired(script.log)]
+    assert times == sorted(times) and len(times) == len(REPEATS["initial"])
+    assert fired(same_dispatch(**REPEATS)) == fired(script.log)
 
 
-def test_golden_trace_crossing_rebuild_threshold():
-    """Engine-level golden trace whose schedule crosses the grow-rebuild
-    threshold: identical on both schedulers, and stable."""
+def test_golden_trace_over_many_distinct_times():
+    """Engine-level golden trace over 120 distinct timestamps: identical
+    on both schedulers, and stable."""
     def run(scheduler):
         eng = Engine(scheduler=scheduler)
         log = []
@@ -156,7 +188,7 @@ def test_golden_trace_crossing_rebuild_threshold():
                 yield e.timeout(delay)
                 log.append((round(e.now, 6), tag, i))
 
-        for tag in range(40):              # 120 timeouts, > 2*32 distinct
+        for tag in range(40):              # 120 timeouts
             eng.process(prog(eng, tag, 0.37 + tag * 0.013), name=f"p{tag}")
         eng.run()
         return log
@@ -182,6 +214,15 @@ def test_crash_mid_bucket_resumes_in_order():
     assert log == [(1.0, 0), ("boom", 0, 1.0, 1.0),
                    (1.0, 3), (1.0, 1), (1.0, 2), (3.0, 4),
                    ("stop", False, 3.0, float("inf"))]
+
+
+def test_crash_on_last_event_of_bucket_moves_peek_on():
+    """An exception escaping on a bucket's last event leaves nothing to
+    resume: ``peek`` reports the next timestamp at once, exactly as the
+    heap does."""
+    log = same_dispatch(**CRASH_LAST_IN_BUCKET)
+    assert log == [(1.0, 0), (1.0, 1), ("boom", 1, 1.0, 4.0), (4.0, 2),
+                   ("stop", False, 4.0, float("inf"))]
 
 
 def test_urgent_only_timestamp_via_engine():
