@@ -1,6 +1,9 @@
-"""Benchmark suite regenerating the paper's tables and figures.
+"""Benchmark tooling around the ``repro.bench`` registry.
 
-Run with ``pytest benchmarks/ --benchmark-only``.  Each ``bench_fig*`` /
-``bench_table*`` file covers one figure or table of the paper; the
-``bench_ablation_*`` files cover the design knobs called out in DESIGN.md.
+``smoke.py`` is the byte-identity gate over every registered experiment
+(tables and event counts against ``baselines/``); ``perf/`` is the speed
+benchmark ``BENCHMARK.json`` runs; ``cost_ledger.json`` is the per-op
+cost ledger tier-1 compares exactly.  Tables are regenerated with
+``python -m repro.bench <id>``; the paper's shape claims are asserted in
+tier-1 (``tests/``).
 """

@@ -5,8 +5,8 @@ Run by the CI ``bench-smoke`` job (and usable locally)::
     PYTHONPATH=src python benchmarks/smoke.py --jobs 2 --json out/ \
         --shards 1,2,4 --baselines benchmarks/baselines
 
-For each scaled-down experiment in :data:`repro.bench.runner.SMOKE_CONFIGS`
-this script
+For every experiment in :data:`repro.bench.figures.ALL_EXPERIMENTS`, run
+with its row's scaled-down ``smoke`` kwargs, this script
 
 1. runs the experiment under every scheduler in ``--schedulers`` (default
    ``calendar,heap``) and fails unless all rendered tables and simulated
@@ -16,7 +16,7 @@ this script
    the parallel table matches the serial one (the runner's merge
    contract), writing ``BENCH_<id>.json`` for that run under ``--json``;
 3. with ``--shards LIST`` (e.g. ``--shards 1,2,4``), re-runs the
-   experiments in :data:`SHARD_SMOKE` at every listed shard count and
+   experiments whose row sets ``shard_smoke`` at every listed shard count and
    fails unless each rendered table is byte-identical to the serial run —
    the sharded conservative-parallel core's exactness contract.  Only the
    tables are compared: the sharded core schedules extra boundary-
@@ -39,41 +39,8 @@ import json
 import sys
 
 from repro.bench.figures import ALL_EXPERIMENTS
-from repro.bench.runner import (
-    SMOKE_CONFIGS,
-    bench_payload,
-    run_experiment,
-    write_bench_json,
-)
+from repro.bench.runner import bench_payload, run_experiment, write_bench_json
 from repro.sim import scheduler
-
-#: experiments exercised by the ``--shards`` equivalence matrix — small
-#: cluster-driven sweeps whose tables carry no shard-count column, so
-#: byte-equality across shard counts is the exactness contract verbatim
-SHARD_SMOKE = ("fig1", "fig4c", "svc_kv", "svc_kv_ft", "svc_pubsub")
-
-
-def coverage_failures(registry=None, configs=None) -> list[str]:
-    """Registry/SMOKE_CONFIGS drift, as loud failure messages.
-
-    Registering an experiment without a smoke config would silently
-    exempt it from the baseline gate — this turns the gap
-    (in either direction) into a failed check instead.
-    """
-    registry = ALL_EXPERIMENTS if registry is None else registry
-    configs = SMOKE_CONFIGS if configs is None else configs
-    failures = []
-    for eid in sorted(set(registry) - set(configs)):
-        failures.append(
-            f"{eid}: registered in ALL_EXPERIMENTS but has no "
-            f"SMOKE_CONFIGS entry — add one so CI gives it a committed "
-            f"baseline")
-    for eid in sorted(set(configs) - set(registry)):
-        failures.append(
-            f"{eid}: SMOKE_CONFIGS entry for an experiment that is not "
-            f"in ALL_EXPERIMENTS — remove it or register the experiment")
-    return failures
-
 
 def baseline_failures(eid: str, base_path: str,
                       now: dict) -> list[str]:
@@ -141,18 +108,17 @@ def main(argv: list[str] | None = None) -> int:
                          "'calendar,heap')")
     ap.add_argument("--shards", default=None,
                     help="comma-separated shard counts (e.g. '1,2,4'): "
-                         "re-run the SHARD_SMOKE experiments at each and "
+                         "re-run the shard_smoke experiments at each and "
                          "require byte-identical tables")
     args = ap.parse_args(argv)
     schedulers = [s for s in args.schedulers.split(",") if s]
     shard_counts = ([int(s) for s in args.shards.split(",") if s]
                     if args.shards else [])
 
-    failures: list[str] = coverage_failures()
+    failures: list[str] = []
     total_wall = 0.0
-    for eid, kwargs in SMOKE_CONFIGS.items():
-        if eid not in ALL_EXPERIMENTS:
-            continue  # already reported by coverage_failures
+    for eid, exp in ALL_EXPERIMENTS.items():
+        kwargs = exp.smoke
         # 1. scheduler equivalence matrix (serial legs)
         serial_table = serial_meta = None
         for sched in schedulers:
@@ -190,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
 
         # 3. sharded-core exactness matrix (tables only; the sharded core
         # schedules extra boundary events, so counts may differ)
-        if shard_counts and eid in SHARD_SMOKE:
+        if shard_counts and exp.shard_smoke:
             for n in shard_counts:
                 sh_table, sh_meta = _run_with_scheduler(
                     schedulers[0], eid, 1, {**kwargs, "shards": n})

@@ -27,20 +27,13 @@ from repro.bench.figures import (
 from repro.bench.load import LatencyDigest, ZipfKeys, arrival_times
 from repro.bench.report import Table, format_table
 from repro.bench.services import svc_kv, svc_pubsub
-from repro.bench.runner import (
-    SMOKE_CONFIGS,
-    SWEEP_PARAMS,
-    run_experiment,
-    write_bench_json,
-)
+from repro.bench.runner import run_experiment, write_bench_json
 
 __all__ = [
     "Table",
     "format_table",
     "run_experiment",
     "write_bench_json",
-    "SMOKE_CONFIGS",
-    "SWEEP_PARAMS",
     "fig1_stencil_strong",
     "fig3a_pingpong_put",
     "fig3b_pingpong_get",

@@ -1,8 +1,9 @@
 """Regenerate every experiment table: ``python -m repro.bench [ids...]``.
 
 With no arguments, runs all experiments in paper order and prints the
-tables.  Pass experiment ids (fig1, fig2, fig3a, fig3b, fig3c, fig4a,
-fig4b, fig4c, fig5, table1, sec5) to run a subset.
+tables.  Pass experiment ids — the keys of
+:data:`repro.bench.figures.ALL_EXPERIMENTS`; an unknown id prints them —
+to run a subset.
 
 Options:
 

@@ -7,6 +7,9 @@ Pass ``scale=1.0`` for the closest practical match (slower).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import Any, NamedTuple
+
 import numpy as np
 
 from repro.apps.cholesky import run_cholesky
@@ -282,11 +285,112 @@ def sec5_cache_misses() -> Table:
         req_m = d.miss_for("na-request")
         uq_m = (d.miss_for("na-uq-head") + d.miss_for("na-uq-scan")
                 + d.miss_for("na-uq-append"))
-        bound = 2 if name.startswith("cold") else 2
-        t.add(name, req_m, uq_m, d.misses, f"<= {bound}")
+        t.add(name, req_m, uq_m, d.misses, "<= 2")
     t.notes = ("Paper: at most two compulsory misses — the 32B request "
                "structure and the UQ head line — when fewer than four "
                "notifications are active.")
+    return t
+
+
+# ---------------------------------------------------------------------------
+# §VII — the three notification mechanisms head to head
+# ---------------------------------------------------------------------------
+def sec7_mechanisms(nproducers: int = 4, msgs_each: int = 8,
+                    settle_us: float = 200.0) -> Table:
+    """Consumer cost per identified notification: queueing (NA) vs
+    overwriting (GASPI-style registers) vs counting.
+
+    ``nproducers`` producers each deliver ``msgs_each`` notifications at
+    unpredictable times; once all have landed (``settle_us``) the consumer
+    identifies every one.  Queueing needs one wildcard request;
+    overwriting one register per expected notification to stay
+    collision-free; counting one counter per producer, and it still
+    cannot say *which* message arrived.
+    """
+    total = nproducers * msgs_each
+
+    def produce(ctx, send):
+        """Producer half: ``send(i, slot)`` for each of its notifications,
+        at unpredictable times."""
+        yield from ctx.barrier()
+        for i in range(msgs_each):
+            yield ctx.timeout((ctx.rank * 7 + i * 13) % 20 + 1.0)
+            yield from send(i, (ctx.rank - 1) * msgs_each + i)
+        return None
+
+    def queueing(ctx):
+        win = yield from ctx.win_allocate(8 * total)
+        if ctx.rank:
+            return (yield from produce(ctx, lambda i, s: ctx.na.put_notify(
+                win, np.zeros(1), 0, 8 * s, tag=i)))
+        req = yield from ctx.na.notify_init(win)
+        yield from ctx.barrier()
+        yield ctx.timeout(settle_us)
+        seen = set()
+        t0 = ctx.now
+        for _ in range(total):
+            yield from ctx.na.start(req)
+            st = yield from ctx.na.wait(req)
+            seen.add((st.source, st.tag))
+        assert len(seen) == total
+        return (ctx.now - t0) / total
+
+    def overwriting(ctx):
+        win = yield from ctx.win_allocate(8 * total)
+        if ctx.rank:
+            return (yield from produce(
+                ctx, lambda i, s: ctx.gaspi.write_notify(
+                    win, np.zeros(1), 0, 8 * s, slot=s, value=i + 1)))
+        space = yield from ctx.gaspi.notification_init(win, num=total)
+        yield from ctx.barrier()
+        yield ctx.timeout(settle_us)
+        seen = set()
+        t0 = ctx.now
+        for _ in range(total):
+            reg, _value = yield from ctx.gaspi.waitsome(space)
+            seen.add(reg)
+        assert len(seen) == total and space.overwrites == 0
+        return (ctx.now - t0) / total
+
+    def counting(ctx):
+        win = yield from ctx.win_allocate(8 * total)
+        if ctx.rank:
+            return (yield from produce(
+                ctx, lambda i, s: ctx.counters.put_counted(
+                    win, np.zeros(1), 0, 8 * s, tag=ctx.rank)))
+        reqs = []
+        for p in range(1, nproducers + 1):
+            r = yield from ctx.counters.counter_init(
+                win, source=p, tag=p, expected_count=1)
+            reqs.append(r)
+        yield from ctx.barrier()
+        yield ctx.timeout(settle_us)
+        t0 = ctx.now
+        for _ in range(msgs_each):
+            for r in reqs:
+                yield from ctx.counters.start(r)
+            for r in reqs:
+                yield from ctx.counters.wait(r)
+        return (ctx.now - t0) / total
+
+    t = Table("Section VII: consumer cost per identified notification, "
+              f"{nproducers} producers x {msgs_each} notifications",
+              ["mechanism", "us_per_notification", "semantics"])
+    rows = (
+        ("queueing (NA)", queueing, "value and arrival order, no slots"),
+        ("overwriting (registers)", overwriting,
+         f"value only; {total} registers, order lost"),
+        ("counting", counting, "no message identity"),
+    )
+    for name, program, semantics in rows:
+        # a Cluster always runs serial: GASPI registers are written through
+        # the target's rank object, which a shard worker cannot reach
+        results = Cluster(ClusterConfig(nranks=nproducers + 1)).run(program)
+        t.add(name, results[0], semantics)
+    t.notes = ("Paper §VII: queueing carries values and preserves arrival "
+               "order without per-producer slots, at a cost close to the "
+               "bare counter; overwriting pays a register scan per "
+               "notification.")
     return t
 
 
@@ -467,21 +571,68 @@ def shard_weak(nranks_list=(1024, 4096, 10000), shards: int = 4,
     return t
 
 
-#: registry used by ``python -m repro.bench`` and EXPERIMENTS.md generation
-ALL_EXPERIMENTS = {
-    "fig1": fig1_stencil_strong,
-    "fig2": fig2_transactions,
-    "fig3a": fig3a_pingpong_put,
-    "fig3b": fig3b_pingpong_get,
-    "fig3c": fig3c_pingpong_shm,
-    "fig4a": fig4a_overlap,
-    "fig4b": fig4b_stencil_weak,
-    "fig4c": fig4c_tree,
-    "fig5": fig5_cholesky,
-    "table1": table1_loggp,
-    "sec5": sec5_cache_misses,
-    "shard_weak": shard_weak,
-    "svc_kv": svc_kv,
-    "svc_kv_ft": svc_kv_ft,
-    "svc_pubsub": svc_pubsub,
+class Experiment(NamedTuple):
+    """One registered experiment, stated once.
+
+    ``driver`` regenerates the table; ``sweep`` names the keyword whose
+    values are independent points the runner may fan over ``--jobs``
+    (``None``: cross-point structure or a single measurement, always run
+    whole); ``smoke`` is the scaled-down kwargs the smoke gate runs and
+    whose table ``benchmarks/baselines/BENCH_<id>.json`` commits;
+    ``shard_smoke`` adds the experiment to the gate's ``--shards`` matrix
+    (a small cluster-driven table with no shard-count column, so byte
+    equality across shard counts is the exactness contract verbatim).
+    """
+
+    driver: Callable[..., Table]
+    sweep: str | None
+    smoke: dict[str, Any]
+    shard_smoke: bool = False
+
+
+#: registry used by ``python -m repro.bench``, the parallel runner and the
+#: smoke gate
+ALL_EXPERIMENTS: dict[str, Experiment] = {
+    "fig1": Experiment(fig1_stencil_strong, "nranks_list",
+                       {"nranks_list": (2, 4, 8), "scale": 0.25},
+                       shard_smoke=True),
+    "fig2": Experiment(fig2_transactions, None, {}),
+    "fig3a": Experiment(fig3a_pingpong_put, "sizes",
+                        {"sizes": (8, 512, 32768), "iters": 10}),
+    "fig3b": Experiment(fig3b_pingpong_get, "sizes",
+                        {"sizes": (8, 512, 32768), "iters": 10}),
+    "fig3c": Experiment(fig3c_pingpong_shm, "sizes",
+                        {"sizes": (8, 512, 32768), "iters": 10}),
+    "fig4a": Experiment(fig4a_overlap, "sizes",
+                        {"sizes": (64, 4096, 65536), "iters": 5}),
+    "fig4b": Experiment(fig4b_stencil_weak, "nranks_list",
+                        {"nranks_list": (2, 4), "scale": 0.1}),
+    "fig4c": Experiment(fig4c_tree, "nranks_list",
+                        {"nranks_list": (4, 16), "reps": 3},
+                        shard_smoke=True),
+    "fig5": Experiment(fig5_cholesky, "nranks_list",
+                       {"nranks_list": (2, 4), "base_tiles": 4}),
+    "table1": Experiment(table1_loggp, None, {"iters": 10}),
+    "sec5": Experiment(sec5_cache_misses, None, {}),
+    "sec7": Experiment(sec7_mechanisms, None, {}),
+    "shard_weak": Experiment(
+        shard_weak, "nranks_list",
+        {"nranks_list": (32, 64), "shards": 2, "rounds": 4, "rows": 8,
+         "cols_per_rank": 8, "ranks_per_node": 4}),
+    "svc_kv": Experiment(
+        svc_kv, "rates",
+        {"rates": (200_000.0, 1_600_000.0, 6_400_000.0), "nservers": 2,
+         "nclients": 4, "reqs_per_client": 16, "nkeys": 32},
+        shard_smoke=True),
+    "svc_kv_ft": Experiment(
+        svc_kv_ft, "replications",
+        {"replications": (1, 2, 3), "nservers": 3, "nclients": 4,
+         "reqs_per_client": 16, "nkeys": 32, "rate_rps": 8_000.0,
+         "detect_us": 400.0, "ckpt_every": 4},
+        shard_smoke=True),
+    "svc_pubsub": Experiment(
+        svc_pubsub, "rates",
+        {"rates": (100_000.0, 1_000_000.0, 4_000_000.0), "nbrokers": 2,
+         "npubs": 2, "nsubs": 4, "fanout": 2, "msgs_per_pub": 16},
+        shard_smoke=True),
 }

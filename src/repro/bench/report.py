@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -58,19 +57,6 @@ def format_table(table: Table) -> str:
     return "\n".join(lines)
 
 
-def geo_ratio(a: Sequence[float], b: Sequence[float]) -> float:
-    """Geometric-mean ratio a/b over paired samples (speedup summaries)."""
-    import math
-    if len(a) != len(b) or not a:
-        raise ValueError("need equal-length, non-empty sequences")
-    s = 0.0
-    for x, y in zip(a, b):
-        if x <= 0 or y <= 0:
-            raise ValueError("ratios need positive values")
-        s += math.log(x / y)
-    return math.exp(s / len(a))
-
-
 def to_markdown(table: Table) -> str:
     """Render a :class:`Table` as GitHub-flavoured markdown."""
     lines = [f"## {table.title}", ""]
@@ -83,42 +69,3 @@ def to_markdown(table: Table) -> str:
         lines.append(f"> {table.notes}")
     return "\n".join(lines)
 
-
-#: recovery counters surfaced in fault tables, in display order
-FAULT_COUNTERS = ("drops", "retries", "duplicates", "dup_suppressed",
-                  "lost_ops")
-
-
-def fault_table(results: Sequence[dict], title: str = "Reliability sweep",
-                counters: Sequence[str] = FAULT_COUNTERS) -> Table:
-    """Tabulate fault-injection sweep results.
-
-    Each ``results`` entry is a :func:`repro.apps.pingpong.run_pingpong`-style
-    dict: ``mode``, ``drop_prob`` (added by the sweep driver),
-    ``half_rtt_us``, and optionally a ``faults`` counter dict (absent for
-    fault-free runs — rendered as zeros so columns stay comparable).
-    """
-    table = Table(title, ["mode", "drop_prob", "half_rtt_us",
-                          *counters])
-    for res in results:
-        fl = res.get("faults") or {}
-        table.add(res["mode"], res.get("drop_prob", 0.0),
-                  res["half_rtt_us"],
-                  *(fl.get(c, 0) for c in counters))
-    return table
-
-
-def sweep(fn, grid: dict, title: str, metric: str) -> Table:
-    """Run ``fn(**point)`` over the cartesian grid; tabulate one metric.
-
-    ``grid`` maps parameter names to value lists; ``fn`` must return a dict
-    containing ``metric``.  Rows are emitted in deterministic grid order.
-    """
-    import itertools as _it
-    names = list(grid)
-    table = Table(title, names + [metric])
-    for values in _it.product(*(grid[n] for n in names)):
-        point = dict(zip(names, values))
-        result = fn(**point)
-        table.add(*values, result[metric])
-    return table

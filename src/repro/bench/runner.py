@@ -35,54 +35,6 @@ from repro.bench.report import Table
 from repro.sim.engine import events_scheduled
 from repro.sim.scheduler import scheduler_name
 
-#: experiment id -> name of the keyword whose values are independent sweep
-#: points.  Experiments not listed here (fig2, table1, sec5) have
-#: cross-point structure or are single measurements and always run whole.
-SWEEP_PARAMS: dict[str, str] = {
-    "fig1": "nranks_list",
-    "fig3a": "sizes",
-    "fig3b": "sizes",
-    "fig3c": "sizes",
-    "fig4a": "sizes",
-    "fig4b": "nranks_list",
-    "fig4c": "nranks_list",
-    "fig5": "nranks_list",
-    "shard_weak": "nranks_list",
-    "svc_kv": "rates",
-    "svc_kv_ft": "replications",
-    "svc_pubsub": "rates",
-}
-
-#: scaled-down configurations used by the CI bench-smoke job and the
-#: regression baselines under benchmarks/baselines/.  Every experiment in
-#: :data:`repro.bench.figures.ALL_EXPERIMENTS` has an entry so each one
-#: gets a committed baseline.
-SMOKE_CONFIGS: dict[str, dict[str, Any]] = {
-    "fig1": {"nranks_list": (2, 4, 8), "scale": 0.25},
-    "fig2": {},
-    "fig3a": {"sizes": (8, 512, 32768), "iters": 10},
-    "fig3b": {"sizes": (8, 512, 32768), "iters": 10},
-    "fig3c": {"sizes": (8, 512, 32768), "iters": 10},
-    "fig4a": {"sizes": (64, 4096, 65536), "iters": 5},
-    "fig4b": {"nranks_list": (2, 4), "scale": 0.1},
-    "fig4c": {"nranks_list": (4, 16), "reps": 3},
-    "fig5": {"nranks_list": (2, 4), "base_tiles": 4},
-    "table1": {"iters": 10},
-    "sec5": {},
-    "shard_weak": {"nranks_list": (32, 64), "shards": 2, "rounds": 4,
-                   "rows": 8, "cols_per_rank": 8, "ranks_per_node": 4},
-    "svc_kv": {"rates": (200_000.0, 1_600_000.0, 6_400_000.0),
-               "nservers": 2, "nclients": 4, "reqs_per_client": 16,
-               "nkeys": 32},
-    "svc_kv_ft": {"replications": (1, 2, 3), "nservers": 3,
-                  "nclients": 4, "reqs_per_client": 16, "nkeys": 32,
-                  "rate_rps": 8_000.0, "detect_us": 400.0,
-                  "ckpt_every": 4},
-    "svc_pubsub": {"rates": (100_000.0, 1_000_000.0, 4_000_000.0),
-                   "nbrokers": 2, "npubs": 2, "nsubs": 4, "fanout": 2,
-                   "msgs_per_pub": 16},
-}
-
 
 def _worker_pool(ctx, processes: int) -> _mp_pool.Pool:
     """A Pool whose workers are *not* daemonic.
@@ -135,7 +87,7 @@ def _run_point(
     try:
         gc0 = _gc_collections(shards)
         before = events_scheduled()
-        table = ALL_EXPERIMENTS[eid](**kwargs)
+        table = ALL_EXPERIMENTS[eid].driver(**kwargs)
         events = events_scheduled() - before
         gc_collections = [b - a for a, b in zip(gc0,
                                                 _gc_collections(shards))]
@@ -175,14 +127,14 @@ def _gc_collections(shards: int) -> list[int]:
 def _sweep_points(eid: str, kwargs: dict[str, Any]):
     """Resolve the sweep parameter name and its values (from the kwargs or
     the driver's signature default); (None, None) for unsplittable ones."""
-    param = SWEEP_PARAMS.get(eid)
+    exp = ALL_EXPERIMENTS[eid]
+    param = exp.sweep
     if param is None:
         return None, None
     if param in kwargs:
         values = kwargs[param]
     else:
-        values = inspect.signature(
-            ALL_EXPERIMENTS[eid]).parameters[param].default
+        values = inspect.signature(exp.driver).parameters[param].default
     return param, list(values)
 
 
@@ -191,12 +143,13 @@ def run_experiment(eid: str, jobs: int = 1, shards: int = 0,
     """Run one experiment, optionally fanning sweep points over ``jobs``
     worker processes.  Returns ``(table, meta)``.
 
-    The table is byte-identical to a serial ``ALL_EXPERIMENTS[eid](**kwargs)``
-    call regardless of ``jobs``.  ``meta`` carries ``wall_s`` (parent-side
-    wall time), ``events`` (scheduler events simulated across all workers),
-    ``events_per_s``, ``jobs`` (pool size actually used), ``scheduler``
-    (the active event-scheduler implementation), ``shards``, the
-    per-point ``seeds``, and — for points executed on the sharded core —
+    The table is byte-identical to a serial
+    ``ALL_EXPERIMENTS[eid].driver(**kwargs)`` call regardless of ``jobs``.
+    ``meta`` carries ``wall_s`` (parent-side wall time), ``events``
+    (scheduler events simulated across all workers), ``events_per_s``,
+    ``jobs`` (pool size actually used), ``scheduler`` (the active
+    event-scheduler implementation), ``shards``, the per-point
+    ``seeds``, and — for points executed on the sharded core —
     ``cp_s``/``events_per_s_cp``, the critical-path CPU seconds and the
     aggregate fleet rate over them (the projected wall-clock rate with
     one dedicated core per shard; ``None`` when no point ran sharded) —
@@ -218,7 +171,8 @@ def run_experiment(eid: str, jobs: int = 1, shards: int = 0,
         raise KeyError(f"unknown experiment {eid!r}; "
                        f"available: {list(ALL_EXPERIMENTS)}")
     if shards:
-        driver_params = inspect.signature(ALL_EXPERIMENTS[eid]).parameters
+        driver_params = inspect.signature(
+            ALL_EXPERIMENTS[eid].driver).parameters
         if "shards" in driver_params:
             kwargs["shards"] = shards
     param, values = _sweep_points(eid, kwargs)

@@ -10,8 +10,8 @@ accuracy), and the achieved throughput over the measurement window.
 Every column is a deterministic virtual-time quantity, so the tables are
 byte-identical across ``--jobs``, ``--shards``, and schedulers — the
 same contract the paper-figure drivers honor.  The ``rates`` tuple is
-the sweep parameter (:data:`repro.bench.runner.SWEEP_PARAMS`), so points
-fan out across a ``--jobs`` pool.
+the sweep axis of their :data:`repro.bench.figures.ALL_EXPERIMENTS` row,
+so points fan out across a ``--jobs`` pool.
 """
 
 from __future__ import annotations

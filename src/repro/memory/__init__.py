@@ -12,7 +12,6 @@ paper: two compulsory misses per matched notification).
 
 from repro.memory.address import AddressSpace, Region
 from repro.memory.cache import CACHE_LINE, CacheModel, CacheStats
-from repro.memory.xpmem import XpmemRegistry, XpmemSegment
 
 __all__ = [
     "AddressSpace",
@@ -20,6 +19,4 @@ __all__ = [
     "CacheModel",
     "CacheStats",
     "CACHE_LINE",
-    "XpmemSegment",
-    "XpmemRegistry",
 ]

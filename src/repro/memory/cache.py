@@ -5,8 +5,8 @@ Section V of the paper argues the Notified Access matching path costs at most
 one for the 32-byte request structure, one for the unexpected-queue head
 (arranged to share a line with its first elements).  Rather than assert this,
 we *measure* it: the matching engine funnels every structure access through a
-:class:`CacheModel` and the microbenchmark (``bench_sec5_cache_misses``)
-reports observed misses.
+:class:`CacheModel` and the ``sec5`` experiment (``python -m repro.bench
+sec5``) reports observed misses.
 
 The model is a set-associative LRU cache with 64-byte lines, sized like a
 per-core L1 (32 KiB, 8-way) by default.  It models presence only — hit/miss

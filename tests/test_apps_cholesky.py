@@ -129,6 +129,15 @@ def test_na_fastest_variant():
     assert g["na"] > g["mp"] > g["onesided"]
 
 
+def test_na_advantage_grows_with_scale():
+    """Figure 5: NA/MP grows with P (1.24 at P = 4, 1.43 at P = 8 on 4
+    base tiles)."""
+    from repro.bench.figures import fig5_cholesky
+    small, large = fig5_cholesky(nranks_list=(4, 8),
+                                 base_tiles=4).column("NA/MP")
+    assert large > small
+
+
 def test_tile_bytes_is_8kb_as_paper():
     r = run_cholesky("na", 2, ntiles=4, b=32)
     assert r["tile_bytes"] == 8192

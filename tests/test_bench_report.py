@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.report import Table, format_table, geo_ratio
+from repro.bench.report import Table, format_table
 
 
 def test_table_add_and_column():
@@ -34,34 +34,9 @@ def test_format_notes_appended():
     assert "shape note" in str(t)
 
 
-def test_geo_ratio():
-    assert geo_ratio([2.0, 8.0], [1.0, 2.0]) == pytest.approx(
-        (2.0 * 4.0) ** 0.5)
-    with pytest.raises(ValueError):
-        geo_ratio([], [])
-    with pytest.raises(ValueError):
-        geo_ratio([1.0], [0.0])
-
-
 def test_experiment_registry_complete():
     from repro.bench.figures import ALL_EXPERIMENTS
     for eid in ("fig1", "fig2", "fig3a", "fig3b", "fig3c", "fig4a",
-                "fig4b", "fig4c", "fig5", "table1", "sec5"):
+                "fig4b", "fig4c", "fig5", "table1", "sec5", "sec7"):
         assert eid in ALL_EXPERIMENTS
 
-
-def test_fault_table_renders_counters_and_defaults():
-    from repro.bench.report import fault_table
-
-    rows = [
-        {"mode": "na", "drop_prob": 0.0, "half_rtt_us": 1.4},
-        {"mode": "na", "drop_prob": 0.1, "half_rtt_us": 2.2,
-         "faults": {"drops": 5, "retries": 5, "duplicates": 1,
-                    "dup_suppressed": 1, "lost_ops": 0, "delays": 3}},
-    ]
-    t = fault_table(rows, title="loss sweep")
-    assert t.columns[:3] == ["mode", "drop_prob", "half_rtt_us"]
-    assert t.column("drops") == [0, 5]       # fault-free row padded with 0
-    assert t.column("retries") == [0, 5]
-    assert t.column("dup_suppressed") == [0, 1]
-    assert "loss sweep" in str(t)

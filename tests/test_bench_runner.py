@@ -1,5 +1,6 @@
 """Parallel bench runner: split/merge equality and JSON round-trip."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,8 +11,6 @@ import pytest
 
 from repro.bench.figures import ALL_EXPERIMENTS
 from repro.bench.runner import (
-    SMOKE_CONFIGS,
-    SWEEP_PARAMS,
     _jsonable,
     _sweep_points,
     bench_payload,
@@ -26,10 +25,11 @@ _ENV = {**os.environ, "PYTHONPATH": os.path.join(_REPO, "src")}
 
 
 def test_sweep_params_cover_registry():
-    for eid in SWEEP_PARAMS:
-        assert eid in ALL_EXPERIMENTS
-    for eid in SMOKE_CONFIGS:
-        assert eid in ALL_EXPERIMENTS
+    """Every row's sweep axis is a keyword of that row's driver."""
+    for eid, exp in ALL_EXPERIMENTS.items():
+        if exp.sweep is not None:
+            params = inspect.signature(exp.driver).parameters
+            assert exp.sweep in params, eid
     # Unsplittable experiments resolve to no sweep.
     assert _sweep_points("fig2", {}) == (None, None)
     assert _sweep_points("table1", {}) == (None, None)
@@ -56,7 +56,7 @@ def test_parallel_table_matches_serial():
 
 
 def test_runner_matches_direct_driver_call():
-    direct = ALL_EXPERIMENTS["fig3a"](**TINY)
+    direct = ALL_EXPERIMENTS["fig3a"].driver(**TINY)
     table, _ = run_experiment("fig3a", jobs=2, **TINY)
     assert str(table) == str(direct)
 
@@ -80,21 +80,22 @@ def test_runner_reports_no_fleet_rate_for_serial_run():
 
 def test_runner_reports_fleet_rate_for_sharded_run():
     _table, meta = run_experiment("fig4c", jobs=2, shards=2,
-                                  **SMOKE_CONFIGS["fig4c"])
+                                  **ALL_EXPERIMENTS["fig4c"].smoke)
     assert meta["cp_s"] > 0 and meta["events_per_s_cp"] > 0
     assert len(meta["gc_collections"]) == 3
 
 
 @pytest.mark.parametrize("eid", ["fig2", "fig3a", "fig3b", "fig3c", "fig4a",
-                                 "fig5", "table1", "sec5"])
+                                 "fig5", "table1", "sec5", "sec7"])
 def test_shards_flag_is_total(eid):
     """``--shards`` is accepted by every experiment and changes no cell
-    (the ids of ``benchmarks/smoke.SHARD_SMOKE`` are gated in CI; fig4b
-    and shard_weak stay out for run time).  An experiment that reads a
+    (the rows flagged ``shard_smoke`` are gated in CI; fig4b and
+    shard_weak stay out for run time).  An experiment that reads a
     serial-only attribute of the run, or hands results out through a
     closure a forked worker fills, fails here."""
-    serial, _ = run_experiment(eid, **SMOKE_CONFIGS[eid])
-    sharded, _ = run_experiment(eid, shards=2, **SMOKE_CONFIGS[eid])
+    smoke = ALL_EXPERIMENTS[eid].smoke
+    serial, _ = run_experiment(eid, **smoke)
+    sharded, _ = run_experiment(eid, shards=2, **smoke)
     assert serial.rows and sharded.rows == serial.rows
 
 

@@ -126,3 +126,19 @@ def test_get_notify_shm_path():
 
     results, _ = run_cluster(2, prog, ranks_per_node=2)
     assert results == ["ok", "ok"]
+
+
+def test_unreliable_fabric_prices_gets_not_puts():
+    """§VIII: on an unreliable fabric a notified get pays the ack leg
+    (about two wire latencies) before the buffer-reuse notification; a
+    notified put costs the same either way."""
+    from repro.apps.pingpong import run_pingpong
+    from repro.cluster import ClusterConfig
+
+    def half_rtt(mode, reliable):
+        cfg = ClusterConfig(nranks=2,
+                            params=TransportParams(reliable=reliable))
+        return run_pingpong(mode, 64, iters=15, config=cfg)["half_rtt_us"]
+
+    assert half_rtt("na_get", False) > half_rtt("na_get", True) + 1.0
+    assert half_rtt("na", False) == half_rtt("na", True)

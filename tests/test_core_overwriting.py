@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.figures import sec7_mechanisms
 from repro.errors import MatchingError
 from tests.conftest import run_cluster
 
@@ -158,3 +159,13 @@ def test_ordering_across_registers_is_lost():
 
     results, _ = run_cluster(2, prog)
     assert results[0] == (1, 3)          # scan order, not arrival order
+
+
+def test_sec7_queueing_near_counting_overwriting_pays_its_scan():
+    """§VII: queueing stays within a small factor of the bare counter
+    while carrying value and order; overwriting pays a register scan per
+    notification, so it costs more than counting."""
+    queueing, overwriting, counting = sec7_mechanisms().column(
+        "us_per_notification")
+    assert queueing < 3 * counting + 0.2
+    assert overwriting > counting

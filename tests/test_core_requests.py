@@ -145,6 +145,24 @@ def test_request_reuse_measured_costs():
     run_cluster(1, prog)
 
 
+def test_put_notify_issue_costs_at_least_t_na():
+    """§V-A: issuing a notified access costs at least t_na = 0.29 us
+    (o_send plus the engine's occupancy)."""
+    def prog(ctx):
+        win = yield from ctx.win_allocate(64)
+        req = yield from ctx.na.notify_init(win)
+        yield from ctx.na.start(req)
+        t0 = ctx.now
+        yield from ctx.na.put_notify(win, np.zeros(1), 0, 0, tag=0)
+        t_na = ctx.now - t0
+        yield from ctx.na.wait(req)
+        yield from ctx.na.request_free(req)
+        return t_na
+
+    results, _ = run_cluster(1, prog)
+    assert results[0] >= 0.29
+
+
 def test_request_is_32_bytes_in_address_space():
     def prog(ctx):
         win = yield from ctx.win_allocate(64)

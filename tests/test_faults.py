@@ -377,3 +377,28 @@ def test_dead_wait_error_names_peer():
     inj = FaultInjector(plan, 0)
     err = inj.dead_wait_error("notification", 0, 2)
     assert "rank 2" in str(err) and "wait on rank 0" in str(err)
+
+
+def test_na_vs_flush_notify_under_injected_drops():
+    """The single-transaction argument on lossy links: flush_notify puts
+    two transfers per handoff in the drop process's way, so it is slower
+    than NA at every loss rate; loss slows both monotonically, and retry
+    plus dedup still deliver every handoff."""
+    from repro.apps.pingpong import run_pingpong
+
+    res = {}
+    for mode in ("na", "flush_notify"):
+        for drop in (0.0, 0.01, 0.1):
+            plan = FaultPlan(drop_prob=drop, seed=2015) if drop else None
+            cfg = ClusterConfig(nranks=2, faults=plan)
+            res[mode, drop] = run_pingpong(mode, 64, iters=25, config=cfg)
+    for mode in ("na", "flush_notify"):
+        assert "faults" not in res[mode, 0.0]
+        rtt = [res[mode, d]["half_rtt_us"] for d in (0.0, 0.01, 0.1)]
+        assert rtt[2] > rtt[1] >= rtt[0]
+        lossy = res[mode, 0.1]["faults"]
+        assert lossy["retries"] > 0 and lossy["drops"] > 0
+        assert lossy["lost_ops"] == 0
+    for drop in (0.0, 0.01, 0.1):
+        assert (res["flush_notify", drop]["half_rtt_us"]
+                > res["na", drop]["half_rtt_us"])

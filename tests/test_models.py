@@ -82,6 +82,25 @@ def test_paper_headline_na_beats_mp(P):
         assert na < mp
 
 
+def test_paper_headline_na_get_beats_onesided():
+    """Figure 3b: the notified get's request-reply still beats One Sided."""
+    for size in (8, 512, 8192):
+        na = run_pingpong("na_get", size, iters=10)["half_rtt_us"]
+        os_ = run_pingpong("onesided_pscw", size, iters=10)["half_rtt_us"]
+        assert na < os_
+
+
+def test_paper_headline_intra_node_na_in_mp_class():
+    """Figure 3c: intra-node NA stays in MP's latency class (below 1.2x)
+    and below One Sided."""
+    for size in (8, 512, 8192):
+        lat = {m: run_pingpong(m, size, iters=10,
+                               same_node=True)["half_rtt_us"]
+               for m in ("mp", "onesided_pscw", "na")}
+        assert lat["na"] < lat["onesided_pscw"]
+        assert lat["na"] < 1.2 * lat["mp"]
+
+
 # -- calibration ----------------------------------------------------------
 def test_fit_recovers_known_line():
     sizes = [10, 100, 1000, 10000]

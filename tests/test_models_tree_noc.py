@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.pingpong import run_pingpong
+from repro.apps.stencil import run_stencil
 from repro.apps.tree import run_tree_reduction
 from repro.cluster import ClusterConfig
 from repro.models.performance import (na_put_half_rtt, tree_depth,
@@ -48,11 +49,24 @@ def test_noc_preset_scales_o_r():
 def test_noc_na_beats_mp_and_onesided():
     p = noc_params()
     lat = {}
-    for mode in ("mp", "na", "onesided_pscw"):
+    for mode in ("mp", "na", "onesided_pscw", "raw"):
         cfg = ClusterConfig(nranks=2, params=p)
         lat[mode] = run_pingpong(mode, 64, iters=10,
                                  config=cfg)["half_rtt_us"]
     assert lat["na"] < lat["mp"] < lat["onesided_pscw"]
+    assert lat["raw"] <= lat["na"]
+
+
+def test_noc_stencil_na_advantage_persists():
+    """§III-A's conjecture: at nanosecond latencies synchronization costs
+    relatively more, so NA keeps its lead on the pipelined stencil."""
+    gm = {}
+    for mode in ("mp", "na"):
+        cfg = ClusterConfig(nranks=8, params=noc_params(),
+                            flops_per_us=8000.0)
+        gm[mode] = run_stencil(mode, 8, rows=48, cols=1280,
+                               config=cfg)["gmops"]
+    assert gm["na"] > gm["mp"]
 
 
 def test_default_o_r_still_paper_value():

@@ -280,3 +280,24 @@ def test_rendezvous_slower_without_async_progress_when_sender_busy():
     r_async, _ = run_cluster(2, prog, async_progress=True)
     r_sync, _ = run_cluster(2, prog, async_progress=False)
     assert r_sync[1] > r_async[1] + 100.0
+
+
+def test_eager_threshold_ablation():
+    """At 16 KB the eager copy is cheaper than rendezvous' two extra
+    control transactions; at 512 KB the copy dominates and rendezvous
+    wins.  A threshold above the size changes nothing further."""
+    from repro.apps.pingpong import run_pingpong
+    from repro.cluster import ClusterConfig
+    from repro.network.loggp import TransportParams
+
+    def half_rtt(size, eager_max, iters):
+        cfg = ClusterConfig(nranks=2,
+                            params=TransportParams(eager_max=eager_max))
+        return run_pingpong("mp", size, iters=iters,
+                            config=cfg)["half_rtt_us"]
+
+    rndv, eager, huge = (half_rtt(16384, th, 15)
+                         for th in (1024, 16384, 1 << 20))
+    assert eager < rndv
+    assert eager == pytest.approx(huge)
+    assert half_rtt(512 * 1024, 8192, 5) < half_rtt(512 * 1024, 1 << 20, 5)

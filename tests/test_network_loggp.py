@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.network.loggp import LogGPParams, default_params
+from repro.apps.overlap import run_overlap
+from repro.apps.pingpong import run_pingpong
+from repro.cluster import ClusterConfig
+from repro.network.loggp import LogGPParams, TransportParams, default_params
 
 
 def test_defaults_match_paper_table1():
@@ -50,3 +53,38 @@ def test_with_returns_modified_copy():
     assert q.eager_max == 1024
     assert p.eager_max == 8192
     assert q.fma == p.fma
+
+
+def _na_half_rtt(size, same_node=False, **knobs):
+    cfg = ClusterConfig(nranks=2, ranks_per_node=2 if same_node else 1,
+                        params=TransportParams(**knobs))
+    return run_pingpong("na", size, iters=15, same_node=same_node,
+                        config=cfg)["half_rtt_us"]
+
+
+def test_fma_bte_crossover_ablation():
+    """FMA (lower L, no descriptor post) wins latency for small puts and
+    the gap closes with size; BTE's reason to exist is CPU offload, so it
+    wins overlap at 64 KB."""
+    fma, bte = 1 << 22, 0                  # fma_max forcing each engine
+    gap = {size: _na_half_rtt(size, fma_max=bte)
+           - _na_half_rtt(size, fma_max=fma) for size in (512, 65536)}
+    assert gap[512] > 0
+    assert gap[65536] < gap[512] * 1.5
+    overlap = {}
+    for fma_max in (fma, bte):
+        cfg = ClusterConfig(nranks=2,
+                            params=TransportParams(fma_max=fma_max))
+        overlap[fma_max] = run_overlap("na", 65536, iters=8,
+                                       config=cfg)["overlap_ratio"]
+    assert overlap[bte] > overlap[fma]
+
+
+def test_inline_transfer_ablation():
+    """§IV-C: a 40 B shm notified put inside the notification cache line
+    beats the copy path; above the cutoff the knob changes nothing."""
+    assert (_na_half_rtt(40, same_node=True, inline_max=48)
+            < _na_half_rtt(40, same_node=True, inline_max=0))
+    assert (_na_half_rtt(4096, same_node=True, inline_max=48)
+            == pytest.approx(_na_half_rtt(4096, same_node=True,
+                                          inline_max=0), rel=1e-9))

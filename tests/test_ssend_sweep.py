@@ -1,8 +1,7 @@
-"""Synchronous sends and the sweep helper."""
+"""Synchronous sends."""
 
 import numpy as np
 
-from repro.bench.report import sweep
 from tests.conftest import run_cluster
 
 
@@ -53,16 +52,3 @@ def test_plain_send_completes_eagerly_in_contrast():
     results, _ = run_cluster(2, prog)
     assert results[0] < 5.0                # eager: local completion
 
-
-def test_sweep_tabulates_grid():
-    from repro.apps.pingpong import run_pingpong
-
-    table = sweep(
-        lambda mode, size_bytes: run_pingpong(mode, size_bytes, iters=3),
-        {"mode": ["na", "mp"], "size_bytes": [64, 1024]},
-        title="pingpong sweep", metric="half_rtt_us")
-    assert len(table.rows) == 4
-    assert table.columns == ["mode", "size_bytes", "half_rtt_us"]
-    # Deterministic grid order: na/64, na/1024, mp/64, mp/1024.
-    assert [r[0] for r in table.rows] == ["na", "na", "mp", "mp"]
-    assert all(r[2] > 0 for r in table.rows)
