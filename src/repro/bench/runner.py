@@ -18,7 +18,6 @@ format the CI bench-smoke job diffs against the committed baselines.
 
 from __future__ import annotations
 
-import gc
 import inspect
 import json
 import multiprocessing.pool as _mp_pool
@@ -79,49 +78,25 @@ def _run_point(
     random.seed(seed)
     np.random.seed(seed & 0xFFFFFFFF)
     prev = os.environ.get("REPRO_SHARDS")
-    cp0 = 0.0
     if shards:
-        from repro.sim.shard import critical_path_seconds
-        cp0 = critical_path_seconds()
         os.environ["REPRO_SHARDS"] = str(shards)
     try:
-        gc0 = _gc_collections(shards)
         before = events_scheduled()
         table = ALL_EXPERIMENTS[eid].driver(**kwargs)
         events = events_scheduled() - before
-        gc_collections = [b - a for a, b in zip(gc0,
-                                                _gc_collections(shards))]
     finally:
         if shards:
             if prev is None:
                 del os.environ["REPRO_SHARDS"]
             else:
                 os.environ["REPRO_SHARDS"] = prev
-    if shards:
-        from repro.sim.shard import critical_path_seconds
-        cp_s = critical_path_seconds() - cp0
-    else:
-        cp_s = None
     return {
         "title": table.title,
         "columns": table.columns,
         "rows": table.rows,
         "notes": table.notes,
         "events": events,
-        "cp_s": cp_s,
-        "gc_collections": gc_collections,
     }
-
-
-def _gc_collections(shards: int) -> list[int]:
-    """Cyclic-collector runs so far, per generation, in this interpreter
-    (counters it keeps anyway; reading them costs nothing) and — when the
-    point runs sharded — in the shard workers it has forked."""
-    counts = [g["collections"] for g in gc.get_stats()]
-    if shards:
-        from repro.sim.shard import worker_gc_collections
-        counts = [a + b for a, b in zip(counts, worker_gc_collections())]
-    return counts
 
 
 def _sweep_points(eid: str, kwargs: dict[str, Any]):
@@ -148,14 +123,8 @@ def run_experiment(eid: str, jobs: int = 1, shards: int = 0,
     ``meta`` carries ``wall_s`` (parent-side wall time), ``events``
     (scheduler events simulated across all workers), ``events_per_s``,
     ``jobs`` (pool size actually used), ``scheduler`` (the active
-    event-scheduler implementation), ``shards``, the per-point
-    ``seeds``, and — for points executed on the sharded core —
-    ``cp_s``/``events_per_s_cp``, the critical-path CPU seconds and the
-    aggregate fleet rate over them (the projected wall-clock rate with
-    one dedicated core per shard; ``None`` when no point ran sharded) —
-    and ``gc_collections``, the cyclic-collector runs per generation
-    spent inside the experiment, summed over the interpreters that ran
-    its points and the shard workers they forked.
+    event-scheduler implementation), ``shards`` and the per-point
+    ``seeds``.
 
     ``shards`` selects *within-point* parallelism: each individual sweep
     point runs on the sharded conservative-parallel DES core
@@ -203,11 +172,6 @@ def run_experiment(eid: str, jobs: int = 1, shards: int = 0,
     for r in results:
         table.rows.extend(r["rows"])
     events = sum(r["events"] for r in results)
-    # critical-path CPU seconds accumulated by sharded runs: the honest
-    # parallel-throughput denominator when the host has fewer cores than
-    # shards (see repro.sim.shard.critical_path_seconds) — None when no
-    # point executed on the sharded core
-    cp_s = sum(r["cp_s"] for r in results) if shards else None
     meta = {
         "experiment": eid,
         "jobs": used_jobs,
@@ -215,10 +179,6 @@ def run_experiment(eid: str, jobs: int = 1, shards: int = 0,
         "wall_s": wall,
         "events": events,
         "events_per_s": events / wall if wall > 0 else 0.0,
-        "cp_s": cp_s,
-        "events_per_s_cp": events / cp_s if cp_s else None,
-        "gc_collections": [sum(g) for g in zip(
-            *(r["gc_collections"] for r in results))],
         "scheduler": scheduler_name(),
         "seeds": [p[2] for p in payloads],
         "kwargs": {k: _jsonable(v) for k, v in kwargs.items()},

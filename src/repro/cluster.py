@@ -276,7 +276,13 @@ class Cluster:
         return self.engine.now
 
     def stats(self) -> dict[str, Any]:
-        """Summary counters for tests and reports."""
+        """Summary counters for tests and reports.
+
+        Counts are summed over ranks, maps are keyed by rank, ``time_us``
+        is the clock, and ``faults`` (present when a plan injects
+        anything) is the tracer's count per fault class — so a sharded
+        run merges its workers' stats by one rule.
+        """
         out: dict[str, Any] = {
             "time_us": self.engine.now,
             "wire_transactions": self.tracer.wire_transactions(),
@@ -295,11 +301,7 @@ class Cluster:
                                     for c in self.ranks),
         }
         if self.fabric.faults is not None:
-            out["faults"] = self.fabric.faults.stats()
-            out["faults"]["dup_suppressed_nic"] = sum(
-                c.nic.dup_suppressed for c in self.ranks)
-        if self.sanitizer is not None:
-            out["sanitizer"] = {"races": self.sanitizer.races}
+            out["faults"] = dict(self.tracer.faults)
         return out
 
 
@@ -307,7 +309,8 @@ def effective_shards(config: ClusterConfig) -> int:
     """Resolve the shard count for one run (1 = serial).
 
     ``config.shards`` wins when set (>= 1); ``0`` consults the
-    ``REPRO_SHARDS`` environment variable.  Features the sharded core
+    ``REPRO_SHARDS`` environment variable (unset or empty means serial;
+    a value that is not an integer raises).  Features the sharded core
     does not model (probabilistic fault injection, ``reliable=False``)
     raise when sharding was requested explicitly and quietly fall back
     to serial when it came from the environment — so exporting
@@ -319,10 +322,13 @@ def effective_shards(config: ClusterConfig) -> int:
     n = config.shards
     explicit = n > 1
     if n == 0:
+        env = os.environ.get("REPRO_SHARDS") or "1"
         try:
-            n = int(os.environ.get("REPRO_SHARDS", "1"))
+            n = int(env)
         except ValueError:
-            n = 1
+            raise SimulationError(
+                f"REPRO_SHARDS={env!r} is not a shard count (an integer; "
+                f"unset, 0 or 1 run serial)") from None
     if n <= 1:
         return 1
     reasons = []

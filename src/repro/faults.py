@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.errors import FaultError
 from repro.sim.rng import RngStream
@@ -128,12 +127,16 @@ CLEAN_FATE = TransferFate()
 
 
 class FaultInjector:
-    """Draws per-operation fates from a plan; keeps recovery counters.
+    """Draws per-operation fates from a plan.
 
     One injector serves a whole fabric.  Decisions are drawn in operation
     issue order from a single stream seeded by ``plan.seed`` (or, when that
     is ``None``, derived from the fabric root seed under the ``"faults"``
     label) — the schedule is a pure function of (plan, seed, program).
+    Every decision is emitted once to the tracer under its fault class:
+    ``tracer.faults`` is the recovery ledger (``Cluster.stats()["faults"]``),
+    and the retransmissions performed are ``drop - lost`` (an abandoned op
+    retried ``max_retries`` times before giving up).
     """
 
     def __init__(self, plan: FaultPlan, root_seed: int,
@@ -142,14 +145,6 @@ class FaultInjector:
         seed = plan.seed if plan.seed is not None else root_seed
         self.rng = RngStream(seed, "faults")
         self.tracer = tracer or Tracer(enabled=False)
-        self.drops = 0            # dropped delivery attempts
-        self.retries = 0          # retransmissions performed
-        self.duplicates = 0       # duplicated deliveries injected
-        self.dup_suppressed = 0   # duplicates filtered by the dedup path
-        self.delays = 0           # delayed (reorderable) deliveries
-        self.stalls = 0           # transient NIC stalls
-        self.lost_ops = 0         # ops abandoned after retry exhaustion
-        self.node_drops = 0       # ops refused because a node is down
 
     # ------------------------------------------------------------------
     def rank_down(self, rank: int, now: float) -> bool:
@@ -198,7 +193,6 @@ class FaultInjector:
         """
         plan = self.plan
         if self.rank_down(origin, now) or self.rank_down(target, now):
-            self.node_drops += 1
             self.tracer.emit(now, "fault", origin, target, nbytes,
                              fault="node-down", medium=medium)
             return TransferFate(lost=True, fail_after=plan.detect_us)
@@ -211,38 +205,29 @@ class FaultInjector:
             for attempt in range(plan.max_retries + 1):
                 if self.rng.random() >= plan.drop_prob:
                     break
-                self.drops += 1
                 fate.retries += 1
                 fate.retry_delay += plan.rto * plan.backoff ** attempt
                 self.tracer.emit(now, "fault", origin, target, nbytes,
                                  fault="drop", attempt=attempt,
                                  medium=medium)
             else:
-                self.lost_ops += 1
-                # The max_retries retransmissions were still performed
-                # (and charged) before the op was abandoned, so they
-                # count toward the retries ledger like successful ones.
-                self.retries += plan.max_retries
                 self.tracer.emit(now, "fault", origin, target, nbytes,
                                  fault="lost", medium=medium)
                 return TransferFate(retries=plan.max_retries,
                                     lost=True,
                                     fail_after=plan.detect_us)
-            self.retries += fate.retries
             if fate.retries:
                 self.tracer.emit(now, "fault", origin, target, nbytes,
                                  fault="retry-ok", retries=fate.retries,
                                  medium=medium)
         if plan.delay_prob > 0.0 and self.rng.random() < plan.delay_prob:
             fate.jitter = self.rng.uniform(0.0, plan.delay_max)
-            self.delays += 1
             self.tracer.emit(now, "fault", origin, target, nbytes,
                              fault="delay", extra=fate.jitter,
                              medium=medium)
         if plan.dup_prob > 0.0 and self.rng.random() < plan.dup_prob:
             fate.duplicate = True
             fate.dup_lag = plan.dup_lag
-            self.duplicates += 1
             self.tracer.emit(now, "fault", origin, target, nbytes,
                              fault="dup", medium=medium)
         return fate
@@ -253,7 +238,6 @@ class FaultInjector:
             return 0.0
         if self.rng.random() >= self.plan.stall_prob:
             return 0.0
-        self.stalls += 1
         self.tracer.emit(now, "fault", -1, -1, 0, fault="stall",
                          engine=engine_kind, extra=self.plan.stall_us)
         return self.plan.stall_us
@@ -261,7 +245,6 @@ class FaultInjector:
     def suppressed(self, origin: int, target: int, kind: str,
                    now: float) -> None:
         """Record a duplicate delivery filtered by the dedup path."""
-        self.dup_suppressed += 1
         self.tracer.emit(now, "fault", origin, target, 0,
                          fault="dup-suppressed", op=kind)
 
@@ -295,17 +278,3 @@ class FaultInjector:
         return FaultError(
             f"{kind} wait on rank {waiter}: peer rank {source} is "
             f"down{since} (detected after {self.plan.detect_us:g}us)")
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, Any]:
-        """Recovery counters (surfaced through ``Cluster.stats()``)."""
-        return {
-            "drops": self.drops,
-            "retries": self.retries,
-            "duplicates": self.duplicates,
-            "dup_suppressed": self.dup_suppressed,
-            "delays": self.delays,
-            "stalls": self.stalls,
-            "lost_ops": self.lost_ops,
-            "node_drops": self.node_drops,
-        }

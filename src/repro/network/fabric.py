@@ -110,8 +110,6 @@ class Nic:
         #: receive-side link occupancy horizon (incast serialization)
         self.rx_next_free = 0.0
         self.rx_bytes = 0
-        #: duplicate deliveries filtered out at this NIC (fault dedup)
-        self.dup_suppressed = 0
         if fabric.faults is not None:
             self.fma.faults = fabric.faults
             self.bte.faults = fabric.faults
@@ -321,7 +319,6 @@ class Fabric:
         def once() -> None:
             nonlocal delivered
             if delivered:
-                nic.dup_suppressed += 1
                 self.faults.suppressed(origin, target, kind,
                                        self.engine.now)
                 return

@@ -82,7 +82,6 @@ class Sanitizer:
         self._loc: dict[tuple[int, int], dict[int, int]] = {}
         #: in-order delivery clock per (origin, target, channel name)
         self._chan: dict[tuple[int, int, str], dict[int, int]] = {}
-        self.races = 0
 
     # -- clock plumbing -----------------------------------------------------
     def release(self, rank: int) -> dict[int, int]:
@@ -181,7 +180,6 @@ class Sanitizer:
         prev = self.shadows[rank].record(rec, vc)
         if prev is None:
             return
-        self.races += 1
         if self.tracer is not None:
             self.tracer.emit(self.engine.now, "race", rec.rank, prev.rank,
                              rec.nbytes, prev_site=prev.site,

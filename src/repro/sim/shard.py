@@ -69,29 +69,6 @@ from repro.sim.engine import add_external_events, events_scheduled
 #: backstop far above anything a real program produces)
 MAX_EXCHANGES = 10_000_000
 
-#: accumulated critical-path CPU seconds across this process's sharded
-#: runs: per run, max over workers of the worker's process CPU time plus
-#: the coordinator's own CPU time.  This is the projected wall time of
-#: the run on a machine with one dedicated core per shard — the honest
-#: parallel-throughput denominator when the host machine has fewer cores
-#: than shards (workers timesharing a core inflate wall time without
-#: doing any extra work).  Mirrors ``engine.events_scheduled()``.
-_cp_seconds_total = 0.0
-#: accumulated automatic collections, per generation, inside the workers
-#: of this process's sharded runs (the coordinator's own are in its
-#: ``gc.get_stats()``); mirrors ``_cp_seconds_total``
-_worker_gc_total = [0, 0, 0]
-
-
-def critical_path_seconds() -> float:
-    """Accumulated sharded critical-path CPU seconds in this process."""
-    return _cp_seconds_total
-
-
-def worker_gc_collections() -> list[int]:
-    """Accumulated per-generation collector runs inside shard workers."""
-    return list(_worker_gc_total)
-
 
 # ---------------------------------------------------------------------------
 # Shard-local fabric: cross-shard ops become packets
@@ -476,10 +453,10 @@ def _shard_worker(conn, inherited, shard: int, config: ClusterConfig,
                   "gc_collections": [
                       b["collections"] - a["collections"]
                       for a, b in zip(gc_base, gc.get_stats())],
-                  "gc_unreachable": gc.collect()}
-        conn.send(("done", results, blocked, cluster.stats(),
-                   events_scheduled() - events_base, engine.now,
-                   time.process_time() - cpu_base, report))
+                  "gc_unreachable": gc.collect(),
+                  "events": events_scheduled() - events_base,
+                  "cpu_s": time.process_time() - cpu_base}
+        conn.send(("done", results, blocked, cluster.stats(), report))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -492,28 +469,27 @@ def _shard_worker(conn, inherited, shard: int, config: ClusterConfig,
 # ---------------------------------------------------------------------------
 class ShardedRun:
     """Summary object returned by :func:`run_sharded` in place of the
-    serial :class:`~repro.cluster.Cluster` (same ``.cfg`` / ``.time`` /
-    ``.stats()`` surface, plus shard-protocol counters)."""
+    serial :class:`~repro.cluster.Cluster`: the same ``.cfg`` / ``.time``
+    / ``.stats()`` surface, and the shard protocol's own counters as
+    attributes (``stats()`` equals the serial run's, key for key)."""
 
     def __init__(self, cfg: ClusterConfig, shards: int, lookahead: float,
-                 time_us: float, stats: dict[str, Any], windows: int,
-                 exchanges: int, events: int,
-                 cpu_s: list[float] | None = None,
-                 critical_path_s: float = 0.0,
-                 reports: Sequence[dict[str, Any]] = ()):
+                 stats: dict[str, Any], windows: int, exchanges: int,
+                 coordinator_cpu_s: float,
+                 reports: Sequence[dict[str, Any]]):
         self.cfg = cfg
         self.shards = shards
         self.lookahead = lookahead
-        self._time = time_us
         self._stats = stats
         self.windows = windows
         self.exchanges = exchanges
-        self.events = events
+        #: scheduler events simulated, summed over workers
+        self.events = sum(w["events"] for w in reports)
         #: per-worker process CPU seconds (build + simulation)
-        self.cpu_s = cpu_s or []
+        self.cpu_s = [w["cpu_s"] for w in reports]
         #: max worker CPU + coordinator CPU: projected wall time on one
         #: dedicated core per shard
-        self.critical_path_s = critical_path_s
+        self.critical_path_s = max(self.cpu_s) + coordinator_cpu_s
         #: what crossed the shard boundary, summed over workers: packets
         #: and bytes encoded for another shard, and packets a worker held
         #: back for itself (an inter-node op inside one shard)
@@ -528,40 +504,30 @@ class ShardedRun:
 
     @property
     def time(self) -> float:
-        return self._time
+        return self._stats["time_us"]
 
     def stats(self) -> dict[str, Any]:
         return self._stats
 
 
-def _merge_stats(parts: list[dict[str, Any]], run: "ShardedRun") \
-        -> dict[str, Any]:
-    """Fold per-worker partial stats into one cluster-level summary."""
+def _merge_stats(parts: list[dict[str, Any]]) -> dict[str, Any]:
+    """Fold per-worker ``Cluster.stats()`` into the serial run's summary.
+
+    One rule: numbers add, maps add key-wise (per-rank maps have
+    disjoint keys, so adding is their union; ``faults`` sums each fault
+    class), and ``time_us``, the end of the run, takes the max.
+    """
     out: dict[str, Any] = {}
     for st in parts:
         for key, val in st.items():
-            if key == "faults":
-                # Every worker carries the same counter keys; ``update``
-                # would keep only the last worker's values, so sum them
-                # per key to match the serial injector's single ledger.
+            if key == "time_us":
+                out[key] = max(out.get(key, 0.0), val)
+            elif isinstance(val, dict):
                 acc = out.setdefault(key, {})
                 for k, v in val.items():
                     acc[k] = acc.get(k, 0) + v
-            elif isinstance(val, dict):
-                out.setdefault(key, {}).update(val)
-            elif key == "time_us":
-                out[key] = max(out.get(key, 0.0), val)
             else:
                 out[key] = out.get(key, 0) + val
-    out["shards"] = run.shards
-    out["shard_windows"] = run.windows
-    out["shard_exchanges"] = run.exchanges
-    out["shard_cpu_s"] = run.cpu_s
-    out["shard_critical_path_s"] = run.critical_path_s
-    out["shard_link_packets"] = run.link_packets
-    out["shard_link_bytes"] = run.link_bytes
-    out["shard_held_packets"] = run.held_packets
-    out["shard_gc_collections"] = run.gc_collections
     return out
 
 
@@ -652,38 +618,23 @@ def run_sharded(program, args: Sequence[Any], config: ClusterConfig,
         results: list[Any] = [None] * config.nranks
         blocked: list[str] = []
         parts: list[dict[str, Any]] = []
-        cpu_s: list[float] = []
         reports: list[dict[str, Any]] = []
-        events = 0
-        time_us = 0.0
         for s in range(shards):
-            _, res, blk, stats, ev, now, cpu, report = _recv(s)
+            _, res, blk, stats, report = _recv(s)
             for r, v in res.items():
                 results[r] = v
             blocked.extend(blk)
             parts.append(stats)
-            cpu_s.append(cpu)
             reports.append(report)
-            events += ev
-            time_us = max(time_us, now)
-        # Satellite fix: shard workers simulate in their own processes;
-        # fold their event counts into this process's module counter so
-        # events_scheduled()-based events/sec stays truthful.
-        add_external_events(events)
-        # projected wall time with one dedicated core per shard: the
-        # slowest worker's CPU plus the coordinator's own forwarding CPU
-        critical = (max(cpu_s) if cpu_s else 0.0) \
-            + (time.process_time() - coord_cpu0)
-        global _cp_seconds_total
-        _cp_seconds_total += critical
-        for report in reports:
-            for gen, n in enumerate(report["gc_collections"]):
-                _worker_gc_total[gen] += n
+        run = ShardedRun(config, shards, lookahead, _merge_stats(parts),
+                         windows, exchanges,
+                         time.process_time() - coord_cpu0, reports)
+        # shard workers simulate in their own processes: fold their event
+        # counts into this process's counter so events_scheduled()-based
+        # events/sec stays truthful
+        add_external_events(run.events)
         if blocked and config.detect_deadlock:
             raise DeadlockError(sorted(blocked))
-        run = ShardedRun(config, shards, lookahead, time_us, {}, windows,
-                         exchanges, events, cpu_s, critical, reports)
-        run._stats = _merge_stats(parts, run)
         return results, run
     finally:
         for c in conns:

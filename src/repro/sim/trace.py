@@ -35,7 +35,10 @@ class Tracer:
     Tracing is cheap but not free; construct with ``enabled=False`` (the
     default for benchmarks) to reduce overhead to a single branch.
     Counters are always maintained — they are O(1) and the transaction-count
-    experiments rely on them.
+    experiments rely on them.  They are the one ledger of what a run
+    counted by kind: ``wire`` transactions (Figure 2), injected ``fault``
+    events (by fault class in :attr:`faults`) and sanitizer ``race``
+    reports.
     """
 
     def __init__(self, enabled: bool = False):
@@ -81,15 +84,3 @@ class Tracer:
     def wire_transactions(self) -> int:
         """Total wire-level transactions (the unit Figure 2 counts)."""
         return self.counters["wire"]
-
-    def fault_events(self) -> int:
-        """Total injected-fault events (drops, dups, stalls, ...)."""
-        return self.counters["fault"]
-
-    def race_count(self) -> int:
-        """Races recorded by the synchronization sanitizer."""
-        return self.counters["race"]
-
-    def fault_counts(self) -> dict[str, int]:
-        """Injected-fault events broken down by fault type."""
-        return dict(self.faults)

@@ -68,21 +68,14 @@ def test_single_point_sweep_runs_serially():
 
 
 def test_runner_reports_no_fleet_rate_for_serial_run():
-    """A run with no sharded point has no critical path: the meta says
-    ``None``, not a rate of zero — and counts the collector runs the
-    experiment paid for."""
+    """The meta block is what ``bench_payload`` writes, plus the driver
+    kwargs: a sharded run's critical path and worker collections are
+    per-run ``ShardedRun`` attributes, not experiment-wide rates."""
     _table, meta = run_experiment("fig3a", jobs=1, **TINY)
-    assert meta["cp_s"] is None and meta["events_per_s_cp"] is None
+    assert set(meta) == {"experiment", "jobs", "shards", "wall_s",
+                         "events", "events_per_s", "scheduler", "seeds",
+                         "kwargs"}
     assert meta["scheduler"] in ("heap", "calendar")
-    assert len(meta["gc_collections"]) == 3
-    assert min(meta["gc_collections"]) >= 0
-
-
-def test_runner_reports_fleet_rate_for_sharded_run():
-    _table, meta = run_experiment("fig4c", jobs=2, shards=2,
-                                  **ALL_EXPERIMENTS["fig4c"].smoke)
-    assert meta["cp_s"] > 0 and meta["events_per_s_cp"] > 0
-    assert len(meta["gc_collections"]) == 3
 
 
 @pytest.mark.parametrize("eid", ["fig2", "fig3a", "fig3b", "fig3c", "fig4a",

@@ -211,7 +211,7 @@ def test_duplicate_delivery_does_not_double_increment():
         faults=FaultPlan(dup_prob=1.0, seed=9))
     assert results == ["sent", n_puts]
     st = cluster.stats()["faults"]
-    assert st["duplicates"] > 0
+    assert st["dup"] > 0
 
 
 def test_retried_puts_increment_counter_exactly_once_each():
@@ -241,8 +241,8 @@ def test_retried_puts_increment_counter_exactly_once_each():
         faults=FaultPlan(drop_prob=0.3, seed=21))
     assert results == ["sent", n_puts]
     st = cluster.stats()["faults"]
-    assert st["retries"] > 0, "seed produced no drops; pick another"
-    assert st["lost_ops"] == 0
+    assert st["drop"] > 0, "seed produced no drops; pick another"
+    assert "lost" not in st
 
 
 def test_abandoned_put_never_increments_counter():
@@ -272,4 +272,4 @@ def test_abandoned_put_never_increments_counter():
         faults=FaultPlan(node_failures={1: 500.0}, detect_us=20.0, seed=9),
         detect_deadlock=False)
     assert results == ["lost", 0]
-    assert cluster.stats()["faults"]["node_drops"] >= 1
+    assert cluster.stats()["faults"]["node-down"] >= 1

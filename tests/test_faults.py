@@ -59,7 +59,7 @@ def test_injector_is_deterministic_per_seed():
     inj_a, fates_a = _fates(plan, seed=11)
     inj_b, fates_b = _fates(plan, seed=11)
     assert fates_a == fates_b
-    assert inj_a.stats() == inj_b.stats()
+    assert inj_a.tracer.faults == inj_b.tracer.faults
     _, fates_c = _fates(plan, seed=12)
     assert fates_a != fates_c
 
@@ -77,7 +77,7 @@ def test_shm_medium_never_sees_packet_faults():
     inj = FaultInjector(plan, 5)
     fate = inj.transfer_fate(0, 1, 64, "shm", 0.0)
     assert fate is CLEAN_FATE
-    assert inj.stats() == {k: 0 for k in inj.stats()}
+    assert not inj.tracer.faults
     # the same transfer over the wire is lost immediately
     assert inj.transfer_fate(0, 1, 64, "ugni", 0.0).lost
 
@@ -88,8 +88,8 @@ def test_retry_backoff_accumulates_exponentially():
     inj = FaultInjector(plan, 5)
     fate = inj.transfer_fate(0, 1, 64, "ugni", 0.0)
     assert fate.lost and fate.retries == 3
-    assert inj.drops == 4                      # 1 first try + 3 retries
-    assert inj.lost_ops == 1
+    assert inj.tracer.faults["drop"] == 4      # 1 first try + 3 retries
+    assert inj.tracer.faults["lost"] == 1
 
 
 def test_node_failure_is_time_gated():
@@ -99,7 +99,7 @@ def test_node_failure_is_time_gated():
     assert inj.rank_down(1, 100.0)
     assert not inj.transfer_fate(0, 1, 64, "ugni", 50.0).lost
     assert inj.transfer_fate(0, 1, 64, "ugni", 150.0).lost
-    assert inj.node_drops == 1
+    assert inj.tracer.faults["node-down"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_retry_exhaustion_fails_remote_done_with_faulterror():
     kind, msg, when = p.value
     assert kind == "lost" and "abandoned" in msg
     assert when == pytest.approx(plan.detect_us)
-    assert cluster.fabric.faults.lost_ops == 1
+    assert cluster.stats()["faults"]["lost"] == 1
     # the payload never committed at the target
     assert not cluster.spaces[1].mem[region.addr:region.addr + 8].any()
 
@@ -150,8 +150,7 @@ def test_dead_node_fails_puts_without_retrying():
     p = cluster.engine.process(prog(cluster.engine))
     cluster.engine.run()
     assert p.value == pytest.approx(7.0)
-    assert cluster.fabric.faults.node_drops == 1
-    assert cluster.fabric.faults.retries == 0
+    assert cluster.stats()["faults"] == {"node-down": 1}   # no retries
 
 
 def test_lost_get_fails_both_sides():
@@ -216,8 +215,8 @@ def test_dropped_then_retried_put_delivers_exactly_once():
                                    ranks_per_node=1, faults=plan)
     assert results[1] == [(0, i) for i in range(8)]
     st = cluster.stats()["faults"]
-    assert st["retries"] > 0, "seed produced no drops; pick another"
-    assert st["lost_ops"] == 0
+    assert st["drop"] > 0, "seed produced no drops; pick another"
+    assert "lost" not in st          # every drop was a retransmission
 
 
 def test_duplicate_notification_suppressed_end_to_end():
@@ -226,9 +225,8 @@ def test_duplicate_notification_suppressed_end_to_end():
                                    ranks_per_node=1, faults=plan)
     assert results[1] == [(0, i) for i in range(5)]
     st = cluster.stats()["faults"]
-    assert st["duplicates"] > 0
-    assert st["dup_suppressed"] == st["duplicates"]
-    assert st["dup_suppressed_nic"] == st["duplicates"]
+    assert st["dup"] > 0
+    assert st["dup-suppressed"] == st["dup"]
 
 
 def test_delay_and_stall_only_slow_things_down():
@@ -240,7 +238,7 @@ def test_delay_and_stall_only_slow_things_down():
     assert slow[1] == clean[1]                   # same messages, same order
     assert cluster.time > 0
     st = cluster.stats()["faults"]
-    assert st["delays"] > 0 and st["stalls"] > 0
+    assert st["delay"] > 0 and st["stall"] > 0
     # faults cost time: completion strictly later than the clean run
     clean_t, _ = run_cluster(2, _producer_consumer(6), ranks_per_node=1)
     assert cluster.time > run_cluster(
@@ -254,7 +252,7 @@ def test_intranode_traffic_immune_to_drop_probability():
                                   ranks_per_node=2, faults=plan)
     assert faulty[1] == clean[1]
     st = cluster.stats()["faults"]
-    assert st["drops"] == 0 and st["duplicates"] == 0
+    assert "drop" not in st and "dup" not in st
 
 
 def test_fault_schedule_bit_reproducible():
@@ -276,12 +274,13 @@ def test_trace_records_fault_events():
     plan = FaultPlan(drop_prob=0.4, dup_prob=0.5, seed=17)
     _, cluster = run_cluster(2, _producer_consumer(6),
                              ranks_per_node=1, faults=plan, trace=True)
-    counts = cluster.tracer.fault_counts()
+    counts = cluster.tracer.faults
     assert counts.get("drop", 0) > 0
     assert counts.get("retry-ok", 0) > 0
     assert counts.get("dup", 0) > 0
     assert counts.get("dup-suppressed", 0) > 0
-    assert cluster.tracer.fault_events() == sum(counts.values())
+    assert cluster.tracer.counters["fault"] == sum(counts.values())
+    assert cluster.stats()["faults"] == counts
 
 
 def test_no_plan_means_no_injector_and_identical_schedule():
@@ -322,7 +321,7 @@ def test_retry_delay_golden_schedule():
     assert not fate.lost
     assert fate.retries == 2
     assert fate.retry_delay == pytest.approx(1.5 + 1.5 * 3.0)
-    assert inj.retries == 2 and inj.drops == 2
+    assert inj.tracer.faults == {"drop": 2, "retry-ok": 1}
 
     # three drops: schedule extends by rto*b^2 exactly
     inj.rng = _Scripted([0.0, 0.0, 0.0, 1.0])
@@ -338,17 +337,18 @@ def test_max_retries_zero_first_drop_abandons():
     fate = inj.transfer_fate(0, 1, 64, "ugni", 0.0)
     assert fate.lost and fate.retries == 0 and fate.retry_delay == 0.0
     assert fate.fail_after == 25.0
-    assert inj.drops == 1 and inj.lost_ops == 1 and inj.retries == 0
+    assert inj.tracer.faults == {"drop": 1, "lost": 1}   # drop - lost = 0
 
 
 def test_lost_path_counts_performed_retransmissions():
     """Retry exhaustion still performed max_retries retransmissions, and
-    the injector ledger counts them (they were charged on the wire)."""
+    the ledger counts them (they were charged on the wire): the
+    retransmissions are ``drop - lost``."""
     plan = FaultPlan(drop_prob=1.0, max_retries=3)
     inj = FaultInjector(plan, 0)
     fate = inj.transfer_fate(0, 1, 64, "ugni", 0.0)
     assert fate.lost and fate.retries == 3
-    assert inj.drops == 4 and inj.lost_ops == 1 and inj.retries == 3
+    assert inj.tracer.faults == {"drop": 4, "lost": 1}
 
 
 def test_plan_shardable_property():
@@ -397,8 +397,7 @@ def test_na_vs_flush_notify_under_injected_drops():
         rtt = [res[mode, d]["half_rtt_us"] for d in (0.0, 0.01, 0.1)]
         assert rtt[2] > rtt[1] >= rtt[0]
         lossy = res[mode, 0.1]["faults"]
-        assert lossy["retries"] > 0 and lossy["drops"] > 0
-        assert lossy["lost_ops"] == 0
+        assert lossy["drop"] > 0 and "lost" not in lossy
     for drop in (0.0, 0.01, 0.1):
         assert (res["flush_notify", drop]["half_rtt_us"]
                 > res["na", drop]["half_rtt_us"])

@@ -250,7 +250,7 @@ def test_drop_rate_adds_retransmission_delay():
     lossy = FaultPlan(drop_prob=0.5, rto=50.0, seed=1)
     eng2, f2, _ = make_fabric(fault_plan=lossy)
     h2 = f2.put(0, 1, 0, np.zeros(64, np.uint8))
-    assert f2.faults.retries == 1
+    assert f2.tracer.faults == {"drop": 1, "retry-ok": 1}
     assert h2.commit_at > h1.commit_at + 40.0
 
 

@@ -13,8 +13,10 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import textwrap
 import types
 
+import numpy as np
 import pytest
 
 _PERF = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "perf"
@@ -103,3 +105,64 @@ def test_analysis_probe_call_shapes():
                 found += check_races(program, size, traces)
     assert [f.check for f in found] == ["race.stale-view"]
     assert analyze_paths([fixture]) == found
+
+
+def _reads(tree: ast.AST, name: str, node_type) -> set[str]:
+    """What ``name[...]`` (``ast.Subscript``) or ``name.x``
+    (``ast.Attribute``) reads under ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, node_type) and isinstance(
+                node.value, ast.Name) and node.value.id == name:
+            if node_type is ast.Attribute:
+                out.add(node.attr)
+            elif isinstance(node.slice, ast.Constant):
+                out.add(node.slice.value)
+    return out
+
+
+def _ci_shard_split_script() -> str:
+    """The Python heredoc of CI's informational shard-split step."""
+    text = (_PERF.parent.parent / ".github" / "workflows"
+            / "ci.yml").read_text()
+    step = text[text.index("name: Shard split"):]
+    body = step[step.index("\n", step.index("<<'EOF'")) + 1:]
+    return textwrap.dedent(body[:body.index("EOF\n")])
+
+
+def _tiny(ctx):
+    win = yield from ctx.win_allocate(64)
+    yield from win.lock_all()
+    yield from win.put(np.ones(8), (ctx.rank + 1) % ctx.size, 0)
+    yield from win.unlock_all()
+    yield from ctx.barrier()
+
+
+def test_stats_keys_and_run_attributes_the_harness_reads_exist():
+    """``spans._fold_stats`` folds ``stats[...]`` of a serial ``Cluster``
+    and of a ``ShardedRun`` alike; ``worker.py``, ``probes.py`` and CI's
+    shard split read a ``ShardedRun``'s attributes.  Both sets are parsed
+    from the readers, not copied, so a key or attribute dropped under
+    ``src/`` fails here and not only in the benchmark."""
+    from repro.cluster import ClusterConfig, run_ranks
+
+    spans = ast.parse((_PERF / "spans.py").read_text())
+    fold = next(node for node in ast.walk(spans)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_fold_stats")
+    keys = _reads(fold, "stats", ast.Subscript)
+    assert {"wire_transactions", "cache_misses", "time_us"} <= keys
+    attrs = _reads(ast.parse(_ci_shard_split_script()), "run",
+                   ast.Attribute)
+    for fname in ("worker.py", "probes.py", "spans.py"):
+        attrs |= _reads(ast.parse((_PERF / fname).read_text()), "run",
+                        ast.Attribute)
+    assert {"shards", "cpu_s", "windows", "exchanges", "critical_path_s",
+            "link_packets", "link_bytes", "held_packets"} <= attrs
+
+    cfg = dict(nranks=4, ranks_per_node=2)
+    _, serial = run_ranks(4, _tiny, config=ClusterConfig(**cfg, shards=1))
+    _, run = run_ranks(4, _tiny, config=ClusterConfig(**cfg, shards=2))
+    for stats in (serial.stats(), run.stats()):
+        assert keys <= set(stats), keys - set(stats)
+    assert not [a for a in sorted(attrs) if not hasattr(run, a)]

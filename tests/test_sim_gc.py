@@ -315,25 +315,12 @@ def _collecting_program(ctx):
     yield from ctx.barrier()
 
 
-def test_worker_collections_reach_the_run_and_the_bench_meta():
-    """What a worker's collector did do is reported, per worker, and
-    ``run_experiment``'s ``gc_collections`` counts it beside the
-    coordinator's own."""
-    from repro.bench.runner import _gc_collections
-    from repro.sim.shard import worker_gc_collections
-
+def test_worker_collections_reach_the_run():
+    """What a worker's collector did do is reported, per worker."""
     with collector(False):
-        before, fleet = worker_gc_collections(), _gc_collections(2)
         _, run = run_ranks(4, _collecting_program, config=ClusterConfig(
             nranks=4, ranks_per_node=1, shards=2))
         assert run.gc_collections == [[0, 0, 1], [0, 0, 0]]
-        assert [b - a for a, b in zip(before, worker_gc_collections())] \
-            == [0, 0, 1]
-        own = [g["collections"] for g in gc.get_stats()]
-        assert _gc_collections(0) == own
-        # the coordinator's one pre-fork collection and the worker's
-        assert [b - a for a, b in zip(fleet, _gc_collections(2))] \
-            == [0, 0, 2]
 
 
 # ---------------------------------------------------------------------------
