@@ -225,5 +225,14 @@ class AddressSpace:
                 f"DMA read [{addr}, {addr + nbytes}) outside address space")
         return self.mem[addr:addr + nbytes].copy()
 
+    def dma_view(self, addr: int, nbytes: int, dtype) -> np.ndarray:
+        """Live ``dtype`` view updated in place by the NIC's accumulate and
+        atomic paths (bounds-checked like :meth:`copy_in`)."""
+        if addr < 0 or addr + nbytes > self.size:
+            raise BufferError_(
+                f"DMA update [{addr}, {addr + nbytes}) outside address "
+                "space")
+        return self.mem[addr:addr + nbytes].view(dtype)
+
     def free_bytes(self) -> int:
         return sum(size for _, size in self._holes)

@@ -15,9 +15,14 @@ process whose memory was accessed — for a put that is the target, and for a
 get it is *also* the target (the owner of the data that was read), per the
 paper's notified-read semantics (§VIII).
 
-Every verb is stated once, as an *origin half* and a *target half* joined by
-:meth:`Fabric._hand_off` — an in-process call here, a packet across a shard
-boundary in :mod:`repro.sim.shard` (docs/architecture.md §3).
+The four verbs are two op shapes.  A put and a sys message are the *send*
+shape: one origin half (``_send``) and one return leg (``_finish_send``).  A
+get and an atomic are the *request* shape: one lost branch
+(``_lose_request``) and a return leg each (``_finish_get``,
+``_finish_amo``).  Each verb keeps its own *target half* (``_land_<verb>``),
+joined to its origin half by :meth:`Fabric._hand_off` — an in-process call
+here, a packet across a shard boundary in :mod:`repro.sim.shard`
+(docs/architecture.md §3).
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ AMO_RESPONSE_BYTES = 16
 #: applied at commit (``None``: plain overwrite)
 _ACCUMULATE = {None: None, "replace": None, "sum": np.add,
                "max": np.maximum, "min": np.minimum}
+#: send-shape verb -> names of its handle's two completion events
+_SEND_EVENTS = {"put": ("put.local", "put.remote"),
+                "sys": ("sys.local", "sys.remote")}
 
 
 @dataclass(slots=True)
@@ -225,15 +233,15 @@ class Fabric:
             origin, target, nbytes, "shm" if same_node else "ugni",
             self.engine.now)
 
-    def _fail_lost(self, handle: OpHandle, kind: str, origin: int,
-                   fate: TransferFate, *events: Event) -> OpHandle:
+    def _fail_lost(self, handle: OpHandle, origin: int, fate: TransferFate,
+                   *events: Event) -> OpHandle:
         """Abandon ``handle``: fail ``events`` once the transport gives up.
 
         Retries exhausted or a dead endpoint — the op never reaches its
         target half, so nothing commits and no notification is posted.
         """
         assert self.faults is not None
-        err = self.faults.lost_error(kind, origin, handle.target,
+        err = self.faults.lost_error(handle.kind, origin, handle.target,
                                      now=self.engine.now)
         handle.failed = True
         handle.commit_at = when = self.engine.now + fate.fail_after
@@ -260,7 +268,7 @@ class Fabric:
         notification post).  This fabric holds every rank, so the hand-off
         is a plain call at issue time: the target half runs now and its
         result is returned, and the verb feeds it straight to its return
-        leg (the ack of a put / sys message, ``_finish_get``,
+        leg (``_finish_send`` for a put / sys message, ``_finish_get``,
         ``_finish_amo``).
 
         ``op`` is the tuple of values that cross the hand-off (one row per
@@ -333,8 +341,85 @@ class Fabric:
             self._at(when + fate.dup_lag, once)
 
     # ------------------------------------------------------------------
-    # RDMA put
+    # The send shape: RDMA put and software protocol messages
     # ------------------------------------------------------------------
+    def _send(self, verb: str, kind: str, origin: int, target: int,
+              nbytes: int, args: tuple, notified: bool | None = None,
+              san_track: bool = True) -> OpHandle:
+        """Origin half of a put or a sys message, past validation.
+
+        Draws the fate, prices the origin engine (shm within a node, else
+        FMA or BTE by ``fma_max``, with the hop and jitter extras), builds
+        the handle and traces the wire transaction (a put's record says
+        whether it is ``notified``; a sys message's has no such key).  A
+        lost op stops there.  Otherwise it hands the priced prefix plus
+        ``args`` (the verb's own tail of the op tuple) to ``_land_<verb>``,
+        frees the origin buffer once injection ends and runs the return
+        leg, :meth:`_finish_send`.
+        """
+        same = self.machine.same_node(origin, target)
+        nic = self.nics[origin]
+        fate = (None if self.faults is None
+                else self._fate(origin, target, nbytes, same))
+        lost = fate is not None and fate.lost
+        if same:
+            eng, G, L = nic.shm, 0.0, 0.0
+            plan = eng.plan_put(nbytes)
+        else:
+            eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
+            G, L = eng.params.G, eng.params.L
+            # a lost transfer still occupies the origin engine, but rides
+            # no wire: no hop, retransmission or jitter extras
+            plan = eng.plan(nbytes) if lost else eng.plan(
+                nbytes, extra_delay=self._hop_extra(origin, target)
+                + (fate.extra_delay if fate is not None else 0.0))
+        local, remote = _SEND_EVENTS[verb]
+        handle = OpHandle(kind, plan.cpu_busy, Event(self.engine, local),
+                          Event(self.engine, remote), nbytes=nbytes,
+                          target=target, commit_at=plan.commit_at)
+        medium = "shm" if same else "ugni"
+        if lost:
+            # The origin buffer is still snapshotted (local_done fires),
+            # but completion waiters get a FaultError.  The peer waiting
+            # on a lost protocol message sits in its blocking call until
+            # deadlock detection fires — exactly how a lost control
+            # message kills an MPI job.
+            detail = {} if notified is None else {"notified": notified}
+            self.tracer.emit(self.engine.now, "wire", origin, target,
+                             nbytes, op=kind, medium=medium, **detail,
+                             lost=True)
+            self._at(plan.inject_end, handle.local_done.succeed)
+            return self._fail_lost(handle, origin, fate, handle.remote_done)
+        if notified is None:
+            self.tracer.emit(self.engine.now, "wire", origin, target,
+                             nbytes, op=kind, medium=medium)
+        else:
+            self.tracer.emit(self.engine.now, "wire", origin, target,
+                             nbytes, op=kind, medium=medium,
+                             notified=notified)
+        san = None
+        if self.san is not None:
+            if verb == "put":
+                handle.san_remote = self.san.op_begin(origin)
+                san = (handle.san_remote, eng.san_channel, san_track)
+            else:
+                # a protocol message carries its sender's released clock
+                san = self.san.release(origin)
+        landed = self._hand_off(verb, handle, same, (
+            origin, target, nbytes, plan.commit_at, G, L) + args, fate, san)
+        # Origin buffer reuse: data was snapshotted at injection.
+        self._at(plan.inject_end, handle.local_done.succeed)
+        if landed is not None:
+            self._finish_send(handle, *landed)
+        return handle
+
+    def _finish_send(self, handle: OpHandle, commit_at: float,
+                     ack_at: float) -> None:
+        """Return leg of a put or sys message: the ack reaches the origin
+        at ``ack_at``, carrying the commit the target NIC reserved."""
+        handle.commit_at = commit_at
+        self._at(ack_at, handle.remote_done.succeed)
+
     def put(self, origin: int, target: int, target_addr: int,
             data: np.ndarray, *, win_id: int | None = None,
             immediate: int | None = None,
@@ -361,59 +446,18 @@ class Fabric:
             raise NetworkError(f"unknown accumulate op {accumulate!r}")
         raw = np.ascontiguousarray(data).view(np.uint8).ravel().copy()
         nbytes = raw.nbytes
+        if accumulate is not None and nbytes % np.dtype(acc_dtype).itemsize:
+            raise NetworkError(
+                f"{nbytes}-byte accumulate is not a whole number of "
+                f"{np.dtype(acc_dtype)} elements")
         if scatter is not None:
             if sum(b for _, b in scatter) != nbytes:
                 raise NetworkError(
                     "scatter-gather list does not cover the payload")
             target_addr = scatter[0][0] if scatter else target_addr
-        same = self.machine.same_node(origin, target)
-        nic = self.nics[origin]
-        fate = (None if self.faults is None
-                else self._fate(origin, target, nbytes, same))
-        lost = fate is not None and fate.lost
-        if same:
-            eng, G, L = nic.shm, 0.0, 0.0
-            plan = eng.plan_put(nbytes)
-        else:
-            eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
-            G, L = eng.params.G, eng.params.L
-            # a lost transfer still occupies the origin engine, but rides
-            # no wire: no hop, retransmission or jitter extras
-            plan = eng.plan(nbytes) if lost else eng.plan(
-                nbytes, extra_delay=self._hop_extra(origin, target)
-                + (fate.extra_delay if fate is not None else 0.0))
-        handle = OpHandle("put", plan.cpu_busy,
-                          Event(self.engine, "put.local"),
-                          Event(self.engine, "put.remote"), nbytes=nbytes,
-                          target=target, commit_at=plan.commit_at)
-        if lost:
-            # The origin buffer is still snapshotted (local_done fires),
-            # but completion waiters get a FaultError.
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             nbytes, op="put",
-                             medium="shm" if same else "ugni",
-                             notified=immediate is not None, lost=True)
-            self._at(plan.inject_end, handle.local_done.succeed)
-            return self._fail_lost(handle, "put", origin, fate,
-                                   handle.remote_done)
-        self.tracer.emit(self.engine.now, "wire", origin, target, nbytes,
-                         op="put", medium="shm" if same else "ugni",
-                         notified=immediate is not None)
-        san = None
-        if self.san is not None:
-            handle.san_remote = self.san.op_begin(origin)
-            san = (handle.san_remote, eng.san_channel, san_track)
-        landed = self._hand_off("put", handle, same, (
-            origin, target, nbytes, plan.commit_at, G, L, target_addr, raw,
-            immediate, win_id, accumulate, acc_dtype, scatter), fate, san)
-        # Origin buffer reuse: data was snapshotted at injection.
-        self._at(plan.inject_end, handle.local_done.succeed)
-        if landed is not None:
-            # Return leg: the ack reaches the origin, carrying the commit
-            # the target NIC reserved behind other flows.
-            handle.commit_at, ack_at = landed
-            self._at(ack_at, handle.remote_done.succeed)
-        return handle
+        return self._send("put", "put", origin, target, nbytes, (
+            target_addr, raw, immediate, win_id, accumulate, acc_dtype,
+            scatter), immediate is not None, san_track)
 
     def _land_put(self, same: bool, op: tuple,
                   fate: TransferFate | None = None,
@@ -455,7 +499,7 @@ class Fabric:
             if ufunc is None:
                 space.copy_in(target_addr, raw)
                 return
-            dst = space.mem[target_addr:target_addr + nbytes].view(acc_dtype)
+            dst = space.dma_view(target_addr, nbytes, acc_dtype)
             ufunc(dst, raw.view(acc_dtype), out=dst)
 
         inline = (raw if same and immediate is not None
@@ -465,9 +509,66 @@ class Fabric:
                         inline, None if san is None else san[0])
         return commit_at, commit_at + L
 
+    def send_sys(self, origin: int, target: int, ptype: str, nbytes: int,
+                 payload: dict | None = None,
+                 data: np.ndarray | None = None) -> OpHandle:
+        """Send a protocol message handled in software at the target.
+
+        Carries an optional python ``payload`` (headers) and an optional
+        ``data`` snapshot (the eager-protocol bounce-buffer copy).  The wire
+        cost is priced like a put of ``nbytes``.
+        """
+        snapshot = None if data is None else np.ascontiguousarray(
+            data).view(np.uint8).ravel().copy()
+        return self._send("sys", f"sys-{ptype}", origin, target, nbytes,
+                          (ptype, payload, snapshot))
+
+    def _land_sys(self, same: bool, op: tuple,
+                  fate: TransferFate | None = None,
+                  san_clock: dict | None = None) -> tuple[float, float]:
+        """Target half of a sys message: reserve the rx link, deliver.
+
+        Returns ``(commit_at, ack_at)`` for the return leg, like a put.
+        """
+        origin, target, nbytes, t_commit, G, L, ptype, payload, data = op
+        commit_at = (t_commit if same
+                     else self._rx_reserve(target, t_commit, nbytes, G))
+        tnic = self.nics[target]
+
+        def deliver() -> None:
+            pkt = SysPacket(ptype=ptype, source=origin, target=target,
+                            nbytes=nbytes, payload=dict(payload or {}),
+                            data=data, time=self.engine.now,
+                            san_clock=san_clock)
+            tnic.sys_inbox.put(pkt)
+            tnic.sys_arrival.fire(pkt)
+            if self.on_sys_arrival is not None:
+                self.on_sys_arrival(target, pkt)
+
+        self._at_target(commit_at, origin, target, f"sys-{ptype}", same,
+                        deliver, fate)
+        return commit_at, commit_at + L
+
     # ------------------------------------------------------------------
-    # RDMA get
+    # The request shape: RDMA get and atomic memory operations
     # ------------------------------------------------------------------
+    def _lose_request(self, handle: OpHandle, origin: int, same: bool,
+                      header: int, wire_op: str,
+                      fate: TransferFate) -> OpHandle:
+        """Lost branch of a get or an atomic.
+
+        The request header is priced through the origin FMA (nothing within
+        a node) but never reaches the target: no data or value comes back,
+        the target is never notified, and both completion events fail.
+        """
+        if not same:
+            handle.cpu_busy = self.nics[origin].fma.plan(header).cpu_busy
+        self.tracer.emit(self.engine.now, "wire", origin, handle.target,
+                         header, op=wire_op,
+                         medium="shm" if same else "ugni", lost=True)
+        return self._fail_lost(handle, origin, fate, handle.local_done,
+                               handle.remote_done)
+
     def get(self, origin: int, target: int, target_addr: int, nbytes: int,
             local_addr: int, *, win_id: int | None = None,
             immediate: int | None = None,
@@ -497,15 +598,8 @@ class Fabric:
                           Event(self.engine, "get.remote"), nbytes=nbytes,
                           target=target)
         if fate is not None and fate.lost:
-            # The read never completes: no data arrives at the origin and
-            # the target is never notified.
-            if not same:
-                handle.cpu_busy = nic.fma.plan(GET_REQUEST_BYTES).cpu_busy
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             GET_REQUEST_BYTES, op="get-req",
-                             medium="shm" if same else "ugni", lost=True)
-            return self._fail_lost(handle, "get", origin, fate,
-                                   handle.local_done, handle.remote_done)
+            return self._lose_request(handle, origin, same,
+                                      GET_REQUEST_BYTES, "get-req", fate)
         if same:
             plan = nic.shm.plan_get(nbytes)
             handle.cpu_busy, t_req, hop = plan.cpu_busy, plan.commit_at, 0.0
@@ -649,9 +743,6 @@ class Fabric:
         ))
         return data_at
 
-    # ------------------------------------------------------------------
-    # Atomic memory operations
-    # ------------------------------------------------------------------
     def amo(self, origin: int, target: int, target_addr: int, op: str,
             operand: int, compare: int | None = None, *,
             dtype=np.int64, win_id: int | None = None,
@@ -672,13 +763,8 @@ class Fabric:
                           Event(self.engine, "amo.remote"), nbytes=itemsize,
                           target=target)
         if fate is not None and fate.lost:
-            if not same:
-                handle.cpu_busy = nic.fma.plan(AMO_REQUEST_BYTES).cpu_busy
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             AMO_REQUEST_BYTES, op=f"amo-{op}",
-                             medium="shm" if same else "ugni", lost=True)
-            return self._fail_lost(handle, "amo", origin, fate,
-                                   handle.local_done, handle.remote_done)
+            return self._lose_request(handle, origin, same,
+                                      AMO_REQUEST_BYTES, f"amo-{op}", fate)
         if same:
             plan = nic.shm.plan_amo()
             handle.cpu_busy = plan.cpu_busy
@@ -728,7 +814,7 @@ class Fabric:
             if san_op is not None:
                 self.san.amo_commit(san_op, origin, target, target_addr,
                                     itemsize)
-            view = tspace.mem[target_addr:target_addr + itemsize].view(dtype)
+            view = tspace.dma_view(target_addr, itemsize, dtype)
             old = view[0].item()
             if kind == "sum":
                 view[0] = old + operand
@@ -751,84 +837,3 @@ class Fabric:
             handle.local_done.succeed,
             lambda: handle.remote_done.succeed(box[0]),
         ))
-
-    # ------------------------------------------------------------------
-    # Software protocol messages (message passing, RMA control)
-    # ------------------------------------------------------------------
-    def send_sys(self, origin: int, target: int, ptype: str, nbytes: int,
-                 payload: dict | None = None,
-                 data: np.ndarray | None = None) -> OpHandle:
-        """Send a protocol message handled in software at the target.
-
-        Carries an optional python ``payload`` (headers) and an optional
-        ``data`` snapshot (the eager-protocol bounce-buffer copy).  The wire
-        cost is priced like a put of ``nbytes``.
-        """
-        same = self.machine.same_node(origin, target)
-        nic = self.nics[origin]
-        fate = (None if self.faults is None
-                else self._fate(origin, target, nbytes, same))
-        lost = fate is not None and fate.lost
-        if same:
-            G = L = 0.0
-            plan = nic.shm.plan_put(nbytes)
-        else:
-            eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
-            G, L = eng.params.G, eng.params.L
-            plan = eng.plan(nbytes) if lost else eng.plan(
-                nbytes, extra_delay=self._hop_extra(origin, target)
-                + (fate.extra_delay if fate is not None else 0.0))
-        handle = OpHandle(f"sys-{ptype}", plan.cpu_busy,
-                          Event(self.engine, "sys.local"),
-                          Event(self.engine, "sys.remote"), nbytes=nbytes,
-                          target=target, commit_at=plan.commit_at)
-        if lost:
-            # The protocol message vanishes; the peer that was waiting on
-            # it will sit in its blocking call until deadlock detection
-            # fires — exactly how a lost control message kills an MPI job.
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             nbytes, op=f"sys-{ptype}",
-                             medium="shm" if same else "ugni", lost=True)
-            self._at(plan.inject_end, handle.local_done.succeed)
-            return self._fail_lost(handle, f"sys-{ptype}", origin, fate,
-                                   handle.remote_done)
-        self.tracer.emit(self.engine.now, "wire", origin, target, nbytes,
-                         op=f"sys-{ptype}", medium="shm" if same else "ugni")
-        snapshot = None if data is None else np.ascontiguousarray(
-            data).view(np.uint8).ravel().copy()
-        san_clock = (self.san.release(origin)
-                     if self.san is not None else None)
-        landed = self._hand_off("sys", handle, same, (
-            origin, target, nbytes, plan.commit_at, G, L, ptype, payload,
-            snapshot), fate, san_clock)
-        self._at(plan.inject_end, handle.local_done.succeed)
-        if landed is not None:
-            handle.commit_at, ack_at = landed
-            self._at(ack_at, handle.remote_done.succeed)
-        return handle
-
-    def _land_sys(self, same: bool, op: tuple,
-                  fate: TransferFate | None = None,
-                  san_clock: dict | None = None) -> tuple[float, float]:
-        """Target half of a sys message: reserve the rx link, deliver.
-
-        Returns ``(commit_at, ack_at)`` for the return leg, like a put.
-        """
-        origin, target, nbytes, t_commit, G, L, ptype, payload, data = op
-        commit_at = (t_commit if same
-                     else self._rx_reserve(target, t_commit, nbytes, G))
-        tnic = self.nics[target]
-
-        def deliver() -> None:
-            pkt = SysPacket(ptype=ptype, source=origin, target=target,
-                            nbytes=nbytes, payload=dict(payload or {}),
-                            data=data, time=self.engine.now,
-                            san_clock=san_clock)
-            tnic.sys_inbox.put(pkt)
-            tnic.sys_arrival.fire(pkt)
-            if self.on_sys_arrival is not None:
-                self.on_sys_arrival(target, pkt)
-
-        self._at_target(commit_at, origin, target, f"sys-{ptype}", same,
-                        deliver, fate)
-        return commit_at, commit_at + L

@@ -130,7 +130,7 @@ class ShardPacket:
     sys      -> ``Fabric._land_sys``; answered by ``ack``
     get      -> ``Fabric._land_get``; answered by ``get-resp`` at serve
     amo      -> ``Fabric._land_amo``; answered by ``amo-resp`` at execute
-    ack      reserved commit + ack arrival -> the origin's handle
+    ack      reserved commit + ack arrival -> ``Fabric._finish_send``
     get-resp ideal data arrival, gap, bytes -> ``Fabric._finish_get``
     amo-resp fetched old value -> ``Fabric._finish_amo``
     win-reg  window-registration broadcast (collective win_allocate)

@@ -14,13 +14,13 @@ class TransferPlan:
 
     ``cpu_busy`` is the CPU time the *caller* must charge (the origin process
     yields a timeout of this length); the remaining fields are absolute times
-    at which the fabric schedules commit/ack callbacks.
+    at which the fabric schedules callbacks.  The ack is not priced here: the
+    target half derives it from the commit the target NIC reserved.
     """
 
     cpu_busy: float        # origin CPU occupancy starting now
     inject_end: float      # when the injecting engine frees up
     commit_at: float       # data committed at the destination memory
-    ack_at: float          # remote-completion ack visible at the origin
 
 
 class InjectEngine:

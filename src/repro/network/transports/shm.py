@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ShmTransport:
     """Prices intra-node copies performed by the origin CPU."""
 
-    offloaded = False
     #: deliveries into one segment commit in ring order; the sanitizer
     #: chains commit clocks along this channel (per origin/target pair)
     san_channel: str | None = "shm"
@@ -36,7 +35,6 @@ class ShmTransport:
         self.shm: LogGPParams = params.shm
         self.name = name
         self.inline_puts = 0
-        self.copy_puts = 0
         #: optional fault injector.  Intra-node data never rides packets,
         #: so only transient stalls (a busy ring / contended segment)
         #: apply on this path.
@@ -61,25 +59,21 @@ class ShmTransport:
         else:
             # memcpy into the target segment, then an sfence, then the
             # notification line write.
-            self.copy_puts += 1
             busy = self.shm.L + nbytes * self.shm.G
         busy += self._stall()
         end = now + busy
-        return TransferPlan(cpu_busy=busy, inject_end=end, commit_at=end,
-                            ack_at=end)
+        return TransferPlan(cpu_busy=busy, inject_end=end, commit_at=end)
 
     def plan_get(self, nbytes: int) -> TransferPlan:
         """Price a get: the origin CPU copies out of the remote segment."""
         now = self.engine.now
         busy = self.shm.L + nbytes * self.shm.G + self._stall()
         end = now + busy
-        return TransferPlan(cpu_busy=busy, inject_end=end, commit_at=end,
-                            ack_at=end)
+        return TransferPlan(cpu_busy=busy, inject_end=end, commit_at=end)
 
     def plan_amo(self) -> TransferPlan:
         """Price an atomic op on the remote segment (one line round trip)."""
         now = self.engine.now
         busy = 2 * self.shm.L + self._stall()
         end = now + busy
-        return TransferPlan(cpu_busy=busy, inject_end=end, commit_at=end,
-                            ack_at=end)
+        return TransferPlan(cpu_busy=busy, inject_end=end, commit_at=end)

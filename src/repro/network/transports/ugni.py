@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class FmaEngine:
     """CPU-driven small-transfer engine."""
 
-    offloaded = False
     #: FMA transfers between one pair commit in issue order (uGNI FMA
     #: ordering); the sanitizer chains commit clocks along this channel
     san_channel: str | None = "fma"
@@ -47,10 +46,8 @@ class FmaEngine:
         start, end = self._inject.inject(nbytes, not_before=not_before)
         # The CPU drives the injection: busy from now until injection ends.
         cpu_busy = max(end - self.engine.now, 0.0)
-        commit = end + self.params.L + extra_delay
-        ack = commit + self.params.L
         return TransferPlan(cpu_busy=cpu_busy, inject_end=end,
-                            commit_at=commit, ack_at=ack)
+                            commit_at=end + self.params.L + extra_delay)
 
     @property
     def stats(self) -> tuple[int, int]:
@@ -60,7 +57,6 @@ class FmaEngine:
 class BteEngine:
     """Offloaded block-transfer engine."""
 
-    offloaded = True
     #: BTE DMA completions are unordered with respect to other transfers;
     #: no channel clock — only flush/notification edges order them
     san_channel: str | None = None
@@ -78,10 +74,8 @@ class BteEngine:
             extra_delay += self.faults.nic_stall("bte", self.engine.now)
         # CPU posts a descriptor and is immediately free again.
         start, end = self._inject.inject(nbytes, not_before=not_before)
-        commit = end + self.params.L + extra_delay
-        ack = commit + self.params.L
         return TransferPlan(cpu_busy=self.params.o_post, inject_end=end,
-                            commit_at=commit, ack_at=ack)
+                            commit_at=end + self.params.L + extra_delay)
 
     @property
     def stats(self) -> tuple[int, int]:

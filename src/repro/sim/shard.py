@@ -242,9 +242,8 @@ class ShardFabric(Fabric):
 
     # -- response packet -> return leg ---------------------------------
     def _recv_ack(self, pkt: ShardPacket) -> None:
-        handle = self._pending.pop(pkt.op_id)
-        handle.commit_at = pkt.t_commit
-        self._at(pkt.t_exec, handle.remote_done.succeed)
+        self._finish_send(self._pending.pop(pkt.op_id), pkt.t_commit,
+                          pkt.t_exec)
 
     def _recv_get_resp(self, pkt: ShardPacket) -> None:
         self._finish_get(*self._pending.pop(pkt.op_id), pkt.t_commit, pkt.G,

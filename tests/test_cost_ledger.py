@@ -23,8 +23,10 @@ operations of one fixed 2-rank program (allocate, ``lock_all``, N ops,
 completion with every fixed cost cancelled.  The numbers are compared
 **exactly** to ``benchmarks/cost_ledger.json``, keyed by interpreter
 ``major.minor`` (bytecode is a property of the interpreter): a 5 % win
-or loss on an op path is a one-line diff in git history.  After an
-intended move, regenerate and say why::
+or loss on an op path is a one-line diff in git history.  Run without
+arguments, this file prints committed -> measured for every row and
+column, with the change in percent; after an intended move, regenerate
+and say why::
 
     PYTHONPATH=src python tests/test_cost_ledger.py --write
 """
@@ -213,6 +215,32 @@ def table(rows: dict[str, dict[str, int]]) -> str:
     return "\n".join(lines)
 
 
+def moves(committed: dict[str, dict[str, int]],
+          rows: dict[str, dict[str, int]]) -> str:
+    """Markdown table of committed -> measured for every row and column,
+    with the change in percent (the old -> new table an op-path change
+    states)."""
+    metrics = ("bytecodes", "kernel", "events", "retained")
+
+    def cell(old, new) -> str:
+        if old is None:
+            return f"new: {new:,}"
+        if old == new:
+            return f"{new:,} (=)"
+        pct = f" ({(new - old) / old:+.2%})" if old else ""
+        return f"{old:,} → {new:,}{pct}"
+
+    lines = [f"cost ledger, Python {PYTHON}: committed → measured, "
+             "per 100 ops", "",
+             "| row | " + " | ".join(metrics) + " |",
+             "|---" * (len(metrics) + 1) + "|"]
+    lines += [f"| {name} | " + " | ".join(
+                  cell(committed.get(name, {}).get(m), row[m])
+                  for m in metrics) + " |"
+              for name, row in rows.items()]
+    return "\n".join(lines)
+
+
 def _load() -> dict[str, dict[str, dict[str, int]]]:
     with open(LEDGER, encoding="utf-8") as handle:
         return json.load(handle)
@@ -274,7 +302,9 @@ def test_recording_to_distinct_targets_is_linear(completed):
 
 if __name__ == "__main__":
     measured = measure()
-    print(table(measured))
+    committed = None if sys.argv[1:] else _load().get(PYTHON)
+    print(table(measured) if committed is None
+          else moves(committed, measured))
     if sys.argv[1:] == ["--write"]:
         ledger = _load() if os.path.exists(LEDGER) else {}
         ledger[PYTHON] = measured

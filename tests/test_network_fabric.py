@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import BufferError_, NetworkError
 from repro.faults import FaultPlan
 from repro.memory.address import AddressSpace
 from repro.network.cq import decode_immediate, encode_immediate
@@ -215,6 +216,34 @@ def test_accumulate_max_min():
     eng.run(detect_deadlock=False)
     assert np.allclose(spaces[1].copy_out(0, 16).view(np.float64),
                        [2.0, 2.0])
+
+
+@pytest.mark.parametrize("where", ["below", "straddling"])
+@pytest.mark.parametrize("verb", ["amo", "accumulate"])
+def test_in_place_updates_are_bounds_checked(verb, where):
+    """Accumulates and atomics update target memory through a typed view;
+    out of range they fail like a plain put, never wrapping around from
+    the end of the space nor raising from NumPy."""
+    eng, fabric, spaces = make_fabric()
+    size = spaces[1].size
+    addr = -16 if where == "below" else size - 4
+    before = spaces[1].mem.copy()
+    if verb == "amo":
+        fabric.amo(0, 1, addr, "sum", 5)
+    else:
+        fabric.put(0, 1, addr, np.ones(1), accumulate="sum")
+    with pytest.raises(BufferError_, match=rf"\[{addr}, {addr + 8}\)"):
+        eng.run(detect_deadlock=False)
+    assert np.array_equal(spaces[1].mem, before)
+
+
+def test_accumulate_of_partial_elements_rejected_at_issue():
+    eng, fabric, _ = make_fabric()
+    with pytest.raises(NetworkError, match="3-byte accumulate"):
+        fabric.put(0, 1, 0, np.ones(3, np.uint8), accumulate="sum")
+    fabric.put(0, 1, 0, np.ones(4, np.uint8), accumulate="sum",
+               acc_dtype=np.int32)
+    eng.run(detect_deadlock=False)
 
 
 def test_injection_serializes_per_engine():
