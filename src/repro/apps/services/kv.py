@@ -64,8 +64,8 @@ matching notification's NIC **arrival** time
 (:attr:`~repro.core.nrequest.NotifyRequest.match_log`) — so queueing
 delay shows up in the measured latency instead of throttling the offered
 load, and no number depends on when the client observed an event.  The
-workload is a pure function of the seed, every wire operation is a
-notified put and the fault plan is node-failure-only (no RNG draws), so
+workload is a pure function of the seed and every wire operation is a
+notified put (a contended get is not exact under ``--shards``), so
 results — every latency and failover count — are byte-identical across
 ``--jobs`` and ``--shards``.
 """
@@ -472,10 +472,10 @@ def run_kv(nservers: int = 4, nclients: int = 8, replication: int = 2,
     first ``warmup_frac`` of the expected run is excluded from latency
     and throughput accounting.  The cluster configuration's
     :class:`~repro.faults.FaultPlan` (if any) must be node-failure-only
-    (``FaultPlan.shardable``) and may only kill *server* ranks — clients
-    survive to report results.  The returned dict is fully deterministic
-    (virtual times only) — golden-trace tests compare it verbatim
-    between serial and sharded runs.
+    (the service models node death) and may only kill *server* ranks —
+    clients survive to report results.  The returned dict is fully
+    deterministic (virtual times only) — golden-trace tests compare it
+    verbatim between serial and sharded runs.
     """
     if nservers < 1 or nclients < 1:
         raise ReproError("need at least one server and one client")
@@ -495,11 +495,11 @@ def run_kv(nservers: int = 4, nclients: int = 8, replication: int = 2,
     plan_f = config.faults
     deaths: dict[int, float] = {}
     if plan_f is not None and plan_f.active:
-        if not plan_f.shardable:
+        if not plan_f.node_failures_only:
             raise ReproError(
-                "run_kv needs a node-failure-only FaultPlan "
-                "(probabilistic fault classes are serial-only and would "
-                "break the --shards byte-equality contract)")
+                "run_kv needs a node-failure-only FaultPlan: the "
+                "service's failure model is node death, not lossy "
+                "links")
         deaths = dict(plan_f.node_failures)
         bad = [r for r in deaths if not 0 <= r < nservers]
         if bad:

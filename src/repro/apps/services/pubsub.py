@@ -317,7 +317,7 @@ def run_pubsub(nbrokers: int = 2, npubs: int = 4, nsubs: int = 6,
                                  process)
     plan_f = config.faults
     if plan_f is not None and plan_f.active:
-        if not plan_f.shardable:
+        if not plan_f.node_failures_only:
             raise ReproError(
                 "run_pubsub needs a node-failure-only FaultPlan")
         primaries = {int(t) % nbrokers

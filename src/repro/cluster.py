@@ -310,13 +310,13 @@ def effective_shards(config: ClusterConfig) -> int:
 
     ``config.shards`` wins when set (>= 1); ``0`` consults the
     ``REPRO_SHARDS`` environment variable (unset or empty means serial;
-    a value that is not an integer raises).  Features the sharded core
-    does not model (probabilistic fault injection, ``reliable=False``)
-    raise when sharding was requested explicitly and quietly fall back
-    to serial when it came from the environment — so exporting
-    ``REPRO_SHARDS`` never changes what an incompatible run computes.
-    Node-failure-only plans (``FaultPlan.shardable``) make no RNG draws,
-    so they shard exactly and are admitted.  The count is
+    a value that is not an integer raises).  Two features the sharded
+    core does not model raise when sharding was requested explicitly and
+    quietly fall back to serial when it came from the environment — so
+    exporting ``REPRO_SHARDS`` never changes what such a run computes:
+    ``reliable=False`` (an unreliable get's notification is posted by the
+    origin into the target's queue) and ``sanitize=True`` (the
+    sanitizer's vector clocks do not cross shards).  The count is
     clamped to the node count (shards are node-aligned).
     """
     n = config.shards
@@ -332,17 +332,16 @@ def effective_shards(config: ClusterConfig) -> int:
     if n <= 1:
         return 1
     reasons = []
-    if (config.faults is not None and config.faults.active
-            and not config.faults.shardable):
-        reasons.append("probabilistic fault injection")
     if not config.params.reliable:
-        reasons.append("reliable=False")
+        reasons.append("reliable=False (an unreliable get's notification "
+                       "is posted by its origin, in process)")
+    if config.sanitize:
+        reasons.append("sanitize=True (vector clocks do not cross shards)")
     if reasons:
         if explicit:
             raise SimulationError(
                 f"shards={config.shards} is incompatible with "
-                f"{', '.join(reasons)} (the sharded core models a "
-                f"reliable, fault-free fabric)")
+                f"{' and '.join(reasons)}; run serial")
         return 1
     nnodes = (config.nranks + config.ranks_per_node - 1) \
         // config.ranks_per_node

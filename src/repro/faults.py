@@ -6,8 +6,8 @@ costs when they do not.  A :class:`FaultPlan` describes *what* can go wrong
 — packet drop, duplication, delayed (hence reordered) delivery, transient
 NIC stalls, and whole-node failure — and a :class:`FaultInjector` turns the
 plan into per-operation :class:`TransferFate` decisions drawn from one
-labelled :class:`~repro.sim.rng.RngStream`, so a fixed seed reproduces the
-exact same fault schedule bit-for-bit.
+labelled :class:`~repro.sim.rng.RngStream` per origin rank, so a fixed seed
+reproduces the exact same fault schedule bit-for-bit — serial or sharded.
 
 Recovery is modelled the way a reliable transport layers it over a lossy
 link:
@@ -24,14 +24,16 @@ link:
 
 Only inter-node (uGNI) paths see drop/duplication/delay: the shared-memory
 path is a CPU memcpy with no packets to lose.  Transient NIC stalls apply
-to every engine (FMA, BTE, and the shm ring), and node failure applies to
-both media.
+to every engine (FMA, BTE, and the shm ring; the fabric draws one per
+engine leg it prices), and node failure applies to both media.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from repro.errors import FaultError
 from repro.sim.rng import RngStream
@@ -44,7 +46,7 @@ class FaultPlan:
 
     All probabilities are per *decision*: ``drop_prob`` per delivery
     attempt, ``dup_prob``/``delay_prob`` per transfer, ``stall_prob`` per
-    engine reservation.  ``node_failures`` maps a rank to the virtual time
+    engine leg.  ``node_failures`` maps a rank to the virtual time
     (µs) its node dies; operations touching a dead rank fail after
     ``detect_us``.  ``seed=None`` derives the fault stream from the fabric
     seed (see docs/calibration.md for the seeding rules).
@@ -69,18 +71,25 @@ class FaultPlan:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise FaultError(f"{name}={p} outside [0, 1]")
-        if self.max_retries < 0:
-            raise FaultError(f"max_retries must be >= 0, got "
-                             f"{self.max_retries}")
-        if self.rto <= 0 or self.backoff < 1.0:
-            raise FaultError("rto must be > 0 and backoff >= 1")
+        if not (isinstance(self.max_retries, Integral)
+                and self.max_retries >= 0):
+            raise FaultError(f"max_retries must be an integer >= 0, got "
+                             f"{self.max_retries!r}")
+        # NaN fails every comparison, so ``not lo <= x < inf`` rejects it
+        if not (0 < self.rto < math.inf and 1 <= self.backoff < math.inf):
+            raise FaultError(f"rto={self.rto} must be finite and > 0, "
+                             f"backoff={self.backoff} finite and >= 1")
         for knob in ("delay_max", "stall_us", "dup_lag", "detect_us"):
-            if getattr(self, knob) < 0:
-                raise FaultError(f"{knob} must be >= 0")
+            if not 0 <= getattr(self, knob) < math.inf:
+                raise FaultError(f"{knob}={getattr(self, knob)} must be "
+                                 f"finite and >= 0")
         for rank, when in self.node_failures.items():
-            if when < 0:
-                raise FaultError(
-                    f"node failure time for rank {rank} is negative")
+            if not (isinstance(rank, Integral) and rank >= 0):
+                raise FaultError(f"node_failures names {rank!r}, not a "
+                                 f"rank (an integer >= 0)")
+            if not 0 <= when < math.inf:
+                raise FaultError(f"node failure time for rank {rank} is "
+                                 f"{when}: must be finite and >= 0")
 
     @property
     def active(self) -> bool:
@@ -89,17 +98,8 @@ class FaultPlan:
                     or self.stall_prob or self.node_failures)
 
     @property
-    def shardable(self) -> bool:
-        """True if the plan's schedule is independent of operation order.
-
-        Probabilistic fault classes draw from one stream in operation
-        *issue* order, which differs between the serial core and the
-        sharded core's per-worker issue streams — so they are serial-only.
-        A plan that injects nothing but node failures makes no draws at
-        all (the node-down check is a pure table lookup), so its fault
-        schedule is a function of (rank, time) alone and sharded runs
-        stay byte-identical with serial ones.
-        """
+    def node_failures_only(self) -> bool:
+        """True if no probabilistic fault class is enabled."""
         return not (self.drop_prob or self.dup_prob or self.delay_prob
                     or self.stall_prob)
 
@@ -115,6 +115,7 @@ class TransferFate:
     dup_lag: float = 0.0      # lag of the duplicate, µs
     lost: bool = False        # abandoned (retry exhaustion / dead node)
     fail_after: float = 0.0   # when to fail the op, µs from issue
+    stall: float = 0.0        # engine stall the target half prices, µs
 
     @property
     def extra_delay(self) -> float:
@@ -129,22 +130,33 @@ CLEAN_FATE = TransferFate()
 class FaultInjector:
     """Draws per-operation fates from a plan.
 
-    One injector serves a whole fabric.  Decisions are drawn in operation
-    issue order from a single stream seeded by ``plan.seed`` (or, when that
-    is ``None``, derived from the fabric root seed under the ``"faults"``
-    label) — the schedule is a pure function of (plan, seed, program).
-    Every decision is emitted once to the tracer under its fault class:
-    ``tracer.faults`` is the recovery ledger (``Cluster.stats()["faults"]``),
-    and the retransmissions performed are ``drop - lost`` (an abandoned op
+    One injector serves a whole fabric, and every decision about an op —
+    its drop attempts, delay, duplication and the stall of each engine leg
+    it prices, in that order — is drawn at issue from the stream of the
+    op's *origin* rank, ``RngStream(seed, "faults", origin)``, built at
+    that origin's first draw.  ``seed`` is ``plan.seed``, or the fabric
+    root seed when that is ``None``.  A rank issues its ops in the same
+    order in the serial and the sharded core, so the schedule is a pure
+    function of (plan, seed, program) in both.  Every decision is emitted
+    once to the tracer under its fault class: ``tracer.faults`` is the
+    recovery ledger (``Cluster.stats()["faults"]``), and the
+    retransmissions performed are ``drop - lost`` (an abandoned op
     retried ``max_retries`` times before giving up).
     """
 
     def __init__(self, plan: FaultPlan, root_seed: int,
                  tracer: Tracer | None = None):
         self.plan = plan
-        seed = plan.seed if plan.seed is not None else root_seed
-        self.rng = RngStream(seed, "faults")
+        self.seed = plan.seed if plan.seed is not None else root_seed
+        #: origin rank -> its fault stream
+        self.streams: dict[int, RngStream] = {}
         self.tracer = tracer or Tracer(enabled=False)
+
+    def rng(self, origin: int) -> RngStream:
+        """The stream every fault decision about ``origin``'s ops uses."""
+        if origin not in self.streams:
+            self.streams[origin] = RngStream(self.seed, "faults", origin)
+        return self.streams[origin]
 
     # ------------------------------------------------------------------
     def rank_down(self, rank: int, now: float) -> bool:
@@ -198,12 +210,12 @@ class FaultInjector:
             return TransferFate(lost=True, fail_after=plan.detect_us)
         if medium == "shm":
             # Intra-node data moves by memcpy: nothing on the wire to
-            # drop or duplicate (stalls are charged by the transport).
+            # drop or duplicate (the fabric draws the copy's stall).
             return CLEAN_FATE
         fate = TransferFate()
         if plan.drop_prob > 0.0:
             for attempt in range(plan.max_retries + 1):
-                if self.rng.random() >= plan.drop_prob:
+                if self.rng(origin).random() >= plan.drop_prob:
                     break
                 fate.retries += 1
                 fate.retry_delay += plan.rto * plan.backoff ** attempt
@@ -220,23 +232,25 @@ class FaultInjector:
                 self.tracer.emit(now, "fault", origin, target, nbytes,
                                  fault="retry-ok", retries=fate.retries,
                                  medium=medium)
-        if plan.delay_prob > 0.0 and self.rng.random() < plan.delay_prob:
-            fate.jitter = self.rng.uniform(0.0, plan.delay_max)
+        if (plan.delay_prob > 0.0
+                and self.rng(origin).random() < plan.delay_prob):
+            fate.jitter = self.rng(origin).uniform(0.0, plan.delay_max)
             self.tracer.emit(now, "fault", origin, target, nbytes,
                              fault="delay", extra=fate.jitter,
                              medium=medium)
-        if plan.dup_prob > 0.0 and self.rng.random() < plan.dup_prob:
+        if plan.dup_prob > 0.0 and self.rng(origin).random() < plan.dup_prob:
             fate.duplicate = True
             fate.dup_lag = plan.dup_lag
             self.tracer.emit(now, "fault", origin, target, nbytes,
                              fault="dup", medium=medium)
         return fate
 
-    def nic_stall(self, engine_kind: str, now: float) -> float:
-        """Extra delay from a transient stall of one NIC engine."""
+    def nic_stall(self, origin: int, engine_kind: str, now: float) -> float:
+        """Extra delay from a transient stall of the engine pricing one
+        leg of an op ``origin`` issued."""
         if self.plan.stall_prob <= 0.0:
             return 0.0
-        if self.rng.random() >= self.plan.stall_prob:
+        if self.rng(origin).random() >= self.plan.stall_prob:
             return 0.0
         self.tracer.emit(now, "fault", -1, -1, 0, fault="stall",
                          engine=engine_kind, extra=self.plan.stall_us)

@@ -22,8 +22,7 @@ own primitives:
 Everything here is put-class-only (mirrored notified puts + zero-byte
 credit acks), the same discipline as ``repro.apps.services`` — so
 replicated workloads stay byte-identical between the serial core and
-the sharded conservative-parallel core under node-failure-only fault
-plans (``FaultPlan.shardable``).
+the sharded conservative-parallel core under any fault plan.
 """
 
 from repro.ft.checkpoint import (

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import NetworkError
+from repro.errors import FaultError, NetworkError
 from repro.faults import FaultInjector, FaultPlan, TransferFate
 from repro.network.cq import CompletionQueue, CqEntry
 from repro.network.loggp import TransportParams
@@ -118,10 +118,6 @@ class Nic:
         #: receive-side link occupancy horizon (incast serialization)
         self.rx_next_free = 0.0
         self.rx_bytes = 0
-        if fabric.faults is not None:
-            self.fma.faults = fabric.faults
-            self.bte.faults = fabric.faults
-            self.shm.faults = fabric.faults
 
     def poll_notification(self) -> CqEntry | None:
         """Pop the oldest notification across uGNI CQ and shm ring.
@@ -174,6 +170,10 @@ class Fabric:
         #: fault injection (None on a fault-free fabric — the fast path)
         self.faults: FaultInjector | None = None
         if fault_plan is not None and fault_plan.active:
+            last = max(fault_plan.node_failures, default=-1)
+            if last >= machine.nranks:
+                raise FaultError(f"node_failures names rank {last} of a "
+                                 f"{machine.nranks}-rank machine")
             self.faults = FaultInjector(fault_plan, seed,
                                         tracer=self.tracer)
         if local_ranks is None:
@@ -225,13 +225,15 @@ class Fabric:
         return end
 
     def _fate(self, origin: int, target: int, nbytes: int,
-              same_node: bool) -> TransferFate | None:
-        """Ask the injector (if any) what happens to this transfer."""
-        if self.faults is None:
-            return None
+              same_node: bool) -> TransferFate:
+        """Ask the injector what happens to this transfer."""
         return self.faults.transfer_fate(
             origin, target, nbytes, "shm" if same_node else "ugni",
             self.engine.now)
+
+    def _stall(self, origin: int, kind: str) -> float:
+        """Draw the stall of one ``kind`` engine leg of ``origin``'s op."""
+        return self.faults.nic_stall(origin, kind, self.engine.now)
 
     def _fail_lost(self, handle: OpHandle, origin: int, fate: TransferFate,
                    *events: Event) -> OpHandle:
@@ -256,8 +258,7 @@ class Fabric:
     # ------------------------------------------------------------------
     # The hand-off between an op's origin half and its target half
     # ------------------------------------------------------------------
-    def _hand_off(self, verb: str, parked, same: bool, op: tuple,
-                  fate: TransferFate | None, san):
+    def _hand_off(self, verb: str, parked, same: bool, op: tuple, san):
         """Carry one op from its origin half to its target half.
 
         Every verb below is an *origin half* (validate, snapshot, fate /
@@ -272,15 +273,16 @@ class Fabric:
         ``_finish_amo``).
 
         ``op`` is the tuple of values that cross the hand-off (one row per
-        verb in ``shardlink.WIRE_ARGS``); ``fate`` (fault duplicates and
-        delays) and ``san`` (sanitizer clocks) reach a target half only in
-        process.  :class:`~repro.sim.shard.ShardFabric` overrides this one
-        method: for an inter-node op it parks ``parked`` (what the return
-        leg needs) under an op id, ships ``op`` as a packet and returns
-        ``None``; the same ``_land_<verb>`` runs at the next window
-        boundary and the same return leg when the response comes back.
+        verb in ``shardlink.WIRE_ARGS``), the op's fault fate last (``None``
+        on a fault-free fabric); ``san`` (sanitizer clocks) reaches a
+        target half only in process.  :class:`~repro.sim.shard.ShardFabric`
+        overrides this one method: for an inter-node op it parks
+        ``parked`` (what the return leg needs) under an op id, ships ``op``
+        as a packet and returns ``None``; the same ``_land_<verb>`` runs at
+        the next window boundary and the same return leg when the response
+        comes back.
         """
-        return self._land[verb](same, op, fate, san)
+        return self._land[verb](same, op, san)
 
     def _at_target(self, when: float, origin: int, target: int, kind: str,
                    same: bool, apply: Callable[[], None] | None,
@@ -348,9 +350,10 @@ class Fabric:
               san_track: bool = True) -> OpHandle:
         """Origin half of a put or a sys message, past validation.
 
-        Draws the fate, prices the origin engine (shm within a node, else
-        FMA or BTE by ``fma_max``, with the hop and jitter extras), builds
-        the handle and traces the wire transaction (a put's record says
+        Draws the fate and the engine's stall, prices the origin engine
+        (shm within a node, else FMA or BTE by ``fma_max``, with the hop
+        and jitter extras), builds the handle and traces the wire
+        transaction (a put's record says
         whether it is ``notified``; a sys message's has no such key).  A
         lost op stops there.  Otherwise it hands the priced prefix plus
         ``args`` (the verb's own tail of the op tuple) to ``_land_<verb>``,
@@ -359,20 +362,24 @@ class Fabric:
         """
         same = self.machine.same_node(origin, target)
         nic = self.nics[origin]
-        fate = (None if self.faults is None
-                else self._fate(origin, target, nbytes, same))
-        lost = fate is not None and fate.lost
         if same:
             eng, G, L = nic.shm, 0.0, 0.0
-            plan = eng.plan_put(nbytes)
         else:
             eng = nic.fma if nbytes <= self.params.fma_max else nic.bte
             G, L = eng.params.G, eng.params.L
+        if self.faults is None:
+            fate, lost, extra, stall = None, False, 0.0, 0.0
+        else:
+            fate = self._fate(origin, target, nbytes, same)
+            lost, extra = fate.lost, fate.extra_delay
+            stall = self._stall(origin, eng.kind)
+        if same:
+            plan = eng.plan_put(nbytes, stall)
+        else:
             # a lost transfer still occupies the origin engine, but rides
             # no wire: no hop, retransmission or jitter extras
-            plan = eng.plan(nbytes) if lost else eng.plan(
-                nbytes, extra_delay=self._hop_extra(origin, target)
-                + (fate.extra_delay if fate is not None else 0.0))
+            plan = eng.plan(nbytes, extra_delay=stall if lost else
+                            self._hop_extra(origin, target) + extra + stall)
         local, remote = _SEND_EVENTS[verb]
         handle = OpHandle(kind, plan.cpu_busy, Event(self.engine, local),
                           Event(self.engine, remote), nbytes=nbytes,
@@ -406,7 +413,7 @@ class Fabric:
                 # a protocol message carries its sender's released clock
                 san = self.san.release(origin)
         landed = self._hand_off(verb, handle, same, (
-            origin, target, nbytes, plan.commit_at, G, L) + args, fate, san)
+            origin, target, nbytes, plan.commit_at, G, L, *args, fate), san)
         # Origin buffer reuse: data was snapshotted at injection.
         self._at(plan.inject_end, handle.local_done.succeed)
         if landed is not None:
@@ -460,7 +467,6 @@ class Fabric:
             scatter), immediate is not None, san_track)
 
     def _land_put(self, same: bool, op: tuple,
-                  fate: TransferFate | None = None,
                   san=None) -> tuple[float, float]:
         """Target half of a put: reserve the rx link, commit, notify.
 
@@ -470,7 +476,7 @@ class Fabric:
         commit and the arrival of its ack at the origin.
         """
         (origin, target, nbytes, t_commit, G, L, target_addr, raw, immediate,
-         win_id, accumulate, acc_dtype, scatter) = op
+         win_id, accumulate, acc_dtype, scatter, fate) = op
         commit_at = (t_commit if same
                      else self._rx_reserve(target, t_commit, nbytes, G))
         space = self.spaces[target]
@@ -524,13 +530,12 @@ class Fabric:
                           (ptype, payload, snapshot))
 
     def _land_sys(self, same: bool, op: tuple,
-                  fate: TransferFate | None = None,
                   san_clock: dict | None = None) -> tuple[float, float]:
         """Target half of a sys message: reserve the rx link, deliver.
 
         Returns ``(commit_at, ack_at)`` for the return leg, like a put.
         """
-        origin, target, nbytes, t_commit, G, L, ptype, payload, data = op
+        origin, target, nbytes, t_commit, G, L, ptype, payload, data, fate = op
         commit_at = (t_commit if same
                      else self._rx_reserve(target, t_commit, nbytes, G))
         tnic = self.nics[target]
@@ -562,7 +567,8 @@ class Fabric:
         the target is never notified, and both completion events fail.
         """
         if not same:
-            handle.cpu_busy = self.nics[origin].fma.plan(header).cpu_busy
+            handle.cpu_busy = self.nics[origin].fma.plan(
+                header, extra_delay=self._stall(origin, "fma")).cpu_busy
         self.tracer.emit(self.engine.now, "wire", origin, handle.target,
                          header, op=wire_op,
                          medium="shm" if same else "ugni", lost=True)
@@ -597,18 +603,24 @@ class Fabric:
         handle = OpHandle("get", 0.0, Event(self.engine, "get.local"),
                           Event(self.engine, "get.remote"), nbytes=nbytes,
                           target=target)
-        if fate is not None and fate.lost:
-            return self._lose_request(handle, origin, same,
-                                      GET_REQUEST_BYTES, "get-req", fate)
+        stall = 0.0
+        if fate is not None:
+            if fate.lost:
+                return self._lose_request(handle, origin, same,
+                                          GET_REQUEST_BYTES, "get-req", fate)
+            stall = self._stall(origin, "shm" if same else "fma")
+            if not same:    # the response leg's, priced by the target half
+                fate.stall = self._stall(
+                    origin, "fma" if nbytes <= p.fma_max else "bte")
         if same:
-            plan = nic.shm.plan_get(nbytes)
+            plan = nic.shm.plan_get(nbytes, stall)
             handle.cpu_busy, t_req, hop = plan.cpu_busy, plan.commit_at, 0.0
         else:
             # Request leg: small header through the origin FMA engine.  The
             # response leg is the target half's to plan; injected retry /
-            # jitter delay (``fate``) rides on it.
+            # jitter delay and its engine's stall (``fate``) ride on it.
             hop = self._hop_extra(origin, target)
-            req = nic.fma.plan(GET_REQUEST_BYTES, extra_delay=hop)
+            req = nic.fma.plan(GET_REQUEST_BYTES, extra_delay=hop + stall)
             handle.cpu_busy, t_req = req.cpu_busy, req.commit_at
         handle.commit_at = t_req
         san_op = None
@@ -626,9 +638,7 @@ class Fabric:
         parked = (handle, origin, local_addr, scatter)
         landed = self._hand_off("get", parked, same, (
             origin, target, nbytes, t_req, hop, target_addr, gather,
-            immediate if at_serve else None, win_id), fate, san_op)
-        # Traced after the hand-off: an injected stall of the responding
-        # engine is recorded ahead of the op's own wire records.
+            immediate if at_serve else None, win_id, fate), san_op)
         if same:
             self.tracer.emit(self.engine.now, "wire", origin, target, nbytes,
                              op="get", medium="shm",
@@ -648,8 +658,7 @@ class Fabric:
                                 None, san_op)
         return handle
 
-    def _land_get(self, same: bool, op: tuple,
-                  fate: TransferFate | None = None, san_op=None,
+    def _land_get(self, same: bool, op: tuple, san_op=None,
                   sink: Callable[[np.ndarray | None], None] | None = None):
         """Target half of a get: plan the response leg, serve the read.
 
@@ -663,15 +672,15 @@ class Fabric:
         ``immediate`` set means notify at serve time.
         """
         (origin, target, nbytes, t_req, hop, target_addr, gather, immediate,
-         win_id) = op
+         win_id, fate) = op
         if same:
             serve_at = t_data = t_req
             G = None
         else:
             tnic = self.nics[target]
             teng = tnic.fma if nbytes <= self.params.fma_max else tnic.bte
-            extra = fate.extra_delay if fate is not None else 0.0
-            resp = teng.plan(nbytes, extra_delay=hop + extra,
+            resp = teng.plan(nbytes, extra_delay=hop if fate is None else
+                             hop + fate.extra_delay + fate.stall,
                              not_before=t_req)
             serve_at, t_data, G = (resp.inject_end, resp.commit_at,
                                    teng.params.G)
@@ -762,11 +771,14 @@ class Fabric:
         handle = OpHandle("amo", 0.0, Event(self.engine, "amo.local"),
                           Event(self.engine, "amo.remote"), nbytes=itemsize,
                           target=target)
-        if fate is not None and fate.lost:
-            return self._lose_request(handle, origin, same,
-                                      AMO_REQUEST_BYTES, f"amo-{op}", fate)
+        stall = 0.0
+        if fate is not None:
+            if fate.lost:
+                return self._lose_request(handle, origin, same,
+                                          AMO_REQUEST_BYTES, f"amo-{op}", fate)
+            stall = self._stall(origin, "shm" if same else "fma")
         if same:
-            plan = nic.shm.plan_amo()
+            plan = nic.shm.plan_amo(stall)
             handle.cpu_busy = plan.cpu_busy
             t_exec = self.engine.now + self.params.shm.L
             done_at = plan.commit_at
@@ -776,7 +788,7 @@ class Fabric:
             hop = self._hop_extra(origin, target)
             extra = fate.extra_delay if fate is not None else 0.0
             req = nic.fma.plan(AMO_REQUEST_BYTES,
-                               extra_delay=hop + extra)
+                               extra_delay=hop + extra + stall)
             handle.cpu_busy = req.cpu_busy
             t_exec = req.commit_at
             done_at = t_exec + self.params.fma.L + hop
@@ -789,13 +801,12 @@ class Fabric:
             handle.san_remote = self.san.op_begin(origin)
         box = self._hand_off("amo", (handle, done_at), same, (
             origin, target, itemsize, t_exec, target_addr, op, operand,
-            compare, dtype, immediate, win_id), fate, handle.san_remote)
+            compare, dtype, immediate, win_id, fate), handle.san_remote)
         if box is not None:
             self._finish_amo(handle, done_at, box)
         return handle
 
-    def _land_amo(self, same: bool, op: tuple,
-                  fate: TransferFate | None = None, san_op=None,
+    def _land_amo(self, same: bool, op: tuple, san_op=None,
                   sink: Callable[[int], None] | None = None) -> list:
         """Target half of an atomic: execute at ``t_exec``, notify.
 
@@ -804,7 +815,7 @@ class Fabric:
         process passes ``sink`` to receive it instead.
         """
         (origin, target, itemsize, t_exec, target_addr, kind, operand,
-         compare, dtype, immediate, win_id) = op
+         compare, dtype, immediate, win_id, fate) = op
         tspace = self.spaces[target]
         box: list[int] = []
         if sink is None:

@@ -178,28 +178,30 @@ class ShardPacket:
     data: np.ndarray | None = None
     #: python headers of a sys message; a win-reg broadcast's record
     payload: dict | None = None
+    #: the op's fault fate (requests; ``None`` on a fault-free fabric)
+    fate: Any = None
 
     def __reduce__(self):
-        # the wire record of this ptype, not all 27 fields: boundary
+        # the wire record of this ptype, not all 28 fields: boundary
         # batches are the hot pipe path
         return decode_packet, (encode_packet(self),)
 
 
 #: request ptype -> the packet field carrying each element of the ``op``
 #: tuple that verb's origin half hands to its target half
-#: (``Fabric._land_<verb>``) — the one table of what crosses the hand-off
-#: (docs/architecture.md §3)
+#: (``Fabric._land_<verb>``), the fault fate last — the one table of what
+#: crosses the hand-off (docs/architecture.md §3)
 WIRE_ARGS: dict[str, tuple[str, ...]] = {
     "put": ("origin", "target", "nbytes", "t_commit", "G", "L",
             "target_addr", "data", "immediate", "win_id", "accumulate",
-            "acc_dtype", "scatter"),
+            "acc_dtype", "scatter", "fate"),
     "sys": ("origin", "target", "nbytes", "t_commit", "G", "L",
-            "sys_ptype", "payload", "data"),
+            "sys_ptype", "payload", "data", "fate"),
     "get": ("origin", "target", "nbytes", "t_exec", "hop", "target_addr",
-            "gather", "immediate", "win_id"),
+            "gather", "immediate", "win_id", "fate"),
     "amo": ("origin", "target", "nbytes", "t_exec", "target_addr",
             "amo_op", "operand", "compare", "acc_dtype", "immediate",
-            "win_id"),
+            "win_id", "fate"),
 }
 _UNPACK = {verb: attrgetter(*names) for verb, names in WIRE_ARGS.items()}
 

@@ -11,22 +11,19 @@ with computation the way BTE transfers can.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.network.loggp import LogGPParams, TransportParams
 from repro.network.transports.base import TransferPlan
 from repro.sim.engine import Engine
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults import FaultInjector
-
 
 class ShmTransport:
-    """Prices intra-node copies performed by the origin CPU."""
+    """Prices intra-node copies performed by the origin CPU (plus a
+    ``stall``: a busy ring or contended segment, drawn by the fabric)."""
 
     #: deliveries into one segment commit in ring order; the sanitizer
     #: chains commit clocks along this channel (per origin/target pair)
     san_channel: str | None = "shm"
+    kind = "shm"
 
     def __init__(self, engine: Engine, params: TransportParams,
                  name: str = ""):
@@ -35,45 +32,35 @@ class ShmTransport:
         self.shm: LogGPParams = params.shm
         self.name = name
         self.inline_puts = 0
-        #: optional fault injector.  Intra-node data never rides packets,
-        #: so only transient stalls (a busy ring / contended segment)
-        #: apply on this path.
-        self.faults: "FaultInjector" | None = None
 
     def is_inline(self, nbytes: int) -> bool:
         return nbytes <= self.params.inline_max
 
-    def _stall(self) -> float:
-        if self.faults is not None:
-            return self.faults.nic_stall("shm", self.engine.now)
-        return 0.0
-
-    def plan_put(self, nbytes: int) -> TransferPlan:
+    def plan_put(self, nbytes: int, stall: float = 0.0) -> TransferPlan:
         """Price a put; the CPU is busy for the whole copy."""
         now = self.engine.now
         if self.is_inline(nbytes):
             # Payload travels inside the notification cache line: one line
             # write plus the fixed segment-access latency.
             self.inline_puts += 1
-            busy = self.shm.L
+            busy = self.shm.L + stall
         else:
             # memcpy into the target segment, then an sfence, then the
             # notification line write.
-            busy = self.shm.L + nbytes * self.shm.G
-        busy += self._stall()
+            busy = self.shm.L + nbytes * self.shm.G + stall
         end = now + busy
         return TransferPlan(cpu_busy=busy, inject_end=end, commit_at=end)
 
-    def plan_get(self, nbytes: int) -> TransferPlan:
+    def plan_get(self, nbytes: int, stall: float = 0.0) -> TransferPlan:
         """Price a get: the origin CPU copies out of the remote segment."""
         now = self.engine.now
-        busy = self.shm.L + nbytes * self.shm.G + self._stall()
+        busy = self.shm.L + nbytes * self.shm.G + stall
         end = now + busy
         return TransferPlan(cpu_busy=busy, inject_end=end, commit_at=end)
 
-    def plan_amo(self) -> TransferPlan:
+    def plan_amo(self, stall: float = 0.0) -> TransferPlan:
         """Price an atomic op on the remote segment (one line round trip)."""
         now = self.engine.now
-        busy = 2 * self.shm.L + self._stall()
+        busy = 2 * self.shm.L + stall
         end = now + busy
         return TransferPlan(cpu_busy=busy, inject_end=end, commit_at=end)

@@ -15,14 +15,9 @@ completion queue — the mechanism Notified Access is built on (§IV-B).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.network.loggp import LogGPParams
 from repro.network.transports.base import InjectEngine, TransferPlan
 from repro.sim.engine import Engine
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults import FaultInjector
 
 
 class FmaEngine:
@@ -31,18 +26,15 @@ class FmaEngine:
     #: FMA transfers between one pair commit in issue order (uGNI FMA
     #: ordering); the sanitizer chains commit clocks along this channel
     san_channel: str | None = "fma"
+    kind = "fma"
 
     def __init__(self, engine: Engine, params: LogGPParams, name: str = ""):
         self.params = params
         self._inject = InjectEngine(engine, params, name=f"fma:{name}")
         self.engine = engine
-        #: optional fault injector (transient engine stalls)
-        self.faults: "FaultInjector" | None = None
 
     def plan(self, nbytes: int, extra_delay: float = 0.0,
              not_before: float | None = None) -> TransferPlan:
-        if self.faults is not None:
-            extra_delay += self.faults.nic_stall("fma", self.engine.now)
         start, end = self._inject.inject(nbytes, not_before=not_before)
         # The CPU drives the injection: busy from now until injection ends.
         cpu_busy = max(end - self.engine.now, 0.0)
@@ -60,18 +52,15 @@ class BteEngine:
     #: BTE DMA completions are unordered with respect to other transfers;
     #: no channel clock — only flush/notification edges order them
     san_channel: str | None = None
+    kind = "bte"
 
     def __init__(self, engine: Engine, params: LogGPParams, name: str = ""):
         self.params = params
         self._inject = InjectEngine(engine, params, name=f"bte:{name}")
         self.engine = engine
-        #: optional fault injector (transient engine stalls)
-        self.faults: "FaultInjector" | None = None
 
     def plan(self, nbytes: int, extra_delay: float = 0.0,
              not_before: float | None = None) -> TransferPlan:
-        if self.faults is not None:
-            extra_delay += self.faults.nic_stall("bte", self.engine.now)
         # CPU posts a descriptor and is immediately free again.
         start, end = self._inject.inject(nbytes, not_before=not_before)
         return TransferPlan(cpu_busy=self.params.o_post, inject_end=end,

@@ -29,9 +29,8 @@ boundary instead of at issue time — hence the two documented caveats
 op id)`` here and by the event counter in serial, and a *get under
 contention* plans its response leg at the boundary, not at issue.
 
-``shards=1`` never enters this module.  Gated out by
-:func:`repro.cluster.effective_shards`: probabilistic fault injection
-and ``reliable=False``; node-failure-only fault plans shard exactly.
+Neither ``shards=1``, ``reliable=False`` nor ``sanitize=True`` enters this
+module (:func:`repro.cluster.effective_shards`); every fault plan does.
 Workers run unsanitized, with the cyclic collector off from fork to
 finish (§9), and direct cross-shard object access fails loudly.
 """
@@ -95,13 +94,6 @@ class ShardFabric(Fabric):
                  shard: int, **kw):
         local = routing.ranks_of(shard)
         super().__init__(engine, machine, spaces, local_ranks=local, **kw)
-        assert self.san is None, "sharded fabrics run unsanitized"
-        assert self.faults is None or self.faults.plan.shardable, (
-            "sharded fabrics only support node-failure-only fault plans "
-            "(FaultPlan.shardable)")
-        assert self.params.reliable, (
-            "sharded fabrics model a reliable wire (an unreliable get's "
-            "notification is posted by the origin, in process)")
         self.routing = routing
         self.shard = shard
         #: packets awaiting routing at the next sync
@@ -192,8 +184,7 @@ class ShardFabric(Fabric):
         self._outbox.append(pkt)
 
     # -- origin half -> packet -----------------------------------------
-    def _hand_off(self, verb: str, parked, same: bool, op: tuple, fate,
-                  san):
+    def _hand_off(self, verb: str, parked, same: bool, op: tuple, san):
         """Ship an inter-node op instead of landing it at issue time.
 
         Only same-node (shared-memory) operations land directly: EVERY
@@ -207,7 +198,7 @@ class ShardFabric(Fabric):
         reorder overlapping incast flows relative to the serial schedule.
         """
         if same:
-            return super()._hand_off(verb, parked, same, op, fate, san)
+            return super()._hand_off(verb, parked, same, op, san)
         op_id = next(self._op_ids)
         self._pending[op_id] = parked
         self._ship(request_packet(verb, op_id, self.engine.now, op))
@@ -359,7 +350,8 @@ class ShardCluster(Cluster):
 
     def _build_sanitizer(self):
         # The sanitizer's vector clocks span all ranks in one process;
-        # sharded workers run without it (run serial to sanitize).
+        # workers run without it, whatever REPRO_SANITIZE says
+        # (sanitize=True runs serial).
         return None
 
     def _build_spaces(self):

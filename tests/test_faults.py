@@ -1,5 +1,7 @@
 """Fault injection: plans, determinism, retries, and exactly-once delivery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,10 +30,47 @@ from tests.conftest import run_cluster
     {"dup_lag": -2.0},
     {"detect_us": -5.0},
     {"node_failures": {0: -1.0}},
+    # NaN fails every comparison, so each of these used to slip through:
+    # a NaN death time never fires, a NaN duration poisons the clock
+    {"node_failures": {1: math.nan}},
+    {"node_failures": {1: math.inf}},
+    {"node_failures": {-3: 1.0}},
+    {"node_failures": {"1": 1.0}},
+    {"detect_us": math.nan},
+    {"rto": math.nan},
+    {"delay_max": math.nan},
+    {"backoff": math.nan},
+    {"stall_us": math.inf},
+    {"dup_lag": math.inf},
+    {"rto": math.inf},
+    {"drop_prob": math.nan},
+    # used to surface as a raw TypeError from range() inside a rank
+    {"max_retries": 2.5},
+    {"max_retries": "3"},
 ])
 def test_plan_validation_rejects_bad_knobs(kw):
     with pytest.raises(FaultError):
         FaultPlan(**kw)
+
+
+def test_plan_validation_names_the_field():
+    with pytest.raises(FaultError, match="max_retries"):
+        FaultPlan(max_retries=2.5)
+    with pytest.raises(FaultError, match="detect_us"):
+        FaultPlan(detect_us=math.nan)
+    with pytest.raises(FaultError, match="rank 1"):
+        FaultPlan(node_failures={1: math.nan})
+    with pytest.raises(FaultError, match="-3"):
+        FaultPlan(node_failures={-3: 1.0})
+    # integer-valued NumPy scalars are integers
+    assert FaultPlan(max_retries=np.int64(3),
+                     node_failures={np.int64(1): 2.0}).max_retries == 3
+
+
+def test_fabric_rejects_a_death_beyond_the_machine():
+    with pytest.raises(FaultError, match="rank 4 of a 4-rank machine"):
+        Cluster(ClusterConfig(nranks=4, faults=FaultPlan(
+            node_failures={4: 10.0})))
 
 
 def test_plan_active_property():
@@ -295,7 +334,7 @@ def test_no_plan_means_no_injector_and_identical_schedule():
 
 
 # ---------------------------------------------------------------------------
-# Backoff schedule golden values + shardable plans + dead-wait errors
+# Backoff schedule golden values, per-origin streams, dead-wait errors
 # ---------------------------------------------------------------------------
 
 class _Scripted:
@@ -316,7 +355,7 @@ def test_retry_delay_golden_schedule():
     plan = FaultPlan(drop_prob=0.5, max_retries=4, rto=1.5, backoff=3.0)
     inj = FaultInjector(plan, 0)
     # two drops, then a success on the third attempt
-    inj.rng = _Scripted([0.0, 0.0, 1.0])
+    inj.streams[0] = _Scripted([0.0, 0.0, 1.0])
     fate = inj.transfer_fate(0, 1, 64, "ugni", 0.0)
     assert not fate.lost
     assert fate.retries == 2
@@ -324,7 +363,7 @@ def test_retry_delay_golden_schedule():
     assert inj.tracer.faults == {"drop": 2, "retry-ok": 1}
 
     # three drops: schedule extends by rto*b^2 exactly
-    inj.rng = _Scripted([0.0, 0.0, 0.0, 1.0])
+    inj.streams[0] = _Scripted([0.0, 0.0, 0.0, 1.0])
     fate = inj.transfer_fate(0, 1, 64, "ugni", 0.0)
     assert fate.retries == 3
     assert fate.retry_delay == pytest.approx(1.5 + 1.5 * 3.0 + 1.5 * 9.0)
@@ -351,16 +390,51 @@ def test_lost_path_counts_performed_retransmissions():
     assert inj.tracer.faults == {"drop": 4, "lost": 1}
 
 
-def test_plan_shardable_property():
-    """Only node-failure-only plans are order-independent."""
-    assert FaultPlan().shardable
-    assert FaultPlan(node_failures={1: 10.0}).shardable
-    assert FaultPlan(node_failures={1: 10.0}, detect_us=5.0).shardable
-    assert not FaultPlan(drop_prob=0.1).shardable
-    assert not FaultPlan(dup_prob=0.1).shardable
-    assert not FaultPlan(delay_prob=0.1).shardable
-    assert not FaultPlan(stall_prob=0.1).shardable
-    assert not FaultPlan(node_failures={1: 10.0}, drop_prob=0.1).shardable
+def test_plan_node_failures_only_property():
+    """What the services' node-death failure model admits."""
+    assert FaultPlan().node_failures_only
+    assert FaultPlan(node_failures={1: 10.0}).node_failures_only
+    assert FaultPlan(node_failures={1: 10.0},
+                     detect_us=5.0).node_failures_only
+    assert not FaultPlan(drop_prob=0.1).node_failures_only
+    assert not FaultPlan(dup_prob=0.1).node_failures_only
+    assert not FaultPlan(delay_prob=0.1).node_failures_only
+    assert not FaultPlan(stall_prob=0.1).node_failures_only
+    assert not FaultPlan(node_failures={1: 10.0},
+                         drop_prob=0.1).node_failures_only
+
+
+def test_fates_do_not_depend_on_other_origins():
+    """Each origin draws from its own stream: origin 0's fates and stalls
+    are the same whether or not origin 1 issues ops in between — what
+    lets the sharded core, which sees only its own ranks' ops, reproduce
+    the serial schedule."""
+    plan = FaultPlan(drop_prob=0.3, dup_prob=0.3, delay_prob=0.3,
+                     stall_prob=0.3, seed=4)
+
+    def origin0(interleave):
+        inj = FaultInjector(plan, 0)
+        out = []
+        for t in range(40):
+            out.append((inj.transfer_fate(0, 2, 64, "ugni", float(t)),
+                        inj.nic_stall(0, "fma", float(t))))
+            if interleave:
+                inj.transfer_fate(1, 2, 64, "ugni", float(t))
+                inj.nic_stall(1, "bte", float(t))
+        return out, sorted(inj.streams)
+
+    alone, streams = origin0(False)
+    mixed, both = origin0(True)
+    assert alone == mixed
+    assert (streams, both) == ([0], [0, 1])
+
+
+def test_node_failure_only_plan_builds_no_stream():
+    inj = FaultInjector(FaultPlan(node_failures={1: 5.0}), 0)
+    for t in (0.0, 10.0):
+        inj.transfer_fate(0, 1, 64, "ugni", t)
+        assert inj.nic_stall(0, "fma", t) == 0.0
+    assert inj.streams == {}
 
 
 def test_lost_error_names_dead_endpoint():

@@ -34,8 +34,8 @@ from hypothesis import strategies as st
 from repro.apps.dht import _dht_program, round_shift, run_dht
 from repro.apps.stencil import run_stencil
 from repro.cluster import ClusterConfig, effective_shards, run_ranks
-from repro.errors import FaultError, NetworkError, SimulationError
-from repro.faults import FaultPlan
+from repro.errors import FaultError, NetworkError, RaceError, SimulationError
+from repro.faults import FaultPlan, TransferFate
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.datatypes import vector
 from repro.network.fabric import Fabric
@@ -133,15 +133,54 @@ def test_malformed_repro_shards_raises_naming_it(monkeypatch, value):
 
 
 def test_effective_shards_incompatible_features(monkeypatch):
+    """Every fault plan shards; an unreliable wire and the sanitizer do
+    not: they raise when sharding is explicit and run serial when the
+    count comes from ``REPRO_SHARDS``."""
+    lossy = FaultPlan(drop_prob=0.1, dup_prob=0.1, delay_prob=0.1,
+                      stall_prob=0.1)
+    unreliable = {"params": TransportParams(reliable=False)}
+    for env in (None, "2"):
+        if env is None:
+            monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SHARDS", env)
+        shards = 2 if env is None else 0
+        assert effective_shards(ClusterConfig(
+            nranks=4, shards=shards, faults=lossy)) == 2
+        for kw, name in ((unreliable, "reliable=False"),
+                         ({"sanitize": True}, "sanitize=True")):
+            cfg = ClusterConfig(nranks=4, shards=shards, **kw)
+            if env is None:
+                with pytest.raises(SimulationError, match=name):
+                    effective_shards(cfg)
+            else:
+                assert effective_shards(cfg) == 1
+
+
+def _racy_puts_program(ctx):
+    """Ranks 1 and 2 put to one address on rank 0, nothing ordering
+    them: a write-write race."""
+    win = yield from ctx.win_allocate(64)
+    yield from win.lock_all()
+    if ctx.rank:
+        yield from win.put(np.full(8, ctx.rank, np.uint8), 0, 0)
+        yield from win.flush(0)
+    yield from win.unlock_all()
+    yield from ctx.barrier()
+
+
+def test_sanitize_never_silently_runs_sharded(monkeypatch):
+    """``sanitize=True`` with an explicit shard count is a named error,
+    not a sharded run without the sanitizer; from ``REPRO_SHARDS`` it
+    runs serial, so the race is still reported."""
     monkeypatch.delenv("REPRO_SHARDS", raising=False)
-    faulty = ClusterConfig(nranks=4, shards=2,
-                           faults=FaultPlan(drop_prob=0.1))
-    with pytest.raises(SimulationError):
-        effective_shards(faulty)
-    # from the environment the same config quietly runs serial
+    cfg = ClusterConfig(nranks=3, sanitize=True, shards=2)
+    with pytest.raises(SimulationError, match="sanitize=True"):
+        run_ranks(3, _racy_puts_program, config=cfg)
     monkeypatch.setenv("REPRO_SHARDS", "2")
-    env_faulty = ClusterConfig(nranks=4, faults=FaultPlan(drop_prob=0.1))
-    assert effective_shards(env_faulty) == 1
+    with pytest.raises(RaceError):
+        run_ranks(3, _racy_puts_program, config=ClusterConfig(
+            nranks=3, sanitize=True))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +428,7 @@ def test_dht_verifies_serial():
 
 
 # ---------------------------------------------------------------------------
-# Node-failure plans under sharding (FaultPlan.shardable)
+# Fault plans under sharding
 # ---------------------------------------------------------------------------
 def test_effective_shards_admits_node_failure_plans(monkeypatch):
     monkeypatch.delenv("REPRO_SHARDS", raising=False)
@@ -433,28 +472,47 @@ def _death_put_program(ctx):
     return lost, ctx.now
 
 
-@pytest.mark.parametrize("shards", [2, 4])
-def test_node_death_plan_matches_serial(shards):
-    """Sharded runs accept node-failure-only plans and stay byte-identical
-    — results AND the merged per-worker fault counters (a plain dict
-    merge would keep only the last worker's injector)."""
-    plan = FaultPlan(node_failures={2: 50.0}, detect_us=10.0)
-
+def _death_run_matches_serial(plan, shards):
     def go(n):
         res, cluster = run_ranks(
             8, _death_put_program,
             config=ClusterConfig(nranks=8, ranks_per_node=2, shards=n,
                                  faults=plan))
-        return res, cluster.stats()["faults"]
+        assert isinstance(cluster, ShardedRun) == (n > 1)
+        return res, cluster.stats()
 
-    serial_res, serial_faults = go(1)
-    shard_res, shard_faults = go(shards)
+    serial_res, serial_stats = go(1)
+    shard_res, shard_stats = go(shards)
     assert shard_res == serial_res
     assert [msg.split(":")[0] for msg, _ in serial_res[1][0]] == [
         "get 1->2 abandoned", "amo 1->2 abandoned",
         "sys-probe 1->2 abandoned"]
-    assert serial_faults["node-down"] > 0
-    assert shard_faults == serial_faults
+    assert serial_stats["faults"]["node-down"] > 0
+    assert shard_stats == serial_stats
+    return serial_stats["faults"]
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_node_death_plan_matches_serial(shards):
+    """Sharded runs accept node-failure-only plans and stay byte-identical
+    — results AND the merged per-worker fault counters (a plain dict
+    merge would keep only the last worker's injector)."""
+    _death_run_matches_serial(
+        FaultPlan(node_failures={2: 50.0}, detect_us=10.0), shards)
+
+
+@pytest.mark.parametrize("shards", [2, 3, 4])
+def test_node_death_under_a_lossy_plan_matches_serial(shards):
+    """The same program with every probabilistic class on as well: each
+    op's fate comes from its origin rank's stream, which that rank's
+    worker draws in serial order."""
+    faults = _death_run_matches_serial(
+        FaultPlan(node_failures={2: 50.0}, detect_us=10.0, drop_prob=0.2,
+                  dup_prob=0.3, delay_prob=0.3, stall_prob=0.3, seed=9),
+        shards)
+    for cls in ("drop", "retry-ok", "dup", "dup-suppressed", "delay",
+                "stall"):
+        assert faults[cls] > 0, cls
 
 
 # ---------------------------------------------------------------------------
@@ -654,16 +712,19 @@ _WIRE_SAMPLES = {
     "put": dict(origin=3, target=9, nbytes=16, t_commit=4.5, G=2e-4, L=1.1,
                 target_addr=4096, data=np.arange(16, dtype=np.uint8),
                 immediate=7, win_id=2, accumulate="sum",
-                acc_dtype=np.float64, scatter=[(4096, 8), (8192, 8)]),
+                acc_dtype=np.float64, scatter=[(4096, 8), (8192, 8)],
+                fate=TransferFate(retries=1, retry_delay=10.0)),
     "sys": dict(origin=3, target=9, nbytes=0, t_commit=4.5, G=2e-4, L=1.1,
                 sys_ptype="eager", payload={"tag": 5, "ctx": 1},
-                data=np.empty(0, dtype=np.uint8)),
+                data=np.empty(0, dtype=np.uint8),
+                fate=TransferFate(duplicate=True, dup_lag=1.0)),
     "get": dict(origin=3, target=9, nbytes=16, t_exec=4.5, hop=0.25,
                 target_addr=4096, gather=[(4096, 8), (8192, 8)],
-                immediate=7, win_id=2),
+                immediate=7, win_id=2,
+                fate=TransferFate(jitter=0.5, stall=2.0)),
     "amo": dict(origin=3, target=9, nbytes=8, t_exec=4.5, target_addr=4096,
                 amo_op="sum", operand=5, compare=None, acc_dtype=np.int64,
-                immediate=7, win_id=2),
+                immediate=7, win_id=2, fate=TransferFate(jitter=0.25)),
     "ack": dict(origin=9, target=3, t_commit=4.5, t_exec=5.5),
     "get-resp": dict(origin=9, target=3, t_commit=4.5, G=2e-4,
                      data=np.arange(16, dtype=np.uint8)),
