@@ -183,6 +183,7 @@ class Cluster:
         if config.async_progress:
             self.fabric.on_sys_arrival = self._async_progress_hook
         self._ran = False
+        self._until: float | None = None
 
     # -- build hooks (overridden by the sharded core) -------------------
     def _build_sanitizer(self):
@@ -246,6 +247,7 @@ class Cluster:
         if self._ran:
             raise SimulationError("cluster already ran; build a new one")
         self._ran = True
+        self._until = until
         if callable(program):
             programs = [program] * self.cfg.nranks
         else:
@@ -272,8 +274,11 @@ class Cluster:
     # ------------------------------------------------------------------
     @property
     def time(self) -> float:
-        """Final virtual time (µs)."""
-        return self.engine.now
+        """Final virtual time (µs): the last event, or the last
+        completion nobody reads (``Fabric.unread_at``) if that is later —
+        capped at a bounded run's ``until``, where the engine stops."""
+        end = max(self.engine.now, self.fabric.unread_at)
+        return end if self._until is None else min(end, self._until)
 
     def stats(self) -> dict[str, Any]:
         """Summary counters for tests and reports.
@@ -284,7 +289,7 @@ class Cluster:
         run merges its workers' stats by one rule.
         """
         out: dict[str, Any] = {
-            "time_us": self.engine.now,
+            "time_us": self.time,
             "wire_transactions": self.tracer.wire_transactions(),
             "bytes_on_wire": self.tracer.bytes_by_kind.get("wire", 0),
             "eager_copies": sum(c.endpoint.eager_copies for c in self.ranks),

@@ -37,6 +37,9 @@ class Communicator:
         self.endpoint = endpoint
         self._endpoints = endpoints
         self.context = context
+        #: the world communicator's ranks are world ranks: its statuses
+        #: pass through untranslated
+        self._is_world = group is None
         if group is None:
             self.group = range(len(endpoints))
             self._local_of = self.group.index  # O(1) on a range
@@ -73,11 +76,10 @@ class Communicator:
                 f"message from world rank {world_rank} outside the group")
 
     def _xlate_status(self, status: Status) -> Status:
-        if status.source >= 0:
-            return Status(source=self._local(status.source),
-                          tag=status.tag, count=status.count,
-                          cancelled=status.cancelled)
-        return status
+        if self._is_world or status.source < 0:
+            return status
+        return Status(source=self._local(status.source), tag=status.tag,
+                      count=status.count, cancelled=status.cancelled)
 
     # -- point to point ----------------------------------------------------
     def send(self, data: np.ndarray, dest: int, tag: int = 0):
@@ -113,10 +115,14 @@ class Communicator:
                  recvbuf: np.ndarray, source: int,
                  recvtag: int) -> Generator[object, object, Status]:
         """Deadlock-free combined send+recv."""
-        rreq = yield from self.irecv(recvbuf, source, recvtag)
-        sreq = yield from self.isend(senddata, dest, sendtag)
-        yield from self.endpoint.wait(sreq)
-        status = yield from self.endpoint.wait(rreq)
+        ep = self.endpoint
+        src = source if source == ANY_SOURCE else self._world(source)
+        rreq = yield from ep.irecv(recvbuf, src, recvtag,
+                                   context=self.context)
+        sreq = yield from ep.isend(senddata, self._world(dest), sendtag,
+                                   context=self.context)
+        yield from ep.wait(sreq)
+        status = yield from ep.wait(rreq)
         return self._xlate_status(status)
 
     def wait(self, req: Request) -> Generator[object, object, Status]:

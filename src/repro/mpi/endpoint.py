@@ -90,11 +90,20 @@ class MpiEndpoint:
         return self.params.copy_o + nbytes * self.params.copy_G
 
     def _touch_bounce(self, nbytes: int, label: str) -> None:
-        """Charge cache pollution for a bounce-buffer copy."""
+        """Charge cache pollution for a bounce-buffer copy.
+
+        The copy streams through the bounce region from its current
+        offset, or from its start when it would run past the end; a
+        message larger than the region wraps around inside it.
+        """
         if nbytes <= 0:
             return
-        if self._bounce_off + nbytes > self._bounce.nbytes:
+        size = self._bounce.nbytes
+        if self._bounce_off + nbytes > size:
             self._bounce_off = 0
+        while nbytes > size:
+            self.ctx.cache.touch(self._bounce.addr, size, label=label)
+            nbytes -= size
         self.ctx.cache.touch(self._bounce.addr + self._bounce_off, nbytes,
                              label=label)
         self._bounce_off += nbytes
@@ -127,7 +136,7 @@ class MpiEndpoint:
             h = self.fabric.send_sys(
                 self.rank, dest, "eager", nbytes + EAGER_HEADER,
                 payload={"tag": tag, "nbytes": nbytes,
-                         "context": context}, data=data)
+                         "context": context}, data=data, remote_done=False)
             if h.cpu_busy:
                 yield self.engine.timeout(h.cpu_busy)
             h.local_done.callbacks.append(lambda _e: req.complete(Status()))
@@ -140,7 +149,8 @@ class MpiEndpoint:
             h = self.fabric.send_sys(
                 self.rank, dest, "rts", RTS_BYTES,
                 payload={"tag": tag, "nbytes": nbytes,
-                         "send_id": req.req_id, "context": context})
+                         "send_id": req.req_id, "context": context},
+                local_done=False, remote_done=False)
             if h.cpu_busy:
                 yield self.engine.timeout(h.cpu_busy)
         return req
@@ -164,7 +174,7 @@ class MpiEndpoint:
             self.rank, sreq.dest, "rdata", sreq.nbytes,
             payload={"recv_id": recv_id, "tag": sreq.tag,
                      "send_id": sreq.req_id},
-            data=sreq.data)
+            data=sreq.data, local_done=False)
         h.remote_done.callbacks.append(lambda _e: sreq.complete(Status()))
         self._pending_sends.pop(sreq.req_id, None)
 
@@ -219,7 +229,8 @@ class MpiEndpoint:
             req.matched_from, req.matched_tag = um.source, um.tag
             h = self.fabric.send_sys(
                 self.rank, um.source, "cts", CTS_BYTES,
-                payload={"send_id": um.send_id, "recv_id": req.req_id})
+                payload={"send_id": um.send_id, "recv_id": req.req_id},
+                local_done=False, remote_done=False)
             if h.cpu_busy:
                 yield self.engine.timeout(h.cpu_busy)
         else:  # pragma: no cover - defensive
@@ -314,7 +325,8 @@ class MpiEndpoint:
             req.matched_from, req.matched_tag = pkt.source, tag
             h = self.fabric.send_sys(
                 self.rank, pkt.source, "cts", CTS_BYTES,
-                payload={"send_id": send_id, "recv_id": req.req_id})
+                payload={"send_id": send_id, "recv_id": req.req_id},
+                local_done=False, remote_done=False)
             if h.cpu_busy:
                 yield self.engine.timeout(h.cpu_busy)
         else:
@@ -351,12 +363,14 @@ class MpiEndpoint:
     # ------------------------------------------------------------------
     def wait(self, req: Request) -> Generator[object, object, Status]:
         """Block until ``req`` completes; returns its :class:`Status`."""
+        inbox = self.nic.sys_inbox
         while not req.done:
-            yield from self.progress()
-            if req.done:
-                break
-            if len(self.nic.sys_inbox):
-                continue
+            if len(inbox):
+                yield from self.progress()
+                if req.done:
+                    break
+                if len(inbox):
+                    continue
             yield self.engine.any_of(
                 [self.nic.sys_arrival.wait(), req.completion])
         assert req.status is not None

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.status import Status
 from repro.sim.engine import Engine, Event
 
@@ -13,24 +14,39 @@ _req_ids = itertools.count(1)
 
 
 class Request:
-    """A nonblocking operation handle; completed via the progress engine."""
+    """A nonblocking operation handle; completed via the progress engine.
 
-    __slots__ = ("req_id", "engine", "done", "status", "completion")
+    :attr:`completion` is built on first ask.  Every reader asks only while
+    the request is not done and attaches at once, so :meth:`complete`
+    schedules it only when someone waits (:meth:`Event.settle`); asked
+    after completion, it is already processed and carries the status.
+    """
+
+    __slots__ = ("req_id", "engine", "done", "status", "_completion")
 
     def __init__(self, engine: Engine):
         self.req_id = next(_req_ids)
         self.engine = engine
         self.done = False
         self.status: Status | None = None
-        self.completion: Event = Event(engine, "req")
+        self._completion: Event | None = None
+
+    @property
+    def completion(self) -> Event:
+        ev = self._completion
+        if ev is None:
+            ev = self._completion = Event(self.engine, "req")
+            if self.done:
+                ev.settle(self.status)
+        return ev
 
     def complete(self, status: Status | None = None) -> None:
         if self.done:
             return
         self.done = True
         self.status = status or Status()
-        if not self.completion.triggered:
-            self.completion.succeed(self.status)
+        if self._completion is not None:
+            self._completion.settle(self.status)
 
 
 class SendRequest(Request):
@@ -40,7 +56,12 @@ class SendRequest(Request):
 
     def __init__(self, engine: Engine, dest: int, tag: int,
                  data: np.ndarray, protocol: str):
-        super().__init__(engine)
+        # Request.__init__ flattened: one request per message sent
+        self.req_id = next(_req_ids)
+        self.engine = engine
+        self.done = False
+        self.status = None
+        self._completion = None
         self.dest = dest
         self.tag = tag
         self.data = data
@@ -57,9 +78,14 @@ class RecvRequest(Request):
 
     def __init__(self, engine: Engine, buf: np.ndarray, source: int,
                  tag: int, context: int = 0):
-        super().__init__(engine)
+        # Request.__init__ flattened: one request per message received
+        self.req_id = next(_req_ids)
         if not isinstance(buf, np.ndarray):
             raise TypeError("receive buffer must be a numpy array")
+        self.engine = engine
+        self.done = False
+        self.status = None
+        self._completion = None
         self.buf = buf
         self.source = source
         self.tag = tag
@@ -68,7 +94,6 @@ class RecvRequest(Request):
         self.matched_tag: int | None = None
 
     def matches(self, source: int, tag: int, context: int = 0) -> bool:
-        from repro.mpi.constants import ANY_SOURCE, ANY_TAG
         if context != self.context:
             return False
         return ((self.source == ANY_SOURCE or self.source == source)

@@ -53,19 +53,20 @@ AMO_RESPONSE_BYTES = 16
 #: applied at commit (``None``: plain overwrite)
 _ACCUMULATE = {None: None, "replace": None, "sum": np.add,
                "max": np.maximum, "min": np.minimum}
-#: send-shape verb -> names of its handle's two completion events
-_SEND_EVENTS = {"put": ("put.local", "put.remote"),
-                "sys": ("sys.local", "sys.remote")}
 
 
 @dataclass(slots=True)
 class OpHandle:
-    """Events and cost of one issued RDMA operation."""
+    """Events and cost of one issued RDMA operation.
+
+    A sys message builds only the completions its caller asked for
+    (:meth:`Fabric.send_sys`); one it did not is ``None``.
+    """
 
     kind: str
     cpu_busy: float
-    local_done: Event
-    remote_done: Event
+    local_done: Event | None
+    remote_done: Event | None
     nbytes: int = 0
     target: int = -1
     #: absolute time the data commits remotely (get: lands locally).  Exact
@@ -186,6 +187,10 @@ class Fabric:
             from repro.network.shardlink import RankTable
             self.nics = RankTable({r: Nic(self, r) for r in local_ranks},
                                   machine.nranks, "nic")
+        #: latest instant a completion nobody reads would have fired (an
+        #: ack landing, a lost op given up on): no event marks it, but the
+        #: run lasts until then (``Cluster.time``)
+        self.unread_at = 0.0
         #: optional hook invoked at sys-packet arrival (async progress)
         self.on_sys_arrival: Callable[[int, SysPacket], None] | None = None
         #: verb -> target half (what :meth:`_hand_off` hands an op to)
@@ -241,6 +246,7 @@ class Fabric:
 
         Retries exhausted or a dead endpoint — the op never reaches its
         target half, so nothing commits and no notification is posted.
+        An event the handle did not build (``None``) is skipped.
         """
         assert self.faults is not None
         err = self.faults.lost_error(handle.kind, origin, handle.target,
@@ -248,6 +254,9 @@ class Fabric:
         handle.failed = True
         handle.commit_at = when = self.engine.now + fate.fail_after
         for ev in events:
+            if ev is None:
+                self.unread_at = max(self.unread_at, when)
+                continue
             # A lost op's completion events may legitimately never be waited
             # on (e.g. a put whose remote_done the program never flushes);
             # defuse so the engine's unobserved-failure report stays quiet.
@@ -299,8 +308,9 @@ class Fabric:
         to the accessed rank's destination CQ (the shm ring within a node)
         at the same instant — the single-transaction guarantee of Fig. 2d.
 
-        Fault-free, the two are separate scheduler events.  On a faulty
-        fabric they travel together as one event, behind an exactly-once
+        Fault-free, both go out as one batch (one sequence number each, so
+        the order is that of two hooks).  On a faulty fabric they travel
+        together as one event, behind an exactly-once
         filter: a transfer is delivered at most twice (``fate.duplicate``
         adds one copy), both deliveries run the one closure built here, and
         only the first applies anything — accumulates, atomics and
@@ -319,10 +329,14 @@ class Fabric:
                                    san=san_op))
 
         if self.faults is None:
-            if apply is not None:
-                self._at(when, apply)
-            if post is not None:
+            if post is None:
+                if apply is not None:
+                    self._at(when, apply)
+                return
+            if apply is None:
                 self._at(when, post)
+            else:
+                self._at_batch(when, (apply, post))
             return
         delivered = False
 
@@ -346,14 +360,16 @@ class Fabric:
     # The send shape: RDMA put and software protocol messages
     # ------------------------------------------------------------------
     def _send(self, verb: str, kind: str, origin: int, target: int,
-              nbytes: int, args: tuple, notified: bool | None = None,
+              nbytes: int, args: tuple, local: Event | None,
+              remote: Event | None, notified: bool | None = None,
               san_track: bool = True) -> OpHandle:
         """Origin half of a put or a sys message, past validation.
 
         Draws the fate and the engine's stall, prices the origin engine
         (shm within a node, else FMA or BTE by ``fma_max``, with the hop
-        and jitter extras), builds the handle and traces the wire
-        transaction (a put's record says
+        and jitter extras), builds the handle around the completions
+        ``local`` and ``remote`` (``None``: not built, nothing scheduled
+        for it) and traces the wire transaction (a put's record says
         whether it is ``notified``; a sys message's has no such key).  A
         lost op stops there.  Otherwise it hands the priced prefix plus
         ``args`` (the verb's own tail of the op tuple) to ``_land_<verb>``,
@@ -380,10 +396,9 @@ class Fabric:
             # no wire: no hop, retransmission or jitter extras
             plan = eng.plan(nbytes, extra_delay=stall if lost else
                             self._hop_extra(origin, target) + extra + stall)
-        local, remote = _SEND_EVENTS[verb]
-        handle = OpHandle(kind, plan.cpu_busy, Event(self.engine, local),
-                          Event(self.engine, remote), nbytes=nbytes,
-                          target=target, commit_at=plan.commit_at)
+        handle = OpHandle(kind, plan.cpu_busy, local, remote,
+                          nbytes=nbytes, target=target,
+                          commit_at=plan.commit_at)
         medium = "shm" if same else "ugni"
         if lost:
             # The origin buffer is still snapshotted (local_done fires),
@@ -395,8 +410,11 @@ class Fabric:
             self.tracer.emit(self.engine.now, "wire", origin, target,
                              nbytes, op=kind, medium=medium, **detail,
                              lost=True)
-            self._at(plan.inject_end, handle.local_done.succeed)
-            return self._fail_lost(handle, origin, fate, handle.remote_done)
+            if local is not None:
+                self._at(plan.inject_end, local.succeed)
+            else:
+                self.unread_at = max(self.unread_at, plan.inject_end)
+            return self._fail_lost(handle, origin, fate, remote)
         if notified is None:
             self.tracer.emit(self.engine.now, "wire", origin, target,
                              nbytes, op=kind, medium=medium)
@@ -415,7 +433,8 @@ class Fabric:
         landed = self._hand_off(verb, handle, same, (
             origin, target, nbytes, plan.commit_at, G, L, *args, fate), san)
         # Origin buffer reuse: data was snapshotted at injection.
-        self._at(plan.inject_end, handle.local_done.succeed)
+        if local is not None:
+            self._at(plan.inject_end, local.succeed)
         if landed is not None:
             self._finish_send(handle, *landed)
         return handle
@@ -423,9 +442,14 @@ class Fabric:
     def _finish_send(self, handle: OpHandle, commit_at: float,
                      ack_at: float) -> None:
         """Return leg of a put or sys message: the ack reaches the origin
-        at ``ack_at``, carrying the commit the target NIC reserved."""
+        at ``ack_at``, carrying the commit the target NIC reserved (an ack
+        nobody reads — no ``remote_done`` — schedules nothing)."""
         handle.commit_at = commit_at
-        self._at(ack_at, handle.remote_done.succeed)
+        acked = handle.remote_done
+        if acked is not None:
+            self._at(ack_at, acked.succeed)
+        else:
+            self.unread_at = max(self.unread_at, ack_at)
 
     def put(self, origin: int, target: int, target_addr: int,
             data: np.ndarray, *, win_id: int | None = None,
@@ -464,7 +488,9 @@ class Fabric:
             target_addr = scatter[0][0] if scatter else target_addr
         return self._send("put", "put", origin, target, nbytes, (
             target_addr, raw, immediate, win_id, accumulate, acc_dtype,
-            scatter), immediate is not None, san_track)
+            scatter), Event(self.engine, "put.local"),
+            Event(self.engine, "put.remote"), immediate is not None,
+            san_track)
 
     def _land_put(self, same: bool, op: tuple,
                   san=None) -> tuple[float, float]:
@@ -517,17 +543,26 @@ class Fabric:
 
     def send_sys(self, origin: int, target: int, ptype: str, nbytes: int,
                  payload: dict | None = None,
-                 data: np.ndarray | None = None) -> OpHandle:
+                 data: np.ndarray | None = None, *,
+                 local_done: bool = True,
+                 remote_done: bool = True) -> OpHandle:
         """Send a protocol message handled in software at the target.
 
         Carries an optional python ``payload`` (headers) and an optional
         ``data`` snapshot (the eager-protocol bounce-buffer copy).  The wire
-        cost is priced like a put of ``nbytes``.
+        cost is priced like a put of ``nbytes``.  ``local_done`` /
+        ``remote_done`` say which completions to build: a caller that
+        never reads one passes ``False``, and the handle's event is
+        ``None`` — no event and no hook are scheduled for it.
         """
         snapshot = None if data is None else np.ascontiguousarray(
             data).view(np.uint8).ravel().copy()
         return self._send("sys", f"sys-{ptype}", origin, target, nbytes,
-                          (ptype, payload, snapshot))
+                          (ptype, payload, snapshot),
+                          Event(self.engine, "sys.local")
+                          if local_done else None,
+                          Event(self.engine, "sys.remote")
+                          if remote_done else None)
 
     def _land_sys(self, same: bool, op: tuple,
                   san_clock: dict | None = None) -> tuple[float, float]:

@@ -345,7 +345,8 @@ class Window:
             if o == self.rank:
                 continue
             h = self.ctx.fabric.send_sys(
-                self.rank, o, f"pscw-post-{self.id}", PSCW_MSG_BYTES)
+                self.rank, o, f"pscw-post-{self.id}", PSCW_MSG_BYTES,
+                local_done=False, remote_done=False)
             if h.cpu_busy:
                 yield self.ctx.engine.timeout(h.cpu_busy)
 
@@ -367,7 +368,8 @@ class Window:
             if t == self.rank:
                 continue
             h = self.ctx.fabric.send_sys(
-                self.rank, t, f"pscw-complete-{self.id}", PSCW_MSG_BYTES)
+                self.rank, t, f"pscw-complete-{self.id}", PSCW_MSG_BYTES,
+                local_done=False, remote_done=False)
             if h.cpu_busy:
                 yield self.ctx.engine.timeout(h.cpu_busy)
         self._epoch = _EPOCH_NONE

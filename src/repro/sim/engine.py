@@ -151,6 +151,24 @@ class Event:
         self.engine._schedule(self, delay, priority)
         return self
 
+    def settle(self, value: Any = None, priority: int = NORMAL) -> None:
+        """Trigger successfully now, scheduling only if someone waits.
+
+        With a callback attached this is :meth:`succeed`.  With none, the
+        event is marked processed in place, carrying ``value``, and costs
+        no scheduler push: an event processed with no callback changes
+        nothing but the sequence counter, so every other event keeps its
+        ``(time, priority, seq)`` order.  Only for events whose observers
+        attach the moment they ask for them (``Signal``, a request's
+        completion): a later ``yield`` would resume through the relay, as
+        for any processed event, not at the push it no longer has.
+        """
+        if self.callbacks:
+            self.succeed(value, priority=priority)
+        else:
+            self._value = value
+            self._state = 2
+
     def defuse(self) -> "Event":
         """Allow this event's failure to go unobserved.
 
@@ -388,18 +406,23 @@ class _Condition(Event):
         self._state = 0
         self._defused = False
         self.name = ""
-        # The one copy of the caller's events.  Most waits are over one or
-        # two; longer inputs dedup by identity (events hash by id) through
-        # dict.fromkeys, keeping first-occurrence order.
+        # The one copy of the caller's events.  Most waits are over two
+        # (an arrival raced against a completion or a timer): checked
+        # unrolled.  Longer inputs dedup by identity (events hash by id)
+        # through dict.fromkeys, keeping first-occurrence order.
         uniq = tuple(events)
         if len(uniq) == 2:
-            if uniq[0] is uniq[1]:
-                uniq = uniq[:1]
-        elif len(uniq) > 2:
-            uniq = tuple(dict.fromkeys(uniq))
-        for ev in uniq:
-            if not isinstance(ev, Event):
-                raise TypeError(f"condition over non-event {ev!r}")
+            a, b = uniq
+            if a is b:
+                uniq = (a,)
+            if not (isinstance(a, Event) and isinstance(b, Event)):
+                raise TypeError(f"condition over non-event in {uniq!r}")
+        else:
+            if len(uniq) > 2:
+                uniq = tuple(dict.fromkeys(uniq))
+            for ev in uniq:
+                if not isinstance(ev, Event):
+                    raise TypeError(f"condition over non-event {ev!r}")
         self._events = uniq
         self._fired: dict[Event, Any] = {}
         if not uniq:

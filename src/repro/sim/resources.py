@@ -55,19 +55,29 @@ class Store:
 
 
 class Signal:
-    """A re-armable broadcast: ``fire(value)`` wakes every current waiter."""
+    """A re-armable broadcast: ``fire(value)`` wakes every current waiter.
+
+    The event is built on the first :meth:`wait` after a fire, and a fire
+    nobody waits on costs no scheduler push (:meth:`Event.settle`): every
+    caller attaches to what :meth:`wait` returns at once.
+    """
 
     __slots__ = ("engine", "name", "_event")
 
     def __init__(self, engine: Engine, name: str = ""):
         self.engine = engine
         self.name = name
-        self._event = Event(engine)
+        self._event: Event | None = None
 
     def wait(self) -> Event:
         """Event that triggers at the next :meth:`fire`. Yield it."""
-        return self._event
+        ev = self._event
+        if ev is None:
+            ev = self._event = Event(self.engine)
+        return ev
 
     def fire(self, value: Any = None) -> None:
-        ev, self._event = self._event, Event(self.engine)
-        ev.succeed(value, priority=URGENT)
+        ev = self._event
+        if ev is not None:
+            self._event = None
+            ev.settle(value, priority=URGENT)

@@ -184,3 +184,23 @@ def test_repetitions_do_not_creep_without_allocator_pins():
 def test_space_bytes_must_be_positive():
     with pytest.raises(AllocationError, match="rank 0.*size.*got 0"):
         Cluster(ClusterConfig(nranks=2, space_bytes=0))
+
+
+def _one_eager_message(ctx):
+    if ctx.rank == 0:
+        yield from ctx.comm.send(np.zeros(8), 1, tag=0)
+    else:
+        yield from ctx.comm.recv(np.zeros(8), 0, tag=0)
+
+
+def test_run_ends_when_the_last_unread_ack_lands():
+    """The eager message's ack is read by nobody and scheduled as no
+    event, yet the run's end is still its landing; a bounded run stops
+    at ``until``."""
+    cluster = Cluster(ClusterConfig(nranks=2))
+    cluster.run(_one_eager_message)
+    assert cluster.time == cluster.fabric.unread_at > cluster.engine.now
+    assert cluster.stats()["time_us"] == cluster.time
+    bounded = Cluster(ClusterConfig(nranks=2))
+    bounded.run(_one_eager_message, until=cluster.engine.now)
+    assert bounded.time == cluster.engine.now

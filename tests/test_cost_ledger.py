@@ -20,13 +20,16 @@ exact counts per operation kind, inter-node (uGNI) and intra-node
 Each is the difference between a run of N = 200 and a run of N = 100
 operations of one fixed 2-rank program (allocate, ``lock_all``, N ops,
 ``flush_all``), i.e. the marginal cost of 100 operations from issue to
-completion with every fixed cost cancelled.  The numbers are compared
-**exactly** to ``benchmarks/cost_ledger.json``, keyed by interpreter
-``major.minor`` (bytecode is a property of the interpreter): a 5 % win
-or loss on an op path is a one-line diff in git history.  Run without
-arguments, this file prints committed -> measured for every row and
-column, with the change in percent; after an intended move, regenerate
-and say why::
+completion with every fixed cost cancelled.  A collective row runs the
+same program on every rank of a 16-rank cluster, one rank per node: the
+``barrier`` row is 100 dissemination barriers (4 rounds of ``sendrecv``
+per rank), the op that fence epochs and the DHT spend their messages
+in.  The numbers are compared **exactly** to
+``benchmarks/cost_ledger.json``, keyed by interpreter ``major.minor``
+(bytecode is a property of the interpreter): a 5 % win or loss on an op
+path is a one-line diff in git history.  Run without arguments, this
+file prints committed -> measured for every row and column, with the
+change in percent; after an intended move, regenerate and say why::
 
     PYTHONPATH=src python tests/test_cost_ledger.py --write
 """
@@ -87,6 +90,11 @@ def _send(ctx, win, n):
         yield from ctx.comm.send(data, 1, tag=1)
 
 
+def _barrier(ctx, win, n):
+    for _ in range(n):
+        yield from ctx.comm.barrier()
+
+
 def _consume_notifications(ctx, win, n):
     req = yield from ctx.na.notify_init(win, source=0, tag=1)
     for _ in range(n):
@@ -110,10 +118,16 @@ OPS = {
     "send_recv": (_send, _recv),
 }
 PLACEMENTS = {"inter": 1, "intra": 2}      # ranks per node
+#: collective row -> (every rank's loop, ranks), one rank per node
+COLLECTIVES = {"barrier": (_barrier, 16)}
 
 
 def _run(op: str, ranks_per_node: int, n: int, settled=None) -> None:
-    origin, target = OPS[op]
+    if op in COLLECTIVES:
+        origin, nranks = COLLECTIVES[op]
+        target = origin
+    else:
+        (origin, target), nranks = OPS[op], 2
 
     def program(ctx):
         win = yield from ctx.win_allocate(_PAYLOAD)
@@ -128,7 +142,7 @@ def _run(op: str, ranks_per_node: int, n: int, settled=None) -> None:
         yield from win.unlock_all()
 
     # a Cluster driven directly is always the serial core
-    Cluster(ClusterConfig(nranks=2, ranks_per_node=ranks_per_node,
+    Cluster(ClusterConfig(nranks=nranks, ranks_per_node=ranks_per_node,
                           sanitize=False)).run(program)
 
 
@@ -187,21 +201,24 @@ def _retained(op: str, ranks_per_node: int, n: int) -> int:
     return alive[0]
 
 
+def _row(op: str, ranks_per_node: int) -> dict[str, int]:
+    _run(op, ranks_per_node, 100)                   # warm caches/imports
+    low = _count(op, ranks_per_node, 100)
+    high = _count(op, ranks_per_node, 200)
+    return {"bytecodes": high[0] - low[0],
+            "kernel": high[1] - low[1],
+            "events": high[2] - low[2],
+            "retained": _retained(op, ranks_per_node, 200)
+            - _retained(op, ranks_per_node, 100)}
+
+
 def measure() -> dict[str, dict[str, int]]:
     """``row -> {bytecodes, kernel, events, retained}`` per 100
     operations."""
-    rows: dict[str, dict[str, int]] = {}
-    for op in OPS:
-        for placement, ranks_per_node in PLACEMENTS.items():
-            _run(op, ranks_per_node, 100)           # warm caches/imports
-            low = _count(op, ranks_per_node, 100)
-            high = _count(op, ranks_per_node, 200)
-            rows[f"{op}.{placement}"] = {
-                "bytecodes": high[0] - low[0],
-                "kernel": high[1] - low[1],
-                "events": high[2] - low[2],
-                "retained": _retained(op, ranks_per_node, 200)
-                - _retained(op, ranks_per_node, 100)}
+    rows = {f"{op}.{placement}": _row(op, ranks_per_node)
+            for op in OPS
+            for placement, ranks_per_node in PLACEMENTS.items()}
+    rows.update({f"{op}.inter": _row(op, 1) for op in COLLECTIVES})
     return rows
 
 

@@ -5,7 +5,10 @@ import pytest
 
 from repro.errors import MatchingError, SimulationError
 from repro.mpi.endpoint import BOUNCE_BYTES, _Unexpected
+from repro.mpi.request import Request
+from repro.mpi.status import Status
 from repro.network.fabric import SysPacket
+from repro.network.loggp import TransportParams
 from tests.conftest import run_cluster
 
 
@@ -84,6 +87,33 @@ def test_bounce_buffer_wraparound():
     assert n * doubles * 8 > BOUNCE_BYTES   # the region really wrapped
 
 
+def test_eager_message_larger_than_bounce_region_stays_inside_it():
+    """An eager message longer than the bounce region (``eager_max``
+    raised past it) wraps its cache charge around inside the region: no
+    line of the allocation behind it is pulled into the cache."""
+    nbytes = 600 * 1024
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            yield from ctx.comm.send(np.zeros(nbytes // 8), 1, tag=0)
+        else:
+            yield from ctx.comm.recv(np.zeros(nbytes // 8), 0, tag=0)
+        return None
+
+    _, cluster = run_cluster(2, prog, ranks_per_node=1,
+                             params=TransportParams(eager_max=1 << 20))
+    ctx = cluster.ranks[1]
+    bounce = ctx.endpoint._bounce
+    assert nbytes > bounce.nbytes == BOUNCE_BYTES
+    assert ctx.endpoint.eager_copies == 1
+    end = bounce.addr + bounce.nbytes
+    line = ctx.cache.line
+    assert not any(ctx.cache.resident(a) for a in
+                   range(end, bounce.addr + nbytes, line))
+    # the last line charged is the wrapped tail's, inside the region
+    assert ctx.cache.resident(bounce.addr + nbytes - bounce.nbytes - line)
+
+
 def test_ctrl_counters_consumed_by_ctrl_wait():
     def prog(ctx):
         if ctx.rank == 0:
@@ -103,3 +133,40 @@ def test_ctrl_counters_consumed_by_ctrl_wait():
 def test_unexpected_dataclass_defaults():
     um = _Unexpected("eager", 0, 1, 8)
     assert um.context == 0 and um.send_id is None
+
+
+def test_request_completion_is_pushed_only_for_a_waiter(engine):
+    """Completed before anyone asked, a request's completion is a
+    processed event holding its status, and costs no push; so does an
+    ``AnyOf`` loser's.  A completion some process waits on wakes it at
+    once."""
+    early = Request(engine)
+    before = engine.events_scheduled()
+    early.complete(Status(source=3, tag=4, count=8))
+    assert engine.events_scheduled() == before
+    ev = early.completion
+    assert ev.processed and ev.value is early.status
+    assert (ev.value.source, ev.value.tag, ev.value.count) == (3, 4, 8)
+
+    loser, winner = Request(engine), Request(engine)
+    woke = []
+
+    def wait_on(req, timeout):
+        fired = yield engine.any_of([engine.timeout(timeout),
+                                     req.completion])
+        woke.append((engine.now, list(fired.values())))
+
+    engine.process(wait_on(loser, 1.0))
+    engine.run()                                 # the timer wins
+    assert woke == [(1.0, [None])]
+    before = engine.events_scheduled()
+    loser.complete()
+    assert engine.events_scheduled() == before
+    assert loser.completion.processed
+
+    engine.process(wait_on(winner, 10.0))
+    engine.run(until=2.0)                        # parked on both
+    status = Status(source=1)
+    winner.complete(status)
+    engine.run()
+    assert woke[1] == (2.0, [status])

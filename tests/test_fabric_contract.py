@@ -3,8 +3,9 @@
 Every fabric verb on a bare :class:`~repro.network.fabric.Fabric` with an
 enabled :class:`~repro.sim.trace.Tracer`, crossed over three axes:
 
-* **op form** — put, notified put, accumulate, scatter put, ``send_sys``,
-  get, notified get (``reliable`` on and off), atomic;
+* **op form** — put, notified put, accumulate, scatter put, ``send_sys``
+  (with both completions, and bare: neither built), get, notified get
+  (``reliable`` on and off), atomic;
 * **placement** — shared memory, an FMA-sized and a BTE-sized inter-node
   transfer (across a dragonfly group, so the hop extra applies);
 * **fate** — clean, lost (dead target node), duplicated + delayed,
@@ -72,6 +73,11 @@ OPS = {
     "send_sys": lambda f, n: f.send_sys(0, 1, "eager", n,
                                         payload={"tag": 7},
                                         data=_payload(n)),
+    "send_sys_bare": lambda f, n: f.send_sys(0, 1, "eager", n,
+                                             payload={"tag": 7},
+                                             data=_payload(n),
+                                             local_done=False,
+                                             remote_done=False),
     "get": lambda f, n: f.get(0, 1, ADDR, n, LOCAL),
     "get_notify": lambda f, n: f.get(0, 1, ADDR, n, LOCAL, win_id=WIN,
                                      immediate=IMM),
@@ -128,8 +134,10 @@ def record(op: str, placement: str, fate: str) -> dict:
         return seen
 
     for i, h in enumerate(handles):
-        h.local_done.callbacks.append(watch(i, "local_done"))
-        h.remote_done.callbacks.append(watch(i, "remote_done"))
+        for name in ("local_done", "remote_done"):
+            ev = getattr(h, name)
+            if ev is not None:       # a bare sys message builds neither
+                ev.callbacks.append(watch(i, name))
     eng.run(detect_deadlock=False)
     nics = []
     for nic in fabric.nics:
@@ -201,6 +209,20 @@ def test_the_contract_sees_each_axis():
     assert any(dict(d).get("fault") == "stall" for *_, d in stall["trace"])
     shm = record("put_notify", "shm", "clean")
     assert shm["nics"][1]["cq"][0][-1] is not None     # inline payload
+
+
+def test_a_bare_sys_message_schedules_only_its_delivery():
+    """With neither completion built, a clean sys message costs one event
+    per op — the deliver — and still lands its packet."""
+    for placement in PLACEMENTS:
+        bare = record("send_sys_bare", placement, "clean")
+        assert bare["events"] == 2, placement
+        assert bare["fired"] == [] and len(bare["nics"][1]["sys"]) == 2
+        full = record("send_sys", placement, "clean")
+        assert {k: v for k, v in bare.items() if k not in ("fired",
+                                                             "events")} \
+            == {k: v for k, v in full.items() if k not in ("fired",
+                                                             "events")}
 
 
 if __name__ == "__main__":

@@ -292,6 +292,25 @@ def test_wire_trace_counts():
     assert fabric.tracer.wire_transactions() == 1 + 2 + 2
 
 
+@pytest.mark.parametrize("fault_plan", [None,
+                                        FaultPlan(node_failures={1: 0.0})],
+                         ids=["clean", "lost"])
+def test_unread_sys_completions_still_end_the_run(fault_plan):
+    """A sys message that builds no completion schedules none, but the
+    run still lasts until its ack lands (or the lost op is given up on):
+    the same end as when the completions are built and fire."""
+    ends = []
+    for built in (True, False):
+        eng, fabric, _ = make_fabric(fault_plan=fault_plan)
+        h = fabric.send_sys(0, 1, "hello", 32, local_done=built,
+                            remote_done=built)
+        assert (h.local_done is None) is (h.remote_done is None) \
+            is (not built)
+        eng.run(detect_deadlock=False)
+        ends.append(max(eng.now, fabric.unread_at))
+    assert ends[0] == ends[1] > 0
+
+
 def test_sys_packet_delivery_and_hook():
     eng, fabric, _ = make_fabric()
     seen = []

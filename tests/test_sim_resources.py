@@ -88,3 +88,25 @@ def test_signal_rearms_after_fire(engine):
     engine.run()
     assert got == [1, 2]
 
+
+
+def test_signal_fire_with_no_waiter_schedules_nothing(engine):
+    """An unwatched fire costs no push; the next ``wait()`` is a fresh
+    pending event, and a fire with that waiter attached wakes it."""
+    sig = Signal(engine)
+    before = engine.events_scheduled()
+    sig.fire("unwatched")
+    assert engine.events_scheduled() == before
+    got = []
+
+    def waiter(e):
+        ev = sig.wait()
+        assert not ev.triggered
+        got.append((yield ev))
+
+    engine.process(waiter(engine))
+    engine.run(detect_deadlock=False)          # the waiter parks
+    assert got == []
+    sig.fire("watched")
+    engine.run()
+    assert got == ["watched"]
