@@ -194,7 +194,7 @@ class CounterEngine:
                 if nxt is not None:
                     timer = self.engine.timeout(nxt - now)
             ev = req.cell.signal.wait()
-            yield ev if timer is None else self.engine.any_of([ev, timer])
+            yield ev if timer is None else (ev, timer)
 
     def request_free(self,
                      req: CounterRequest) -> Generator[object, object, None]:

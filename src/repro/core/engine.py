@@ -282,7 +282,7 @@ class NotifyEngine:
             waits.append(timer)
         if until is not None:
             waits.append(self.engine.timeout(until - now))
-        yield waits[0] if len(waits) == 1 else self.engine.any_of(waits)
+        yield waits[0] if len(waits) == 1 else tuple(waits)
 
     def wait(self, req: NotifyRequest) -> Generator[object, object, Status]:
         """Block until the request completes; returns the status of the

@@ -149,9 +149,8 @@ class Communicator:
                 continue
             if len(self.endpoint.nic.sys_inbox):
                 continue
-            yield self.endpoint.engine.any_of(
-                [self.endpoint.nic.sys_arrival.wait()]
-                + [r.completion for r in reqs])
+            yield (self.endpoint.nic.sys_arrival.wait(),
+                   *[r.completion for r in reqs])
 
     def probe(self, source: int = ANY_SOURCE,
               tag: int = ANY_TAG) -> Generator[object, object, Status]:

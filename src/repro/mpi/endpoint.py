@@ -362,7 +362,13 @@ class MpiEndpoint:
     # completion
     # ------------------------------------------------------------------
     def wait(self, req: Request) -> Generator[object, object, Status]:
-        """Block until ``req`` completes; returns its :class:`Status`."""
+        """Block until ``req`` completes; returns its :class:`Status`.
+
+        A receive parks on the arrival signal alone: only this rank's own
+        progress completes it, and that cannot run while the rank sleeps.
+        A send also wakes on its completion (its ack, or the data leg an
+        async CTS answer started).
+        """
         inbox = self.nic.sys_inbox
         while not req.done:
             if len(inbox):
@@ -371,8 +377,10 @@ class MpiEndpoint:
                     break
                 if len(inbox):
                     continue
-            yield self.engine.any_of(
-                [self.nic.sys_arrival.wait(), req.completion])
+            if isinstance(req, RecvRequest):
+                yield self.nic.sys_arrival.wait()
+            else:
+                yield self.nic.sys_arrival.wait(), req.completion
         assert req.status is not None
         return req.status
 

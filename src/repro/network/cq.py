@@ -64,16 +64,18 @@ class CompletionQueue:
 
     Bounded if ``capacity`` is given — posting to a full bounded CQ raises,
     modelling the overrun failure mode of real hardware CQs (the paper's
-    shared-memory ring is bounded; §IV-C).
+    shared-memory ring is bounded; §IV-C).  Queues that one waiter drains
+    together share one ``arrival`` signal (a NIC's CQ and shm ring).
     """
 
     def __init__(self, engine: Engine, name: str = "",
-                 capacity: int | None = None):
+                 capacity: int | None = None,
+                 arrival: Signal | None = None):
         self.engine = engine
         self.name = name
         self.capacity = capacity
         self._entries: deque[CqEntry] = deque()
-        self.arrival = Signal(engine, name=f"cq:{name}")
+        self.arrival = arrival or Signal(engine, name=f"cq:{name}")
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -110,9 +110,11 @@ class Nic:
         self.shm = ShmTransport(eng, params, name=str(rank))
         #: notifications for Notified Access land here
         self.dest_cq = CompletionQueue(eng, name=f"dest:{rank}")
-        #: shared-memory notification ring (bounded, §IV-C)
+        #: shared-memory notification ring (bounded, §IV-C); a post to
+        #: either queue fires the one arrival signal
         self.shm_ring = CompletionQueue(eng, name=f"ring:{rank}",
-                                        capacity=params.shm_ring_entries)
+                                        capacity=params.shm_ring_entries,
+                                        arrival=self.dest_cq.arrival)
         #: software protocol messages (MP, PSCW control)
         self.sys_inbox: Store = Store(eng, name=f"sys:{rank}")
         self.sys_arrival = Signal(eng, name=f"sysarr:{rank}")
@@ -143,8 +145,7 @@ class Nic:
 
     def notification_arrival(self) -> Event:
         """Event firing on the next notification post to either queue."""
-        return self.fabric.engine.any_of(
-            [self.dest_cq.wait_arrival(), self.shm_ring.wait_arrival()])
+        return self.dest_cq.arrival.wait()
 
 
 class Fabric:

@@ -284,7 +284,8 @@ class Window:
         """Wait for remote completion of all pending ops to ``target``."""
         handles = self._pending.pop(target, None)
         if handles is not None:
-            yield self.ctx.engine.all_of([h.remote_done for h in handles])
+            yield (handles[0].remote_done if len(handles) == 1 else
+                   self.ctx.engine.all_of([h.remote_done for h in handles]))
             san = self._san
             if san is not None:
                 # Remote completion acknowledged: this rank is ordered
@@ -300,7 +301,8 @@ class Window:
         """
         handles = self._pending.get(target)
         if handles is not None:
-            yield self.ctx.engine.all_of([h.local_done for h in handles])
+            yield (handles[0].local_done if len(handles) == 1 else
+                   self.ctx.engine.all_of([h.local_done for h in handles]))
             san = self._san
             if san is not None:
                 # Only the *local* legs (a get's delivery into origin

@@ -6,9 +6,10 @@ unit of the paper's LogGP parameters (L is ~1 µs on uGNI, G is
 fractions of a ns/byte).
 
 The core protocol: a simulated activity is a Python generator.  It yields
-:class:`Event` objects and is resumed with the event's value when the event
-triggers.  Composition uses plain ``yield from``, which lets the MPI-like
-layers expose blocking-looking calls (``yield from comm.send(...)``).
+:class:`Event` objects, or a tuple of them to wait for the first, and is
+resumed with the event's value when the event triggers.  Composition uses
+plain ``yield from``, which lets the MPI-like layers expose blocking-looking
+calls (``yield from comm.send(...)``).
 
 Hot-path design (see docs/architecture.md §9): every simulated microsecond is
 paid for in pure-Python event dispatch, so the inner loop avoids allocation
@@ -18,13 +19,16 @@ heap of distinct timestamps — O(1) for the same-timestamp bursts LogGP
 traffic generates, with whole-tick batch drains — and the classic binary
 heap as its reference oracle.  A process resumes in one frame; resuming one
 whose target already fired goes through a pooled :class:`_Relay`
-instead of a fresh ``Event``; ``succeed``/``fail`` push the schedule record
-inline for the ubiquitous zero-delay case; and both :meth:`Engine.run` and
-:meth:`Engine.step` consume events only through the scheduler's batch
-drain.  The ordering contract is strict: events fire in ``(time, priority,
-schedule-seq)`` order, and none of the fast paths may change the sequence of
-schedule calls — the sanitizer's zero-perturbation guarantee and the
-golden-value tests depend on it.
+instead of a fresh ``Event``; a process that yields a tuple resumes
+straight from the first member to fire, through a :class:`_Waker`, with no
+condition event in between (the runtime's either-or waits all park this
+way; :class:`AnyOf` / :class:`AllOf` remain for composition);
+``succeed``/``fail`` push the schedule record inline for the ubiquitous
+zero-delay case; and both :meth:`Engine.run` and :meth:`Engine.step` consume
+events only through the scheduler's batch drain.  The ordering contract is
+strict: events fire in ``(time, priority, schedule-seq)`` order, and none of
+the fast paths may change the sequence of schedule calls — the sanitizer's
+zero-perturbation guarantee and the golden-value tests depend on it.
 """
 
 from __future__ import annotations
@@ -339,6 +343,14 @@ class Process(Event):
             else:
                 target = gen.throw(event._exc)
             while not isinstance(target, Event):
+                if type(target) is tuple and target:
+                    # ``yield (a, b, ...)``: the first member to fire.
+                    first = self._wait_first(target)
+                    if first is None:
+                        return
+                    if first is not target:
+                        target = first
+                        break
                 # If the generator catches the error and yields a real
                 # event it keeps running; if the error escapes, the crash
                 # path below unregisters the process and fails its event.
@@ -375,6 +387,59 @@ class Process(Event):
             eng._push(eng.now, URGENT, relay)
         else:
             target.callbacks.append(self._resume)
+
+    def _wait_first(self, events: tuple) -> Any:
+        """Park on the first of ``events`` to fire.
+
+        Returns the first member already processed, for the caller to
+        resume through the relay (the one URGENT push an :class:`AnyOf`
+        would make), or ``events`` itself if a member is not an event.
+        Otherwise attaches one :class:`_Waker` to every member and
+        returns ``None``.
+        """
+        first = None
+        for ev in events:
+            if not isinstance(ev, Event):
+                return events
+            if ev._state == 2 and first is None:
+                first = ev
+        if first is None:
+            waker = _Waker(self, events)
+            for ev in events:
+                ev.callbacks.append(waker)
+        return first
+
+
+class _Waker:
+    """Resumes a process from the first event of a ``yield (a, b, ...)``.
+
+    The winner calls it: it detaches itself from the other members, so a
+    loser that fires later wakes nothing, and resumes the process inline
+    with the winner's value, or throws in the winner's failure.  Inline is
+    the dispatch an :class:`AnyOf` would schedule next: its URGENT push at
+    the same instant, minus the event (docs/architecture.md §9).  A slotted
+    object rather than a closure: a closure that removes itself from the
+    callback lists would be a reference cycle through its own cell.
+    """
+
+    __slots__ = ("_proc", "_events")
+
+    def __init__(self, proc: Process, events: tuple[Event, ...]):
+        self._proc = proc
+        self._events: tuple[Event, ...] | None = events
+
+    def __call__(self, event: Event) -> None:
+        # A member with a callback is never reported unobserved, so a
+        # failed winner needs no bookkeeping before it is thrown in.
+        events = self._events
+        if events is None:
+            # A member listed twice: its second callback entry.
+            return
+        self._events = None
+        for ev in events:
+            if ev._state != 2:
+                ev.callbacks.remove(self)
+        self._proc._resume(event)
 
 
 class _Condition(Event):

@@ -208,9 +208,11 @@ def test_stencil_matches_serial(shards):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1b: 550.10073 us serial, 550.11970 us at two shards; "
-    "suspected cause: the exact-tie caveat of docs/architecture.md §11 "
-    "(a global fence releases every rank at one instant)"))
+    "ROADMAP item 1a: 550.10073 us serial, 550.03297 us at two and at "
+    "four shards; two eager barrier tokens (ranks 13, 14) tie on rank "
+    "15's rx link at 135.894265 us, reserved in event order serially "
+    "and in (issue time, origin, op id) order by the sharded core: the "
+    "exact-tie caveat of docs/architecture.md §11"))
 def test_fence_stencil_matches_serial_at_p32():
     """fig1's OneSided(fence) column at P >= 16, cut to well under a
     second: the one paper table that differs under --shards."""
