@@ -141,7 +141,6 @@ _ENGINE_TABLES = {
     }),
     "comm": _bind(Communicator, {
         "send": ("send", {"target": "dest", "tag": "tag"}),
-        "ssend": ("send", {"target": "dest", "tag": "tag"}),
         "isend": ("isend", {"target": "dest", "tag": "tag"}),
         "recv": ("recv", {"source": "source", "tag": "tag"}),
         "irecv": ("irecv", {"source": "source", "tag": "tag"}),
@@ -150,15 +149,12 @@ _ENGINE_TABLES = {
                       "source": "source", "tag": "recvtag"}),
         "wait": ("comm_wait", _REQ),
         "waitall": ("comm_waitall", _REQS),
-        "waitany": ("comm_waitany", _REQS),
         "probe": ("comm_probe", {"source": "source", "tag": "tag"}),
         "iprobe": ("nop", {}),
         "barrier": ("barrier", {}),
         "bcast": ("collective", {}),
         "reduce": ("collective", {}),
         "allreduce": ("collective", {}),
-        "send_typed": ("send", {"target": "dest", "tag": "tag"}),
-        "recv_typed": ("recv", {"source": "source", "tag": "tag"}),
     }),
 }
 

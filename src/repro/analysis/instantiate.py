@@ -165,7 +165,7 @@ _PSCW_KINDS = frozenset({
 #: attribute consumption, so their presence disables both checks
 _POLL_LIKE = frozenset({
     "na_test", "na_testany", "na_probe", "na_waitany", "counter_test",
-    "comm_probe", "comm_waitany",
+    "comm_probe",
 })
 
 

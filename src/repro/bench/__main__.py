@@ -16,9 +16,12 @@ Options:
     DES core with ``N`` shard workers (see :mod:`repro.sim.shard`) —
     within-point parallelism, orthogonal to ``--jobs``.  Every experiment
     prints the serial table, with one known exception: fig1's
-    ``OneSided(fence)`` column at P >= 16 differs in the third digit (a
-    global fence is an exact tie), pinned by a strict ``xfail`` in
-    ``tests/test_shard_equiv.py``.
+    ``OneSided(fence)`` column at P >= 16 differs in the third digit,
+    pinned by strict ``xfail`` tests in ``tests/test_shard_equiv.py``.
+    Two same-instant orderings cause it: two eager barrier tokens tie on
+    one rx link and are reserved in a different order; and an eager
+    delivery commits at the instant the receiving rank's own ``Timeout``
+    ends, dispatched before it serially and after it when sharded.
 ``--json DIR``
     Additionally write a machine-readable ``BENCH_<id>.json`` per
     experiment under ``DIR`` (rows plus wall-time and events/sec metadata).

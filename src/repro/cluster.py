@@ -209,15 +209,10 @@ class Cluster:
     def _build_ranks(self):
         return [Rank(self, r) for r in range(self.cfg.nranks)]
 
-    def _endpoint_table(self):
-        return [ctx.endpoint for ctx in self.ranks]
-
     def _wire_ranks(self) -> None:
         for ctx in self.ranks:
             ctx.endpoint = MpiEndpoint(ctx)
-        endpoints = self._endpoint_table()
-        for ctx in self.ranks:
-            ctx.comm = Communicator(ctx.endpoint, endpoints)
+            ctx.comm = Communicator(ctx.endpoint)
             ctx.na = NotifyEngine(ctx)
             ctx.counters = CounterEngine(ctx)
             ctx.gaspi = OverwriteEngine(ctx)

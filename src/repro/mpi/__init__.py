@@ -16,17 +16,10 @@ wildcards, non-overtaking between same (source, tag) pairs.
 """
 
 from repro.mpi.collectives import (
-    allgather,
     allreduce,
-    alltoall,
     barrier,
     bcast,
-    exscan,
-    gather,
     reduce,
-    reduce_scatter_block,
-    scan,
-    scatter,
     vendor_reduce,
 )
 from repro.mpi.comm import Communicator
@@ -50,11 +43,4 @@ __all__ = [
     "reduce",
     "allreduce",
     "vendor_reduce",
-    "gather",
-    "scatter",
-    "allgather",
-    "alltoall",
-    "exscan",
-    "scan",
-    "reduce_scatter_block",
 ]

@@ -7,6 +7,7 @@
   overhead, standing in for the vendor-optimized ``MPI_Reduce`` the paper
   compares against in Figure 4c (tuned implementations avoid the generic
   request path).
+* ``allreduce`` — ``reduce`` to rank 0, then ``bcast``.
 
 All collectives use the reserved tag space ``COLL_TAG_BASE+``; user code
 should stay below it.
@@ -119,162 +120,3 @@ def allreduce(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op=np.add):
                       0, op)
     yield from bcast(comm, recvbuf, 0)
 
-
-_GATHER_TAG = COLL_TAG_BASE + 4
-_SCATTER_TAG = COLL_TAG_BASE + 5
-_ALLGATHER_TAG = COLL_TAG_BASE + 6
-_ALLTOALL_TAG = COLL_TAG_BASE + 7
-_SCAN_TAG = COLL_TAG_BASE + 8
-
-
-def gather(comm, sendbuf: np.ndarray, recvbuf: np.ndarray | None,
-           root: int = 0):
-    """Gather equal-size contributions to ``root``.
-
-    ``recvbuf`` at the root must be shaped ``(size, *sendbuf.shape)`` (or
-    flat with ``size * sendbuf.size`` elements).  Linear algorithm: fine for
-    the scales this library simulates, and what many MPIs use for small
-    counts.
-    """
-    rank, size = comm.rank, comm.size
-    if rank == root:
-        if recvbuf is None:
-            raise ValueError("root must supply recvbuf")
-        flat = recvbuf.reshape(size, -1)
-        if flat.shape[1] != sendbuf.size:
-            raise ValueError(
-                f"recvbuf rows of {flat.shape[1]} elements cannot hold "
-                f"sendbuf of {sendbuf.size}")
-        flat[root, :] = sendbuf.reshape(-1)
-        reqs = []
-        slots = {}
-        for src in range(size):
-            if src == root:
-                continue
-            tmp = np.empty(sendbuf.size, dtype=sendbuf.dtype)
-            req = yield from comm.irecv(tmp, src, _GATHER_TAG)
-            reqs.append(req)
-            slots[req.req_id] = (src, tmp)
-        yield from comm.waitall(reqs)
-        for src, tmp in slots.values():
-            flat[src, :] = tmp
-    else:
-        yield from comm.send(sendbuf, root, _GATHER_TAG)
-
-
-def scatter(comm, sendbuf: np.ndarray | None, recvbuf: np.ndarray,
-            root: int = 0):
-    """Scatter equal-size rows of ``sendbuf`` (at root) to every rank."""
-    rank, size = comm.rank, comm.size
-    if rank == root:
-        if sendbuf is None:
-            raise ValueError("root must supply sendbuf")
-        flat = sendbuf.reshape(size, -1)
-        if flat.shape[1] != recvbuf.size:
-            raise ValueError(
-                f"sendbuf rows of {flat.shape[1]} elements do not match "
-                f"recvbuf of {recvbuf.size}")
-        reqs = []
-        for dst in range(size):
-            if dst == root:
-                recvbuf.reshape(-1)[:] = flat[root]
-                continue
-            req = yield from comm.isend(np.ascontiguousarray(flat[dst]),
-                                        dst, _SCATTER_TAG)
-            reqs.append(req)
-        yield from comm.waitall(reqs)
-    else:
-        yield from comm.recv(recvbuf.reshape(-1), root, _SCATTER_TAG)
-
-
-def allgather(comm, sendbuf: np.ndarray, recvbuf: np.ndarray):
-    """Bruck-style ring allgather: size-1 rounds, neighbour exchanges."""
-    rank, size = comm.rank, comm.size
-    flat = recvbuf.reshape(size, -1)
-    if flat.shape[1] != sendbuf.size:
-        raise ValueError("recvbuf rows do not match sendbuf size")
-    flat[rank, :] = sendbuf.reshape(-1)
-    if size == 1:
-        return
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    # Pass blocks around the ring; in round r we forward the block that
-    # originated at rank - r.
-    for r in range(size - 1):
-        send_block = (rank - r) % size
-        recv_block = (rank - r - 1) % size
-        tmp = np.empty(sendbuf.size, dtype=recvbuf.dtype)
-        yield from comm.sendrecv(
-            np.ascontiguousarray(flat[send_block]), right,
-            _ALLGATHER_TAG + r, tmp, left, _ALLGATHER_TAG + r)
-        flat[recv_block, :] = tmp
-
-
-def alltoall(comm, sendbuf: np.ndarray, recvbuf: np.ndarray):
-    """Personalized all-to-all of equal-size blocks.
-
-    Shifted-ring exchange: in round ``r`` every rank sends its block for
-    ``rank+r`` and receives its block from ``rank-r`` — uniform for any
-    communicator size.
-    """
-    rank, size = comm.rank, comm.size
-    sflat = sendbuf.reshape(size, -1)
-    rflat = recvbuf.reshape(size, -1)
-    if sflat.shape != rflat.shape:
-        raise ValueError("sendbuf/recvbuf block shapes differ")
-    rflat[rank, :] = sflat[rank]
-    for r in range(1, size):
-        dst = (rank + r) % size
-        src = (rank - r) % size
-        tmp = np.empty(sflat.shape[1], dtype=recvbuf.dtype)
-        yield from comm.sendrecv(
-            np.ascontiguousarray(sflat[dst]), dst, _ALLTOALL_TAG + r,
-            tmp, src, _ALLTOALL_TAG + r)
-        rflat[src, :] = tmp
-
-
-def exscan(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op=np.add):
-    """Exclusive prefix reduction (linear chain; rank 0 gets zeros)."""
-    rank, size = comm.rank, comm.size
-    if rank == 0:
-        recvbuf[...] = 0
-        acc = sendbuf.copy()
-        if size > 1:
-            yield from comm.send(acc, 1, _SCAN_TAG)
-    else:
-        prefix = np.empty_like(sendbuf)
-        yield from comm.recv(prefix, rank - 1, _SCAN_TAG)
-        recvbuf[...] = prefix
-        if rank + 1 < size:
-            yield from comm.send(op(prefix, sendbuf), rank + 1, _SCAN_TAG)
-
-
-def scan(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op=np.add):
-    """Inclusive prefix reduction (linear chain)."""
-    rank, size = comm.rank, comm.size
-    acc = sendbuf.copy()
-    if rank > 0:
-        prefix = np.empty_like(sendbuf)
-        yield from comm.recv(prefix, rank - 1, _SCAN_TAG + 1)
-        acc = op(prefix, acc)
-    recvbuf[...] = acc
-    if rank + 1 < size:
-        yield from comm.send(acc, rank + 1, _SCAN_TAG + 1)
-
-
-def reduce_scatter_block(comm, sendbuf: np.ndarray, recvbuf: np.ndarray,
-                         op=np.add):
-    """Reduce ``size`` equal blocks and scatter block ``i`` to rank ``i``.
-
-    Pairwise-exchange algorithm: in round r each rank sends the block
-    owned by ``rank + r`` (partially reduced) around the ring.  For the
-    simulated scales a simple reduce+scatter composition is used, which
-    matches the semantics exactly.
-    """
-    rank, size = comm.rank, comm.size
-    sflat = sendbuf.reshape(size, -1)
-    if sflat.shape[1] != recvbuf.size:
-        raise ValueError("recvbuf does not match one block of sendbuf")
-    total = np.empty_like(sendbuf) if rank == 0 else None
-    yield from reduce(comm, sendbuf, total, 0, op)
-    yield from scatter(comm, total, recvbuf, 0)

@@ -55,7 +55,6 @@ class _Unexpected:
     nbytes: int
     data: np.ndarray | None = None   # eager payload snapshot
     send_id: int | None = None       # rendezvous send handle
-    context: int = 0                    # communicator context id
 
 
 class MpiEndpoint:
@@ -111,16 +110,9 @@ class MpiEndpoint:
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def isend(self, data: np.ndarray, dest: int, tag: int,
-              context: int = 0,
-              force_rndv: bool = False) -> Generator[object, object,
-                                                     SendRequest]:
-        """Nonblocking send; returns a :class:`SendRequest`.
-
-        ``force_rndv`` sends via rendezvous regardless of size — the
-        synchronous-send (MPI_Ssend) semantics: completion implies the
-        receive has been matched.
-        """
+    def isend(self, data: np.ndarray, dest: int,
+              tag: int) -> Generator[object, object, SendRequest]:
+        """Nonblocking send; returns a :class:`SendRequest`."""
         if tag < 0:
             raise MatchingError(f"send tag must be non-negative, got {tag}")
         if dest == PROC_NULL:
@@ -131,12 +123,12 @@ class MpiEndpoint:
         data = np.ascontiguousarray(data)
         nbytes = int(data.nbytes)
         yield self.engine.timeout(self.params.mpi_overhead)
-        if nbytes <= self.params.eager_max and not force_rndv:
+        if nbytes <= self.params.eager_max:
             req = SendRequest(self.engine, dest, tag, data, "eager")
             h = self.fabric.send_sys(
                 self.rank, dest, "eager", nbytes + EAGER_HEADER,
-                payload={"tag": tag, "nbytes": nbytes,
-                         "context": context}, data=data, remote_done=False)
+                payload={"tag": tag, "nbytes": nbytes}, data=data,
+                remote_done=False)
             if h.cpu_busy:
                 yield self.engine.timeout(h.cpu_busy)
             h.local_done.callbacks.append(lambda _e: req.complete(Status()))
@@ -149,23 +141,15 @@ class MpiEndpoint:
             h = self.fabric.send_sys(
                 self.rank, dest, "rts", RTS_BYTES,
                 payload={"tag": tag, "nbytes": nbytes,
-                         "send_id": req.req_id, "context": context},
+                         "send_id": req.req_id},
                 local_done=False, remote_done=False)
             if h.cpu_busy:
                 yield self.engine.timeout(h.cpu_busy)
         return req
 
-    def send(self, data: np.ndarray, dest: int, tag: int,
-             context: int = 0) -> Generator[object, object, None]:
-        req = yield from self.isend(data, dest, tag, context=context)
-        yield from self.wait(req)
-
-    def ssend(self, data: np.ndarray, dest: int, tag: int,
-              context: int = 0) -> Generator[object, object, None]:
-        """Synchronous send (MPI_Ssend): always rendezvous, so completion
-        guarantees the matching receive was posted."""
-        req = yield from self.isend(data, dest, tag, context=context,
-                                    force_rndv=True)
+    def send(self, data: np.ndarray, dest: int,
+             tag: int) -> Generator[object, object, None]:
+        req = yield from self.isend(data, dest, tag)
         yield from self.wait(req)
 
     def _send_rndv_data(self, sreq: SendRequest, recv_id: int) -> None:
@@ -182,17 +166,16 @@ class MpiEndpoint:
     # receiving
     # ------------------------------------------------------------------
     def irecv(self, buf: np.ndarray, source: int = ANY_SOURCE,
-              tag: int = ANY_TAG,
-              context: int = 0) -> Generator[object, object, RecvRequest]:
+              tag: int = ANY_TAG) -> Generator[object, object, RecvRequest]:
         """Nonblocking receive into ``buf`` (a numpy array)."""
-        req = RecvRequest(self.engine, buf, source, tag, context=context)
+        req = RecvRequest(self.engine, buf, source, tag)
         if source == PROC_NULL:
             req.complete(Status(source=PROC_NULL, tag=tag, count=0))
             return req
         yield self.engine.timeout(T_POST)
         # Check the unexpected queue first, in arrival order.
         for i, um in enumerate(self.unexpected):
-            if req.matches(um.source, um.tag, um.context):
+            if req.matches(um.source, um.tag):
                 del self.unexpected[i]
                 yield from self._deliver_unexpected(req, um)
                 return req
@@ -200,9 +183,8 @@ class MpiEndpoint:
         return req
 
     def recv(self, buf: np.ndarray, source: int = ANY_SOURCE,
-             tag: int = ANY_TAG,
-             context: int = 0) -> Generator[object, object, Status]:
-        req = yield from self.irecv(buf, source, tag, context=context)
+             tag: int = ANY_TAG) -> Generator[object, object, Status]:
+        req = yield from self.irecv(buf, source, tag)
         status = yield from self.wait(req)
         return status
 
@@ -278,18 +260,16 @@ class MpiEndpoint:
         else:
             raise MatchingError(f"unknown protocol packet {pkt.ptype!r}")
 
-    def _match_posted(self, source: int, tag: int,
-                      context: int = 0) -> RecvRequest | None:
+    def _match_posted(self, source: int, tag: int) -> RecvRequest | None:
         for i, req in enumerate(self.posted):
-            if req.matches(source, tag, context):
+            if req.matches(source, tag):
                 del self.posted[i]
                 return req
         return None
 
     def _on_eager(self, pkt: SysPacket):
         tag, nbytes = pkt.payload["tag"], pkt.payload["nbytes"]
-        context = pkt.payload.get("context", 0)
-        req = self._match_posted(pkt.source, tag, context)
+        req = self._match_posted(pkt.source, tag)
         if req is not None:
             if nbytes > req.buf.nbytes:
                 raise MatchingError(
@@ -308,14 +288,12 @@ class MpiEndpoint:
             self._touch_bounce(nbytes, "eager-bounce-in")
             self.bounce_copies += 1
             self.unexpected.append(_Unexpected(
-                "eager", pkt.source, tag, nbytes, data=pkt.data,
-                context=context))
+                "eager", pkt.source, tag, nbytes, data=pkt.data))
 
     def _on_rts(self, pkt: SysPacket):
         tag, nbytes = pkt.payload["tag"], pkt.payload["nbytes"]
         send_id = pkt.payload["send_id"]
-        context = pkt.payload.get("context", 0)
-        req = self._match_posted(pkt.source, tag, context)
+        req = self._match_posted(pkt.source, tag)
         if req is not None:
             if nbytes > req.buf.nbytes:
                 raise MatchingError(
@@ -331,8 +309,7 @@ class MpiEndpoint:
                 yield self.engine.timeout(h.cpu_busy)
         else:
             self.unexpected.append(_Unexpected(
-                "rts", pkt.source, tag, nbytes, send_id=send_id,
-                context=context))
+                "rts", pkt.source, tag, nbytes, send_id=send_id))
 
     def _on_cts(self, pkt: SysPacket) -> None:
         """Answer a CTS: start the zero-copy data leg (no generator — this
@@ -398,24 +375,22 @@ class MpiEndpoint:
     # ------------------------------------------------------------------
     # probe
     # ------------------------------------------------------------------
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-               context: int = 0) -> Generator[object, object,
-                                              Status | None]:
+    def iprobe(self, source: int = ANY_SOURCE,
+               tag: int = ANY_TAG) -> Generator[object, object,
+                                                Status | None]:
         """Nonblocking probe of the unexpected queue (after progress)."""
         yield from self.progress()
         for um in self.unexpected:
-            if um.context != context:
-                continue
             if ((source == ANY_SOURCE or source == um.source)
                     and (tag == ANY_TAG or tag == um.tag)):
                 return Status(source=um.source, tag=um.tag, count=um.nbytes)
         return None
 
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-              context: int = 0) -> Generator[object, object, Status]:
+    def probe(self, source: int = ANY_SOURCE,
+              tag: int = ANY_TAG) -> Generator[object, object, Status]:
         """Blocking probe; the message stays queued for a later recv."""
         while True:
-            st = yield from self.iprobe(source, tag, context)
+            st = yield from self.iprobe(source, tag)
             if st is not None:
                 return st
             if len(self.nic.sys_inbox):

@@ -73,11 +73,10 @@ class SendRequest(Request):
 class RecvRequest(Request):
     """A posted receive awaiting a match."""
 
-    __slots__ = ("buf", "source", "tag", "context", "matched_from",
-                 "matched_tag")
+    __slots__ = ("buf", "source", "tag", "matched_from", "matched_tag")
 
     def __init__(self, engine: Engine, buf: np.ndarray, source: int,
-                 tag: int, context: int = 0):
+                 tag: int):
         # Request.__init__ flattened: one request per message received
         self.req_id = next(_req_ids)
         if not isinstance(buf, np.ndarray):
@@ -89,12 +88,9 @@ class RecvRequest(Request):
         self.buf = buf
         self.source = source
         self.tag = tag
-        self.context = context
         self.matched_from: int | None = None
         self.matched_tag: int | None = None
 
-    def matches(self, source: int, tag: int, context: int = 0) -> bool:
-        if context != self.context:
-            return False
+    def matches(self, source: int, tag: int) -> bool:
         return ((self.source == ANY_SOURCE or self.source == source)
                 and (self.tag == ANY_TAG or self.tag == tag))

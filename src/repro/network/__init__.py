@@ -26,7 +26,6 @@ from repro.network.fabric import Fabric, Nic, SysPacket
 from repro.network.loggp import (
     LogGPParams,
     TransportParams,
-    default_params,
     noc_params,
 )
 from repro.network.topology import Machine
@@ -34,7 +33,6 @@ from repro.network.topology import Machine
 __all__ = [
     "LogGPParams",
     "TransportParams",
-    "default_params",
     "noc_params",
     "Machine",
     "CompletionQueue",

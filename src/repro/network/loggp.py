@@ -118,11 +118,6 @@ class TransportParams:
         return replace(self, **kw)
 
 
-def default_params() -> TransportParams:
-    """The paper-calibrated default fabric parameters."""
-    return TransportParams()
-
-
 def noc_params() -> TransportParams:
     """Parameters for a future large-scale **on-chip** network (§III-A).
 

@@ -11,7 +11,6 @@ plus put/get/accumulate/fetch&op/compare&swap, all with epoch checking (an
 access outside a legal epoch raises :class:`~repro.errors.RmaEpochError`).
 """
 
-from repro.rma.request import RmaRequest, rget, rput, rput_notify
 from repro.rma.window import Window, WindowRegistry, win_allocate, win_create
 
 __all__ = [
@@ -19,8 +18,4 @@ __all__ = [
     "WindowRegistry",
     "win_allocate",
     "win_create",
-    "RmaRequest",
-    "rput",
-    "rget",
-    "rput_notify",
 ]

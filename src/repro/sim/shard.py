@@ -375,10 +375,6 @@ class ShardCluster(Cluster):
         return RankTable({r: Rank(self, r) for r in self._local},
                          self.cfg.nranks, "rank context")
 
-    def _endpoint_table(self):
-        return RankTable({c.rank: c.endpoint for c in self.ranks},
-                         self.cfg.nranks, "endpoint")
-
 
 # ---------------------------------------------------------------------------
 # Worker process

@@ -96,6 +96,23 @@ def test_stats_keys():
         assert key in s
 
 
+def test_cluster_stats_extended_fields():
+    def prog(ctx):
+        win = yield from ctx.win_allocate(256)
+        if ctx.rank == 0:
+            yield from ctx.na.put_notify(win, np.zeros(4), 1, 0, tag=1)
+        else:
+            req = yield from ctx.na.notify_init(win, source=0, tag=1)
+            yield from ctx.na.start(req)
+            yield from ctx.na.wait(req)
+        return None
+
+    _, cluster = run_ranks(2, prog)
+    s = cluster.stats()
+    assert s["rx_bytes"][1] >= 32
+    assert s["live_na_requests"] == 1      # never freed in the program
+
+
 def test_deadlocked_program_raises():
     def prog(ctx):
         if ctx.rank == 0:

@@ -1,10 +1,9 @@
-"""NA testany/waitany/waitall and request-based RMA operations."""
+"""NA testany/waitany/waitall."""
 
 import numpy as np
 import pytest
 
 from repro.errors import MatchingError
-from repro.rma.request import rget, rput, rput_notify
 from tests.conftest import run_cluster
 
 
@@ -83,64 +82,6 @@ def test_testany_empty_rejected():
     with pytest.raises(Exception) as ei:
         run_cluster(1, prog)
     assert isinstance(ei.value.__cause__, MatchingError)
-
-
-# -- request-based RMA --------------------------------------------------------
-def test_rput_local_completion_allows_buffer_reuse():
-    def prog(ctx):
-        win = yield from ctx.win_allocate(128)
-        yield from win.lock_all()
-        if ctx.rank == 0:
-            data = np.full(4, 1.0)
-            req = yield from rput(win, data, 1, 0)
-            yield from req.wait()        # local completion
-            data[:] = -1.0               # safe: snapshot taken
-            yield from req.wait_remote()
-        yield from win.unlock_all()
-        yield from ctx.barrier()
-        if ctx.rank == 1:
-            assert np.allclose(win.local(np.float64, count=4), 1.0)
-        return None
-
-    run_cluster(2, prog)
-
-
-def test_rget_wait_returns_with_data():
-    def prog(ctx):
-        win = yield from ctx.win_allocate(128)
-        if ctx.rank == 1:
-            win.local(np.float64)[:4] = 7.5
-        yield from ctx.barrier()
-        yield from win.lock_all()
-        if ctx.rank == 0:
-            buf = ctx.alloc(32)
-            req = yield from rget(win, buf, 1, 0, nbytes=32)
-            assert not req.test()
-            yield from req.wait()
-            assert np.allclose(buf.ndarray(np.float64), 7.5)
-        yield from win.unlock_all()
-        return None
-
-    run_cluster(2, prog)
-
-
-def test_rput_notify_combines_request_and_notification():
-    def prog(ctx):
-        win = yield from ctx.win_allocate(128)
-        if ctx.rank == 0:
-            req = yield from rput_notify(ctx, win, np.arange(4.0), 1, 0,
-                                         tag=9)
-            yield from req.wait()
-            return "origin-complete"
-        nreq = yield from ctx.na.notify_init(win, source=0, tag=9)
-        yield from ctx.na.start(nreq)
-        st = yield from ctx.na.wait(nreq)
-        assert st.tag == 9
-        assert np.allclose(win.local(np.float64, count=4), np.arange(4.0))
-        return "notified"
-
-    results, _ = run_cluster(2, prog)
-    assert results == ["origin-complete", "notified"]
 
 
 # ---------------------------------------------------------------------------

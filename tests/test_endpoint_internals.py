@@ -132,7 +132,7 @@ def test_ctrl_counters_consumed_by_ctrl_wait():
 
 def test_unexpected_dataclass_defaults():
     um = _Unexpected("eager", 0, 1, 8)
-    assert um.context == 0 and um.send_id is None
+    assert um.data is None and um.send_id is None
 
 
 def test_request_completion_is_pushed_only_for_a_waiter(engine):

@@ -172,6 +172,25 @@ def test_peer_range_checked():
         run_cluster(2, prog)
 
 
+def test_plain_send_completes_eagerly_in_contrast():
+    """A small send completes locally, long before a late receive."""
+    def prog(ctx):
+        if ctx.rank == 0:
+            t0 = ctx.now
+            yield from ctx.comm.send(np.zeros(4), 1, tag=1)
+            dt = ctx.now - t0
+            yield from ctx.barrier()
+            return dt
+        yield from ctx.compute(50.0)
+        buf = np.zeros(4)
+        yield from ctx.comm.recv(buf, 0, 1)
+        yield from ctx.barrier()
+        return None
+
+    results, _ = run_cluster(2, prog)
+    assert results[0] < 5.0                # eager: local completion
+
+
 def test_probe_then_recv():
     def prog(ctx):
         if ctx.rank == 0:

@@ -5,11 +5,11 @@ import pytest
 from repro.apps.overlap import run_overlap
 from repro.apps.pingpong import run_pingpong
 from repro.cluster import ClusterConfig
-from repro.network.loggp import LogGPParams, TransportParams, default_params
+from repro.network.loggp import LogGPParams, TransportParams
 
 
 def test_defaults_match_paper_table1():
-    p = default_params()
+    p = TransportParams()
     assert p.shm.L == pytest.approx(0.25)
     assert p.shm.G == pytest.approx(0.080e-3)
     assert p.fma.L == pytest.approx(1.02)
@@ -19,7 +19,7 @@ def test_defaults_match_paper_table1():
 
 
 def test_defaults_match_paper_call_costs():
-    p = default_params()
+    p = TransportParams()
     assert p.o_send == pytest.approx(0.29)   # t_na
     assert p.o_recv == pytest.approx(0.07)   # o_r
     assert p.t_init == pytest.approx(0.07)
@@ -40,7 +40,7 @@ def test_serialization_includes_gap():
 
 
 def test_engine_selection_by_size_and_locality():
-    p = default_params()
+    p = TransportParams()
     assert p.engine_for(64, same_node=True) is p.shm
     assert p.engine_for(10**6, same_node=True) is p.shm
     assert p.engine_for(p.fma_max, same_node=False) is p.fma
@@ -48,7 +48,7 @@ def test_engine_selection_by_size_and_locality():
 
 
 def test_with_returns_modified_copy():
-    p = default_params()
+    p = TransportParams()
     q = p.with_(eager_max=1024)
     assert q.eager_max == 1024
     assert p.eager_max == 8192

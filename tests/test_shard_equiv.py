@@ -209,10 +209,13 @@ def test_stencil_matches_serial(shards):
 
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 1a: 550.10073 us serial, 550.03297 us at two and at "
-    "four shards; two eager barrier tokens (ranks 13, 14) tie on rank "
-    "15's rx link at 135.894265 us, reserved in event order serially "
-    "and in (issue time, origin, op id) order by the sharded core: the "
-    "exact-tie caveat of docs/architecture.md §11"))
+    "four shards, by two mechanisms: two eager barrier tokens (ranks 13, "
+    "14) tie on rank 15's rx link at 135.894265 us, reserved in event "
+    "order serially and in (issue time, origin, op id) order by the "
+    "sharded core; and, independently, an eager delivery to rank 1 "
+    "commits at 140.83496 us, the instant rank 1's own Timeout ends, "
+    "dispatched before the Timeout serially and after it at two shards "
+    "(docs/architecture.md §11)"))
 def test_fence_stencil_matches_serial_at_p32():
     """fig1's OneSided(fence) column at P >= 16, cut to well under a
     second: the one paper table that differs under --shards."""
@@ -220,6 +223,51 @@ def test_fence_stencil_matches_serial_at_p32():
         return run_stencil("fence", 32, rows=16, cols=1280,
                            config=ClusterConfig(nranks=32, shards=n))
     assert go(2) == go(1)
+
+
+def _commit_tie_program(ctx, commit_offset: float, first_wait: float):
+    """After a barrier rank 0 put_notifies 8 bytes to rank 1 (returns the
+    commit's offset from the barrier exit); rank 1 sleeps ``first_wait``,
+    then until the barrier exit plus ``commit_offset``, and returns its
+    wake offset and whether the notification is already queued."""
+    win = yield from ctx.win_allocate(64)
+    yield from ctx.barrier()
+    t0 = ctx.now
+    if ctx.rank == 0:
+        h = yield from ctx.na.put_notify(win, np.zeros(1), 1, 0, tag=1)
+        return h.commit_at - t0
+    yield ctx.timeout(first_wait)
+    yield ctx.timeout(max(0.0, t0 + commit_offset - ctx.now))
+    return ctx.now - t0, ctx.nic.notification_pending()
+
+
+def _commit_tie(shards: int, commit_offset: float = 0.0,
+                first_wait: float = 0.3):
+    res, _ = run_ranks(2, _commit_tie_program,
+                       args=(commit_offset, first_wait),
+                       config=ClusterConfig(nranks=2, ranks_per_node=1,
+                                            shards=shards))
+    return res
+
+
+def test_commit_tie_reproducer_wakes_at_the_commit():
+    """The premise of the xfail below, in both cores: rank 1's second
+    timeout ends at the bit-identical instant the inter-node put
+    commits."""
+    offset = _commit_tie(1)[0]
+    for shards in (1, 2):
+        commit, (woke, _) = _commit_tie(shards, offset)
+        assert commit == woke == offset
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1a: an inter-node commit and a program event at the "
+    "identical instant fire in push order; serial pushes the commit at "
+    "issue, the sharded core at the next window boundary, so serial "
+    "sees the notification (True) and two shards do not (False)"))
+def test_commit_tied_with_a_timeout_matches_serial():
+    offset = _commit_tie(1)[0]
+    assert _commit_tie(2, offset)[1] == _commit_tie(1, offset)[1]
 
 
 def test_sharded_run_surface_and_stats():

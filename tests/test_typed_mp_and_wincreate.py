@@ -1,54 +1,11 @@
-"""Typed message passing, win_create, and trace analysis."""
+"""win_create: a window over a caller-owned region."""
 
 import numpy as np
 import pytest
 
-from repro.bench.analysis import message_size_histogram, traffic_matrix
-from repro.errors import ReproError, RmaEpochError
-from repro.mpi.datatypes import contiguous, vector
+from repro.errors import RmaEpochError
 from repro.rma.window import WIN_HEADER, win_create
 from tests.conftest import run_cluster
-
-
-# -- typed sends ------------------------------------------------------------
-def test_send_recv_typed_column():
-    rows, cols = 5, 4
-
-    def prog(ctx):
-        col = vector(rows, 1, cols)
-        if ctx.rank == 0:
-            a = np.arange(rows * cols, dtype=np.float64)
-            yield from ctx.comm.send_typed(a, col, 1, tag=3)
-        else:
-            b = np.zeros(rows * cols)
-            st = yield from ctx.comm.recv_typed(b, col, 0, 3)
-            assert st.count == rows * 8
-            got = b.reshape(rows, cols)
-            assert np.allclose(got[:, 0], np.arange(rows) * cols)
-            assert np.allclose(got[:, 1:], 0.0)
-        return None
-
-    run_cluster(2, prog)
-
-
-def test_typed_send_charges_pack_time():
-    def timing(datatype):
-        def prog(ctx):
-            if ctx.rank == 0:
-                a = np.arange(64.0)
-                t0 = ctx.now
-                yield from ctx.comm.send_typed(a, datatype, 1, tag=1)
-                return ctx.now - t0
-            b = np.zeros(64)
-            yield from ctx.comm.recv_typed(b, datatype, 0, 1)
-            return None
-
-        results, _ = run_cluster(2, prog)
-        return results[0]
-
-    strided = timing(vector(8, 1, 8))
-    dense = timing(contiguous(8))
-    assert strided > dense
 
 
 # -- win_create --------------------------------------------------------------
@@ -98,49 +55,3 @@ def test_win_create_supports_notified_access():
 
     run_cluster(2, prog)
 
-
-# -- trace analysis --------------------------------------------------------
-def _traced_traffic():
-    def prog(ctx):
-        if ctx.rank == 0:
-            yield from ctx.comm.send(np.zeros(1024), 1, tag=1)
-            yield from ctx.comm.send(np.zeros(16), 2, tag=2)
-        elif ctx.rank == 1:
-            buf = np.zeros(1024)
-            yield from ctx.comm.recv(buf, 0, 1)
-        else:
-            buf = np.zeros(16)
-            yield from ctx.comm.recv(buf, 0, 2)
-        return None
-
-    _, cluster = run_cluster(3, prog, trace=True)
-    return cluster
-
-
-def test_traffic_matrix():
-    cluster = _traced_traffic()
-    summary = traffic_matrix(cluster.tracer, 3)
-    assert summary.messages[0, 1] == 1
-    assert summary.messages[0, 2] == 1
-    assert summary.bytes_[0, 1] > summary.bytes_[0, 2]
-    assert summary.hottest_pair() == (0, 1)
-    assert summary.imbalance() > 1.0       # rank 0 sends everything
-    assert summary.total_messages == summary.messages.sum()
-
-
-def test_message_size_histogram():
-    cluster = _traced_traffic()
-    hist = message_size_histogram(cluster.tracer)
-    assert sum(hist.values()) == 2
-    assert hist["[4096, 65536)"] == 1      # the 8KB+header message
-
-
-def test_analysis_requires_tracing():
-    def prog(ctx):
-        yield ctx.timeout(0.1)
-
-    _, cluster = run_cluster(1, prog)
-    with pytest.raises(ReproError):
-        traffic_matrix(cluster.tracer, 1)
-    with pytest.raises(ReproError):
-        message_size_histogram(cluster.tracer)
