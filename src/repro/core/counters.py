@@ -165,10 +165,9 @@ class CounterEngine:
         """Block until the counter crosses its threshold.
 
         Counter routes are always source-specific (wildcards are rejected
-        at init), so with node failures planned the wait races the signal
-        against a timer to the next failure-detection instant and raises
-        :class:`~repro.errors.FaultError` naming the dead source at
-        ``death + detect_us`` instead of stalling to deadlock detection.
+        at init), so a dead source raises :class:`~repro.errors.FaultError`
+        naming it at ``death + detect_us``
+        (:meth:`~repro.network.fabric.Nic.block`).
         """
         while True:
             done = yield from self.test(req)
@@ -183,18 +182,8 @@ class CounterEngine:
                 req.consumed += req.expected
                 req.active = False   # satisfied; start() re-arms it
                 return Status(source=req.source, tag=req.tag)
-            timer = None
-            faults = self.ctx.fabric.faults
-            if faults is not None and faults.plan.node_failures:
-                now = self.engine.now
-                if faults.detected(req.source, now):
-                    raise faults.dead_wait_error("counter", self.rank,
-                                                 req.source)
-                nxt = faults.next_detection(now)
-                if nxt is not None:
-                    timer = self.engine.timeout(nxt - now)
-            ev = req.cell.signal.wait()
-            yield ev if timer is None else (ev, timer)
+            yield self.ctx.nic.block(req.cell.signal.wait(), [req.source],
+                                     "counter")
 
     def request_free(self,
                      req: CounterRequest) -> Generator[object, object, None]:

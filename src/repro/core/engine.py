@@ -4,7 +4,7 @@ Requests are advanced **only inside test and wait** (§IV-B): test searches
 the UQ first, then polls the hardware destination completion queues,
 appending non-matching notifications to the UQ for later matching.  Wait
 and waitany are loops around test that sleep in :meth:`NotifyEngine.park`
-— and nowhere else — when nothing is pending.
+when nothing is pending.
 
 Timing constants are calibrated so a single-notification matched test costs
 the paper's receive overhead ``o_r = 0.07 µs`` (Table/model of §V-A); the
@@ -234,55 +234,23 @@ class NotifyEngine:
             return True
         return False
 
-    def _death_timer(self, reqs: list[NotifyRequest]):
-        """Fail-fast support for waits that could block on a dead peer.
-
-        With node failures planned, a blocking wait races its arrival
-        event against a timer to the next failure-*detection* instant
-        (``death + detect_us``) so it re-examines its sources promptly
-        instead of stalling to deadlock detection.  Raises
-        :class:`~repro.errors.FaultError` naming the dead rank when every
-        source the wait can still match is a detected-dead rank — no
-        surviving node can ever complete it.  Wildcard (``ANY_SOURCE``)
-        requests never fail here: any live rank may still match them, so
-        failover for those lives in :mod:`repro.ft`.  Fault-free runs
-        (no injector, or no ``node_failures``) take none of this path.
-        """
-        faults = self.ctx.fabric.faults
-        if faults is None or not faults.plan.node_failures:
-            return None
-        now = self.engine.now
-        dead = [r.source for r in reqs
-                if r.source != ANY_SOURCE and faults.detected(r.source, now)]
-        if dead and len(dead) == len(reqs):
-            raise faults.dead_wait_error("notification", self.rank, dead[0])
-        nxt = faults.next_detection(now)
-        if nxt is None:
-            return None
-        return self.engine.timeout(nxt - now)
-
     def park(self, reqs: list[NotifyRequest],
              until: float | None = None) -> Generator[object, object, None]:
-        """The one place a matching loop goes to sleep.
+        """Where a matching loop goes to sleep.
 
         Returns at once when the NIC already holds a notification or the
-        clock reached ``until``; otherwise blocks on the next arrival,
-        raced against :meth:`_death_timer` of ``reqs`` and the ``until``
-        deadline.  The caller tests again after every return.
+        clock reached ``until``; otherwise sleeps in
+        :meth:`~repro.network.fabric.Nic.block` on the next arrival, with
+        the sources of ``reqs`` and the ``until`` deadline.  The caller
+        tests again after every return.
         """
         nic = self.ctx.nic
         if nic.notification_pending():
             return
-        now = self.engine.now
-        if until is not None and now >= until:
+        if until is not None and self.engine.now >= until:
             return
-        timer = self._death_timer(reqs)
-        waits = [nic.notification_arrival()]
-        if timer is not None:
-            waits.append(timer)
-        if until is not None:
-            waits.append(self.engine.timeout(until - now))
-        yield waits[0] if len(waits) == 1 else tuple(waits)
+        yield nic.block(nic.notification_arrival(),
+                        [r.source for r in reqs], "notification", until)
 
     def wait(self, req: NotifyRequest) -> Generator[object, object, Status]:
         """Block until the request completes; returns the status of the
@@ -290,7 +258,7 @@ class NotifyEngine:
 
         Raises :class:`~repro.errors.FaultError` at the failure-detection
         latency when the request's (specific) source rank has died and the
-        request cannot complete — see :meth:`_death_timer`.
+        request cannot complete — see :meth:`park`.
         """
         reqs = [req]
         while True:

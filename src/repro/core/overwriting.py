@@ -26,6 +26,7 @@ from collections.abc import Generator
 import numpy as np
 
 from repro.errors import MatchingError
+from repro.mpi.constants import ANY_SOURCE
 from repro.rma.window import Window
 from repro.sim.resources import Signal
 
@@ -135,7 +136,8 @@ class OverwriteEngine:
             # re-check before arming the signal, or the wakeup is lost.
             if np.any(space._regs()[lo:lo + num]):
                 continue
-            yield space.signal.wait()
+            yield self.ctx.nic.block(space.signal.wait(), (ANY_SOURCE,),
+                                     "register")
 
     # -- origin side --------------------------------------------------------
     def write_notify(self, win: Window, data: np.ndarray, target: int,

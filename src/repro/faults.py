@@ -173,27 +173,17 @@ class FaultInjector:
 
         Failure detection is not instantaneous: a death at ``t`` is only
         reported at ``t + detect_us`` — the same latency after which an
-        in-flight operation against the dead node is failed.
+        in-flight operation against the dead node is failed.  A blocked
+        wait on ``rank`` wakes and fails at this instant
+        (:meth:`~repro.network.fabric.Nic.block`).
         """
-        when = self.plan.node_failures.get(rank)
+        when = self.death_time(rank)
         return None if when is None else when + self.plan.detect_us
 
     def detected(self, rank: int, now: float) -> bool:
         """Has ``rank``'s failure been detected by virtual time ``now``?"""
         at = self.detection_time(rank)
         return at is not None and now >= at
-
-    def next_detection(self, now: float) -> float | None:
-        """The earliest future failure-detection instant after ``now``.
-
-        Blocking wait primitives race their wakeup event against a timer
-        to this instant so a wait on a dying peer fails promptly at
-        ``detect_us`` instead of stalling to deadlock detection.
-        """
-        times = [when + self.plan.detect_us
-                 for when in self.plan.node_failures.values()
-                 if when + self.plan.detect_us > now]
-        return min(times, default=None)
 
     def transfer_fate(self, origin: int, target: int, nbytes: int,
                       medium: str, now: float) -> TransferFate:

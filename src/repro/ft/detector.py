@@ -21,24 +21,21 @@ class FailureDetector:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        faults = ctx.fabric.faults
-        self.plan = faults.plan if faults is not None else None
+        self.faults = ctx.fabric.faults
 
     @property
     def detect_us(self) -> float:
         """Failure-detection latency (0 when no plan is active)."""
-        return 0.0 if self.plan is None else self.plan.detect_us
+        return 0.0 if self.faults is None else self.faults.plan.detect_us
 
     def death_time(self, rank: int) -> float | None:
         """When ``rank`` dies (µs), or None if it never does."""
-        if self.plan is None:
-            return None
-        return self.plan.node_failures.get(rank)
+        return None if self.faults is None else self.faults.death_time(rank)
 
     def detection_time(self, rank: int) -> float | None:
         """When ``rank``'s death becomes visible (µs), or None."""
-        when = self.death_time(rank)
-        return None if when is None else when + self.plan.detect_us
+        return (None if self.faults is None
+                else self.faults.detection_time(rank))
 
     def is_down(self, rank: int, now: float | None = None) -> bool:
         """Has ``rank`` actually died by ``now`` (ground truth)?"""

@@ -230,7 +230,11 @@ class MpiEndpoint:
     # progress engine
     # ------------------------------------------------------------------
     def progress(self) -> Generator[object, object, int]:
-        """Drain the protocol inbox; returns the number of packets handled."""
+        """Drain the protocol inbox; returns the number of packets handled.
+
+        Returns with the inbox empty: a packet that lands while one is
+        handled is taken in the same pass, so a caller may sleep at once.
+        """
         handled = 0
         while True:
             ok, pkt = self.nic.sys_inbox.try_get()
@@ -341,23 +345,26 @@ class MpiEndpoint:
     def wait(self, req: Request) -> Generator[object, object, Status]:
         """Block until ``req`` completes; returns its :class:`Status`.
 
-        A receive parks on the arrival signal alone: only this rank's own
-        progress completes it, and that cannot run while the rank sleeps.
-        A send also wakes on its completion (its ack, or the data leg an
-        async CTS answer started).
+        A receive sleeps on the arrival signal alone: only this rank's
+        own progress completes it, and that cannot run while the rank
+        sleeps.  A send also wakes on its completion (its ack, or the data
+        leg an async CTS answer started).  Either raises
+        :class:`~repro.errors.FaultError` once its peer is detected dead
+        (:meth:`~repro.network.fabric.Nic.block`).
         """
-        inbox = self.nic.sys_inbox
+        nic = self.nic
+        inbox = nic.sys_inbox
         while not req.done:
             if len(inbox):
                 yield from self.progress()
                 if req.done:
                     break
-                if len(inbox):
-                    continue
             if isinstance(req, RecvRequest):
-                yield self.nic.sys_arrival.wait()
+                yield nic.block(nic.sys_arrival.wait(), [req.source],
+                                "receive")
             else:
-                yield self.nic.sys_arrival.wait(), req.completion
+                yield nic.block((nic.sys_arrival.wait(), req.completion),
+                                [req.dest], "send")
         assert req.status is not None
         return req.status
 
@@ -366,11 +373,6 @@ class MpiEndpoint:
         for req in reqs:
             yield from self.wait(req)
         return [r.status for r in reqs]  # type: ignore[misc]
-
-    def test(self, req: Request) -> Generator[object, object, bool]:
-        """Run one progress pass; returns True if ``req`` completed."""
-        yield from self.progress()
-        return req.done
 
     # ------------------------------------------------------------------
     # probe
@@ -393,9 +395,8 @@ class MpiEndpoint:
             st = yield from self.iprobe(source, tag)
             if st is not None:
                 return st
-            if len(self.nic.sys_inbox):
-                continue
-            yield self.nic.sys_arrival.wait()
+            yield self.nic.block(self.nic.sys_arrival.wait(), [source],
+                                 "probe")
 
     # ------------------------------------------------------------------
     def ctrl_wait(self, ptype: str, sources: list[int],
@@ -412,6 +413,5 @@ class MpiEndpoint:
                     del need[s]
             if not need:
                 return
-            if len(self.nic.sys_inbox):
-                continue
-            yield self.nic.sys_arrival.wait()
+            yield self.nic.block(self.nic.sys_arrival.wait(), list(need),
+                                 ptype)

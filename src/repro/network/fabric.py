@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import FaultError, NetworkError
 from repro.faults import FaultInjector, FaultPlan, TransferFate
+from repro.mpi.constants import ANY_SOURCE
 from repro.network.cq import CompletionQueue, CqEntry
 from repro.network.loggp import TransportParams
 from repro.network.topology import Machine
@@ -146,6 +147,38 @@ class Nic:
     def notification_arrival(self) -> Event:
         """Event firing on the next notification post to either queue."""
         return self.dest_cq.arrival.wait()
+
+    def block(self, arrival, sources, verb: str,
+              until: float | None = None):
+        """What a blocked ``verb`` yields: the one place a rank sleeps.
+
+        ``arrival`` is the event (or tuple of events) that can end the
+        wait and ``sources`` the ranks that could fire it.  With no node
+        failure planned and no deadline that is ``arrival`` itself.  With
+        node failures planned, a wait whose every source is specific and
+        detected dead raises :class:`~repro.errors.FaultError`; any other
+        wait also wakes at the next detection instant among its sources
+        (every planned death for ``ANY_SOURCE``), to check again and fail
+        at ``death + detect_us``.  ``until`` adds a timer to that instant.
+        """
+        faults = self.fabric.faults
+        if until is None and (faults is None
+                              or not faults.plan.node_failures):
+            return arrival
+        eng = self.fabric.engine
+        waits = list(arrival) if type(arrival) is tuple else [arrival]
+        if faults is not None and faults.plan.node_failures:
+            if ANY_SOURCE in sources:
+                sources = faults.plan.node_failures
+            elif all(faults.detected(s, eng.now) for s in sources):
+                raise faults.dead_wait_error(verb, self.rank, sources[0])
+            times = [at for at in map(faults.detection_time, sources)
+                     if at is not None and at > eng.now]
+            if times:
+                waits.append(eng.timeout(min(times) - eng.now))
+        if until is not None:
+            waits.append(eng.timeout(until - eng.now))
+        return waits[0] if len(waits) == 1 else tuple(waits)
 
 
 class Fabric:

@@ -42,14 +42,34 @@ def test_detector_visibility_latency():
         assert not det.detected(1, 124.999)
         assert det.detected(1, 125.0)
         assert det.live([0, 1, 2], 200.0) == [0, 2]
-        # the sleep primitive's timer comes from the injector itself
-        faults = ctx.fabric.faults
-        assert faults.next_detection(0.0) == 125.0
-        assert faults.next_detection(125.0) is None  # strict: no busy loop
         return "ok"
 
     results, _ = run_cluster(3, prog, faults=plan, ranks_per_node=1)
     assert results == ["ok"] * 3
+
+
+def test_block_wakes_at_detection_and_never_busy_loops():
+    """``Nic.block`` times a wait to the next detection instant among its
+    sources; at that instant it arms no zero-delay timer."""
+    plan = FaultPlan(node_failures={1: 100.0}, detect_us=25.0)
+
+    def prog(ctx):
+        if ctx.rank != 0:
+            return None
+        nic = ctx.nic
+        arrival = nic.sys_arrival.wait()
+        yield nic.block(arrival, [ANY_SOURCE], "receive")
+        assert ctx.now == 125.0            # woken by rank 1's detection
+        # strict: no busy loop at the instant itself
+        assert nic.block(arrival, [ANY_SOURCE], "receive") is arrival
+        assert nic.block(arrival, [2], "receive") is arrival  # never dies
+        with pytest.raises(FaultError, match="receive wait on rank 0: "
+                                             "peer rank 1 is down"):
+            nic.block(arrival, [1], "receive")
+        return "ok"
+
+    results, _ = run_cluster(3, prog, faults=plan, ranks_per_node=1)
+    assert results[0] == "ok"
 
 
 def test_detector_without_plan_is_inert():
@@ -59,7 +79,7 @@ def test_detector_without_plan_is_inert():
         assert det.detect_us == 0.0
         assert det.death_time(0) is None and not det.detected(0)
         assert det.live([0, 1]) == [0, 1]
-        assert not hasattr(det, "timer")     # one sleep: ctx.na.park
+        assert not hasattr(det, "timer")     # one sleep: Nic.block
         return "ok"
 
     results, _ = run_cluster(2, prog)
@@ -269,49 +289,116 @@ def test_pack_unpack_roundtrip():
 # hang to DeadlockError, and the error names the dead peer
 # ---------------------------------------------------------------------------
 
-def test_notification_wait_on_dead_source_fails_promptly():
+def _na_wait(ctx, win):
+    req = yield from ctx.na.notify_init(win, source=0, tag=0)
+    yield from ctx.na.start(req)
+    yield from ctx.na.wait(req)
+
+
+def _counter_wait(ctx, win):
+    req = yield from ctx.counters.counter_init(win, source=0, tag=1)
+    yield from ctx.counters.start(req)
+    yield from ctx.counters.wait(req)
+
+
+def _rndv_send(ctx, win):
+    big = np.zeros(ctx.params.eager_max + 1, dtype=np.uint8)
+    yield from ctx.endpoint.send(big, 0, 3)      # rank 0 never receives
+
+
+def _probe(ctx, win):
+    yield from ctx.endpoint.probe(source=0)
+
+
+def _pscw_start(ctx, win):
+    yield from win.start([0])                    # rank 0 never posts
+
+
+def _barrier(ctx, win):
+    yield from ctx.barrier()                     # rank 0 never enters
+
+
+#: verb -> (blocking call on rank 1, the verb the FaultError names)
+DEAD_PEER_WAITS = {
+    "notification": (_na_wait, "notification wait"),
+    "counter": (_counter_wait, "counter wait"),
+    "rndv_send": (_rndv_send, "send wait"),
+    "probe": (_probe, "probe wait"),
+    "pscw_start": (_pscw_start, "pscw-post-"),
+    "barrier": (_barrier, "receive wait"),
+}
+
+
+@pytest.mark.parametrize("verb", list(DEAD_PEER_WAITS))
+def test_wait_on_dead_peer_fails_promptly(verb):
+    """A verb blocked on a specific dead peer raises a FaultError naming
+    both ranks and the verb at death + detect_us, far from the 100us the
+    deadlock detector would need."""
+    call, named = DEAD_PEER_WAITS[verb]
     plan = FaultPlan(node_failures={0: 40.0}, detect_us=15.0)
 
     def prog(ctx):
         win = yield from ctx.win_allocate(64)
         yield from ctx.barrier()
         if ctx.rank == 1:
-            req = yield from ctx.na.notify_init(win, source=0, tag=0)
-            yield from ctx.na.start(req)
             with pytest.raises(FaultError) as exc:
-                yield from ctx.na.wait(req)
-            assert "rank 0" in str(exc.value)
-            # at death + detect_us plus matching-engine software costs,
-            # far from the 100us the deadlock detector would need
+                yield from call(ctx, win)
+            msg = str(exc.value)
+            assert named in msg and "on rank 1" in msg, msg
+            assert "peer rank 0 is down since t=40us" in msg, msg
+            # at death + detect_us plus the verb's software costs
             assert 55.0 <= ctx.now < 56.0
             return "failed-fast"
-        yield ctx.timeout(100.0)                     # rank 0 never sends
+        yield ctx.timeout(100.0)                     # rank 0 stays silent
         return "idle"
 
     results, _ = run_cluster(2, prog, ranks_per_node=1, faults=plan)
     assert results[1] == "failed-fast"
 
 
-def test_counter_wait_on_dead_source_fails_promptly():
-    plan = FaultPlan(node_failures={0: 40.0}, detect_us=15.0)
+def _any_source_recv(ctx, win):
+    buf = np.zeros(1)
+    st = yield from ctx.endpoint.recv(buf, source=ANY_SOURCE, tag=5)
+    return st.source
+
+
+def _any_source_send(ctx, win):
+    yield from ctx.endpoint.send(np.ones(1), 2, 5)
+
+
+def _waitsome(ctx, win):
+    slot, _ = yield from ctx.gaspi.waitsome(ctx.gaspi.spaces[win.id])
+    return slot
+
+
+def _write_notify(ctx, win):
+    yield from ctx.gaspi.write_notify(win, np.ones(1), 2, 0, slot=3)
+
+
+@pytest.mark.parametrize("consume, produce, expected", [
+    (_any_source_recv, _any_source_send, 1),
+    (_waitsome, _write_notify, 3),
+], ids=["recv", "waitsome"])
+def test_any_source_wait_survives_dead_rank(consume, produce, expected):
+    """A wait any live rank can end outlives a dead rank's detection."""
+    plan = FaultPlan(node_failures={0: 10.0}, detect_us=5.0)
 
     def prog(ctx):
         win = yield from ctx.win_allocate(64)
+        if ctx.rank == 2:
+            yield from ctx.gaspi.notification_init(win, num=4)
         yield from ctx.barrier()
+        if ctx.rank == 2:
+            got = yield from consume(ctx, win)
+            assert ctx.now > 50.0                    # past rank 0's death
+            return got
         if ctx.rank == 1:
-            req = yield from ctx.counters.counter_init(win, source=0,
-                                                       tag=1)
-            yield from ctx.counters.start(req)
-            with pytest.raises(FaultError) as exc:
-                yield from ctx.counters.wait(req)
-            assert "rank 0" in str(exc.value)
-            assert 55.0 <= ctx.now < 56.0
-            return "failed-fast"
-        yield ctx.timeout(100.0)
-        return "idle"
+            yield ctx.timeout(50.0)
+            yield from produce(ctx, win)
+        return None
 
-    results, _ = run_cluster(2, prog, ranks_per_node=1, faults=plan)
-    assert results[1] == "failed-fast"
+    results, _ = run_cluster(3, prog, ranks_per_node=1, faults=plan)
+    assert results[2] == expected
 
 
 def test_wildcard_wait_survives_dead_rank():
