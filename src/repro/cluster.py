@@ -80,6 +80,10 @@ class ClusterConfig:
 class Rank:
     """Everything one simulated process can see."""
 
+    __slots__ = ("cluster", "rank", "engine", "machine", "fabric", "params",
+                 "space", "cache", "nic", "rng", "endpoint", "comm", "na",
+                 "counters", "gaspi")
+
     def __init__(self, cluster: "Cluster", rank: int):
         self.cluster = cluster
         self.rank = rank

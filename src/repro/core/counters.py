@@ -102,6 +102,8 @@ class CounterRequest:
 class CounterEngine:
     """Per-rank driver for counter-based notified accesses."""
 
+    __slots__ = ("ctx", "rank", "engine", "params", "routes")
+
     def __init__(self, ctx):
         self.ctx = ctx
         self.rank = ctx.rank

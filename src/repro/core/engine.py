@@ -43,6 +43,9 @@ T_SCAN = 0.005
 class NotifyEngine:
     """Notified Access operations and matching for one rank."""
 
+    __slots__ = ("ctx", "rank", "engine", "params", "uq", "live_requests",
+                 "notified_ops", "_san", "_scale")
+
     def __init__(self, ctx):
         self.ctx = ctx
         self.rank = ctx.rank

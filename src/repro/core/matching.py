@@ -45,6 +45,9 @@ class UqEntry:
 class UnexpectedQueue:
     """Arrival-ordered notification queue with cache accounting."""
 
+    __slots__ = ("region", "cache", "slots", "_entries", "_cols", "_win",
+                 "_src", "_tag", "_fresh", "_freed", "appended", "matched")
+
     def __init__(self, region: Region, cache: CacheModel,
                  slots: int = UQ_SLOTS):
         need = slots * CACHE_LINE
@@ -60,10 +63,11 @@ class UnexpectedQueue:
         # ``_entries`` so a lookup can compare the whole queue in one
         # vectorized pass instead of a Python loop per entry — the §V
         # high-fan-in case queues thousands of wildcard notifications.
-        # Below ``_VECTOR_MIN`` entries nothing reads them, so they start
-        # at that size and double on demand up to ``slots``.
-        self._cols = np.empty((3, min(_VECTOR_MIN, slots)), dtype=np.int64)
-        self._win, self._src, self._tag = self._cols
+        # Below ``_VECTOR_MIN`` entries nothing reads them, so they are
+        # built when the queue first reaches that depth (most never do)
+        # and double on demand up to ``slots``.
+        self._cols: np.ndarray | None = None
+        self._win = self._src = self._tag = self._cols
         # Free slots, lowest index first (keeps the layout compact): every
         # slot at or above ``_fresh`` has never been handed out, every
         # free slot below it sits in the ``_freed`` heap.  Not a rotating
@@ -97,12 +101,18 @@ class UnexpectedQueue:
         entry = UqEntry(win_id, source, tag, nbytes, time, slot_addr,
                         san=san)
         n = len(self._entries)
-        if n == len(self._win):
-            self._grow(n)
-        self._win[n] = win_id
-        self._src[n] = source
-        self._tag[n] = tag
         self._entries.append(entry)
+        if self._cols is not None:
+            if n == len(self._win):
+                self._grow(n)
+            self._win[n] = win_id
+            self._src[n] = source
+            self._tag[n] = tag
+        elif n + 1 == _VECTOR_MIN:
+            self._cols = np.array([(e.win_id, e.source, e.tag)
+                                   for e in self._entries],
+                                  dtype=np.int64).T.copy()
+            self._win, self._src, self._tag = self._cols
         self.appended += 1
         self.cache.touch(slot_addr, CACHE_LINE, label="na-uq-append")
         return entry
@@ -144,7 +154,7 @@ class UnexpectedQueue:
         entries = self._entries
         entry = entries.pop(idx)
         n = len(entries)
-        if idx < n:
+        if idx < n and self._cols is not None:
             # Close the gap in the mirror columns (numpy buffers
             # overlapping slice assignment, so in-place shift is safe).
             cols = self._cols
@@ -165,24 +175,24 @@ class UnexpectedQueue:
         win_id = win.id if win is not None else getattr(req, "win_id", None)
         source = getattr(req, "source", None)
         tag = getattr(req, "tag", None)
+        if not entries:
+            return None
         if (len(entries) < _VECTOR_MIN or win_id is None
                 or source is None or tag is None):
             # Short queue or a request shape the bulk compare cannot
-            # introspect: the original scalar scan.
+            # introspect: the scalar scan.
+            idx = -1
             for i, entry in enumerate(entries):
-                self.cache.touch(entry.slot_addr, CACHE_LINE,
-                                 label="na-uq-scan")
                 if req.matches(entry.win_id, entry.source, entry.tag):
-                    return self._remove_at(i)
-            return None
-        idx = self._first_match(win_id, source, tag)
-        # Identical cache accounting to the scalar scan: every slot up to
-        # and including the match (or the whole queue on a miss) is
-        # touched in arrival order.
+                    idx = i
+                    break
+        else:
+            idx = self._first_match(win_id, source, tag)
+        # The scan reads every slot up to and including the match (or the
+        # whole queue on a miss), in arrival order: one cache call.
         stop = idx + 1 if idx >= 0 else len(entries)
-        touch = self.cache.touch
-        for entry in islice(entries, stop):
-            touch(entry.slot_addr, CACHE_LINE, label="na-uq-scan")
+        self.cache.touch_each([e.slot_addr for e in islice(entries, stop)],
+                              CACHE_LINE, label="na-uq-scan")
         if idx < 0:
             return None
         return self._remove_at(idx)

@@ -75,6 +75,8 @@ class NotificationSpace:
 class OverwriteEngine:
     """GASPI-style notified writes for one rank."""
 
+    __slots__ = ("ctx", "rank", "engine", "params", "spaces")
+
     def __init__(self, ctx):
         self.ctx = ctx
         self.rank = ctx.rank

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 from repro.errors import FaultError
+from repro.mpi.constants import ANY_SOURCE
 from repro.sim.rng import RngStream
 from repro.sim.trace import Tracer
 
@@ -276,7 +277,12 @@ class FaultInjector:
 
     def dead_wait_error(self, kind: str, waiter: int,
                         source: int) -> FaultError:
-        """The exception a wait against a detected-dead peer fails with."""
+        """The exception a wait against a detected-dead peer fails with
+        (``source`` is ``ANY_SOURCE`` when every peer is dead)."""
+        if source == ANY_SOURCE:
+            return FaultError(
+                f"{kind} wait on rank {waiter}: every peer rank is down "
+                f"(detected after {self.plan.detect_us:g}us)")
         when = self.plan.node_failures.get(source)
         since = f" since t={when:g}us" if when is not None else ""
         return FaultError(

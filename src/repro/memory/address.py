@@ -123,6 +123,9 @@ class AddressSpace:
     #: so stale live views read garbage instead of plausible old values.
     POISON = 0xDB
 
+    __slots__ = ("rank", "size", "mem", "_holes", "allocated_bytes",
+                 "peak_bytes", "san", "poison_on_free")
+
     def __init__(self, rank: int, size: int = DEFAULT_SPACE):
         if size <= 0:
             raise AllocationError(

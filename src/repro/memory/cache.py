@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 CACHE_LINE = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheStats:
     """Counters accumulated by :class:`CacheModel`."""
 
@@ -49,6 +49,8 @@ class CacheStats:
 
 class CacheModel:
     """Set-associative LRU cache over (space-id, line-address) keys."""
+
+    __slots__ = ("line", "ways", "nsets", "_sets", "stats")
 
     def __init__(self, size_bytes: int = 32 * 1024, ways: int = 8,
                  line: int = CACHE_LINE):
@@ -122,6 +124,42 @@ class CacheModel:
                 if len(st) > ways:
                     del st[0]
                     evictions += 1
+        stats.hits += hits
+        stats.misses += misses
+        stats.evictions += evictions
+        if label and misses:
+            stats.by_label[label] = stats.by_label.get(label, 0) + misses
+        return misses
+
+    def touch_each(self, addrs, nbytes: int, label: str = "") -> int:
+        """:meth:`touch` ``[addr, addr+nbytes)`` of space 0 for each of
+        ``addrs`` in order, in one call: the same per-line LRU order,
+        hits, misses, evictions and ``by_label``.  Returns the line-miss
+        count."""
+        line = self.line
+        span = nbytes - 1 if nbytes > 1 else 0
+        sets = self._sets
+        nsets = self.nsets
+        ways = self.ways
+        hits = misses = evictions = 0
+        for addr in addrs:
+            for key in range(addr // line, (addr + span) // line + 1):
+                st = sets[key % nsets]
+                if st is None:
+                    sets[key % nsets] = [key]
+                    misses += 1
+                elif key in st:
+                    if st[-1] != key:
+                        st.remove(key)
+                        st.append(key)
+                    hits += 1
+                else:
+                    st.append(key)
+                    misses += 1
+                    if len(st) > ways:
+                        del st[0]
+                        evictions += 1
+        stats = self.stats
         stats.hits += hits
         stats.misses += misses
         stats.evictions += evictions

@@ -20,6 +20,8 @@ class Communicator:
     All blocking operations are generators: ``yield from comm.send(...)``.
     """
 
+    __slots__ = ("endpoint", "rank", "size")
+
     def __init__(self, endpoint: MpiEndpoint):
         self.endpoint = endpoint
         self.rank = endpoint.rank

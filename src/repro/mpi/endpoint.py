@@ -60,6 +60,11 @@ class _Unexpected:
 class MpiEndpoint:
     """Message-passing state of one rank."""
 
+    __slots__ = ("ctx", "rank", "engine", "fabric", "nic", "params",
+                 "posted", "unexpected", "_pending_sends", "_rndv_recvs",
+                 "ctrl_counts", "_bounce", "_bounce_off", "eager_copies",
+                 "bounce_copies", "rndv_sends", "_san")
+
     def __init__(self, ctx):
         self.ctx = ctx
         self.rank = ctx.rank
@@ -131,7 +136,7 @@ class MpiEndpoint:
                 remote_done=False)
             if h.cpu_busy:
                 yield self.engine.timeout(h.cpu_busy)
-            h.local_done.callbacks.append(lambda _e: req.complete(Status()))
+            h.local_done.add_callback(lambda _e: req.complete(Status()))
             if h.local_done.processed:
                 req.complete(Status())
         else:
@@ -159,7 +164,7 @@ class MpiEndpoint:
             payload={"recv_id": recv_id, "tag": sreq.tag,
                      "send_id": sreq.req_id},
             data=sreq.data, local_done=False)
-        h.remote_done.callbacks.append(lambda _e: sreq.complete(Status()))
+        h.remote_done.add_callback(lambda _e: sreq.complete(Status()))
         self._pending_sends.pop(sreq.req_id, None)
 
     # ------------------------------------------------------------------

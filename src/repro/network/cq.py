@@ -8,13 +8,15 @@ significant tag bits comes from, and the library enforces it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import NetworkError
 from repro.sim.engine import Engine
 from repro.sim.resources import Signal
+
+#: consumed slots a completion queue keeps before it cuts its list back
+_CUT_BACK = 64
 
 #: Maximum encodable rank / tag (16 bits each inside the 32-bit immediate).
 MAX_IMM_RANK = 0xFFFF
@@ -66,7 +68,15 @@ class CompletionQueue:
     modelling the overrun failure mode of real hardware CQs (the paper's
     shared-memory ring is bounded; §IV-C).  Queues that one waiter drains
     together share one ``arrival`` signal (a NIC's CQ and shm ring).
+
+    The entries are a list read from a head index: an empty queue holds no
+    storage, a short one a few slots (a deque block is 64), and a drained
+    or half-consumed list is cut back, so a poll stays O(1) amortized
+    (docs/architecture.md §9).
     """
+
+    __slots__ = ("engine", "name", "capacity", "_entries", "_head",
+                 "arrival")
 
     def __init__(self, engine: Engine, name: str = "",
                  capacity: int | None = None,
@@ -74,31 +84,49 @@ class CompletionQueue:
         self.engine = engine
         self.name = name
         self.capacity = capacity
-        self._entries: deque[CqEntry] = deque()
-        self.arrival = arrival or Signal(engine, name=f"cq:{name}")
+        #: ``_entries[_head:]`` are queued, oldest first
+        self._entries: list[CqEntry | None] = []
+        self._head = 0
+        self.arrival = arrival or Signal(engine)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) - self._head
 
     def post(self, entry: CqEntry) -> None:
-        if self.capacity is not None and len(self._entries) >= self.capacity:
+        entries = self._entries
+        if (self.capacity is not None
+                and len(entries) - self._head >= self.capacity):
             raise NetworkError(
                 f"completion queue {self.name!r} overrun "
                 f"(capacity {self.capacity})")
-        self._entries.append(entry)
+        entries.append(entry)
         self.arrival.fire(entry)
 
     def poll(self) -> CqEntry | None:
         """Pop the oldest entry, or None if empty (non-blocking)."""
-        if self._entries:
-            return self._entries.popleft()
-        return None
+        entries = self._entries
+        head = self._head
+        if head == len(entries):
+            return None
+        entry = entries[head]
+        head += 1
+        if head == len(entries):
+            entries.clear()
+            head = 0
+        else:
+            entries[head - 1] = None
+            if head >= _CUT_BACK and 2 * head >= len(entries):
+                del entries[:head]
+                head = 0
+        self._head = head
+        return entry
 
     def wait_arrival(self):
         """Event that fires at the next post (yield it from a process)."""
         return self.arrival.wait()
 
     def drain(self) -> list[CqEntry]:
-        out = list(self._entries)
+        out = self._entries[self._head:]
         self._entries.clear()
+        self._head = 0
         return out

@@ -98,17 +98,107 @@ class SysPacket:
     san_clock: dict | None = None
 
 
+class _Commit:
+    """A put's commit at its target: sanitizer commit, then the copy.
+
+    A slotted record, not a closure: from issue to commit it keeps the op
+    tuple it was handed, not a cell per field (docs/architecture.md §9).
+    """
+
+    __slots__ = ("fabric", "op", "san")
+
+    def __init__(self, fabric: "Fabric", op: tuple, san) -> None:
+        self.fabric = fabric
+        self.op = op
+        self.san = san
+
+    def __call__(self) -> None:
+        (origin, target, nbytes, _, _, _, target_addr, raw, _, _,
+         accumulate, acc_dtype, scatter, _) = self.op
+        fab = self.fabric
+        san = self.san
+        if san is not None:
+            # Runs before the zero-byte early-out: a zero-byte notified
+            # put (the flush+notify credit) still carries the in-order
+            # channel's clock to its consumer.
+            san_op, chan, track = san
+            fab.san.op_commit(
+                san_op, origin, target,
+                scatter if scatter is not None else [(target_addr, nbytes)],
+                kind=WRITE if accumulate is None else ATOMIC,
+                chan=chan, record=track)
+        if not nbytes:
+            return
+        space = fab.spaces[target]
+        if scatter is not None:
+            pos = 0
+            for addr, blen in scatter:
+                space.copy_in(addr, raw[pos:pos + blen])
+                pos += blen
+            return
+        ufunc = _ACCUMULATE[accumulate]
+        if ufunc is None:
+            space.copy_in(target_addr, raw)
+            return
+        dst = space.dma_view(target_addr, nbytes, acc_dtype)
+        ufunc(dst, raw.view(acc_dtype), out=dst)
+
+
+class _Deliver:
+    """A sys message's delivery to its target's inbox (like _Commit)."""
+
+    __slots__ = ("fabric", "op", "san_clock")
+
+    def __init__(self, fabric: "Fabric", op: tuple,
+                 san_clock: dict | None) -> None:
+        self.fabric = fabric
+        self.op = op
+        self.san_clock = san_clock
+
+    def __call__(self) -> None:
+        origin, target, nbytes, _, _, _, ptype, payload, data, _ = self.op
+        fab = self.fabric
+        pkt = SysPacket(ptype=ptype, source=origin, target=target,
+                        nbytes=nbytes, payload=dict(payload or {}),
+                        data=data, time=fab.engine.now,
+                        san_clock=self.san_clock)
+        tnic = fab.nics[target]
+        tnic.sys_inbox.put(pkt)
+        tnic.sys_arrival.fire(pkt)
+        if fab.on_sys_arrival is not None:
+            fab.on_sys_arrival(target, pkt)
+
+
+class _Post:
+    """Posts a notification's CqEntry, built at issue, at its landing."""
+
+    __slots__ = ("queue", "entry")
+
+    def __init__(self, queue: CompletionQueue, entry: CqEntry) -> None:
+        self.queue = queue
+        self.entry = entry
+
+    def __call__(self) -> None:
+        entry = self.entry
+        entry.time = self.queue.engine.now
+        self.queue.post(entry)
+
+
 class Nic:
     """One rank's network interface."""
+
+    __slots__ = ("fabric", "rank", "fma", "bte", "shm", "dest_cq",
+                 "shm_ring", "sys_inbox", "sys_arrival", "rx_next_free",
+                 "rx_bytes")
 
     def __init__(self, fabric: "Fabric", rank: int):
         self.fabric = fabric
         self.rank = rank
         params = fabric.params
         eng = fabric.engine
-        self.fma = FmaEngine(eng, params.fma, name=str(rank))
-        self.bte = BteEngine(eng, params.bte, name=str(rank))
-        self.shm = ShmTransport(eng, params, name=str(rank))
+        self.fma = FmaEngine(eng, params.fma)
+        self.bte = BteEngine(eng, params.bte)
+        self.shm = ShmTransport(eng, params)
         #: notifications for Notified Access land here
         self.dest_cq = CompletionQueue(eng, name=f"dest:{rank}")
         #: shared-memory notification ring (bounded, §IV-C); a post to
@@ -117,8 +207,8 @@ class Nic:
                                         capacity=params.shm_ring_entries,
                                         arrival=self.dest_cq.arrival)
         #: software protocol messages (MP, PSCW control)
-        self.sys_inbox: Store = Store(eng, name=f"sys:{rank}")
-        self.sys_arrival = Signal(eng, name=f"sysarr:{rank}")
+        self.sys_inbox: Store = Store(eng)
+        self.sys_arrival = Signal(eng)
         #: receive-side link occupancy horizon (incast serialization)
         self.rx_next_free = 0.0
         self.rx_bytes = 0
@@ -130,16 +220,14 @@ class Nic:
         ring; we merge them oldest-first for deterministic matching order.
         """
         a, b = self.dest_cq, self.shm_ring
-        if len(a) and len(b):
-            # Compare head timestamps without popping.
-            ta = a._entries[0].time
-            tb = b._entries[0].time
-            return a.poll() if ta <= tb else b.poll()
-        if len(a):
-            return a.poll()
-        if len(b):
+        if not len(b):
+            return a.poll() if len(a) else None
+        if not len(a):
             return b.poll()
-        return None
+        # Both hold entries: compare head timestamps without popping.
+        ta = a._entries[a._head].time
+        tb = b._entries[b._head].time
+        return a.poll() if ta <= tb else b.poll()
 
     def notification_pending(self) -> bool:
         return len(self.dest_cq) > 0 or len(self.shm_ring) > 0
@@ -155,11 +243,12 @@ class Nic:
         ``arrival`` is the event (or tuple of events) that can end the
         wait and ``sources`` the ranks that could fire it.  With no node
         failure planned and no deadline that is ``arrival`` itself.  With
-        node failures planned, a wait whose every source is specific and
-        detected dead raises :class:`~repro.errors.FaultError`; any other
-        wait also wakes at the next detection instant among its sources
-        (every planned death for ``ANY_SOURCE``), to check again and fail
-        at ``death + detect_us``.  ``until`` adds a timer to that instant.
+        node failures planned, a wait whose every source is detected dead
+        raises :class:`~repro.errors.FaultError` — for ``ANY_SOURCE``,
+        every rank but this one; any other wait also wakes at the next
+        detection instant among its sources (every planned death for
+        ``ANY_SOURCE``), to check again and fail at ``death + detect_us``.
+        ``until`` adds a timer to that instant.
         """
         faults = self.fabric.faults
         if until is None and (faults is None
@@ -170,6 +259,12 @@ class Nic:
         if faults is not None and faults.plan.node_failures:
             if ANY_SOURCE in sources:
                 sources = faults.plan.node_failures
+                nranks = self.fabric.machine.nranks
+                if len(sources) >= nranks - 1 and all(
+                        faults.detected(r, eng.now)
+                        for r in range(nranks) if r != self.rank):
+                    raise faults.dead_wait_error(verb, self.rank,
+                                                 ANY_SOURCE)
             elif all(faults.detected(s, eng.now) for s in sources):
                 raise faults.dead_wait_error(verb, self.rank, sources[0])
             times = [at for at in map(faults.detection_time, sources)
@@ -350,18 +445,12 @@ class Fabric:
         only the first applies anything — accumulates, atomics and
         notification counters are not idempotent.
         """
-        nic = self.nics[target]
         post = None
         if immediate is not None:
-            queue = nic.shm_ring if same else nic.dest_cq
-
-            def post() -> None:
-                queue.post(CqEntry(kind=kind, source=origin, target=target,
-                                   nbytes=nbytes, time=self.engine.now,
-                                   immediate=immediate, win_id=win_id,
-                                   target_addr=target_addr, inline=inline,
-                                   san=san_op))
-
+            nic = self.nics[target]
+            post = _Post(nic.shm_ring if same else nic.dest_cq, CqEntry(
+                kind, origin, target, nbytes, 0.0, immediate, win_id,
+                target_addr, inline, san_op))
         if self.faults is None:
             if post is None:
                 if apply is not None:
@@ -440,22 +529,15 @@ class Fabric:
             # on a lost protocol message sits in its blocking call until
             # deadlock detection fires — exactly how a lost control
             # message kills an MPI job.
-            detail = {} if notified is None else {"notified": notified}
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             nbytes, op=kind, medium=medium, **detail,
-                             lost=True)
+            self.tracer.wire(self.engine.now, origin, target, nbytes, kind,
+                             medium, notified, lost=True)
             if local is not None:
                 self._at(plan.inject_end, local.succeed)
             else:
                 self.unread_at = max(self.unread_at, plan.inject_end)
             return self._fail_lost(handle, origin, fate, remote)
-        if notified is None:
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             nbytes, op=kind, medium=medium)
-        else:
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             nbytes, op=kind, medium=medium,
-                             notified=notified)
+        self.tracer.wire(self.engine.now, origin, target, nbytes, kind,
+                         medium, notified)
         san = None
         if self.san is not None:
             if verb == "put":
@@ -536,43 +618,15 @@ class Fabric:
         commit and the arrival of its ack at the origin.
         """
         (origin, target, nbytes, t_commit, G, L, target_addr, raw, immediate,
-         win_id, accumulate, acc_dtype, scatter, fate) = op
+         win_id, _, _, _, fate) = op
         commit_at = (t_commit if same
                      else self._rx_reserve(target, t_commit, nbytes, G))
-        space = self.spaces[target]
-
-        def commit() -> None:
-            if san is not None:
-                # Runs before the zero-byte early-out: a zero-byte notified
-                # put (the flush+notify credit) still carries the in-order
-                # channel's clock to its consumer.
-                san_op, chan, track = san
-                self.san.op_commit(
-                    san_op, origin, target,
-                    scatter if scatter is not None
-                    else [(target_addr, nbytes)],
-                    kind=WRITE if accumulate is None else ATOMIC,
-                    chan=chan, record=track)
-            if not nbytes:
-                return
-            if scatter is not None:
-                pos = 0
-                for addr, blen in scatter:
-                    space.copy_in(addr, raw[pos:pos + blen])
-                    pos += blen
-                return
-            ufunc = _ACCUMULATE[accumulate]
-            if ufunc is None:
-                space.copy_in(target_addr, raw)
-                return
-            dst = space.dma_view(target_addr, nbytes, acc_dtype)
-            ufunc(dst, raw.view(acc_dtype), out=dst)
-
         inline = (raw if same and immediate is not None
                   and self.nics[origin].shm.is_inline(nbytes) else None)
-        self._at_target(commit_at, origin, target, "put", same, commit,
-                        fate, immediate, nbytes, win_id, target_addr,
-                        inline, None if san is None else san[0])
+        self._at_target(commit_at, origin, target, "put", same,
+                        _Commit(self, op, san), fate, immediate, nbytes,
+                        win_id, target_addr, inline,
+                        None if san is None else san[0])
         return commit_at, commit_at + L
 
     def send_sys(self, origin: int, target: int, ptype: str, nbytes: int,
@@ -604,23 +658,11 @@ class Fabric:
 
         Returns ``(commit_at, ack_at)`` for the return leg, like a put.
         """
-        origin, target, nbytes, t_commit, G, L, ptype, payload, data, fate = op
+        origin, target, nbytes, t_commit, G, L, ptype, _, _, fate = op
         commit_at = (t_commit if same
                      else self._rx_reserve(target, t_commit, nbytes, G))
-        tnic = self.nics[target]
-
-        def deliver() -> None:
-            pkt = SysPacket(ptype=ptype, source=origin, target=target,
-                            nbytes=nbytes, payload=dict(payload or {}),
-                            data=data, time=self.engine.now,
-                            san_clock=san_clock)
-            tnic.sys_inbox.put(pkt)
-            tnic.sys_arrival.fire(pkt)
-            if self.on_sys_arrival is not None:
-                self.on_sys_arrival(target, pkt)
-
         self._at_target(commit_at, origin, target, f"sys-{ptype}", same,
-                        deliver, fate)
+                        _Deliver(self, op, san_clock), fate)
         return commit_at, commit_at + L
 
     # ------------------------------------------------------------------
@@ -638,9 +680,8 @@ class Fabric:
         if not same:
             handle.cpu_busy = self.nics[origin].fma.plan(
                 header, extra_delay=self._stall(origin, "fma")).cpu_busy
-        self.tracer.emit(self.engine.now, "wire", origin, handle.target,
-                         header, op=wire_op,
-                         medium="shm" if same else "ugni", lost=True)
+        self.tracer.wire(self.engine.now, origin, handle.target, header,
+                         wire_op, "shm" if same else "ugni", lost=True)
         return self._fail_lost(handle, origin, fate, handle.local_done,
                                handle.remote_done)
 
@@ -709,15 +750,13 @@ class Fabric:
             origin, target, nbytes, t_req, hop, target_addr, gather,
             immediate if at_serve else None, win_id, fate), san_op)
         if same:
-            self.tracer.emit(self.engine.now, "wire", origin, target, nbytes,
-                             op="get", medium="shm",
-                             notified=immediate is not None)
+            self.tracer.wire(self.engine.now, origin, target, nbytes, "get",
+                             "shm", immediate is not None)
         else:
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             GET_REQUEST_BYTES, op="get-req", medium="ugni")
-            self.tracer.emit(self.engine.now, "wire", target, origin, nbytes,
-                             op="get-resp", medium="ugni",
-                             notified=immediate is not None)
+            self.tracer.wire(self.engine.now, origin, target,
+                             GET_REQUEST_BYTES, "get-req", "ugni")
+            self.tracer.wire(self.engine.now, target, origin, nbytes,
+                             "get-resp", "ugni", immediate is not None)
         if landed is not None:
             data_at = self._finish_get(*parked, *landed)
             if immediate is not None and not at_serve:
@@ -851,8 +890,8 @@ class Fabric:
             handle.cpu_busy = plan.cpu_busy
             t_exec = self.engine.now + self.params.shm.L
             done_at = plan.commit_at
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             itemsize, op=f"amo-{op}", medium="shm")
+            self.tracer.wire(self.engine.now, origin, target, itemsize,
+                             f"amo-{op}", "shm")
         else:
             hop = self._hop_extra(origin, target)
             extra = fate.extra_delay if fate is not None else 0.0
@@ -861,10 +900,10 @@ class Fabric:
             handle.cpu_busy = req.cpu_busy
             t_exec = req.commit_at
             done_at = t_exec + self.params.fma.L + hop
-            self.tracer.emit(self.engine.now, "wire", origin, target,
-                             AMO_REQUEST_BYTES, op=f"amo-{op}", medium="ugni")
-            self.tracer.emit(self.engine.now, "wire", target, origin,
-                             AMO_RESPONSE_BYTES, op="amo-resp", medium="ugni")
+            self.tracer.wire(self.engine.now, origin, target,
+                             AMO_REQUEST_BYTES, f"amo-{op}", "ugni")
+            self.tracer.wire(self.engine.now, target, origin,
+                             AMO_RESPONSE_BYTES, "amo-resp", "ugni")
         handle.commit_at = t_exec
         if self.san is not None:
             handle.san_remote = self.san.op_begin(origin)

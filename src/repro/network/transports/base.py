@@ -31,10 +31,12 @@ class InjectEngine:
     ``start = max(now, next_free)``, ``busy = g + nbytes * G``.
     """
 
-    def __init__(self, engine: Engine, params: LogGPParams, name: str = ""):
+    __slots__ = ("engine", "params", "next_free", "injected",
+                 "bytes_injected")
+
+    def __init__(self, engine: Engine, params: LogGPParams):
         self.engine = engine
         self.params = params
-        self.name = name
         self.next_free = 0.0
         self.injected = 0
         self.bytes_injected = 0

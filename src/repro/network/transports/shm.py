@@ -25,12 +25,12 @@ class ShmTransport:
     san_channel: str | None = "shm"
     kind = "shm"
 
-    def __init__(self, engine: Engine, params: TransportParams,
-                 name: str = ""):
+    __slots__ = ("engine", "params", "shm", "inline_puts")
+
+    def __init__(self, engine: Engine, params: TransportParams):
         self.engine = engine
         self.params = params
         self.shm: LogGPParams = params.shm
-        self.name = name
         self.inline_puts = 0
 
     def is_inline(self, nbytes: int) -> bool:

@@ -28,9 +28,11 @@ class FmaEngine:
     san_channel: str | None = "fma"
     kind = "fma"
 
-    def __init__(self, engine: Engine, params: LogGPParams, name: str = ""):
+    __slots__ = ("params", "_inject", "engine")
+
+    def __init__(self, engine: Engine, params: LogGPParams):
         self.params = params
-        self._inject = InjectEngine(engine, params, name=f"fma:{name}")
+        self._inject = InjectEngine(engine, params)
         self.engine = engine
 
     def plan(self, nbytes: int, extra_delay: float = 0.0,
@@ -54,9 +56,11 @@ class BteEngine:
     san_channel: str | None = None
     kind = "bte"
 
-    def __init__(self, engine: Engine, params: LogGPParams, name: str = ""):
+    __slots__ = ("params", "_inject", "engine")
+
+    def __init__(self, engine: Engine, params: LogGPParams):
         self.params = params
-        self._inject = InjectEngine(engine, params, name=f"bte:{name}")
+        self._inject = InjectEngine(engine, params)
         self.engine = engine
 
     def plan(self, nbytes: int, extra_delay: float = 0.0,

@@ -28,6 +28,9 @@ WIN_HEADER = 64
 PSCW_MSG_BYTES = 16
 #: fewest ops a window records between two sweeps of completed handles
 _SWEEP_MIN = 4
+#: a target's entry in ``Window._pending`` once a sweep dropped every
+#: handle: the key (and its order) stays, no empty list per target does
+_SWEPT: tuple[()] = ()
 
 _EPOCH_NONE = "none"
 _EPOCH_FENCE = "fence"
@@ -110,12 +113,14 @@ class Window:
         self.id = shared.win_id
         self.rank = ctx.rank
         #: target -> the handles a flush of it waits on, keyed in order of
-        #: the first op since the target's last flush.  A sweep may empty a
-        #: list but keeps its key, so every flush yields exactly when it
-        #: would if no handle were ever dropped.
-        self._pending: dict[int, list[OpHandle]] = {}
-        #: targets whose list held handles at or since the last sweep
-        self._holding: set[int] = set()
+        #: the first op since the target's last flush.  A sweep that drops
+        #: every handle of a target keeps its key (``_SWEPT``), so every
+        #: flush yields exactly when it would if no handle were dropped.
+        self._pending: dict[int, list[OpHandle] | tuple[()]] = {}
+        #: targets whose list went from empty to held since the last
+        #: sweep, plus those the last sweep kept (a target flushed and
+        #: recorded again may be listed twice)
+        self._holding: list[int] = []
         #: ops to record before the next sweep.  A sanitized window never
         #: sweeps (the countdown starts at 0 and steps past it): the
         #: tracker acquires through every handle at the flush.
@@ -165,8 +170,12 @@ class Window:
             "lock_all first)")
 
     def record_pending(self, target: int, handle: OpHandle) -> None:
-        self._pending.setdefault(target, []).append(handle)
-        self._holding.add(target)
+        handles = self._pending.get(target)
+        if handles:
+            handles.append(handle)
+        else:
+            self._pending[target] = [handle]
+            self._holding.append(target)
         self._sweep_in -= 1
         if self._sweep_in == 0:
             self._sweep()
@@ -184,17 +193,19 @@ class Window:
         """
         pending = self._pending
         fma_max = self.ctx.params.fma_max
-        holding = set()
+        holding = []
         kept = 0
-        for target in self._holding:
+        for target in dict.fromkeys(self._holding):
             handles = pending.get(target)
             if handles:
                 handles[:] = [h for h in handles
                               if not h.remote_done.processed or h.failed
                               or h.nbytes > fma_max]
                 if handles:
-                    holding.add(target)
+                    holding.append(target)
                     kept += len(handles)
+                else:
+                    pending[target] = _SWEPT
         self._holding = holding
         self._sweep_in = max(kept, _SWEEP_MIN)
 
@@ -310,8 +321,9 @@ class Window:
                 # acquired: flush_local does not order it.
                 for h in handles:
                     san.acquire_op(self.rank, h.san_local)
-            handles[:] = [h for h in handles
-                          if not h.remote_done.processed]
+            if handles:
+                handles[:] = [h for h in handles
+                              if not h.remote_done.processed]
             if not handles:
                 self._pending.pop(target, None)
 

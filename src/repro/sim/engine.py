@@ -87,7 +87,9 @@ class Event:
 
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
-        self.callbacks: list[Callable[["Event"], None]] = []
+        #: what runs when the event is processed: ``None`` until the first
+        #: attach (most events never get one), then a list
+        self.callbacks: list[Callable[["Event"], None]] | None = None
         self._value: Any = None
         self._exc: BaseException | None = None
         self._state = 0
@@ -173,6 +175,14 @@ class Event:
             self._value = value
             self._state = 2
 
+    def add_callback(self, cb: Callable[["Event"], None]) -> None:
+        """Run ``cb(self)`` when the event is processed."""
+        cbs = self.callbacks
+        if cbs is None:
+            self.callbacks = [cb]
+        else:
+            cbs.append(cb)
+
     def defuse(self) -> "Event":
         """Allow this event's failure to go unobserved.
 
@@ -190,7 +200,7 @@ class Event:
         self._state = 2
         callbacks = self.callbacks
         if callbacks:
-            self.callbacks = []
+            self.callbacks = None
             for cb in callbacks:
                 cb(self)
         elif self._exc is not None and not self._defused:
@@ -215,6 +225,10 @@ class _Relay(Event):
     """
 
     __slots__ = ()
+
+    def __init__(self, engine: "Engine"):
+        super().__init__(engine)
+        self.callbacks = []
 
     def _process(self) -> None:
         self._state = 2
@@ -291,7 +305,7 @@ class Timeout(Event):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
         self.engine = engine
-        self.callbacks = []
+        self.callbacks = None
         self._value = value
         self._exc = None
         self._state = 1
@@ -385,6 +399,8 @@ class Process(Event):
             relay._state = 1
             relay.callbacks.append(self._resume)
             eng._push(eng.now, URGENT, relay)
+        elif target.callbacks is None:
+            target.callbacks = [self._resume]
         else:
             target.callbacks.append(self._resume)
 
@@ -406,7 +422,11 @@ class Process(Event):
         if first is None:
             waker = _Waker(self, events)
             for ev in events:
-                ev.callbacks.append(waker)
+                # add_callback inlined: every either-or wait comes here
+                if ev.callbacks is None:
+                    ev.callbacks = [waker]
+                else:
+                    ev.callbacks.append(waker)
         return first
 
 
@@ -465,7 +485,7 @@ class _Condition(Event):
         # Flattened Event.__init__ (conditions are allocated per composite
         # wait, one of the hottest allocation sites in the MPI layer).
         self.engine = engine
-        self.callbacks = []
+        self.callbacks = None
         self._value = None
         self._exc = None
         self._state = 0
@@ -501,7 +521,7 @@ class _Condition(Event):
             if ev._state == 2:
                 self._collect(ev)
             else:
-                ev.callbacks.append(self._collect)
+                ev.add_callback(self._collect)
 
     def _collect(self, ev: Event) -> None:
         if self._state != 0:
@@ -529,7 +549,9 @@ class _Condition(Event):
     def _detach_children(self) -> None:
         collect = self._collect
         for ev in self._events:
-            if ev._state != 2:
+            # a child the condition triggered before reaching has no
+            # callback of it, and maybe no list
+            if ev._state != 2 and ev.callbacks:
                 try:
                     ev.callbacks.remove(collect)
                 except ValueError:

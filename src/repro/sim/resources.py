@@ -18,7 +18,10 @@ class Store:
     """An unbounded FIFO of items with blocking ``get``.
 
     ``put`` is immediate (the network layers bound their queues explicitly
-    where the paper's protocol requires it).
+    where the paper's protocol requires it).  Each of the two queues (items,
+    blocked getters) is ``()`` while idle and a deque while in use: a get
+    that finds no item drops the emptied deque, so an idle store costs no
+    deque block.
     """
 
     __slots__ = ("engine", "name", "_items", "_getters")
@@ -26,24 +29,34 @@ class Store:
     def __init__(self, engine: Engine, name: str = ""):
         self.engine = engine
         self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
+        self._items: deque[Any] | tuple[()] = ()
+        self._getters: deque[Event] | tuple[()] = ()
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item, priority=URGENT)
-        else:
+        getters = self._getters
+        if getters:
+            ev = getters.popleft()
+            if not getters:
+                self._getters = ()
+            ev.succeed(item, priority=URGENT)
+        elif self._items:
             self._items.append(item)
+        else:
+            self._items = deque((item,))
 
     def get(self) -> Generator[Event, Any, Any]:
         """Blocking get (use with ``yield from``); returns the item."""
         if self._items:
             return self._items.popleft()
+        self._items = ()
         ev = Event(self.engine)
-        self._getters.append(ev)
+        if self._getters:
+            self._getters.append(ev)
+        else:
+            self._getters = deque((ev,))
         item = yield ev
         return item
 
@@ -51,6 +64,7 @@ class Store:
         """Non-blocking get; returns (ok, item)."""
         if self._items:
             return True, self._items.popleft()
+        self._items = ()
         return False, None
 
 

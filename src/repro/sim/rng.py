@@ -24,12 +24,25 @@ def derive_seed(root_seed: int, *labels: object) -> int:
 
 
 class RngStream:
-    """A labelled, independently-seeded ``numpy`` Generator wrapper."""
+    """A labelled, independently-seeded ``numpy`` Generator wrapper.
+
+    The Generator is built at the first draw: a stream nobody draws from
+    (most ranks' in most runs) costs its seed and labels only.
+    """
+
+    __slots__ = ("seed", "labels", "_gen")
 
     def __init__(self, root_seed: int, *labels: object):
         self.seed = derive_seed(root_seed, *labels)
         self.labels = labels
-        self._rng = np.random.default_rng(self.seed)
+        self._gen: np.random.Generator | None = None
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        gen = self._gen
+        if gen is None:
+            gen = self._gen = np.random.default_rng(self.seed)
+        return gen
 
     def child(self, *labels: object) -> "RngStream":
         """Derive a sub-stream (e.g. per-rank from per-experiment)."""

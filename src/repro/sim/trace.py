@@ -59,6 +59,26 @@ class Tracer:
             self.records.append(
                 TraceRecord(time, kind, src, dst, nbytes, detail))
 
+    def wire(self, time: float, src: int, dst: int, nbytes: int, op: str,
+             medium: str, notified: bool | None = None,
+             lost: bool = False) -> None:
+        """Count one wire transaction, as ``emit(..., "wire", ...)`` does.
+
+        The detail dict (``op``, ``medium``, then ``notified`` and
+        ``lost`` where given) is built only when records are kept: with
+        tracing off, a wire transaction allocates nothing here.
+        """
+        self.counters["wire"] += 1
+        self.bytes_by_kind["wire"] += nbytes
+        if self.enabled:
+            detail: dict[str, Any] = {"op": op, "medium": medium}
+            if notified is not None:
+                detail["notified"] = notified
+            if lost:
+                detail["lost"] = True
+            self.records.append(
+                TraceRecord(time, "wire", src, dst, nbytes, detail))
+
     def count(self, kind: str) -> int:
         return self.counters[kind]
 

@@ -137,7 +137,7 @@ def record(op: str, placement: str, fate: str) -> dict:
         for name in ("local_done", "remote_done"):
             ev = getattr(h, name)
             if ev is not None:       # a bare sys message builds neither
-                ev.callbacks.append(watch(i, name))
+                ev.add_callback(watch(i, name))
     eng.run(detect_deadlock=False)
     nics = []
     for nic in fabric.nics:

@@ -401,6 +401,33 @@ def test_any_source_wait_survives_dead_rank(consume, produce, expected):
     assert results[2] == expected
 
 
+@pytest.mark.parametrize("consume", [_any_source_recv, _waitsome],
+                         ids=["recv", "waitsome"])
+def test_any_source_wait_with_no_live_peer_fails(consume):
+    """With every other rank detected dead, nobody can end an ANY_SOURCE
+    wait: it raises a FaultError naming the verb and the waiting rank at
+    death + detect_us, instead of idling into the deadlock detector."""
+    plan = FaultPlan(node_failures={0: 40.0}, detect_us=50.0)
+
+    def prog(ctx):
+        win = yield from ctx.win_allocate(64)
+        if ctx.rank == 1:
+            yield from ctx.gaspi.notification_init(win, num=4)
+        yield from ctx.barrier()
+        if ctx.rank == 1:
+            with pytest.raises(FaultError) as exc:
+                yield from consume(ctx, win)
+            msg = str(exc.value)
+            assert "wait on rank 1: every peer rank is down" in msg, msg
+            assert 90.0 <= ctx.now < 91.0
+            return "failed-fast"
+        yield ctx.timeout(100.0)                     # rank 0 stays silent
+        return "idle"
+
+    results, _ = run_cluster(2, prog, ranks_per_node=1, faults=plan)
+    assert results[1] == "failed-fast"
+
+
 def test_wildcard_wait_survives_dead_rank():
     """ANY_SOURCE requests never fail at engine level: a live rank can
     still match them (the ft layer handles wildcard failover)."""

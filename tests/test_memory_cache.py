@@ -199,3 +199,25 @@ def test_cache_agrees_with_ordereddict_oracle(geometry, ops):
     for op, *args in ops:
         assert getattr(model, op)(*args) == getattr(oracle, op)(*args)
         assert model.stats == oracle.stats
+
+
+# -- property: one batched call charges what per-address touches do ------
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(((2 * 64, 2, 64), (4 * 4 * 64, 4, 64),
+                        (32 * 1024, 8, 64), (4 * 2 * 32, 2, 32))),
+       st.lists(st.tuples(st.lists(_ADDRS, max_size=40),
+                          st.sampled_from((0, 1, 8, 64, 100)),
+                          st.sampled_from(("", "na-uq-scan", "b"))),
+                max_size=12))
+def test_touch_each_agrees_with_per_address_touch(geometry, batches):
+    """``touch_each`` (the UQ scan's one call) leaves the same per-line
+    LRU order, hits, misses, evictions and ``by_label`` as one ``touch``
+    per address, and returns the same miss count."""
+    batched, oracle = CacheModel(*geometry), CacheModel(*geometry)
+    for addrs, nbytes, label in batches:
+        got = batched.touch_each(addrs, nbytes, label=label)
+        want = sum(oracle.touch(a, nbytes, label=label) for a in addrs)
+        assert got == want
+        assert batched._sets == oracle._sets
+        assert batched.stats == oracle.stats
+        assert list(batched.stats.by_label) == list(oracle.stats.by_label)

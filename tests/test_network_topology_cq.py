@@ -131,3 +131,35 @@ def test_cq_drain():
     out = cq.drain()
     assert [e.source for e in out] == [0, 1, 2]
     assert len(cq) == 0
+
+
+@given(st.lists(st.integers(min_value=-1, max_value=120), max_size=60),
+       st.integers(min_value=1, max_value=300))
+def test_cq_is_a_bounded_fifo_that_cuts_back(bursts, capacity):
+    """A CQ against a deque oracle: each burst posts ``n`` entries (``-1``
+    drains instead), then polls about half of what is queued.  Order,
+    length and overrun match the oracle, and the list never keeps more
+    consumed slots than it keeps entries plus one cut-back allowance."""
+    from collections import deque
+
+    cq, oracle, serial = CompletionQueue(Engine(), capacity=capacity), \
+        deque(), 0
+    for n in bursts:
+        if n < 0:
+            assert [e.source for e in cq.drain()] == list(oracle)
+            oracle.clear()
+            continue
+        for _ in range(n):
+            if len(oracle) == capacity:
+                with pytest.raises(NetworkError, match="overrun"):
+                    cq.post(_entry(source=serial))
+                break
+            cq.post(_entry(source=serial))
+            oracle.append(serial)
+            serial += 1
+        for _ in range(len(oracle) // 2 + 1):
+            got = cq.poll()
+            assert (got is None if not oracle
+                    else got.source == oracle.popleft())
+        assert len(cq) == len(oracle)
+        assert cq._head <= max(len(oracle), 64)

@@ -153,14 +153,14 @@ def test_slots_lowest_free_first_through_growth_to_overflow(ops):
     """Slot hand-out is "lowest free first" (it fixes every slot address,
     hence the cache-miss counts) whether a slot is fresh or was freed,
     the queue overflows exactly at ``slots``, and the mirror columns,
-    which start at ``_VECTOR_MIN`` and double, still answer like a
-    scalar scan after each growth."""
+    built when the queue first reaches ``_VECTOR_MIN`` and doubled after,
+    still answer like a scalar scan after each growth."""
     slots = 2 * _VECTOR_MIN + 8          # two doublings, the last clipped
     uq = _make_uq(slots)
     free = set(range(slots))
     oracle = []                          # (win_id, source, tag, time)
-    capacity = len(uq._win)
-    assert capacity == _VECTOR_MIN
+    capacity = 0                         # no columns until the first build
+    deepest = 0
     for time, (kind, win_id, source, tag) in enumerate(ops):
         if kind == "append" and not free:
             with pytest.raises(MatchingError, match="overflow"):
@@ -181,8 +181,11 @@ def test_slots_lowest_free_first_through_growth_to_overflow(ops):
                 oracle.remove(want)
                 free.add((got.slot_addr - uq.region.addr) // CACHE_LINE)
         assert len(uq) == len(oracle) == slots - len(free)
-        if len(uq._win) != capacity:
+        deepest = max(deepest, len(uq))
+        assert (uq._cols is None) == (deepest < _VECTOR_MIN)
+        if uq._cols is not None and len(uq._win) != capacity:
             capacity = len(uq._win)
             assert len(uq) <= capacity <= slots
             _assert_first_match_is_scalar_scan(uq, oracle)
-    _assert_first_match_is_scalar_scan(uq, oracle)
+    if uq._cols is not None:
+        _assert_first_match_is_scalar_scan(uq, oracle)

@@ -83,7 +83,7 @@ def test_failed_member_is_thrown_in_and_observed(engine, processed):
         try:
             yield (other, bad)
         except KeyError as exc:
-            log.append((e.now, exc.args[0], len(other.callbacks)))
+            log.append((e.now, exc.args[0], len(other.callbacks or ())))
         yield e.timeout(10.0)
         log.append((e.now, "done"))
 
