@@ -193,7 +193,6 @@ _WIN_TABLE = _bind(Window, {
     "flush": ("win_flush", _TARGET),
     "flush_local": ("win_flush_local", _TARGET),
     "flush_all": ("win_flush_all", {}),
-    "flush_local_all": ("win_flush_local_all", {}),
     "fence": ("win_fence", {}),
     "fence_end": ("win_fence_end", {}),
     "post": ("win_post", {"group": "origins"}),

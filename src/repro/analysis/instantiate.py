@@ -154,7 +154,6 @@ _FLUSH_KINDS = {
     "win_flush": (False, False),
     "win_flush_local": (True, False),
     "win_flush_all": (False, True),
-    "win_flush_local_all": (True, True),
 }
 
 _PSCW_KINDS = frozenset({

@@ -45,9 +45,9 @@ EPOCH_ACCESS_KINDS = frozenset({
 
 #: ops that complete pending origin-side work on a window
 COMPLETION_KINDS = frozenset({
-    "win_flush", "win_flush_local", "win_flush_all",
-    "win_flush_local_all", "win_fence", "win_fence_end", "win_complete",
-    "win_unlock", "win_unlock_all", "win_free", "flush_notify",
+    "win_flush", "win_flush_local", "win_flush_all", "win_fence",
+    "win_fence_end", "win_complete", "win_unlock", "win_unlock_all",
+    "win_free", "flush_notify",
 })
 
 

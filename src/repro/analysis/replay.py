@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.instantiate import COp, Trace
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.constants import wildcard_match
 
 OpId = tuple[int, int]          # (rank, index into trace.ops)
 
@@ -33,8 +33,8 @@ def compatible(post: COp, wait: COp) -> bool:
     delivered at the waiting rank) satisfy ``wait``?"""
     return (_CONSUMER.get(post.kind) == wait.kind
             and post.mech == wait.mech and post.win == wait.win
-            and wait.source in (ANY_SOURCE, post.source)
-            and wait.tag in (ANY_TAG, post.tag))
+            and wildcard_match(wait.source, wait.tag, post.source,
+                               post.tag))
 
 
 @dataclass

@@ -59,7 +59,6 @@ class ClusterConfig:
     async_progress: bool = True
     #: CPU compute throughput used by ``Rank.compute_flops`` (flops per µs)
     flops_per_us: float = 8000.0
-    detect_deadlock: bool = True
     #: optional fault-injection plan (None = perfectly reliable fabric)
     faults: FaultPlan | None = None
     #: happens-before race detection (see ``repro.sanitizer``).  Off by
@@ -259,8 +258,7 @@ class Cluster:
             procs.append(self.engine.process(prog(ctx, *args),
                                              name=f"rank{ctx.rank}"))
         try:
-            self.engine.run(until=until,
-                            detect_deadlock=self.cfg.detect_deadlock)
+            self.engine.run(until=until)
         except SimulationError as exc:
             # A race detected inside a rank program surfaces as a process
             # crash; re-raise the RaceError itself so callers (and pytest

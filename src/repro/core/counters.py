@@ -25,6 +25,7 @@ Wildcards are rejected: counter routing is static by design.
 from __future__ import annotations
 
 from collections.abc import Generator
+from functools import partial
 
 import numpy as np
 
@@ -159,9 +160,7 @@ class CounterEngine:
             raise MatchingError("test on an inactive request")
         self.ctx.cache.touch(req.cell.addr, 8, label="na-counter")
         yield self.engine.timeout(T_COUNTER_TEST)
-        if req.completed:
-            return True
-        return False
+        return req.completed
 
     def wait(self, req: CounterRequest) -> Generator[object, object, Status]:
         """Block until the counter crosses its threshold.
@@ -208,21 +207,8 @@ class CounterEngine:
             raise MatchingError(
                 f"no counter registered at rank {target} for "
                 f"(win={win.id}, tag={tag}); call counter_init there first")
-        data = np.ascontiguousarray(data)
-        nbytes = int(data.nbytes)
-        addr = win.shared.target_addr(target, target_disp, nbytes)
-        yield self.engine.timeout(self.params.o_send)
-        h = self.ctx.fabric.put(self.rank, target, addr, data,
-                                win_id=win.id)
-        win.record_pending(target, h)
-        # NIC-side counter update at commit time.  A transfer the fault
-        # layer declared lost never commits, so its counter never moves.
-        if not h.failed:
-            self.ctx.fabric._at(
-                h.commit_at,
-                lambda: cell.increment(
-                    nbytes,
-                    None if h.san_remote is None else h.san_remote.vc))
-        if h.cpu_busy:
-            yield self.engine.timeout(h.cpu_busy)
-        return h
+        # NIC-side counter update at commit time (never for a transfer
+        # the fault layer declared lost).
+        return (yield from win._put(
+            data, target, target_disp,
+            commit=partial(cell.increment, np.asarray(data).nbytes)))

@@ -72,18 +72,9 @@ class NotifyEngine:
         Supports zero-byte payloads (``data`` empty): only the notification
         is delivered, the credit-message idiom of §III-B.
         """
-        data = np.ascontiguousarray(data)
-        nbytes = int(data.nbytes)
-        addr = win.shared.target_addr(target, target_disp, nbytes)
         imm = encode_immediate(self.rank, tag)
-        yield self.engine.timeout(self.params.o_send)   # t_na, pre-injection
-        h = self.ctx.fabric.put(self.rank, target, addr, data,
-                                win_id=win.id, immediate=imm)
-        win.record_pending(target, h)
-        self.notified_ops += 1
-        if h.cpu_busy:
-            yield self.engine.timeout(h.cpu_busy)
-        return h
+        return (yield from win._put(data, target, target_disp,
+                                    immediate=imm))
 
     def get_notify(self, win: Window, buf_region, target: int,
                    target_disp: int = 0, nbytes: int | None = None,
@@ -97,17 +88,10 @@ class NotifyEngine:
         """
         if nbytes is None:
             nbytes = buf_region.nbytes - local_offset
-        addr = win.shared.target_addr(target, target_disp, nbytes)
-        imm = encode_immediate(self.rank, tag)
-        yield self.engine.timeout(self.params.o_send)   # t_na, pre-injection
-        h = self.ctx.fabric.get(self.rank, target, addr, nbytes,
-                                buf_region.addr + local_offset,
-                                win_id=win.id, immediate=imm)
-        win.record_pending(target, h)
-        self.notified_ops += 1
-        if h.cpu_busy:
-            yield self.engine.timeout(h.cpu_busy)
-        return h
+        return (yield from win._issue(
+            self.ctx.fabric.get, target, target_disp, nbytes, nbytes,
+            buf_region.addr + local_offset,
+            immediate=encode_immediate(self.rank, tag)))
 
     def accumulate_notify(self, win: Window, data: np.ndarray, target: int,
                           target_disp: int = 0, op: str = "sum",
@@ -116,19 +100,10 @@ class NotifyEngine:
                                                          OpHandle]:
         """Notified MPI_Accumulate (the paper: "similar functions can be
         created for MPI's accumulate operations")."""
-        data = np.ascontiguousarray(data)
-        nbytes = int(data.nbytes)
-        addr = win.shared.target_addr(target, target_disp, nbytes)
         imm = encode_immediate(self.rank, tag)
-        yield self.engine.timeout(self.params.o_send)   # t_na, pre-injection
-        h = self.ctx.fabric.put(self.rank, target, addr, data,
-                                win_id=win.id, immediate=imm,
-                                accumulate=op, acc_dtype=dtype)
-        win.record_pending(target, h)
-        self.notified_ops += 1
-        if h.cpu_busy:
-            yield self.engine.timeout(h.cpu_busy)
-        return h
+        return (yield from win._put(data, target, target_disp,
+                                    immediate=imm, accumulate=op,
+                                    acc_dtype=dtype))
 
     # ------------------------------------------------------------------
     # request lifecycle (target side)
@@ -200,32 +175,20 @@ class NotifyEngine:
             entry = self.uq.find_and_remove(req)
             if entry is None:
                 break
-            req.matched += 1
-            req.last_status = Status(source=entry.source, tag=entry.tag,
-                                     count=entry.nbytes)
-            req.match_log.append((entry.source, entry.tag, entry.time))
-            if self._san is not None:
-                # Matching a notification is the acquire side of the
-                # notified access: the consumer is now ordered after it.
-                self._san.acquire_op(self.rank, entry.san)
+            self._take(req, entry.source, entry.tag, entry.nbytes,
+                       entry.time, entry.san)
             cost += T_MATCH * self._scale
         cost += scanned_before * T_SCAN * self._scale
         # 3. Poll the hardware destination queues for new notifications.
         nic = self.ctx.nic
         while not req.completed:
             cqe = nic.poll_notification()
+            cost += T_POLL * self._scale    # a poll, empty or not
             if cqe is None:
-                cost += T_POLL * self._scale  # one empty poll
                 break
-            cost += T_POLL * self._scale
             source, tag = decode_immediate(cqe.immediate)
             if req.matches(cqe.win_id, source, tag):
-                req.matched += 1
-                req.last_status = Status(source=source, tag=tag,
-                                         count=cqe.nbytes)
-                req.match_log.append((source, tag, cqe.time))
-                if self._san is not None:
-                    self._san.acquire_op(self.rank, cqe.san)
+                self._take(req, source, tag, cqe.nbytes, cqe.time, cqe.san)
                 cost += T_MATCH * self._scale
             else:
                 self.uq.append(cqe.win_id, source, tag, cqe.nbytes,
@@ -236,6 +199,17 @@ class NotifyEngine:
             req.completions += 1
             return True
         return False
+
+    def _take(self, req: NotifyRequest, source: int, tag: int, nbytes: int,
+              time: float, san) -> None:
+        """Record one matched notification (from the UQ or a CQ) on
+        ``req``.  Matching is the acquire side of the notified access:
+        the consumer is now ordered after it."""
+        req.matched += 1
+        req.last_status = Status(source=source, tag=tag, count=nbytes)
+        req.match_log.append((source, tag, time))
+        if self._san is not None:
+            self._san.acquire_op(self.rank, san)
 
     def park(self, reqs: list[NotifyRequest],
              until: float | None = None) -> Generator[object, object, None]:

@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import MatchingError
 from repro.memory.address import Region
 from repro.memory.cache import CACHE_LINE, CacheModel
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG, wildcard_match
 
 #: default UQ capacity in entries
 UQ_SLOTS = 512
@@ -124,29 +124,27 @@ class UnexpectedQueue:
         self._cols = cols
         self._win, self._src, self._tag = cols
 
-    def _first_match(self, win_id: int | None, source: int,
-                     tag: int) -> int:
-        """Index of the oldest entry matching the triple, or -1.
+    def _index(self, win_id: int, source: int, tag: int) -> int:
+        """Index of the oldest entry a request for the triple matches, or
+        -1: a scalar scan of a short queue, else :meth:`_first_match`."""
+        entries = self._entries
+        if len(entries) >= _VECTOR_MIN:
+            return self._first_match(win_id, source, tag)
+        for i, e in enumerate(entries):
+            if e.win_id == win_id and wildcard_match(source, tag, e.source,
+                                                     e.tag):
+                return i
+        return -1
 
-        One vectorized compare over the mirror columns — the textbook
-        predicate (window equality, then source/tag unless wildcarded),
-        evaluated for the whole queue at once.
-        """
+    def _first_match(self, win_id: int, source: int, tag: int) -> int:
+        """:meth:`_index` as one vectorized compare over the mirror
+        columns: the matching rule evaluated for the whole queue at once."""
         n = len(self._entries)
-        if win_id is not None:
-            mask = self._win[:n] == win_id
-            if source != ANY_SOURCE:
-                mask &= self._src[:n] == source
-            if tag != ANY_TAG:
-                mask &= self._tag[:n] == tag
-        elif source != ANY_SOURCE:
-            mask = self._src[:n] == source
-            if tag != ANY_TAG:
-                mask &= self._tag[:n] == tag
-        elif tag != ANY_TAG:
-            mask = self._tag[:n] == tag
-        else:
-            return 0 if n else -1
+        mask = self._win[:n] == win_id
+        if source != ANY_SOURCE:
+            mask &= self._src[:n] == source
+        if tag != ANY_TAG:
+            mask &= self._tag[:n] == tag
         hits = np.flatnonzero(mask)
         return int(hits[0]) if hits.size else -1
 
@@ -171,23 +169,9 @@ class UnexpectedQueue:
         # queue miss; scanning further entries touches their slots.
         self.cache.touch(self.head_addr, 8, label="na-uq-head")
         entries = self._entries
-        win = getattr(req, "win", None)
-        win_id = win.id if win is not None else getattr(req, "win_id", None)
-        source = getattr(req, "source", None)
-        tag = getattr(req, "tag", None)
         if not entries:
             return None
-        if (len(entries) < _VECTOR_MIN or win_id is None
-                or source is None or tag is None):
-            # Short queue or a request shape the bulk compare cannot
-            # introspect: the scalar scan.
-            idx = -1
-            for i, entry in enumerate(entries):
-                if req.matches(entry.win_id, entry.source, entry.tag):
-                    idx = i
-                    break
-        else:
-            idx = self._first_match(win_id, source, tag)
+        idx = self._index(req.win.id, req.source, req.tag)
         # The scan reads every slot up to and including the match (or the
         # whole queue on a miss), in arrival order: one cache call.
         stop = idx + 1 if idx >= 0 else len(entries)
@@ -197,19 +181,8 @@ class UnexpectedQueue:
             return None
         return self._remove_at(idx)
 
-    def peek_match(self, win_id: int | None, source: int,
+    def peek_match(self, win_id: int, source: int,
                    tag: int) -> UqEntry | None:
         """Probe-style lookup without consuming (no cache charging)."""
-        entries = self._entries
-        if len(entries) < _VECTOR_MIN:
-            for entry in entries:
-                if win_id is not None and entry.win_id != win_id:
-                    continue
-                if source != ANY_SOURCE and entry.source != source:
-                    continue
-                if tag != ANY_TAG and entry.tag != tag:
-                    continue
-                return entry
-            return None
-        idx = self._first_match(win_id, source, tag)
-        return entries[idx] if idx >= 0 else None
+        idx = self._index(win_id, source, tag)
+        return self._entries[idx] if idx >= 0 else None

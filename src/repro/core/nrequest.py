@@ -8,10 +8,9 @@ touches of it are measured against the cache model.
 
 from __future__ import annotations
 
-
 from repro.errors import MatchingError
 from repro.memory.address import Region
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG, wildcard_match
 from repro.mpi.status import Status
 
 
@@ -58,13 +57,8 @@ class NotifyRequest:
 
     def matches(self, win_id: int, source: int, tag: int) -> bool:
         """Does a notification (win, source, tag) match this request?"""
-        if win_id != self.win.id:
-            return False
-        if self.source != ANY_SOURCE and self.source != source:
-            return False
-        if self.tag != ANY_TAG and self.tag != tag:
-            return False
-        return True
+        return win_id == self.win.id and wildcard_match(
+            self.source, self.tag, source, tag)
 
     def _check_usable(self) -> None:
         if self.freed:

@@ -22,6 +22,7 @@ reasons the paper gives for the queueing design.
 from __future__ import annotations
 
 from collections.abc import Generator
+from functools import partial
 
 import numpy as np
 
@@ -67,9 +68,6 @@ class NotificationSpace:
         regs[slot] = value
         self.slot_clocks[slot] = san_clock
         self.signal.fire(slot)
-
-    def free(self) -> None:
-        self.region.free()
 
 
 class OverwriteEngine:
@@ -159,23 +157,8 @@ class OverwriteEngine:
         if not 0 <= slot < space.num:
             raise MatchingError(f"register {slot} outside space of "
                                 f"{space.num}")
-        data = np.ascontiguousarray(data)
-        nbytes = int(data.nbytes)
-        addr = win.shared.target_addr(target, target_disp, nbytes)
-        yield self.engine.timeout(self.params.o_send)
-        h = self.ctx.fabric.put(self.rank, target, addr, data,
-                                win_id=win.id)
-        win.record_pending(target, h)
-        # Register update committed with (after) the data, same transaction.
-        # A transfer the fault layer declared lost never commits, so its
-        # register must never fire either (it used to, delivering a
-        # notification for data that never arrived).
-        if not h.failed:
-            self.ctx.fabric._at(
-                h.commit_at,
-                lambda: space.deliver(
-                    slot, value,
-                    None if h.san_remote is None else h.san_remote.vc))
-        if h.cpu_busy:
-            yield self.engine.timeout(h.cpu_busy)
-        return h
+        # The register update commits with the data (one transaction), so
+        # a transfer the fault layer lost fires no register.
+        return (yield from win._put(data, target, target_disp,
+                                    commit=partial(space.deliver, slot,
+                                                   value)))

@@ -84,15 +84,3 @@ class RaceError(ReproError):
         super().__init__(msg)
         self.prev = prev
         self.cur = cur
-
-    def sites(self) -> tuple[str, ...]:
-        """The two conflicting source sites, sorted.
-
-        This is the comparable key the differential tests use to line a
-        dynamic race up against the static checker's findings (whose
-        messages name the same ``path:line`` pair).
-        """
-        return tuple(sorted(
-            site for site in (getattr(self.prev, "site", None),
-                              getattr(self.cur, "site", None))
-            if site))

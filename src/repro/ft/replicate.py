@@ -53,7 +53,7 @@ class ReplicatedPut:
 
 
 class ReplicatedWindow:
-    """Facade mirroring every put/put_notify to R replica ranks.
+    """Facade mirroring every notified put to R replica ranks.
 
     ``chain(primary)`` gives the full replica preference order for a
     primary rank (primary first); the facade writes to the first R ranks
@@ -106,20 +106,6 @@ class ReplicatedWindow:
                                               tag=tag)
         return ReplicatedPut(primary, targets, raw, disp, tag,
                              self.ctx.now)
-
-    def put(self, data: np.ndarray, primary: int,
-            disp: int = 0) -> Generator[object, object, list]:
-        """Mirror one plain (un-notified) put; returns the op handles.
-
-        Durability of plain puts is the caller's ``flush`` problem; the
-        notified path above is what gets failover.
-        """
-        targets = self.targets(primary)
-        handles = []
-        for t in targets:
-            h = yield from self.win.put(data, t, disp)
-            handles.append(h)
-        return handles
 
     # ------------------------------------------------------------------
     def _replacement(self, put: ReplicatedPut, now: float) -> int | None:

@@ -34,59 +34,55 @@ class Communicator:
                 f"peer rank {peer} out of range [0, {self.size})")
         return peer
 
+    def _source(self, source: int) -> int:
+        """Validate a receive's source: a peer rank or ``ANY_SOURCE`` (a
+        send's ``dest`` never is)."""
+        return source if source == ANY_SOURCE else self._world(source)
+
     # -- point to point ----------------------------------------------------
     def send(self, data: np.ndarray, dest: int, tag: int = 0):
         yield from self.endpoint.send(data, self._world(dest), tag)
 
     def isend(self, data: np.ndarray, dest: int,
               tag: int = 0) -> Generator[object, object, SendRequest]:
-        req = yield from self.endpoint.isend(data, self._world(dest), tag)
-        return req
+        return (yield from self.endpoint.isend(data, self._world(dest),
+                                               tag))
 
     def recv(self, buf: np.ndarray, source: int = ANY_SOURCE,
              tag: int = ANY_TAG) -> Generator[object, object, Status]:
-        src = source if source == ANY_SOURCE else self._world(source)
-        status = yield from self.endpoint.recv(buf, src, tag)
-        return status
+        return (yield from self.endpoint.recv(buf, self._source(source),
+                                              tag))
 
     def irecv(self, buf: np.ndarray, source: int = ANY_SOURCE,
               tag: int = ANY_TAG) -> Generator[object, object, RecvRequest]:
-        src = source if source == ANY_SOURCE else self._world(source)
-        req = yield from self.endpoint.irecv(buf, src, tag)
-        return req
+        return (yield from self.endpoint.irecv(buf, self._source(source),
+                                               tag))
 
     def sendrecv(self, senddata: np.ndarray, dest: int, sendtag: int,
                  recvbuf: np.ndarray, source: int,
                  recvtag: int) -> Generator[object, object, Status]:
         """Deadlock-free combined send+recv."""
         ep = self.endpoint
-        src = source if source == ANY_SOURCE else self._world(source)
-        rreq = yield from ep.irecv(recvbuf, src, recvtag)
+        rreq = yield from ep.irecv(recvbuf, self._source(source), recvtag)
         sreq = yield from ep.isend(senddata, self._world(dest), sendtag)
         yield from ep.wait(sreq)
         status = yield from ep.wait(rreq)
         return status
 
     def wait(self, req: Request) -> Generator[object, object, Status]:
-        status = yield from self.endpoint.wait(req)
-        return status
+        return (yield from self.endpoint.wait(req))
 
     def waitall(self, reqs: list[Request]):
-        statuses = yield from self.endpoint.waitall(reqs)
-        return statuses
+        return (yield from self.endpoint.waitall(reqs))
 
     def probe(self, source: int = ANY_SOURCE,
               tag: int = ANY_TAG) -> Generator[object, object, Status]:
-        src = source if source == ANY_SOURCE else self._world(source)
-        status = yield from self.endpoint.probe(src, tag)
-        return status
+        return (yield from self.endpoint.probe(self._source(source), tag))
 
     def iprobe(self, source: int = ANY_SOURCE,
                tag: int = ANY_TAG) -> Generator[object, object,
                                                 Status | None]:
-        src = source if source == ANY_SOURCE else self._world(source)
-        status = yield from self.endpoint.iprobe(src, tag)
-        return status
+        return (yield from self.endpoint.iprobe(self._source(source), tag))
 
     # -- collectives (thin wrappers over repro.mpi.collectives) --------------
     def barrier(self):

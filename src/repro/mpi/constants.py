@@ -12,3 +12,13 @@ PROC_NULL = -2
 EAGER_HEADER = 32
 RTS_BYTES = 32
 CTS_BYTES = 16
+
+
+def wildcard_match(want_source: int, want_tag: int, source: int,
+                   tag: int) -> bool:
+    """The matching rule (§IV): does an arrival from ``source`` with
+    ``tag`` satisfy a request for ``want_source`` / ``want_tag``, either
+    of which may be a wildcard?  (A notification must also name the
+    request's window.)"""
+    return ((want_source == ANY_SOURCE or want_source == source)
+            and (want_tag == ANY_TAG or want_tag == tag))

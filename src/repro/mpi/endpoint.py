@@ -34,7 +34,8 @@ import numpy as np
 
 from repro.errors import MatchingError
 from repro.mpi.constants import (ANY_SOURCE, ANY_TAG, CTS_BYTES,
-                                 EAGER_HEADER, PROC_NULL, RTS_BYTES)
+                                 EAGER_HEADER, PROC_NULL, RTS_BYTES,
+                                 wildcard_match)
 from repro.mpi.request import RecvRequest, Request, SendRequest
 from repro.mpi.status import Status
 from repro.network.fabric import SysPacket
@@ -196,10 +197,7 @@ class MpiEndpoint:
     def _deliver_unexpected(self, req: RecvRequest, um: _Unexpected):
         """Complete/advance a receive matched against an unexpected entry."""
         if um.kind == "eager":
-            if um.nbytes > req.buf.nbytes:
-                raise MatchingError(
-                    f"message of {um.nbytes} B overflows receive buffer "
-                    f"of {req.buf.nbytes} B")
+            self._fits(req, um.nbytes)
             # Matching overhead plus the second copy: bounce -> user buffer.
             yield self.engine.timeout(self.params.mpi_overhead
                                       + self._copy_cost(um.nbytes))
@@ -207,21 +205,30 @@ class MpiEndpoint:
             self._write_user(req.buf, um.data, um.nbytes)
             req.complete(Status(source=um.source, tag=um.tag,
                                 count=um.nbytes))
-        elif um.kind == "rts":
-            if um.nbytes > req.buf.nbytes:
-                raise MatchingError(
-                    f"message of {um.nbytes} B overflows receive buffer "
-                    f"of {req.buf.nbytes} B")
-            self._rndv_recvs[req.req_id] = req
-            req.matched_from, req.matched_tag = um.source, um.tag
-            h = self.fabric.send_sys(
-                self.rank, um.source, "cts", CTS_BYTES,
-                payload={"send_id": um.send_id, "recv_id": req.req_id},
-                local_done=False, remote_done=False)
-            if h.cpu_busy:
-                yield self.engine.timeout(h.cpu_busy)
-        else:  # pragma: no cover - defensive
-            raise MatchingError(f"unknown unexpected kind {um.kind!r}")
+        else:
+            yield from self._clear_to_send(req, um.source, um.tag, um.nbytes,
+                                           um.send_id)
+
+    @staticmethod
+    def _fits(req: RecvRequest, nbytes: int) -> None:
+        if nbytes > req.buf.nbytes:
+            raise MatchingError(
+                f"message of {nbytes} B overflows receive buffer "
+                f"of {req.buf.nbytes} B")
+
+    def _clear_to_send(self, req: RecvRequest, source: int, tag: int,
+                       nbytes: int, send_id: int):
+        """Match a rendezvous RTS to ``req``: answer with a CTS naming
+        the receive, whose buffer the data leg will write."""
+        self._fits(req, nbytes)
+        self._rndv_recvs[req.req_id] = req
+        req.matched_from, req.matched_tag = source, tag
+        h = self.fabric.send_sys(
+            self.rank, source, "cts", CTS_BYTES,
+            payload={"send_id": send_id, "recv_id": req.req_id},
+            local_done=False, remote_done=False)
+        if h.cpu_busy:
+            yield self.engine.timeout(h.cpu_busy)
 
     @staticmethod
     def _write_user(buf: np.ndarray, raw: np.ndarray | None,
@@ -280,10 +287,7 @@ class MpiEndpoint:
         tag, nbytes = pkt.payload["tag"], pkt.payload["nbytes"]
         req = self._match_posted(pkt.source, tag)
         if req is not None:
-            if nbytes > req.buf.nbytes:
-                raise MatchingError(
-                    f"message of {nbytes} B overflows receive buffer "
-                    f"of {req.buf.nbytes} B")
+            self._fits(req, nbytes)
             # Matching overhead plus the copy: NIC eager buffer -> user.
             yield self.engine.timeout(self.params.mpi_overhead
                                       + self._copy_cost(nbytes))
@@ -304,18 +308,8 @@ class MpiEndpoint:
         send_id = pkt.payload["send_id"]
         req = self._match_posted(pkt.source, tag)
         if req is not None:
-            if nbytes > req.buf.nbytes:
-                raise MatchingError(
-                    f"message of {nbytes} B overflows receive buffer "
-                    f"of {req.buf.nbytes} B")
-            self._rndv_recvs[req.req_id] = req
-            req.matched_from, req.matched_tag = pkt.source, tag
-            h = self.fabric.send_sys(
-                self.rank, pkt.source, "cts", CTS_BYTES,
-                payload={"send_id": send_id, "recv_id": req.req_id},
-                local_done=False, remote_done=False)
-            if h.cpu_busy:
-                yield self.engine.timeout(h.cpu_busy)
+            yield from self._clear_to_send(req, pkt.source, tag, nbytes,
+                                           send_id)
         else:
             self.unexpected.append(_Unexpected(
                 "rts", pkt.source, tag, nbytes, send_id=send_id))
@@ -388,8 +382,7 @@ class MpiEndpoint:
         """Nonblocking probe of the unexpected queue (after progress)."""
         yield from self.progress()
         for um in self.unexpected:
-            if ((source == ANY_SOURCE or source == um.source)
-                    and (tag == ANY_TAG or tag == um.tag)):
+            if wildcard_match(source, tag, um.source, um.tag):
                 return Status(source=um.source, tag=um.tag, count=um.nbytes)
         return None
 

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.constants import wildcard_match
 from repro.mpi.status import Status
 from repro.sim.engine import Engine, Event
 
@@ -92,5 +92,4 @@ class RecvRequest(Request):
         self.matched_tag: int | None = None
 
     def matches(self, source: int, tag: int) -> bool:
-        return ((self.source == ANY_SOURCE or self.source == source)
-                and (self.tag == ANY_TAG or self.tag == tag))
+        return wildcard_match(self.source, self.tag, source, tag)

@@ -68,9 +68,6 @@ class RankTable:
     def __iter__(self) -> Iterator[Any]:
         return iter(self._items.values())
 
-    def local_ranks(self) -> list[int]:
-        return sorted(self._items)
-
 
 class ShardRouting:
     """Node-aligned rank→shard partition plus the lookahead window.

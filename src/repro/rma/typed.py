@@ -24,14 +24,27 @@ from repro.rma.window import Window
 
 def _target_blocks(win: Window, target: int, target_disp: int,
                    ttype: Datatype, count: int) -> list[tuple[int, int]]:
-    """Absolute (addr, nbytes) blocks of ``count`` x ``ttype`` at target."""
-    span = (count - 1) * ttype.extent + ttype.extent if count else 0
-    base = win.shared.target_addr(target, target_disp, span)
-    blocks = []
-    for c in range(count):
-        for off, n in ttype.blocks:
-            blocks.append((base + c * ttype.extent + off, n))
-    return blocks
+    """Absolute (addr, nbytes) blocks of ``count`` x ``ttype`` at target.
+    :meth:`Window._issue` checks their span against the window."""
+    shared = win.shared
+    base = shared.bases[target] + target_disp * shared.disp_units[target]
+    return [(base + c * ttype.extent + off, n)
+            for c in range(count) for off, n in ttype.blocks]
+
+
+def _pack(ctx, buf: np.ndarray, origin_type: Datatype, ttype: Datatype,
+          count: int) -> Generator[object, object, np.ndarray]:
+    """Pack ``count`` x ``origin_type`` from ``buf``, charging the CPU
+    pack cost (none for a contiguous type)."""
+    if origin_type.size != ttype.size:
+        raise RmaEpochError(
+            f"origin type packs {origin_type.size} B/element but target "
+            f"type holds {ttype.size}")
+    packed = origin_type.pack(buf, count)
+    cost = origin_type.pack_cost(ctx.params, count)
+    if cost:
+        yield ctx.engine.timeout(cost)
+    return packed
 
 
 def put_typed(win: Window, buf: np.ndarray, origin_type: Datatype,
@@ -40,22 +53,12 @@ def put_typed(win: Window, buf: np.ndarray, origin_type: Datatype,
               ) -> Generator[object, object, OpHandle]:
     """Typed one-sided write: pack ``count`` x ``origin_type`` from ``buf``
     and scatter into ``count`` x ``target_type`` at the target."""
-    win._check_access(target)
     ttype = target_type or origin_type
-    if origin_type.size != ttype.size:
-        raise RmaEpochError(
-            f"origin type packs {origin_type.size} B/element but target "
-            f"type holds {ttype.size}")
-    ctx = win.ctx
-    packed = origin_type.pack(buf, count)
-    cost = origin_type.pack_cost(ctx.params, count)
-    if cost:
-        yield ctx.engine.timeout(cost)
-    scatter = _target_blocks(win, target, target_disp, ttype, count)
-    h = yield from win._issue(ctx.fabric.put, ctx.rank, target, 0, packed,
-                              win_id=win.id, scatter=scatter)
-    win.record_pending(target, h)
-    return h
+    packed = yield from _pack(win.ctx, buf, origin_type, ttype, count)
+    return (yield from win._issue(
+        win.ctx.fabric.put, target, target_disp, count * ttype.extent,
+        packed, scatter=_target_blocks(win, target, target_disp, ttype,
+                                       count)))
 
 
 def get_typed(win: Window, buf: np.ndarray, origin_type: Datatype,
@@ -68,19 +71,17 @@ def get_typed(win: Window, buf: np.ndarray, origin_type: Datatype,
     ``buf`` must be the NumPy view of ``origin_region`` (layout reference);
     the data lands in the region's memory.
     """
-    win._check_access(target)
     ttype = target_type or origin_type
     if origin_type.size != ttype.size:
         raise RmaEpochError("origin/target type sizes differ")
     ctx = win.ctx
-    gather = _target_blocks(win, target, target_disp, ttype, count)
-    nbytes = ttype.size * count
     scatter = [(origin_region.addr + c * origin_type.extent + off, n)
                for c in range(count) for off, n in origin_type.blocks]
-    h = yield from win._issue(ctx.fabric.get, ctx.rank, target, 0, nbytes,
-                              0, win_id=win.id, gather=gather,
-                              scatter=scatter)
-    win.record_pending(target, h)
+    h = yield from win._issue(
+        ctx.fabric.get, target, target_disp, count * ttype.extent,
+        ttype.size * count, 0,
+        gather=_target_blocks(win, target, target_disp, ttype, count),
+        scatter=scatter)
     cost = origin_type.pack_cost(ctx.params, count)
     if cost:
         yield ctx.engine.timeout(cost)
@@ -95,19 +96,8 @@ def put_notify_typed(ctx, win: Window, buf: np.ndarray,
                      tag: int = 0) -> Generator[object, object, OpHandle]:
     """The paper's full ``MPI_Put_notify`` signature with derived types."""
     ttype = target_type or origin_type
-    if origin_type.size != ttype.size:
-        raise RmaEpochError("origin/target type sizes differ")
-    packed = origin_type.pack(buf, count)
-    cost = origin_type.pack_cost(ctx.params, count)
-    if cost:
-        yield ctx.engine.timeout(cost)
-    scatter = _target_blocks(win, target, target_disp, ttype, count)
-    imm = encode_immediate(ctx.rank, tag)
-    yield ctx.engine.timeout(ctx.params.o_send)
-    h = ctx.fabric.put(ctx.rank, target, 0, packed, win_id=win.id,
-                       immediate=imm, scatter=scatter)
-    win.record_pending(target, h)
-    ctx.na.notified_ops += 1
-    if h.cpu_busy:
-        yield ctx.engine.timeout(h.cpu_busy)
-    return h
+    packed = yield from _pack(ctx, buf, origin_type, ttype, count)
+    return (yield from win._issue(
+        ctx.fabric.put, target, target_disp, count * ttype.extent, packed,
+        immediate=encode_immediate(ctx.rank, tag),
+        scatter=_target_blocks(win, target, target_disp, ttype, count)))

@@ -209,86 +209,94 @@ class Window:
         self._holding = holding
         self._sweep_in = max(kept, _SWEEP_MIN)
 
-    def _issue(self, fn, *args, **kw):
-        """Charge o_send (the software call cost, before injection), run the
-        fabric operation, then charge the engine's CPU occupancy."""
-        yield self.ctx.engine.timeout(self.ctx.params.o_send)
-        h = fn(*args, **kw)
+    def _issue(self, verb, target: int, disp: int | None, span: int,
+               *args, immediate: int | None = None, commit=None, **kw):
+        """Issue one one-sided op: the only code that calls a fabric verb.
+
+        In order: the epoch check, for an op that carries no notification
+        (no ``immediate``, no ``commit`` hook: a notified access forms its
+        own epoch, §III); the target address, ``span`` bytes at ``disp``
+        into the window data (``disp=None``: the lock word); ``o_send``,
+        the software call cost before injection; the fabric ``verb``;
+        ``commit(san_clock)`` scheduled at the commit instant of an op the
+        fault layer did not lose; the notified-op count; the flush record;
+        the engine's CPU occupancy.  Returns the op's handle, or for an
+        atomic (never recorded) the old value, once it is back.
+        """
+        if disp is None:
+            addr = self.shared.header[target]
+        else:
+            if immediate is None and commit is None:
+                self._check_access(target)
+            addr = self.shared.target_addr(target, disp, span)
+        ctx = self.ctx
+        yield ctx.engine.timeout(ctx.params.o_send)
+        h = verb(self.rank, target, addr, *args, win_id=self.id,
+                 immediate=immediate, **kw)
+        if commit is not None and not h.failed:
+            ctx.fabric._at(h.commit_at, lambda: commit(
+                None if h.san_remote is None else h.san_remote.vc))
+        if immediate is not None:
+            ctx.na.notified_ops += 1
+        if h.kind == "amo":
+            if h.cpu_busy:
+                yield ctx.engine.timeout(h.cpu_busy)
+            old = yield h.remote_done
+            if self._san is not None:
+                # The fetched value orders this rank after the atomic (and,
+                # through the location clock, after whoever stored it).
+                self._san.acquire_op(self.rank, h.san_remote)
+            return old
+        self.record_pending(target, h)
         if h.cpu_busy:
-            yield self.ctx.engine.timeout(h.cpu_busy)
+            yield ctx.engine.timeout(h.cpu_busy)
         return h
+
+    def _put(self, data, target: int, disp: int, **kw):
+        """:meth:`_issue` a put of ``data`` (plain, accumulate, notified or
+        with a commit hook, by ``kw``)."""
+        data = np.ascontiguousarray(data)
+        return self._issue(self.ctx.fabric.put, target, disp, data.nbytes,
+                           data, **kw)
 
     # -- data movement ----------------------------------------------------
     def put(self, data: np.ndarray, target: int,
             target_disp: int = 0) -> Generator[object, object, OpHandle]:
         """One-sided write of ``data`` to ``target`` at ``target_disp``."""
-        self._check_access(target)
-        nbytes = int(np.ascontiguousarray(data).nbytes)
-        addr = self.shared.target_addr(target, target_disp, nbytes)
-        h = yield from self._issue(self.ctx.fabric.put, self.rank, target,
-                                   addr, data, win_id=self.id)
-        self.record_pending(target, h)
-        return h
+        return (yield from self._put(data, target, target_disp))
 
     def get(self, buf_region: Region, target: int, target_disp: int = 0,
             nbytes: int | None = None,
             local_offset: int = 0) -> Generator[object, object, OpHandle]:
         """One-sided read from ``target`` into ``buf_region``."""
-        self._check_access(target)
         if nbytes is None:
             nbytes = buf_region.nbytes - local_offset
-        addr = self.shared.target_addr(target, target_disp, nbytes)
-        h = yield from self._issue(self.ctx.fabric.get, self.rank, target,
-                                   addr, nbytes,
-                                   buf_region.addr + local_offset,
-                                   win_id=self.id)
-        self.record_pending(target, h)
-        return h
+        return (yield from self._issue(
+            self.ctx.fabric.get, target, target_disp, nbytes, nbytes,
+            buf_region.addr + local_offset))
 
     def accumulate(self, data: np.ndarray, target: int,
                    target_disp: int = 0, op: str = "sum",
                    dtype=np.float64) -> Generator[object, object, OpHandle]:
         """MPI_Accumulate: element-wise remote update."""
-        self._check_access(target)
-        nbytes = int(np.ascontiguousarray(data).nbytes)
-        addr = self.shared.target_addr(target, target_disp, nbytes)
-        h = yield from self._issue(self.ctx.fabric.put, self.rank, target,
-                                   addr, data, win_id=self.id,
-                                   accumulate=op, acc_dtype=dtype)
-        self.record_pending(target, h)
-        return h
+        return (yield from self._put(data, target, target_disp,
+                                     accumulate=op, acc_dtype=dtype))
 
     def fetch_and_op(self, operand: int, target: int, target_disp: int = 0,
                      op: str = "sum",
                      dtype=np.int64) -> Generator[object, object, int]:
         """Atomic fetch-and-op on one element; returns the old value."""
-        self._check_access(target)
-        itemsize = np.dtype(dtype).itemsize
-        addr = self.shared.target_addr(target, target_disp, itemsize)
-        h = yield from self._issue(self.ctx.fabric.amo, self.rank, target,
-                                   addr, op, operand, dtype=dtype,
-                                   win_id=self.id)
-        old = yield h.remote_done
-        if self._san is not None:
-            # The fetched value orders this rank after the atomic (and,
-            # through the location clock, after whoever stored the value).
-            self._san.acquire_op(self.rank, h.san_remote)
-        return old
+        return (yield from self._issue(
+            self.ctx.fabric.amo, target, target_disp,
+            np.dtype(dtype).itemsize, op, operand, dtype=dtype))
 
     def compare_and_swap(self, operand: int, compare: int, target: int,
                          target_disp: int = 0,
                          dtype=np.int64) -> Generator[object, object, int]:
         """Atomic CAS on one element; returns the old value."""
-        self._check_access(target)
-        itemsize = np.dtype(dtype).itemsize
-        addr = self.shared.target_addr(target, target_disp, itemsize)
-        h = yield from self._issue(self.ctx.fabric.amo, self.rank, target,
-                                   addr, "cas", operand, compare=compare,
-                                   dtype=dtype, win_id=self.id)
-        old = yield h.remote_done
-        if self._san is not None:
-            self._san.acquire_op(self.rank, h.san_remote)
-        return old
+        return (yield from self._issue(
+            self.ctx.fabric.amo, target, target_disp,
+            np.dtype(dtype).itemsize, "cas", operand, compare, dtype=dtype))
 
     # -- completion --------------------------------------------------------
     def flush(self, target: int) -> Generator[object, object, None]:
@@ -328,13 +336,8 @@ class Window:
                 self._pending.pop(target, None)
 
     def flush_all(self) -> Generator[object, object, None]:
-        targets = list(self._pending)
-        for t in targets:
-            yield from self.flush(t)
-
-    def flush_local_all(self) -> Generator[object, object, None]:
         for t in list(self._pending):
-            yield from self.flush_local(t)
+            yield from self.flush(t)
 
     # -- active target: fence -----------------------------------------------
     def fence(self) -> Generator[object, object, None]:
@@ -355,14 +358,18 @@ class Window:
     # -- active target: PSCW ---------------------------------------------
     def post(self, origins: list[int]) -> Generator[object, object, None]:
         """Expose this window to ``origins`` (MPI_Win_post)."""
-        for o in origins:
-            if o == self.rank:
-                continue
-            h = self.ctx.fabric.send_sys(
-                self.rank, o, f"pscw-post-{self.id}", PSCW_MSG_BYTES,
-                local_done=False, remote_done=False)
-            if h.cpu_busy:
-                yield self.ctx.engine.timeout(h.cpu_busy)
+        yield from self._send_ctrl("pscw-post", origins)
+
+    def _send_ctrl(self, what: str,
+                   peers) -> Generator[object, object, None]:
+        """Send the PSCW control message ``what`` to every other peer."""
+        for peer in peers:
+            if peer != self.rank:
+                h = self.ctx.fabric.send_sys(
+                    self.rank, peer, f"{what}-{self.id}", PSCW_MSG_BYTES,
+                    local_done=False, remote_done=False)
+                if h.cpu_busy:
+                    yield self.ctx.engine.timeout(h.cpu_busy)
 
     def start(self, targets: list[int]) -> Generator[object, object, None]:
         """Open an access epoch towards ``targets`` (MPI_Win_start)."""
@@ -378,14 +385,8 @@ class Window:
         if self._epoch != _EPOCH_PSCW:
             raise RmaEpochError("complete without a started access epoch")
         yield from self.flush_all()
-        for t in sorted(self._access_group or ()):
-            if t == self.rank:
-                continue
-            h = self.ctx.fabric.send_sys(
-                self.rank, t, f"pscw-complete-{self.id}", PSCW_MSG_BYTES,
-                local_done=False, remote_done=False)
-            if h.cpu_busy:
-                yield self.ctx.engine.timeout(h.cpu_busy)
+        yield from self._send_ctrl("pscw-complete",
+                                   sorted(self._access_group or ()))
         self._epoch = _EPOCH_NONE
         self._access_group = None
 
@@ -402,18 +403,11 @@ class Window:
         if self._epoch not in (_EPOCH_NONE, _EPOCH_LOCK):
             raise RmaEpochError(f"lock inside epoch {self._epoch!r}")
         if exclusive:
-            lock_addr = self.shared.header[target]
-            while True:
-                h = yield from self._issue(
-                    self.ctx.fabric.amo, self.rank, target, lock_addr,
-                    "cas", self.rank + 1, compare=0, win_id=self.id)
-                old = yield h.remote_done
-                if old == 0:
-                    if self._san is not None:
-                        # Lock acquired: ordered after the unlock whose 0
-                        # this CAS observed (via the lock-word clock).
-                        self._san.acquire_op(self.rank, h.san_remote)
-                    break
+            # Spin until the CAS finds the lock word free (0); acquired,
+            # this rank is ordered after the unlock that freed it.
+            while (yield from self._issue(self.ctx.fabric.amo, target, None,
+                                          8, "cas", self.rank + 1, 0)):
+                pass
         self._locked.add(target)
         self._epoch = _EPOCH_LOCK
 
@@ -423,13 +417,8 @@ class Window:
             raise RmaEpochError(f"unlock without lock on target {target}")
         yield from self.flush(target)
         if exclusive:
-            lock_addr = self.shared.header[target]
-            h = yield from self._issue(self.ctx.fabric.amo, self.rank,
-                                       target, lock_addr, "replace", 0,
-                                       win_id=self.id)
-            yield h.remote_done
-            if self._san is not None:
-                self._san.acquire_op(self.rank, h.san_remote)
+            yield from self._issue(self.ctx.fabric.amo, target, None, 8,
+                                   "replace", 0)
         self._locked.discard(target)
         if not self._locked:
             self._epoch = _EPOCH_NONE

@@ -67,9 +67,6 @@ class RngStream:
     def shuffle(self, seq: list) -> None:
         self._rng.shuffle(seq)
 
-    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        return float(self._rng.normal(loc, scale))
-
     def array(self, shape, dtype=np.float64) -> np.ndarray:
         """Random array in [0, 1); used to fill test buffers."""
         return self._rng.random(shape).astype(dtype, copy=False)

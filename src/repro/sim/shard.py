@@ -523,9 +523,9 @@ def run_sharded(program, args: Sequence[Any], config: ClusterConfig,
     """Run one rank program over ``shards`` conservative-parallel workers.
 
     Mirrors ``Cluster.run`` semantics: returns per-rank results,
-    raises :class:`DeadlockError` when processes hang (unless
-    ``config.detect_deadlock`` is off), and re-raises worker failures as
-    :class:`SimulationError` carrying the worker traceback.
+    raises :class:`DeadlockError` when processes hang, and re-raises
+    worker failures as :class:`SimulationError` carrying the worker
+    traceback.
     """
     machine = Machine(config.nranks, config.ranks_per_node,
                       nodes_per_group=config.nodes_per_group)
@@ -620,7 +620,7 @@ def run_sharded(program, args: Sequence[Any], config: ClusterConfig,
         # counts into this process's counter so events_scheduled()-based
         # events/sec stays truthful
         add_external_events(run.events)
-        if blocked and config.detect_deadlock:
+        if blocked:
             raise DeadlockError(sorted(blocked))
         return results, run
     finally:

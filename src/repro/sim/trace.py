@@ -79,9 +79,6 @@ class Tracer:
             self.records.append(
                 TraceRecord(time, "wire", src, dst, nbytes, detail))
 
-    def count(self, kind: str) -> int:
-        return self.counters[kind]
-
     def select(self, kind: str | None = None,
                src: int | None = None,
                dst: int | None = None) -> list[TraceRecord]:

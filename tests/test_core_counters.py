@@ -269,7 +269,6 @@ def test_abandoned_put_never_increments_counter():
 
     results, cluster = run_cluster(
         2, prog, ranks_per_node=1,
-        faults=FaultPlan(node_failures={1: 500.0}, detect_us=20.0, seed=9),
-        detect_deadlock=False)
+        faults=FaultPlan(node_failures={1: 500.0}, detect_us=20.0, seed=9))
     assert results == ["lost", 0]
     assert cluster.stats()["faults"]["node-down"] >= 1

@@ -1,5 +1,7 @@
 """Matching semantics: wildcards, ordering, counting, the unexpected queue."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,19 +295,12 @@ def test_arrival_order_matches_sender_delay_property(perm):
 
 
 class _StubRequest:
-    """Minimal request double for direct UnexpectedQueue tests."""
+    """Minimal request double for direct UnexpectedQueue tests: the
+    window, source and tag the queue matches against."""
 
     def __init__(self, win_id, source, tag):
-        self.win_id, self.source, self.tag = win_id, source, tag
-
-    def matches(self, win_id, source, tag):
-        if win_id != self.win_id:
-            return False
-        if self.source != ANY_SOURCE and self.source != source:
-            return False
-        if self.tag != ANY_TAG and self.tag != tag:
-            return False
-        return True
+        self.win = SimpleNamespace(id=win_id)
+        self.source, self.tag = source, tag
 
 
 def _make_uq(slots):

@@ -11,6 +11,7 @@ scanned front to back with the textbook predicate.
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -29,18 +30,14 @@ TAGS = (0, 1, 2)
 
 class _Req:
     def __init__(self, win_id, source, tag):
-        self.win_id, self.source, self.tag = win_id, source, tag
-
-    def matches(self, win_id, source, tag):
-        return (win_id == self.win_id
-                and self.source in (ANY_SOURCE, source)
-                and self.tag in (ANY_TAG, tag))
+        self.win = SimpleNamespace(id=win_id)
+        self.source, self.tag = source, tag
 
 
 def _oracle_first(entries, win_id, source, tag):
-    """Brute-force first match; ``win_id=None`` matches every window."""
+    """Brute-force first match."""
     for entry in entries:
-        if win_id is not None and entry[0] != win_id:
+        if entry[0] != win_id:
             continue
         if source != ANY_SOURCE and entry[1] != source:
             continue
@@ -68,8 +65,7 @@ def _remove_op():
 
 
 def _peek_op():
-    return st.tuples(st.just("peek"),
-                     st.sampled_from(WINS + (None,)),
+    return st.tuples(st.just("peek"), st.sampled_from(WINS),
                      st.sampled_from(SOURCES + (ANY_SOURCE,)),
                      st.sampled_from(TAGS + (ANY_TAG,)))
 
@@ -140,7 +136,7 @@ def test_drain_order_matches_repeated_oracle_scan(appends, source, tag):
 
 def _assert_first_match_is_scalar_scan(uq, oracle):
     for win_id, source, tag in product(
-            WINS + (None,), SOURCES + (ANY_SOURCE,), TAGS + (ANY_TAG,)):
+            WINS, SOURCES + (ANY_SOURCE,), TAGS + (ANY_TAG,)):
         want = _oracle_first(oracle, win_id, source, tag)
         assert uq._first_match(win_id, source, tag) == \
             (oracle.index(want) if want is not None else -1)
