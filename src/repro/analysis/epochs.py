@@ -17,7 +17,8 @@ Checks:
   never takes a sanitizer blessing (``ctx.san_acquire``), without a
   ``# protocol: raw-ok`` waiver on the line;
 * ``epoch.non-event-yield`` — a plain ``yield`` of a literal, which the
-  simulator's event loop rejects at run time.
+  simulator's event loop rejects at run time (a float literal is a CPU
+  charge, the delay a process may yield, and is not reported).
 """
 
 from __future__ import annotations
@@ -77,6 +78,17 @@ def _is_literalish(expr: ast.expr) -> bool:
     return False
 
 
+def _is_delay(expr: ast.expr) -> bool:
+    """A literal float, or arithmetic over literals with one in it."""
+    if isinstance(expr, ast.Constant):
+        return isinstance(expr.value, float)
+    if isinstance(expr, ast.UnaryOp):
+        return _is_delay(expr.operand)
+    if isinstance(expr, ast.BinOp):
+        return _is_delay(expr.left) or _is_delay(expr.right)
+    return False
+
+
 class _Lint:
     def __init__(self, program: ir.Program):
         self.program = program
@@ -126,7 +138,7 @@ class _Lint:
             twice = self._stmts(stmt.body, merged.copy())
             return _merge(merged, twice)
         if isinstance(stmt, ir.YieldRaw):
-            if _is_literalish(stmt.value):
+            if _is_literalish(stmt.value) and not _is_delay(stmt.value):
                 self._emit(
                     "epoch.non-event-yield", stmt.line,
                     f"plain `yield {ast.unparse(stmt.value)}` is not a "

@@ -115,7 +115,7 @@ class Rank:
     def compute(self, dt_us: float) -> Generator[object, object, None]:
         """Occupy this rank's CPU for ``dt_us`` microseconds."""
         if dt_us > 0:
-            yield self.engine.timeout(dt_us)
+            yield float(dt_us)
 
     def compute_flops(self, flops: float) -> Generator[object, object, None]:
         """Occupy the CPU for the time ``flops`` take at the modeled rate."""

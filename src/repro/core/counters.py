@@ -141,8 +141,7 @@ class CounterEngine:
         src_engine.routes[(win.id, self.rank, tag)] = cell
         same = self.ctx.machine.same_node(self.rank, source)
         rtt = (2 * self.params.shm.L if same else 2 * self.params.fma.L)
-        yield self.engine.timeout(self.params.t_init
-                                  + (0.0 if source == self.rank else rtt))
+        yield self.params.t_init + (0.0 if source == self.rank else rtt)
         return req
 
     def start(self, req: CounterRequest) -> Generator[object, object, None]:
@@ -150,7 +149,7 @@ class CounterEngine:
         if req.active:
             raise MatchingError("start on an already-active request")
         req.active = True
-        yield self.engine.timeout(self.params.t_start)
+        yield self.params.t_start
 
     def test(self, req: CounterRequest) -> Generator[object, object, bool]:
         """One counter check: a load and a compare (§VIII: "lowest
@@ -159,7 +158,7 @@ class CounterEngine:
         if not req.active:
             raise MatchingError("test on an inactive request")
         self.ctx.cache.touch(req.cell.addr, 8, label="na-counter")
-        yield self.engine.timeout(T_COUNTER_TEST)
+        yield T_COUNTER_TEST
         return req.completed
 
     def wait(self, req: CounterRequest) -> Generator[object, object, Status]:
@@ -195,7 +194,7 @@ class CounterEngine:
         src_engine.routes.pop((req.win.id, self.rank, req.tag), None)
         req.cell.free()
         req.freed = True
-        yield self.engine.timeout(self.params.t_free)
+        yield self.params.t_free
 
     # -- origin side --------------------------------------------------------
     def put_counted(self, win: Window, data: np.ndarray, target: int,
@@ -209,6 +208,8 @@ class CounterEngine:
                 f"(win={win.id}, tag={tag}); call counter_init there first")
         # NIC-side counter update at commit time (never for a transfer
         # the fault layer declared lost).
-        return (yield from win._put(
-            data, target, target_disp,
-            commit=partial(cell.increment, np.asarray(data).nbytes)))
+        data = np.ascontiguousarray(data)
+        return (yield from win._issue(
+            self.ctx.fabric.put, target,
+            win.shared.target_addr(target, target_disp, data.nbytes),
+            (data,), commit=partial(cell.increment, data.nbytes)))

@@ -72,9 +72,11 @@ class NotifyEngine:
         Supports zero-byte payloads (``data`` empty): only the notification
         is delivered, the credit-message idiom of §III-B.
         """
-        imm = encode_immediate(self.rank, tag)
-        return (yield from win._put(data, target, target_disp,
-                                    immediate=imm))
+        data = np.ascontiguousarray(data)
+        return (yield from win._issue(
+            self.ctx.fabric.put, target,
+            win.shared.target_addr(target, target_disp, data.nbytes),
+            (data,), immediate=encode_immediate(self.rank, tag)))
 
     def get_notify(self, win: Window, buf_region, target: int,
                    target_disp: int = 0, nbytes: int | None = None,
@@ -89,8 +91,9 @@ class NotifyEngine:
         if nbytes is None:
             nbytes = buf_region.nbytes - local_offset
         return (yield from win._issue(
-            self.ctx.fabric.get, target, target_disp, nbytes, nbytes,
-            buf_region.addr + local_offset,
+            self.ctx.fabric.get, target,
+            win.shared.target_addr(target, target_disp, nbytes),
+            (nbytes, buf_region.addr + local_offset),
             immediate=encode_immediate(self.rank, tag)))
 
     def accumulate_notify(self, win: Window, data: np.ndarray, target: int,
@@ -100,10 +103,12 @@ class NotifyEngine:
                                                          OpHandle]:
         """Notified MPI_Accumulate (the paper: "similar functions can be
         created for MPI's accumulate operations")."""
-        imm = encode_immediate(self.rank, tag)
-        return (yield from win._put(data, target, target_disp,
-                                    immediate=imm, accumulate=op,
-                                    acc_dtype=dtype))
+        data = np.ascontiguousarray(data)
+        return (yield from win._issue(
+            self.ctx.fabric.put, target,
+            win.shared.target_addr(target, target_disp, data.nbytes),
+            (data,), {"accumulate": op, "acc_dtype": dtype},
+            immediate=encode_immediate(self.rank, tag)))
 
     # ------------------------------------------------------------------
     # request lifecycle (target side)
@@ -115,7 +120,7 @@ class NotifyEngine:
         region = self.ctx.space.alloc(self.params.request_bytes, align=64)
         req = NotifyRequest(win, source, tag, expected_count, region)
         self.live_requests += 1
-        yield self.engine.timeout(self.params.t_init)
+        yield self.params.t_init
         return req
 
     def start(self, req: NotifyRequest) -> Generator[object, object, None]:
@@ -131,7 +136,7 @@ class NotifyEngine:
         # Resetting the matched counter touches the request structure.
         self.ctx.cache.touch(req.addr, self.params.request_bytes,
                              label="na-request")
-        yield self.engine.timeout(self.params.t_start)
+        yield self.params.t_start
 
     def cancel(self, req: NotifyRequest) -> None:
         """Deactivate a request that will not be waited on again
@@ -151,7 +156,7 @@ class NotifyEngine:
         req.freed = True
         req.region.free()
         self.live_requests -= 1
-        yield self.engine.timeout(self.params.t_free)
+        yield self.params.t_free
 
     # ------------------------------------------------------------------
     # progress
@@ -166,7 +171,7 @@ class NotifyEngine:
         self.ctx.cache.touch(req.addr, self.params.request_bytes,
                              label="na-request")
         if req.completed:
-            yield self.engine.timeout(cost)
+            yield cost
             return True
         # 2. Search the UQ for already-arrived matching notifications
         #    (second compulsory miss: the queue head).
@@ -194,7 +199,7 @@ class NotifyEngine:
                 self.uq.append(cqe.win_id, source, tag, cqe.nbytes,
                                cqe.time, san=cqe.san)
                 cost += T_APPEND * self._scale
-        yield self.engine.timeout(cost)
+        yield cost
         if req.completed:
             req.completions += 1
             return True
@@ -261,7 +266,7 @@ class NotifyEngine:
             self.uq.append(cqe.win_id, s, t, cqe.nbytes, cqe.time,
                            san=cqe.san)
             cost += (T_POLL + T_APPEND) * self._scale
-        yield self.engine.timeout(cost)
+        yield cost
         entry = self.uq.peek_match(win.id, source, tag)
         if entry is None:
             return None

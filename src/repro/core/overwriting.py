@@ -95,7 +95,7 @@ class OverwriteEngine:
         self.spaces[win.id] = space
         # Registration is collective-free in GASPI (segment-relative ids);
         # only the local setup cost is charged.
-        yield self.engine.timeout(self.params.t_init)
+        yield self.params.t_init
         return space
 
     def waitsome(self, space: NotificationSpace, lo: int = 0,
@@ -118,7 +118,7 @@ class OverwriteEngine:
             window = regs[lo:lo + num]
             hits = np.nonzero(window)[0]
             scanned = int(hits[0]) + 1 if hits.size else num
-            yield self.engine.timeout(T_SLOT_SCAN * scanned)
+            yield T_SLOT_SCAN * scanned
             if hits.size:
                 slot = lo + int(hits[0])
                 # Read the value after the scan-time charge: overwriting
@@ -130,7 +130,7 @@ class OverwriteEngine:
                     # Consuming the register orders the consumer after the
                     # write that (last) set it.
                     san.acquire(self.rank, space.slot_clocks[slot])
-                yield self.engine.timeout(T_SLOT_RESET)
+                yield T_SLOT_RESET
                 return slot, value
             # A register may have fired while the scan time was charged;
             # re-check before arming the signal, or the wakeup is lost.
@@ -159,6 +159,8 @@ class OverwriteEngine:
                                 f"{space.num}")
         # The register update commits with the data (one transaction), so
         # a transfer the fault layer lost fires no register.
-        return (yield from win._put(data, target, target_disp,
-                                    commit=partial(space.deliver, slot,
-                                                   value)))
+        data = np.ascontiguousarray(data)
+        return (yield from win._issue(
+            self.ctx.fabric.put, target,
+            win.shared.target_addr(target, target_disp, data.nbytes),
+            (data,), commit=partial(space.deliver, slot, value)))

@@ -103,7 +103,7 @@ def checkpoint(ctx, windows: Sequence[Window], requests: Sequence = (),
         total += int(data.nbytes)
     for req in requests:
         snap.requests.append((req, _snapshot_request(req)))
-    yield ctx.timeout(_copy_cost(ctx, total))
+    yield _copy_cost(ctx, total)
     snap.taken_at = ctx.now
     if collective:
         yield from ctx.barrier()
@@ -143,7 +143,7 @@ def restore(ctx, snap: Checkpoint, windows: Sequence[Window],
         req.completions = st.completions
         req.last_status = st.last_status
         req.match_log[:] = list(st.match_log)
-    yield ctx.timeout(_copy_cost(ctx, total))
+    yield _copy_cost(ctx, total)
     if collective:
         yield from ctx.barrier()
 

@@ -128,7 +128,7 @@ class MpiEndpoint:
             return req
         data = np.ascontiguousarray(data)
         nbytes = int(data.nbytes)
-        yield self.engine.timeout(self.params.mpi_overhead)
+        yield self.params.mpi_overhead
         if nbytes <= self.params.eager_max:
             req = SendRequest(self.engine, dest, tag, data, "eager")
             h = self.fabric.send_sys(
@@ -136,7 +136,7 @@ class MpiEndpoint:
                 payload={"tag": tag, "nbytes": nbytes}, data=data,
                 remote_done=False)
             if h.cpu_busy:
-                yield self.engine.timeout(h.cpu_busy)
+                yield h.cpu_busy
             h.local_done.add_callback(lambda _e: req.complete(Status()))
             if h.local_done.processed:
                 req.complete(Status())
@@ -150,7 +150,7 @@ class MpiEndpoint:
                          "send_id": req.req_id},
                 local_done=False, remote_done=False)
             if h.cpu_busy:
-                yield self.engine.timeout(h.cpu_busy)
+                yield h.cpu_busy
         return req
 
     def send(self, data: np.ndarray, dest: int,
@@ -178,7 +178,7 @@ class MpiEndpoint:
         if source == PROC_NULL:
             req.complete(Status(source=PROC_NULL, tag=tag, count=0))
             return req
-        yield self.engine.timeout(T_POST)
+        yield T_POST
         # Check the unexpected queue first, in arrival order.
         for i, um in enumerate(self.unexpected):
             if req.matches(um.source, um.tag):
@@ -199,8 +199,7 @@ class MpiEndpoint:
         if um.kind == "eager":
             self._fits(req, um.nbytes)
             # Matching overhead plus the second copy: bounce -> user buffer.
-            yield self.engine.timeout(self.params.mpi_overhead
-                                      + self._copy_cost(um.nbytes))
+            yield self.params.mpi_overhead + self._copy_cost(um.nbytes)
             self._touch_bounce(um.nbytes, "eager-unexpected-out")
             self._write_user(req.buf, um.data, um.nbytes)
             req.complete(Status(source=um.source, tag=um.tag,
@@ -228,7 +227,7 @@ class MpiEndpoint:
             payload={"send_id": send_id, "recv_id": req.req_id},
             local_done=False, remote_done=False)
         if h.cpu_busy:
-            yield self.engine.timeout(h.cpu_busy)
+            yield h.cpu_busy
 
     @staticmethod
     def _write_user(buf: np.ndarray, raw: np.ndarray | None,
@@ -289,15 +288,14 @@ class MpiEndpoint:
         if req is not None:
             self._fits(req, nbytes)
             # Matching overhead plus the copy: NIC eager buffer -> user.
-            yield self.engine.timeout(self.params.mpi_overhead
-                                      + self._copy_cost(nbytes))
+            yield self.params.mpi_overhead + self._copy_cost(nbytes)
             self._touch_bounce(nbytes, "eager-copy")
             self.eager_copies += 1
             self._write_user(req.buf, pkt.data, nbytes)
             req.complete(Status(source=pkt.source, tag=tag, count=nbytes))
         else:
             # Copy into the bounce buffer for later matching.
-            yield self.engine.timeout(self._copy_cost(nbytes))
+            yield self._copy_cost(nbytes)
             self._touch_bounce(nbytes, "eager-bounce-in")
             self.bounce_copies += 1
             self.unexpected.append(_Unexpected(

@@ -21,12 +21,22 @@ numbers land in the paper's regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 #: one nanosecond in engine units (microseconds)
 NS = 1e-3
 #: one microsecond in engine units
 US = 1.0
+
+
+def _floats(params) -> None:
+    """Store every ``float`` field as a float: the costs built from them
+    are yielded as delays, and a process takes only a float as one, so
+    ``o_send=1`` must mean ``1.0``."""
+    for f in fields(params):
+        if f.type == "float":
+            object.__setattr__(params, f.name,
+                               float(getattr(params, f.name)))
 
 
 @dataclass(frozen=True)
@@ -37,6 +47,9 @@ class LogGPParams:
     G: float            # per-byte gap, µs/byte
     g: float = 0.04     # per-message gap at the injecting engine, µs
     o_post: float = 0.0  # CPU time to post a descriptor to this engine, µs
+
+    def __post_init__(self) -> None:
+        _floats(self)
 
     def transfer_time(self, nbytes: int) -> float:
         """Pure wire time of an ``nbytes`` transfer: L + (s-1)G (s>=1)."""
@@ -107,6 +120,9 @@ class TransportParams:
     #: network reliability mode (§VIII): if False, a notified get needs an
     #: extra round trip before the target-side notification may fire
     reliable: bool = True
+
+    def __post_init__(self) -> None:
+        _floats(self)
 
     def engine_for(self, nbytes: int, same_node: bool) -> LogGPParams:
         if same_node:

@@ -43,7 +43,7 @@ def _pack(ctx, buf: np.ndarray, origin_type: Datatype, ttype: Datatype,
     packed = origin_type.pack(buf, count)
     cost = origin_type.pack_cost(ctx.params, count)
     if cost:
-        yield ctx.engine.timeout(cost)
+        yield cost
     return packed
 
 
@@ -56,9 +56,10 @@ def put_typed(win: Window, buf: np.ndarray, origin_type: Datatype,
     ttype = target_type or origin_type
     packed = yield from _pack(win.ctx, buf, origin_type, ttype, count)
     return (yield from win._issue(
-        win.ctx.fabric.put, target, target_disp, count * ttype.extent,
-        packed, scatter=_target_blocks(win, target, target_disp, ttype,
-                                       count)))
+        win.ctx.fabric.put, target,
+        win._access(target, target_disp, count * ttype.extent), (packed,),
+        {"scatter": _target_blocks(win, target, target_disp, ttype,
+                                   count)}))
 
 
 def get_typed(win: Window, buf: np.ndarray, origin_type: Datatype,
@@ -78,13 +79,14 @@ def get_typed(win: Window, buf: np.ndarray, origin_type: Datatype,
     scatter = [(origin_region.addr + c * origin_type.extent + off, n)
                for c in range(count) for off, n in origin_type.blocks]
     h = yield from win._issue(
-        ctx.fabric.get, target, target_disp, count * ttype.extent,
-        ttype.size * count, 0,
-        gather=_target_blocks(win, target, target_disp, ttype, count),
-        scatter=scatter)
+        ctx.fabric.get, target,
+        win._access(target, target_disp, count * ttype.extent),
+        (ttype.size * count, 0),
+        {"gather": _target_blocks(win, target, target_disp, ttype, count),
+         "scatter": scatter})
     cost = origin_type.pack_cost(ctx.params, count)
     if cost:
-        yield ctx.engine.timeout(cost)
+        yield cost
     return h
 
 
@@ -98,6 +100,8 @@ def put_notify_typed(ctx, win: Window, buf: np.ndarray,
     ttype = target_type or origin_type
     packed = yield from _pack(ctx, buf, origin_type, ttype, count)
     return (yield from win._issue(
-        ctx.fabric.put, target, target_disp, count * ttype.extent, packed,
-        immediate=encode_immediate(ctx.rank, tag),
-        scatter=_target_blocks(win, target, target_disp, ttype, count)))
+        ctx.fabric.put, target,
+        win.shared.target_addr(target, target_disp, count * ttype.extent),
+        (packed,),
+        {"scatter": _target_blocks(win, target, target_disp, ttype, count)},
+        immediate=encode_immediate(ctx.rank, tag)))

@@ -31,6 +31,8 @@ _SWEEP_MIN = 4
 #: a target's entry in ``Window._pending`` once a sweep dropped every
 #: handle: the key (and its order) stays, no empty list per target does
 _SWEPT: tuple[()] = ()
+#: the fabric keywords of a plain put or get: none (never mutated)
+_PLAIN: dict = {}
 
 _EPOCH_NONE = "none"
 _EPOCH_FENCE = "fence"
@@ -151,23 +153,27 @@ class Window:
         return self.shared.sizes[self.rank]
 
     # -- epoch bookkeeping ----------------------------------------------
-    def _check_access(self, target: int) -> None:
+    def _access(self, target: int, disp: int, span: int) -> int:
+        """The address of ``span`` bytes at ``disp`` into ``target``'s
+        window data, for an op that needs an access epoch: any op that
+        carries no notification (a notified access forms its own, §III).
+        """
         if self.freed:
             raise RmaEpochError("access on a freed window")
-        if self._epoch == _EPOCH_FENCE:
-            return
-        if self._epoch == _EPOCH_PSCW:
-            if self._access_group is not None and target in self._access_group:
-                return
-            raise RmaEpochError(
-                f"PSCW access epoch does not include target {target}")
-        if self._epoch in (_EPOCH_LOCK, _EPOCH_LOCK_ALL):
-            if self._epoch == _EPOCH_LOCK and target not in self._locked:
+        epoch = self._epoch
+        if epoch == _EPOCH_PSCW:
+            if (self._access_group is None
+                    or target not in self._access_group):
+                raise RmaEpochError(
+                    f"PSCW access epoch does not include target {target}")
+        elif epoch == _EPOCH_LOCK:
+            if target not in self._locked:
                 raise RmaEpochError(f"no lock held on target {target}")
-            return
-        raise RmaEpochError(
-            "RMA access outside an epoch (call fence, start, lock, or "
-            "lock_all first)")
+        elif epoch == _EPOCH_NONE:
+            raise RmaEpochError(
+                "RMA access outside an epoch (call fence, start, lock, or "
+                "lock_all first)")
+        return self.shared.target_addr(target, disp, span)
 
     def record_pending(self, target: int, handle: OpHandle) -> None:
         handles = self._pending.get(target)
@@ -209,30 +215,24 @@ class Window:
         self._holding = holding
         self._sweep_in = max(kept, _SWEEP_MIN)
 
-    def _issue(self, verb, target: int, disp: int | None, span: int,
-               *args, immediate: int | None = None, commit=None, **kw):
+    def _issue(self, verb, target: int, addr: int, operands: tuple,
+               options: dict = _PLAIN, immediate: int | None = None,
+               commit=None):
         """Issue one one-sided op: the only code that calls a fabric verb.
 
-        In order: the epoch check, for an op that carries no notification
-        (no ``immediate``, no ``commit`` hook: a notified access forms its
-        own epoch, §III); the target address, ``span`` bytes at ``disp``
-        into the window data (``disp=None``: the lock word); ``o_send``,
-        the software call cost before injection; the fabric ``verb``;
-        ``commit(san_clock)`` scheduled at the commit instant of an op the
-        fault layer did not lose; the notified-op count; the flush record;
-        the engine's CPU occupancy.  Returns the op's handle, or for an
-        atomic (never recorded) the old value, once it is back.
+        ``verb(rank, target, addr, *operands, win_id=, immediate=,
+        **options)`` is the fabric's put, get or amo at absolute target
+        address ``addr``.  In order: ``o_send``, the software call cost
+        before injection; the verb; ``commit(san_clock)`` scheduled at the
+        commit instant of an op the fault layer did not lose; the
+        notified-op count; the flush record; the engine's CPU occupancy.
+        Returns the op's handle, or for an atomic (never recorded) the old
+        value, once it is back.
         """
-        if disp is None:
-            addr = self.shared.header[target]
-        else:
-            if immediate is None and commit is None:
-                self._check_access(target)
-            addr = self.shared.target_addr(target, disp, span)
         ctx = self.ctx
-        yield ctx.engine.timeout(ctx.params.o_send)
-        h = verb(self.rank, target, addr, *args, win_id=self.id,
-                 immediate=immediate, **kw)
+        yield ctx.params.o_send
+        h = verb(self.rank, target, addr, *operands, win_id=self.id,
+                 immediate=immediate, **options)
         if commit is not None and not h.failed:
             ctx.fabric._at(h.commit_at, lambda: commit(
                 None if h.san_remote is None else h.san_remote.vc))
@@ -240,7 +240,7 @@ class Window:
             ctx.na.notified_ops += 1
         if h.kind == "amo":
             if h.cpu_busy:
-                yield ctx.engine.timeout(h.cpu_busy)
+                yield h.cpu_busy
             old = yield h.remote_done
             if self._san is not None:
                 # The fetched value orders this rank after the atomic (and,
@@ -249,21 +249,17 @@ class Window:
             return old
         self.record_pending(target, h)
         if h.cpu_busy:
-            yield ctx.engine.timeout(h.cpu_busy)
+            yield h.cpu_busy
         return h
-
-    def _put(self, data, target: int, disp: int, **kw):
-        """:meth:`_issue` a put of ``data`` (plain, accumulate, notified or
-        with a commit hook, by ``kw``)."""
-        data = np.ascontiguousarray(data)
-        return self._issue(self.ctx.fabric.put, target, disp, data.nbytes,
-                           data, **kw)
 
     # -- data movement ----------------------------------------------------
     def put(self, data: np.ndarray, target: int,
             target_disp: int = 0) -> Generator[object, object, OpHandle]:
         """One-sided write of ``data`` to ``target`` at ``target_disp``."""
-        return (yield from self._put(data, target, target_disp))
+        data = np.ascontiguousarray(data)
+        return (yield from self._issue(
+            self.ctx.fabric.put, target,
+            self._access(target, target_disp, data.nbytes), (data,)))
 
     def get(self, buf_region: Region, target: int, target_disp: int = 0,
             nbytes: int | None = None,
@@ -272,31 +268,37 @@ class Window:
         if nbytes is None:
             nbytes = buf_region.nbytes - local_offset
         return (yield from self._issue(
-            self.ctx.fabric.get, target, target_disp, nbytes, nbytes,
-            buf_region.addr + local_offset))
+            self.ctx.fabric.get, target,
+            self._access(target, target_disp, nbytes),
+            (nbytes, buf_region.addr + local_offset)))
 
     def accumulate(self, data: np.ndarray, target: int,
                    target_disp: int = 0, op: str = "sum",
                    dtype=np.float64) -> Generator[object, object, OpHandle]:
         """MPI_Accumulate: element-wise remote update."""
-        return (yield from self._put(data, target, target_disp,
-                                     accumulate=op, acc_dtype=dtype))
+        data = np.ascontiguousarray(data)
+        return (yield from self._issue(
+            self.ctx.fabric.put, target,
+            self._access(target, target_disp, data.nbytes), (data,),
+            {"accumulate": op, "acc_dtype": dtype}))
 
     def fetch_and_op(self, operand: int, target: int, target_disp: int = 0,
                      op: str = "sum",
                      dtype=np.int64) -> Generator[object, object, int]:
         """Atomic fetch-and-op on one element; returns the old value."""
         return (yield from self._issue(
-            self.ctx.fabric.amo, target, target_disp,
-            np.dtype(dtype).itemsize, op, operand, dtype=dtype))
+            self.ctx.fabric.amo, target,
+            self._access(target, target_disp, np.dtype(dtype).itemsize),
+            (op, operand), {"dtype": dtype}))
 
     def compare_and_swap(self, operand: int, compare: int, target: int,
                          target_disp: int = 0,
                          dtype=np.int64) -> Generator[object, object, int]:
         """Atomic CAS on one element; returns the old value."""
         return (yield from self._issue(
-            self.ctx.fabric.amo, target, target_disp,
-            np.dtype(dtype).itemsize, "cas", operand, compare, dtype=dtype))
+            self.ctx.fabric.amo, target,
+            self._access(target, target_disp, np.dtype(dtype).itemsize),
+            ("cas", operand, compare), {"dtype": dtype}))
 
     # -- completion --------------------------------------------------------
     def flush(self, target: int) -> Generator[object, object, None]:
@@ -369,7 +371,7 @@ class Window:
                     self.rank, peer, f"{what}-{self.id}", PSCW_MSG_BYTES,
                     local_done=False, remote_done=False)
                 if h.cpu_busy:
-                    yield self.ctx.engine.timeout(h.cpu_busy)
+                    yield h.cpu_busy
 
     def start(self, targets: list[int]) -> Generator[object, object, None]:
         """Open an access epoch towards ``targets`` (MPI_Win_start)."""
@@ -405,8 +407,9 @@ class Window:
         if exclusive:
             # Spin until the CAS finds the lock word free (0); acquired,
             # this rank is ordered after the unlock that freed it.
-            while (yield from self._issue(self.ctx.fabric.amo, target, None,
-                                          8, "cas", self.rank + 1, 0)):
+            while (yield from self._issue(
+                    self.ctx.fabric.amo, target, self.shared.header[target],
+                    ("cas", self.rank + 1, 0))):
                 pass
         self._locked.add(target)
         self._epoch = _EPOCH_LOCK
@@ -417,8 +420,9 @@ class Window:
             raise RmaEpochError(f"unlock without lock on target {target}")
         yield from self.flush(target)
         if exclusive:
-            yield from self._issue(self.ctx.fabric.amo, target, None, 8,
-                                   "replace", 0)
+            yield from self._issue(self.ctx.fabric.amo, target,
+                                   self.shared.header[target],
+                                   ("replace", 0))
         self._locked.discard(target)
         if not self._locked:
             self._epoch = _EPOCH_NONE

@@ -6,10 +6,11 @@ unit of the paper's LogGP parameters (L is ~1 µs on uGNI, G is
 fractions of a ns/byte).
 
 The core protocol: a simulated activity is a Python generator.  It yields
-:class:`Event` objects, or a tuple of them to wait for the first, and is
-resumed with the event's value when the event triggers.  Composition uses
-plain ``yield from``, which lets the MPI-like layers expose blocking-looking
-calls (``yield from comm.send(...)``).
+an :class:`Event`, a tuple of them to wait for the first, or a float delay
+(a CPU charge: resume ``delay`` microseconds from now, with ``None``), and
+is resumed with the event's value when the event triggers.  Composition
+uses plain ``yield from``, which lets the MPI-like layers expose
+blocking-looking calls (``yield from comm.send(...)``).
 
 Hot-path design (see docs/architecture.md §9): every simulated microsecond is
 paid for in pure-Python event dispatch, so the inner loop avoids allocation
@@ -17,12 +18,13 @@ and indirection wherever the ordering contract allows.  The pending-event set
 lives in a scheduler (:mod:`repro.sim.scheduler`): same-tick buckets under a
 heap of distinct timestamps — O(1) for the same-timestamp bursts LogGP
 traffic generates, with whole-tick batch drains — and the classic binary
-heap as its reference oracle.  A process resumes in one frame; resuming one
-whose target already fired goes through a pooled :class:`_Relay`
-instead of a fresh ``Event``; a process that yields a tuple resumes
-straight from the first member to fire, through a :class:`_Waker`, with no
-condition event in between (the runtime's either-or waits all park this
-way; :class:`AnyOf` / :class:`AllOf` remain for composition);
+heap as its reference oracle.  A process resumes in one frame; a process
+that yields a delay sleeps on its own reusable :class:`_Tick`, one push and
+no event; resuming one whose target already fired goes through a pooled
+:class:`_Relay` instead of a fresh ``Event``; a process that yields a tuple
+resumes straight from the first member to fire, through a :class:`_Waker`,
+with no condition event in between (the runtime's either-or waits all park
+this way; :class:`AnyOf` / :class:`AllOf` remain for composition);
 ``succeed``/``fail`` push the schedule record inline for the ubiquitous
 zero-delay case; and both :meth:`Engine.run` and :meth:`Engine.step` consume
 events only through the scheduler's batch drain.  The ordering contract is
@@ -39,6 +41,8 @@ from typing import Any
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.scheduler import NORMAL, URGENT, make_scheduler
+
+_INF = float("inf")
 
 __all__ = [
     "URGENT", "NORMAL", "Event", "Timeout", "Process",
@@ -294,14 +298,17 @@ class _Batch(Event):
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` microseconds after creation."""
+    """An event that fires ``delay`` microseconds after creation.
+
+    A timer raced in a tuple, or one a rank program asks for.  A process
+    that only sleeps yields the delay itself instead (:class:`_Tick`).
+    """
 
     __slots__ = ()
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
-        # Flattened Event.__init__ + schedule: timeouts are allocated on
-        # every simulated compute/overhead step, so skip the super() frame
-        # and the _schedule frame.
+        # Flattened Event.__init__ + schedule: skip the super() frame and
+        # the _schedule frame.
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
         self.engine = engine
@@ -314,16 +321,42 @@ class Timeout(Event):
         engine._push(engine.now + delay, NORMAL, self)
 
 
+class _Tick:
+    """A process's wake token: what its ``yield delay`` pushes.
+
+    A CPU charge is the commonest sleep there is, and nothing but its own
+    process ever waits on it, so it needs no event: ``Process._resume``
+    pushes the process's one token at ``now + delay`` with NORMAL priority
+    — the time, priority and push position of the :class:`Timeout` it
+    stands for, since nothing can push between a ``Timeout``'s creation
+    and its ``yield``.  Its ``_process`` is the process's own resume,
+    bound once: the dispatch calls it with no event, which sends ``None``
+    into the generator, in one frame and through no callback list.  A
+    process has at most one pending, as it sleeps on nothing else, so one
+    token per process is reused for all of its charges.  The bound method
+    makes the token and its process a cycle, broken when the generator
+    ends (docs/architecture.md §9).
+    """
+
+    __slots__ = ("_process",)
+
+    def __init__(self, proc: "Process"):
+        self._process = proc._resume
+
+
 class Process(Event):
     """A running generator; also an event that fires when the generator ends.
 
     The generator may ``return value``; waiters on the process receive it.
     Uncaught exceptions inside the generator fail the process event; if
     nothing is waiting on the process, the exception propagates out of
-    :meth:`Engine.run` so bugs never vanish silently.
+    :meth:`Engine.run` so bugs never vanish silently.  A bare ``float``
+    yielded (a NumPy ``float64`` too) is a delay: a finite, non-negative
+    one resumes the generator that many microseconds later, and any other
+    raises :class:`SimulationError` into it at the ``yield``.
     """
 
-    __slots__ = ("_gen",)
+    __slots__ = ("_gen", "_tick")
 
     def __init__(self, engine: "Engine",
                  gen: Generator[Event, Any, Any], name: str = ""):
@@ -331,6 +364,7 @@ class Process(Event):
         if not hasattr(gen, "send"):
             raise TypeError(f"process body must be a generator, got {gen!r}")
         self._gen = gen
+        self._tick: _Tick | None = None
         # Kick off at the current time via a pooled relay (insertion order
         # preserved: the relay is scheduled URGENT exactly like the dedicated
         # init event used to be).
@@ -346,17 +380,34 @@ class Process(Event):
         return self._state == 0
 
     # -- internal -----------------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        # The whole resume in one frame.  ``self._resume`` is re-bound per
-        # wait rather than cached on the process: a cached bound method
-        # would make every process a reference cycle.
+    def _resume(self, event: Event | None = None) -> None:
+        # The whole resume in one frame; ``event`` is None from the tick.
+        # ``self._resume`` is re-bound per event wait rather than cached on
+        # the process: a cached bound method would make every process a
+        # reference cycle (the tick's is broken when the generator ends).
         gen = self._gen
         try:
-            if event._exc is None:
+            if event is None:
+                target = gen.send(None)
+            elif event._exc is None:
                 target = gen.send(event._value)
             else:
                 target = gen.throw(event._exc)
             while not isinstance(target, Event):
+                if isinstance(target, float):
+                    # ``yield delay``: sleep on this process's own token
+                    # (NaN fails both comparisons).
+                    if 0.0 <= target < _INF:
+                        tick = self._tick
+                        if tick is None:
+                            tick = self._tick = _Tick(self)
+                        eng = self.engine
+                        eng._push(eng.now + target, NORMAL, tick)
+                        return
+                    target = gen.throw(SimulationError(
+                        f"process {self.name!r} yielded delay {target!r}: "
+                        f"a delay is finite and non-negative"))
+                    continue
                 if type(target) is tuple and target:
                     # ``yield (a, b, ...)``: the first member to fire.
                     first = self._wait_first(target)
@@ -371,10 +422,12 @@ class Process(Event):
                 target = gen.throw(SimulationError(
                     f"process {self.name!r} yielded non-event {target!r}"))
         except StopIteration as stop:
+            self._tick = None
             self.engine._processes.pop(id(self), None)
             self.succeed(stop.value, priority=URGENT)
             return
         except BaseException as exc:
+            self._tick = None
             eng = self.engine
             eng._processes.pop(id(self), None)
             self._defused = bool(self.callbacks)

@@ -333,6 +333,17 @@ def test_unsized_program_gets_epoch_lint_only():
     assert [f.check for f in findings] == ["epoch.non-event-yield"]
 
 
+def test_a_float_literal_yield_is_a_charge_not_a_finding():
+    findings = _analyze("""
+        def program(ctx):
+            yield 0.5
+            yield 2 * 0.25
+            yield 2 + 3
+    """)
+    assert [(f.check, f.line) for f in findings] == [
+        ("epoch.non-event-yield", 5)]
+
+
 # ---------------------------------------------------------------------------
 # epoch lint
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ exact counts per operation kind, inter-node (uGNI) and intra-node
 * **bytecodes** — ``sys.settrace`` ``opcode`` events in frames whose
   code lives under ``src/repro`` only, so the installed NumPy / stdlib
   cannot move the number;
-* **kernel** — the part of ``bytecodes`` executed in frames under
-  ``src/repro/sim`` (scheduler, engine, processes, conditions), so a
-  change to the event kernel shows its own move beside the total;
+* **per layer** — ``bytecodes`` split by the top-level package of the
+  frame that ran them: ``kernel`` (``src/repro/sim``: scheduler, engine,
+  processes, conditions), ``network``, ``core``, ``mpi``, ``rma``,
+  ``memory``, and ``rest`` (the top-level modules, ``ft``, the
+  sanitizer, ...), so a change to one layer shows its own move beside
+  the total;
 * **events** — simulator events scheduled (``events_scheduled()``);
 * **retained** — ``OpHandle`` and ``Event`` instances still alive once
   every ack has landed, before the closing ``flush_all``: what a
@@ -25,16 +28,20 @@ same program on every rank of a 16-rank cluster, one rank per node: the
 ``barrier`` row prices dissemination barriers (4 rounds of ``sendrecv``
 per rank), the op that fence epochs and the DHT spend their messages
 in.  A barrier is 64 messages, so that row is a run of 20 minus a run
-of 10, scaled by 10, at a tenth of the tracing: its events and kernel
-equal what 200 - 100 measures, and its bytecodes are 832 (0.004 %)
-above it.  The numbers are compared **exactly** to
-``benchmarks/cost_ledger.json``, keyed by interpreter ``major.minor``
-(bytecode is a property of the interpreter): a 5 % win or loss on an op
-path is a one-line diff in git history.  Run without arguments, this
-file prints committed -> measured for every row and column, with the
-change in percent; after an intended move, regenerate and say why::
+of 10, scaled by 10, at a tenth of the tracing: its events and every
+layer but ``memory`` equal what 200 - 100 measures, and its bytecodes
+are 832 (0.005 %) above it, all in ``memory``.  The numbers are
+compared **exactly** to ``benchmarks/cost_ledger.json``, keyed by
+interpreter ``major.minor`` (bytecode is a property of the
+interpreter): a 5 % win or loss on an op path is a one-line diff in git
+history.  Run without arguments, this file prints committed -> measured
+for every row and column, with the change in percent; after an
+intended move, regenerate and say why::
 
     PYTHONPATH=src python tests/test_cost_ledger.py --write
+
+``--functions ROW`` (e.g. ``put.intra``) prints that row's bytecodes per
+op by function instead: which frames an op-path change made cheaper.
 """
 
 from __future__ import annotations
@@ -59,7 +66,12 @@ REGENERATE = "PYTHONPATH=src python tests/test_cost_ledger.py --write"
 PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
-_KERNEL = os.path.join(_SRC, "sim") + os.sep
+#: top-level package under src/repro -> its ledger column; every other
+#: frame under src/repro counts as ``rest``
+_COLUMN_OF = {"sim": "kernel", "network": "network", "core": "core",
+              "mpi": "mpi", "rma": "rma", "memory": "memory"}
+LAYERS = (*_COLUMN_OF.values(), "rest")
+METRICS = ("bytecodes", *LAYERS, "events", "retained")
 _PAYLOAD = 64                      # bytes per op: FMA / eager territory
 _SETTLE = 1000.0                   # µs after the last op: every ack is in
 
@@ -150,31 +162,44 @@ def _run(op: str, ranks_per_node: int, n: int, settled=None) -> None:
                           sanitize=False)).run(program)
 
 
-def _traced(fn) -> tuple[int, int, int]:
-    """(bytecodes under src/repro, the part under src/repro/sim, events
-    scheduled) of ``fn()``."""
-    bytecodes = kernel = 0
+def _layer(code) -> str:
+    """The ledger column of a frame running ``code``."""
+    top = code.co_filename[len(_SRC):].split(os.sep, 1)[0]
+    return _COLUMN_OF.get(top, "rest")
 
-    def local(frame, event, arg):
-        nonlocal bytecodes
-        if event == "opcode":
-            bytecodes += 1
+
+def _function(code) -> str:
+    """``path:function`` of ``code``, relative to src/repro."""
+    return f"{code.co_filename[len(_SRC):]}:{code.co_qualname}"
+
+
+def _traced(fn, label=_layer) -> tuple[dict[str, int], int]:
+    """Bytecodes of ``fn()`` run in frames under src/repro, summed by
+    ``label(code)`` of each frame's code object, and the events it
+    scheduled."""
+    cells: dict[str, list[int]] = {}    # label -> [bytecodes]
+    tracers: dict = {}      # code object -> its opcode counter, or None
+
+    def counter(key):
+        cell = cells.setdefault(key, [0])
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                cell[0] += 1
+            return local
         return local
 
-    def local_kernel(frame, event, arg):
-        nonlocal bytecodes, kernel
-        if event == "opcode":
-            bytecodes += 1
-            kernel += 1
-        return local_kernel
-
     def tracer(frame, event, arg):
-        filename = frame.f_code.co_filename
-        if not filename.startswith(_SRC):
-            return None
-        frame.f_trace_opcodes = True
-        frame.f_trace_lines = False
-        return local_kernel if filename.startswith(_KERNEL) else local
+        code = frame.f_code
+        local = tracers.get(code, tracer)       # one lookup per entry
+        if local is tracer:
+            local = tracers[code] = (
+                counter(label(code))
+                if code.co_filename.startswith(_SRC) else None)
+        if local is not None:
+            frame.f_trace_opcodes = True
+            frame.f_trace_lines = False
+        return local
 
     events = events_scheduled()
     outer = sys.gettrace()          # a coverage run's tracer, if any
@@ -183,12 +208,14 @@ def _traced(fn) -> tuple[int, int, int]:
         fn()
     finally:
         sys.settrace(outer)
-    return bytecodes, kernel, events_scheduled() - events
+    return ({key: cell[0] for key, cell in cells.items()},
+            events_scheduled() - events)
 
 
-def _count(op: str, ranks_per_node: int, n: int) -> tuple[int, int, int]:
-    """(bytecodes, kernel bytecodes, events scheduled) of one run."""
-    return _traced(lambda: _run(op, ranks_per_node, n))
+def _count(op: str, ranks_per_node: int, n: int,
+           label=_layer) -> tuple[dict[str, int], int]:
+    """(bytecodes by ``label``, events scheduled) of one run."""
+    return _traced(lambda: _run(op, ranks_per_node, n), label)
 
 
 def _retained(op: str, ranks_per_node: int, n: int) -> int:
@@ -205,36 +232,60 @@ def _retained(op: str, ranks_per_node: int, n: int) -> int:
     return alive[0]
 
 
-def _row(op: str, ranks_per_node: int, n: int = 100) -> dict[str, int]:
-    """A run of ``2 * n`` ops minus a run of ``n``, scaled to 100 ops."""
+def _marginal(op: str, ranks_per_node: int, n: int,
+              label=_layer) -> tuple[dict[str, int], int]:
+    """(bytecodes by ``label``, events) of a run of ``2 * n`` ops minus a
+    run of ``n``, scaled to 100 ops."""
     scale = 100 // n
     _run(op, ranks_per_node, n)                     # warm caches/imports
-    low = _count(op, ranks_per_node, n)
-    high = _count(op, ranks_per_node, 2 * n)
-    return {"bytecodes": scale * (high[0] - low[0]),
-            "kernel": scale * (high[1] - low[1]),
-            "events": scale * (high[2] - low[2]),
+    low, low_events = _count(op, ranks_per_node, n, label)
+    high, high_events = _count(op, ranks_per_node, 2 * n, label)
+    return ({key: scale * (high.get(key, 0) - low.get(key, 0))
+             for key in high.keys() | low.keys()},
+            scale * (high_events - low_events))
+
+
+def _row(op: str, ranks_per_node: int, n: int = 100) -> dict[str, int]:
+    """Every :data:`METRICS` column of one row, per 100 ops."""
+    by_layer, events = _marginal(op, ranks_per_node, n)
+    scale = 100 // n
+    return {"bytecodes": sum(by_layer.values()),
+            **{layer: by_layer.get(layer, 0) for layer in LAYERS},
+            "events": events,
             "retained": scale * (_retained(op, ranks_per_node, 2 * n)
                                  - _retained(op, ranks_per_node, n))}
 
 
+def _placement(row: str) -> tuple[str, int, int]:
+    """(op, ranks per node, ops in the shorter run) of ``row``."""
+    op, placement = row.split(".")
+    if op in COLLECTIVES:
+        return op, 1, COLLECTIVES[op][2]
+    return op, PLACEMENTS[placement], 100
+
+
 def measure() -> dict[str, dict[str, int]]:
-    """``row -> {bytecodes, kernel, events, retained}`` per 100
-    operations."""
-    rows = {f"{op}.{placement}": _row(op, ranks_per_node)
-            for op in OPS
-            for placement, ranks_per_node in PLACEMENTS.items()}
-    rows.update({f"{op}.inter": _row(op, 1, n)
-                 for op, (_, _, n) in COLLECTIVES.items()})
-    return rows
+    """``row -> {metric: count}`` per 100 operations."""
+    rows = [f"{op}.{placement}" for op in OPS for placement in PLACEMENTS]
+    rows += [f"{op}.inter" for op in COLLECTIVES]
+    return {row: _row(*_placement(row)) for row in rows}
+
+
+def functions(row: str, top: int = 30) -> str:
+    """``row``'s bytecodes per op by function, the ``top`` costliest."""
+    by_function, _ = _marginal(*_placement(row), label=_function)
+    ranked = sorted(by_function.items(), key=lambda kv: (-kv[1], kv[0]))
+    lines = [f"{row}, Python {PYTHON}: bytecodes per op by function"]
+    lines += [f"{count / 100:>10.2f}  {name}"
+              for name, count in ranked[:top] if count]
+    lines.append(f"{sum(by_function.values()) / 100:>10.2f}  (all)")
+    return "\n".join(lines)
 
 
 def table(rows: dict[str, dict[str, int]]) -> str:
     lines = [f"cost ledger, Python {PYTHON}: marginal cost of 100 ops",
-             f"{'row':<22}{'bytecodes':>12}{'kernel':>10}{'events':>9}"
-             f"{'retained':>10}"]
-    lines += [f"{name:<22}{row['bytecodes']:>12}{row['kernel']:>10}"
-              f"{row['events']:>9}{row['retained']:>10}"
+             f"{'row':<20}" + "".join(f"{m:>10}" for m in METRICS)]
+    lines += [f"{name:<20}" + "".join(f"{row[m]:>10}" for m in METRICS)
               for name, row in rows.items()]
     return "\n".join(lines)
 
@@ -244,7 +295,6 @@ def moves(committed: dict[str, dict[str, int]],
     """Markdown table of committed -> measured for every row and column,
     with the change in percent (the old -> new table an op-path change
     states)."""
-    metrics = ("bytecodes", "kernel", "events", "retained")
 
     def cell(old, new) -> str:
         if old is None:
@@ -256,11 +306,11 @@ def moves(committed: dict[str, dict[str, int]],
 
     lines = [f"cost ledger, Python {PYTHON}: committed → measured, "
              "per 100 ops", "",
-             "| row | " + " | ".join(metrics) + " |",
-             "|---" * (len(metrics) + 1) + "|"]
+             "| row | " + " | ".join(METRICS) + " |",
+             "|---" * (len(METRICS) + 1) + "|"]
     lines += [f"| {name} | " + " | ".join(
                   cell(committed.get(name, {}).get(m), row[m])
-                  for m in metrics) + " |"
+                  for m in METRICS) + " |"
               for name, row in rows.items()]
     return "\n".join(lines)
 
@@ -311,7 +361,7 @@ def _record_to_distinct_targets(n: int, completed: bool) -> int:
         for target, handle in enumerate(handles):
             win.record_pending(target, handle)
 
-    return _traced(record)[0]
+    return sum(_traced(record)[0].values())
 
 
 @pytest.mark.parametrize("completed", [True, False],
@@ -325,6 +375,9 @@ def test_recording_to_distinct_targets_is_linear(completed):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--functions"] and len(sys.argv) == 3:
+        print(functions(sys.argv[2]))
+        sys.exit()
     measured = measure()
     committed = None if sys.argv[1:] else _load().get(PYTHON)
     print(table(measured) if committed is None
@@ -337,4 +390,4 @@ if __name__ == "__main__":
             handle.write("\n")
         print(f"wrote {os.path.relpath(LEDGER, ROOT)} [{PYTHON}]")
     elif sys.argv[1:]:
-        sys.exit(f"usage: {REGENERATE}")
+        sys.exit(f"usage: {REGENERATE}, or --functions ROW")

@@ -267,14 +267,16 @@ def test_audit_sees_a_cycle_built_in_the_loop(run_audit):
 def test_finished_process_is_freed_by_refcount_alone():
     """With the collector off, a finished process dies the moment the
     engine lets go of it: nothing the resume path attaches — a waiter
-    callback, a relay, a condition — closes a cycle through it.  (Its
-    generator stands in for it: events take no weak references.)"""
+    callback, a relay, a condition, its wake token — closes a cycle
+    through it.  (Its generator stands in for it: events take no weak
+    references.)"""
     eng = Engine()
     fired = eng.event()
     fired.succeed()
 
     def body():
         yield eng.timeout(1.0)                          # pending target
+        yield 1.0                                       # wake token
         yield fired                                     # relay resume
         yield eng.any_of([eng.timeout(1.0), eng.event()])
         return "done"
@@ -287,6 +289,37 @@ def test_finished_process_is_freed_by_refcount_alone():
         eng.run()
         assert proc.value == "done"
         del proc
+        assert alive() is None
+
+
+def test_crashed_process_is_freed_by_refcount_alone():
+    """The crash path breaks the wake token's cycle too.  The exception
+    keeps the frames it passed through, the resume's among them, so the
+    waiter that catches it drops its traceback, as a program keeping the
+    error would."""
+    eng = Engine()
+
+    def body():
+        yield 1.0                                       # wake token
+        yield eng.timeout(1.0)
+        raise ValueError("boom")
+
+    def waiter(proc):
+        try:
+            yield proc
+        except ValueError as exc:
+            exc.__traceback__ = None
+            return "caught"
+
+    gen = body()
+    alive = weakref.ref(gen)
+    proc = eng.process(gen)
+    guard = eng.process(waiter(proc))
+    del gen
+    with collector(False):
+        eng.run()
+        assert guard.value == "caught"
+        del proc, guard
         assert alive() is None
 
 
