@@ -193,7 +193,7 @@ class _Lint:
                     "epoch.no-epoch", op.line,
                     f"{kind.removeprefix('win_')} on window `{win}` "
                     f"outside any access epoch (fence/lock/start)")
-        if kind in ("win_get", "get_notify", "get_typed"):
+        if kind in ("win_get", "get_notify"):
             buf = _root(op.args.get("buf"))
             if buf is not None:
                 state.dirty[buf] = win or "?"

@@ -9,9 +9,9 @@ into :class:`repro.analysis.ir.Program`.
 
 The translation is deliberately partial: every communication call of the
 repro API (``ctx.na.*``, ``ctx.counters.*``, ``ctx.gaspi.*``,
-``ctx.comm.*``, window epoch/flush methods, the foMPI shim, typed RMA)
-becomes an :class:`~repro.analysis.ir.Op`; all other Python is either
-an expression, kept as the ``ast`` node it is (valued later by
+``ctx.comm.*``, window epoch/flush methods, the foMPI shim) becomes an
+:class:`~repro.analysis.ir.Op`; all other Python is either an
+expression, kept as the ``ast`` node it is (valued later by
 :func:`repro.analysis.symbols.evaluate`), or an
 :class:`~repro.analysis.ir.Unknown` marker that downgrades the
 cross-rank checks to "cannot prove".
@@ -37,7 +37,6 @@ from repro.core.engine import NotifyEngine
 from repro.core.overwriting import OverwriteEngine
 from repro.memory.address import Region
 from repro.mpi.comm import Communicator
-from repro.rma import typed
 from repro.rma.window import Window
 
 _ANALYZE_RE = re.compile(r"#\s*analyze:\s*(.+?)\s*$")
@@ -213,15 +212,6 @@ _VIEW = {"dtype": "dtype", "offset": "offset", "count": "count",
 _VIEW_TABLE = {**_bind(Window, {"local": ("win_view", _VIEW)}),
                **_bind(Region, {"ndarray": ("region_read", _VIEW)})}
 
-#: typed-RMA module functions (first argument ``ctx`` or ``win``)
-_TYPED_TABLE = _bind(typed, {
-    "put_notify_typed": ("put_notify",
-                         {"win": "win", "target": "target", "tag": "tag"}),
-    "put_typed": ("put_typed", {"win": "win", "target": "target"}),
-    "get_typed": ("get_typed",
-                  {"win": "win", "buf": "buf", "target": "target"}),
-})
-
 _FOMPI_REQ = {"req": "request"}
 _FOMPI_FLUSH = {"target": "target_rank", "win": "win"}
 _FOMPI_RMA = {"win": "win", "target": "target_rank", "tag": "tag",
@@ -261,11 +251,10 @@ class _Annotations:
 class _Translator:
     """Translates one function body; stateless across functions."""
 
-    def __init__(self, scope: sym.Scope, typed_names: set[str]):
+    def __init__(self, scope: sym.Scope):
         self.ctx_name = scope.ctx_name
         self.fompi_aliases = scope.fompi_aliases
         self.fompi_names = scope.fompi_names
-        self.typed_names = typed_names
 
     # -- api-call recognition -------------------------------------------
     def recognize(self, node: ast.expr) -> ir.Op | None:
@@ -294,11 +283,9 @@ class _Translator:
                 op.args["win"] = base
                 return op
             return None
-        if isinstance(func, ast.Name):
-            if func.id in self.fompi_names and func.id in _FOMPI_TABLE:
-                return self._build_op(_FOMPI_TABLE[func.id], node)
-            if func.id in self.typed_names and func.id in _TYPED_TABLE:
-                return self._build_op(_TYPED_TABLE[func.id], node)
+        if isinstance(func, ast.Name) and func.id in self.fompi_names \
+                and func.id in _FOMPI_TABLE:
+            return self._build_op(_FOMPI_TABLE[func.id], node)
         return None
 
     def _build_op(self, entry: _Entry | None, node: ast.Call) -> ir.Op:
@@ -538,13 +525,11 @@ def _fold_module_consts(tree: ast.Module) -> dict[str, object]:
     return env.globals
 
 
-def _collect_imports(tree: ast.Module) -> tuple[sym.Scope, set[str]]:
+def _collect_imports(tree: ast.Module) -> sym.Scope:
     """What the module's imports make of its names: the evaluator's
-    scope (foMPI / numpy aliases, names imported from the shim) and the
-    typed-RMA function names."""
+    scope (foMPI / numpy aliases, names imported from the shim)."""
     aliases: set[str] = set()
     names: set[str] = set()
-    typed: set[str] = set()
     numpy_aliases: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -557,9 +542,6 @@ def _collect_imports(tree: ast.Module) -> tuple[sym.Scope, set[str]]:
             elif module == "repro.fompi":
                 for alias in node.names:
                     names.add(alias.asname or alias.name)
-            elif module in ("repro.rma.typed", "repro.rma"):
-                for alias in node.names:
-                    typed.add(alias.asname or alias.name)
             elif module == "repro.mpi.constants":
                 for alias in node.names:
                     if alias.name in sym.WILDCARDS:
@@ -568,12 +550,10 @@ def _collect_imports(tree: ast.Module) -> tuple[sym.Scope, set[str]]:
             for alias in node.names:
                 if alias.name == "repro.fompi":
                     aliases.add(alias.asname or "repro.fompi")
-                elif alias.name == "repro.rma.typed":
-                    aliases.add(alias.asname or alias.name)
                 elif alias.name == "numpy":
                     numpy_aliases.add(alias.asname or "numpy")
     return sym.Scope(None, frozenset(aliases), frozenset(names),
-                     frozenset(numpy_aliases)), typed
+                     frozenset(numpy_aliases))
 
 
 def _discover_sizes(tree: ast.Module,
@@ -722,7 +702,7 @@ def extract_file(path: str, source: str | None = None) -> list[ir.Program]:
     except SyntaxError:
         return []
     consts = _fold_module_consts(tree)
-    module, typed_names = _collect_imports(tree)
+    module = _collect_imports(tree)
     sizes = _discover_sizes(tree, consts)
     annotations = _parse_annotations(source, tree)
 
@@ -742,7 +722,7 @@ def extract_file(path: str, source: str | None = None) -> list[ir.Program]:
                                               node.name: lifted})
 
     scope = replace(module, ctx_name="ctx")
-    translator = _Translator(scope, typed_names)
+    translator = _Translator(scope)
     programs: list[ir.Program] = []
     parents: dict[int, str] = {}
     for node in ast.walk(tree):

@@ -145,7 +145,6 @@ _SILENT_KINDS = frozenset({
 #: their presence downgrades only the race check, nothing else
 _RACE_BAIL_KINDS = frozenset({
     "san_acquire", "win_fetch_and_op", "win_compare_and_swap",
-    "put_typed", "get_typed",
     "win_lock", "win_unlock", "win_lock_all", "win_unlock_all",
 })
 

@@ -40,7 +40,7 @@ POLL_KINDS = frozenset({
 #: plain (non-notified) window accesses that need an open epoch
 EPOCH_ACCESS_KINDS = frozenset({
     "win_put", "win_get", "win_accumulate", "win_fetch_and_op",
-    "win_compare_and_swap", "put_typed", "get_typed",
+    "win_compare_and_swap",
 })
 
 #: ops that complete pending origin-side work on a window

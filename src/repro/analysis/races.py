@@ -128,19 +128,18 @@ class _ClockPass(Sanitizer):
         unit = self.run.states[op.target].trace.win_meta.get(
             op.win.index, (-1, 1))[1]
         nbytes = max(op.nbytes, 0)
-        blocks = [(self._addr(("win", op.win.index, op.target),
-                              op.disp * unit), nbytes)]
+        addr = self._addr(("win", op.win.index, op.target), op.disp * unit)
         if op.rma == "get":
             # two legs, two actors, as ``Fabric.get`` has them: the
             # remote read and the dependent delivery into ``op.buf``
             delivery = self.op_child(begun)
-            self.op_commit(begun, rank, op.target, blocks, kind=READ,
+            self.op_commit(begun, rank, op.target, addr, nbytes, kind=READ,
                            record=self.collect)
             if op.buf is not None:
                 self.op_commit(
                     delivery, op.target, rank,
-                    [(self._addr(("buf", op.buf.rank, op.buf.index),
-                                 op.buf_off), nbytes)],
+                    self._addr(("buf", op.buf.rank, op.buf.index),
+                               op.buf_off), nbytes,
                     record=self.collect)
             self.pending[rank].append(
                 (op.win, op.target, delivery, delivery))
@@ -151,7 +150,7 @@ class _ClockPass(Sanitizer):
             chan = (FmaEngine.san_channel
                     if 0 <= op.nbytes <= TransportParams.fma_max
                     else BteEngine.san_channel)
-            self.op_commit(begun, rank, op.target, blocks,
+            self.op_commit(begun, rank, op.target, addr, nbytes,
                            kind=ATOMIC if op.rma == "acc" else WRITE,
                            chan=chan, record=self.collect)
             self.pending[rank].append((op.win, op.target, begun, None))

@@ -5,8 +5,6 @@
 * :mod:`repro.apps.stencil` — PRK Sync_p2p pipelined stencil, Figures 1/4b.
 * :mod:`repro.apps.tree` — 16-ary reduction tree, Figure 4c.
 * :mod:`repro.apps.cholesky` — task-based tiled Cholesky, Figure 5.
-* :mod:`repro.apps.halo2d` — 2D Jacobi halo exchange (the introduction's
-  halo motif; exercises derived datatypes and counting notifications).
 * :mod:`repro.apps.particles` — dynamic particle exchange (§VI-B's dynamic
   applications: nondeterministic producer sets, point-to-point termination
   via notifications instead of a global allreduce).
@@ -17,7 +15,6 @@ reuse and testing.
 """
 
 from repro.apps.cholesky import CHOLESKY_MODES, run_cholesky
-from repro.apps.halo2d import HALO2D_MODES, run_halo2d
 from repro.apps.overlap import OVERLAP_MODES, run_overlap
 from repro.apps.particles import PARTICLE_MODES, run_particles
 from repro.apps.pingpong import PINGPONG_MODES, run_pingpong
@@ -35,8 +32,6 @@ __all__ = [
     "TREE_MODES",
     "run_cholesky",
     "CHOLESKY_MODES",
-    "run_halo2d",
-    "HALO2D_MODES",
     "run_particles",
     "PARTICLE_MODES",
 ]

@@ -6,7 +6,6 @@ Examples::
     python -m repro.apps pingpong  --mode mp --size 4096
     python -m repro.apps tree      --mode na -P 64 --arity 16
     python -m repro.apps cholesky  --mode onesided -P 4 --ntiles 8 --verify
-    python -m repro.apps halo2d    --mode na -P 4 --grid 64
     python -m repro.apps particles --mode na -P 8 --steps 6
     python -m repro.apps overlap   --mode na --size 65536
 """
@@ -17,9 +16,8 @@ import argparse
 import json
 import sys
 
-from repro.apps import (run_cholesky, run_halo2d, run_overlap,
-                        run_particles, run_pingpong, run_stencil,
-                        run_tree_reduction)
+from repro.apps import (run_cholesky, run_overlap, run_particles,
+                        run_pingpong, run_stencil, run_tree_reduction)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,12 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="right")
     sp.add_argument("--verify", action="store_true")
 
-    sp = sub.add_parser("halo2d", help="2D Jacobi halo exchange")
-    common(sp, ("mp", "pscw", "na"), "na")
-    sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--iters", type=int, default=6)
-    sp.add_argument("--verify", action="store_true")
-
     sp = sub.add_parser("particles", help="dynamic particle exchange")
     common(sp, ("mp", "na"), "na")
     sp.add_argument("--per-rank", type=int, default=64)
@@ -98,9 +90,6 @@ def main(argv: list[str]) -> int:
         r = run_cholesky(args.mode, args.nranks, ntiles=args.ntiles,
                          b=args.b, verify=args.verify,
                          variant=args.variant)
-    elif args.app == "halo2d":
-        r = run_halo2d(args.mode, args.nranks, g=args.grid,
-                       iters=args.iters, verify=args.verify)
     elif args.app == "particles":
         r = run_particles(args.mode, args.nranks, per_rank=args.per_rank,
                           steps=args.steps, verify=args.verify)

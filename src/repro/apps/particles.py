@@ -182,6 +182,11 @@ def run_particles(mode: str, nranks: int, per_rank: int = 64,
     if mode not in PARTICLE_MODES:
         raise ReproError(f"unknown particles mode {mode!r}; "
                          f"choose from {PARTICLE_MODES}")
+    if not 0 <= per_rank <= MAX_LOCAL:
+        raise ReproError(f"per_rank={per_rank} is outside "
+                         f"[0, MAX_LOCAL={MAX_LOCAL}]")
+    if steps < 0:
+        raise ReproError(f"steps={steps} is negative")
     if config is None:
         config = ClusterConfig(nranks=nranks)
     results, cluster = run_ranks(

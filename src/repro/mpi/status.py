@@ -19,9 +19,3 @@ class Status:
     tag: int = ANY_TAG
     count: int = 0           # payload bytes of the (last) matching access
     cancelled: bool = False
-
-    def get_count(self, itemsize: int = 1) -> int:
-        """Number of elements of ``itemsize`` bytes received."""
-        if itemsize <= 0:
-            raise ValueError("itemsize must be positive")
-        return self.count // itemsize

@@ -114,7 +114,7 @@ class _Commit:
 
     def __call__(self) -> None:
         (origin, target, nbytes, _, _, _, target_addr, raw, _, _,
-         accumulate, acc_dtype, scatter, _) = self.op
+         accumulate, acc_dtype, _) = self.op
         fab = self.fabric
         san = self.san
         if san is not None:
@@ -123,19 +123,12 @@ class _Commit:
             # channel's clock to its consumer.
             san_op, chan, track = san
             fab.san.op_commit(
-                san_op, origin, target,
-                scatter if scatter is not None else [(target_addr, nbytes)],
+                san_op, origin, target, target_addr, nbytes,
                 kind=WRITE if accumulate is None else ATOMIC,
                 chan=chan, record=track)
         if not nbytes:
             return
         space = fab.spaces[target]
-        if scatter is not None:
-            pos = 0
-            for addr, blen in scatter:
-                space.copy_in(addr, raw[pos:pos + blen])
-                pos += blen
-            return
         ufunc = _ACCUMULATE[accumulate]
         if ufunc is None:
             space.copy_in(target_addr, raw)
@@ -572,7 +565,6 @@ class Fabric:
             immediate: int | None = None,
             accumulate: str | None = None,
             acc_dtype=np.float64,
-            scatter: list[tuple[int, int]] | None = None,
             san_track: bool = True) -> OpHandle:
         """RDMA write of ``data`` into ``target``'s memory.
 
@@ -583,11 +575,6 @@ class Fabric:
         ``accumulate`` turns the commit into an element-wise update
         (``"sum"``, ``"max"``, ``"min"``, ``"replace"``) on ``acc_dtype``
         elements, the MPI_Accumulate semantics.
-
-        ``scatter`` is an optional list of absolute ``(addr, nbytes)``
-        target blocks (an RDMA scatter-gather list): the packed ``data`` is
-        split across them in order within the same single transaction.
-        ``target_addr`` is ignored when it is given.
         """
         if accumulate not in _ACCUMULATE:
             raise NetworkError(f"unknown accumulate op {accumulate!r}")
@@ -597,14 +584,9 @@ class Fabric:
             raise NetworkError(
                 f"{nbytes}-byte accumulate is not a whole number of "
                 f"{np.dtype(acc_dtype)} elements")
-        if scatter is not None:
-            if sum(b for _, b in scatter) != nbytes:
-                raise NetworkError(
-                    "scatter-gather list does not cover the payload")
-            target_addr = scatter[0][0] if scatter else target_addr
         return self._send("put", "put", origin, target, nbytes, (
-            target_addr, raw, immediate, win_id, accumulate, acc_dtype,
-            scatter), Event(self.engine, "put.local"),
+            target_addr, raw, immediate, win_id, accumulate, acc_dtype),
+            Event(self.engine, "put.local"),
             Event(self.engine, "put.remote"), immediate is not None,
             san_track)
 
@@ -618,7 +600,7 @@ class Fabric:
         commit and the arrival of its ack at the origin.
         """
         (origin, target, nbytes, t_commit, G, L, target_addr, raw, immediate,
-         win_id, _, _, _, fate) = op
+         win_id, _, _, fate) = op
         commit_at = (t_commit if same
                      else self._rx_reserve(target, t_commit, nbytes, G))
         inline = (raw if same and immediate is not None
@@ -687,9 +669,7 @@ class Fabric:
 
     def get(self, origin: int, target: int, target_addr: int, nbytes: int,
             local_addr: int, *, win_id: int | None = None,
-            immediate: int | None = None,
-            gather: list[tuple[int, int]] | None = None,
-            scatter: list[tuple[int, int]] | None = None) -> OpHandle:
+            immediate: int | None = None) -> OpHandle:
         """RDMA read of ``nbytes`` from ``target`` into origin memory.
 
         A *notified* get (``immediate`` set) notifies the **target** — the
@@ -702,12 +682,6 @@ class Fabric:
         same = self.machine.same_node(origin, target)
         nic = self.nics[origin]
         p = self.params
-        for name, sg in (("gather", gather), ("scatter", scatter)):
-            if sg is not None and sum(b for _, b in sg) != nbytes:
-                raise NetworkError(
-                    f"{name} list does not cover the {nbytes}-byte payload")
-        if gather is not None and gather:
-            target_addr = gather[0][0]
         fate = (None if self.faults is None
                 else self._fate(origin, target, nbytes, same))
         handle = OpHandle("get", 0.0, Event(self.engine, "get.local"),
@@ -745,9 +719,9 @@ class Fabric:
         # an ack returns) or there is no wire (the origin CPU writes the
         # shm ring after its own memcpy).
         at_serve = not same and p.reliable
-        parked = (handle, origin, local_addr, scatter)
+        parked = (handle, origin, local_addr)
         landed = self._hand_off("get", parked, same, (
-            origin, target, nbytes, t_req, hop, target_addr, gather,
+            origin, target, nbytes, t_req, hop, target_addr,
             immediate if at_serve else None, win_id, fate), san_op)
         if same:
             self.tracer.wire(self.engine.now, origin, target, nbytes, "get",
@@ -779,8 +753,8 @@ class Fabric:
         another process passes ``sink`` to receive them instead.
         ``immediate`` set means notify at serve time.
         """
-        (origin, target, nbytes, t_req, hop, target_addr, gather, immediate,
-         win_id, fate) = op
+        (origin, target, nbytes, t_req, hop, target_addr, immediate, win_id,
+         fate) = op
         if same:
             serve_at = t_data = t_req
             G = None
@@ -799,17 +773,9 @@ class Fabric:
 
         def serve() -> None:
             if san_op is not None:
-                self.san.op_commit(
-                    san_op, origin, target,
-                    gather if gather is not None
-                    else [(target_addr, nbytes)], kind=READ)
-            if not nbytes:
-                sink(None)
-            elif gather is not None:
-                sink(np.concatenate(
-                    [tspace.copy_out(a, b) for a, b in gather]))
-            else:
-                sink(tspace.copy_out(target_addr, nbytes))
+                self.san.op_commit(san_op, origin, target, target_addr,
+                                   nbytes, kind=READ)
+            sink(tspace.copy_out(target_addr, nbytes) if nbytes else None)
 
         self._at(serve_at, serve)
         if immediate is not None:
@@ -819,8 +785,7 @@ class Fabric:
         return t_data, G, box
 
     def _finish_get(self, handle: OpHandle, origin: int, local_addr: int,
-                    scatter: list[tuple[int, int]] | None, t_data: float,
-                    G: float | None, box) -> float:
+                    t_data: float, G: float | None, box) -> float:
         """Return leg of a get: the response lands in origin memory.
 
         Reserves the origin NIC's rx link for the response stream, patches
@@ -837,18 +802,9 @@ class Fabric:
 
         def deliver() -> None:
             if san_del is not None:
-                self.san.op_commit(
-                    san_del, handle.target, origin,
-                    scatter if scatter is not None
-                    else [(local_addr, nbytes)], kind=WRITE)
-            if not nbytes:
-                return
-            if scatter is not None:
-                pos = 0
-                for addr, blen in scatter:
-                    ospace.copy_in(addr, box[0][pos:pos + blen])
-                    pos += blen
-            else:
+                self.san.op_commit(san_del, handle.target, origin,
+                                   local_addr, nbytes, kind=WRITE)
+            if nbytes:
                 ospace.copy_in(local_addr, box[0])
 
         # One scheduler transaction for the whole same-tick completion

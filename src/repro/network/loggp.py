@@ -51,10 +51,6 @@ class LogGPParams:
     def __post_init__(self) -> None:
         _floats(self)
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Pure wire time of an ``nbytes`` transfer: L + (s-1)G (s>=1)."""
-        return self.L + max(nbytes - 1, 0) * self.G
-
     def serialization(self, nbytes: int) -> float:
         """Engine occupancy per message: g + s*G."""
         return self.g + nbytes * self.G

@@ -170,8 +170,6 @@ class ShardPacket:
     operand: int = 0
     compare: int | None = None
     value: Any = None
-    scatter: list[tuple[int, int]] | None = None
-    gather: list[tuple[int, int]] | None = None
     data: np.ndarray | None = None
     #: python headers of a sys message; a win-reg broadcast's record
     payload: dict | None = None
@@ -179,7 +177,7 @@ class ShardPacket:
     fate: Any = None
 
     def __reduce__(self):
-        # the wire record of this ptype, not all 28 fields: boundary
+        # the wire record of this ptype, not all 25 fields: boundary
         # batches are the hot pipe path
         return decode_packet, (encode_packet(self),)
 
@@ -191,11 +189,11 @@ class ShardPacket:
 WIRE_ARGS: dict[str, tuple[str, ...]] = {
     "put": ("origin", "target", "nbytes", "t_commit", "G", "L",
             "target_addr", "data", "immediate", "win_id", "accumulate",
-            "acc_dtype", "scatter", "fate"),
+            "acc_dtype", "fate"),
     "sys": ("origin", "target", "nbytes", "t_commit", "G", "L",
             "sys_ptype", "payload", "data", "fate"),
     "get": ("origin", "target", "nbytes", "t_exec", "hop", "target_addr",
-            "gather", "immediate", "win_id", "fate"),
+            "immediate", "win_id", "fate"),
     "amo": ("origin", "target", "nbytes", "t_exec", "target_addr",
             "amo_op", "operand", "compare", "acc_dtype", "immediate",
             "win_id", "fate"),

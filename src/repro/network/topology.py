@@ -51,11 +51,6 @@ class Machine:
     def same_group(self, a: int, b: int) -> bool:
         return self.group_of(a) == self.group_of(b)
 
-    def ranks_on_node(self, node: int) -> range:
-        lo = node * self.ranks_per_node
-        hi = min(lo + self.ranks_per_node, self.nranks)
-        return range(lo, hi)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Machine(nranks={self.nranks}, "
                 f"ranks_per_node={self.ranks_per_node})")

@@ -132,25 +132,24 @@ class Sanitizer:
         vc[actor] = 1
         return OpClock(actor, vc, parent.site)
 
-    def op_commit(self, op: OpClock, origin: int, target: int,
-                  blocks: Iterable[tuple[int, int]], kind: int = WRITE,
-                  chan: str | None = None, record: bool = True) -> None:
+    def op_commit(self, op: OpClock, origin: int, target: int, addr: int,
+                  nbytes: int, kind: int = WRITE, chan: str | None = None,
+                  record: bool = True) -> None:
         """The op's data is visible at ``target``: finalize its clock and
-        record its byte ranges in the target shadow."""
+        record its byte range in the target shadow."""
         if chan is not None:
             key = (origin, target, chan)
             prev = self._chan.get(key)
             if prev:
                 join_into(op.vc, prev)
             self._chan[key] = op.vc
-        for addr, nbytes in blocks:
-            if not nbytes:
-                continue
-            self._loc[(target, addr)] = op.vc
-            if record:
-                self._record(target, Access(
-                    kind, target, addr, nbytes, op.actor, 1,
-                    self.engine.now, op.site), op.vc)
+        if not nbytes:
+            return
+        self._loc[(target, addr)] = op.vc
+        if record:
+            self._record(target, Access(
+                kind, target, addr, nbytes, op.actor, 1,
+                self.engine.now, op.site), op.vc)
 
     def amo_commit(self, op: OpClock, origin: int, target: int,
                    addr: int, nbytes: int) -> None:

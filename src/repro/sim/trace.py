@@ -8,7 +8,6 @@ critical path of each synchronization scheme directly from this trace.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -78,25 +77,6 @@ class Tracer:
                 detail["lost"] = True
             self.records.append(
                 TraceRecord(time, "wire", src, dst, nbytes, detail))
-
-    def select(self, kind: str | None = None,
-               src: int | None = None,
-               dst: int | None = None) -> list[TraceRecord]:
-        """Filter records (requires ``enabled=True`` at emit time)."""
-        out: Iterable[TraceRecord] = self.records
-        if kind is not None:
-            out = (r for r in out if r.kind == kind)
-        if src is not None:
-            out = (r for r in out if r.src == src)
-        if dst is not None:
-            out = (r for r in out if r.dst == dst)
-        return list(out)
-
-    def reset(self) -> None:
-        self.records.clear()
-        self.counters.clear()
-        self.bytes_by_kind.clear()
-        self.faults.clear()
 
     def wire_transactions(self) -> int:
         """Total wire-level transactions (the unit Figure 2 counts)."""

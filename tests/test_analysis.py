@@ -87,17 +87,15 @@ def test_nested_programs_are_extracted():
 # ---------------------------------------------------------------------------
 
 def test_positional_target_follows_the_runtime_signature():
-    # get_typed(win, buf, origin_type, origin_region, target, ...)
+    # Window.get(buf_region, target, target_disp, ...)
     (program,) = _extract("""
-        from repro.rma.typed import get_typed
-
         def program(ctx):
             # analyze: nranks=2
             win = yield from ctx.win_allocate(64)
             region = ctx.alloc(64)
-            yield from get_typed(win, region.ndarray(), t, region, 1)
+            yield from win.get(region, 1, 0)
     """)
-    (op,) = [op for op in program.walk_ops() if op.kind == "get_typed"]
+    (op,) = [op for op in program.walk_ops() if op.kind == "win_get"]
     assert ast.unparse(op.args["target"]) == "1"
 
 

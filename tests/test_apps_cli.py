@@ -16,7 +16,6 @@ def test_every_subcommand_runs(capsys):
         ["tree", "--mode", "na", "-P", "9", "--arity", "4", "--reps", "2"],
         ["cholesky", "--mode", "na", "-P", "2", "--ntiles", "4",
          "--tile", "8", "--verify"],
-        ["halo2d", "--mode", "na", "-P", "4", "--grid", "16", "--verify"],
         ["particles", "--mode", "na", "-P", "3", "--steps", "4",
          "--verify"],
     ]

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.apps.particles import PARTICLE_MODES, run_particles
-from repro.errors import ReproError
+from repro.apps.particles import MAX_LOCAL, PARTICLE_MODES, run_particles
+from repro.errors import ReproError, SimulationError
 
 
 @pytest.mark.parametrize("mode", PARTICLE_MODES)
@@ -25,16 +25,32 @@ def test_invalid_mode_rejected():
         run_particles("bogus", 2)
 
 
+@pytest.mark.parametrize("kw, name", [
+    (dict(per_rank=-1), "per_rank"),
+    (dict(per_rank=MAX_LOCAL + 1), "per_rank"),
+    (dict(steps=-1), "steps"),
+], ids=["negative_per_rank", "per_rank_over_max", "negative_steps"])
+@pytest.mark.parametrize("mode", PARTICLE_MODES)
+def test_bad_sizes_rejected_before_any_rank_runs(mode, kw, name):
+    """A named error from the driver, not a rank crash wrapped in a
+    SimulationError after the ranks ran."""
+    with pytest.raises(ReproError, match=name) as err:
+        run_particles(mode, 2, **kw)
+    assert not isinstance(err.value, SimulationError)
+
+
 def test_na_termination_scales_flat():
     """The §VI-B point: NA replaces the per-step global allreduce with
-    point-to-point done-notifications, so step cost is flat in P while
-    the MP termination grows."""
+    point-to-point done-notifications, so the run time of 6 steps is flat
+    in P while the MP termination grows.  At P = 2 -> 8 (40 particles per
+    rank) NA goes 11.01 -> 11.05 us (x1.003) and MP 24.69 -> 73.47 us
+    (x2.98); EXPERIMENTS.md states the same numbers."""
     t_mp = {p: run_particles("mp", p, per_rank=40,
                              steps=6)["time_us"] for p in (2, 8)}
     t_na = {p: run_particles("na", p, per_rank=40,
                              steps=6)["time_us"] for p in (2, 8)}
-    assert t_na[8] < t_na[2] * 1.5          # flat-ish
-    assert t_mp[8] > t_mp[2] * 1.5          # allreduce grows
+    assert t_na[8] <= t_na[2] * 1.05        # flat
+    assert t_mp[8] >= t_mp[2] * 2.5         # allreduce grows
     assert t_na[8] < t_mp[8]
 
 

@@ -3,7 +3,7 @@
 Every fabric verb on a bare :class:`~repro.network.fabric.Fabric` with an
 enabled :class:`~repro.sim.trace.Tracer`, crossed over three axes:
 
-* **op form** — put, notified put, accumulate, scatter put, ``send_sys``
+* **op form** — put, notified put, accumulate, ``send_sys``
   (with both completions, and bare: neither built), get, notified get
   (``reliable`` on and off), atomic;
 * **placement** — shared memory, an FMA-sized and a BTE-sized inter-node
@@ -67,9 +67,6 @@ OPS = {
                                      win_id=WIN, immediate=IMM),
     "accumulate": lambda f, n: f.put(0, 1, ADDR, _payload(n),
                                      accumulate="sum"),
-    "scatter": lambda f, n: f.put(
-        0, 1, 0, _payload(n),
-        scatter=[(ADDR + n // 2, n // 2), (ADDR, n // 2)]),
     "send_sys": lambda f, n: f.send_sys(0, 1, "eager", n,
                                         payload={"tag": 7},
                                         data=_payload(n)),

@@ -8,7 +8,6 @@ dragonfly groups prices a third latency tier.  Numerics must stay exact.
 import pytest
 
 from repro.apps.cholesky import run_cholesky
-from repro.apps.halo2d import run_halo2d
 from repro.apps.particles import run_particles
 from repro.apps.stencil import run_stencil
 from repro.apps.tree import run_tree_reduction
@@ -32,12 +31,6 @@ def test_stencil_multi_rank_nodes():
 def test_cholesky_multi_rank_nodes(mode):
     r = run_cholesky(mode, 4, ntiles=6, b=8, verify=True, config=cfg(4))
     assert r["verified"]
-
-
-@pytest.mark.parametrize("mode", ("mp", "na", "pscw"))
-def test_halo2d_multi_rank_nodes(mode):
-    r = run_halo2d(mode, 4, g=16, iters=4, verify=True, config=cfg(4))
-    assert r["max_error"] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", ("mp", "na"))

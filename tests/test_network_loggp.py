@@ -27,13 +27,6 @@ def test_defaults_match_paper_call_costs():
     assert p.t_start == pytest.approx(0.008)
 
 
-def test_transfer_time_zero_and_one_byte():
-    p = LogGPParams(L=1.0, G=0.001)
-    assert p.transfer_time(0) == pytest.approx(1.0)
-    assert p.transfer_time(1) == pytest.approx(1.0)
-    assert p.transfer_time(1001) == pytest.approx(2.0)
-
-
 def test_serialization_includes_gap():
     p = LogGPParams(L=1.0, G=0.001, g=0.05)
     assert p.serialization(100) == pytest.approx(0.05 + 0.1)

@@ -18,9 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import (run_cholesky, run_halo2d, run_overlap,
-                        run_particles, run_pingpong, run_stencil,
-                        run_tree_reduction)
+from repro.apps import (run_cholesky, run_overlap, run_particles,
+                        run_pingpong, run_stencil, run_tree_reduction)
 from repro.cluster import ClusterConfig
 from repro.errors import RaceError
 from repro.faults import FaultPlan
@@ -149,8 +148,6 @@ APP_RUNS = [
         "na", 256, iters=3, config=cfg(2))),
     ("stencil_na", lambda cfg: run_stencil(
         "na", 3, rows=4, cols=6, iters=2, verify=True, config=cfg(3))),
-    ("halo2d_na", lambda cfg: run_halo2d(
-        "na", 4, g=8, iters=3, verify=True, config=cfg(4))),
     ("particles_na", lambda cfg: run_particles(
         "na", 3, per_rank=12, steps=3, verify=True, config=cfg(3))),
     ("tree_na", lambda cfg: run_tree_reduction(

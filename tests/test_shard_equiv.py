@@ -37,7 +37,6 @@ from repro.cluster import ClusterConfig, effective_shards, run_ranks
 from repro.errors import FaultError, NetworkError, RaceError, SimulationError
 from repro.faults import FaultPlan, TransferFate
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
-from repro.mpi.datatypes import vector
 from repro.network.fabric import Fabric
 from repro.network.loggp import TransportParams
 from repro.network.shardlink import (
@@ -49,7 +48,6 @@ from repro.network.shardlink import (
     encode_bucket,
 )
 from repro.network.topology import Machine
-from repro.rma.typed import get_typed, put_typed
 from repro.sim.engine import events_scheduled
 from repro.sim.shard import ShardCluster, ShardedRun, ShardFabric
 
@@ -299,7 +297,7 @@ def test_sharded_run_surface_and_stats():
 def _mixed_program(ctx):
     """Every verb the op pipeline carries, plain and notified: put_notify,
     get, fetch_and_op, compare-and-swap, accumulate, accumulate_notify,
-    scatter-list put_typed, gather-list get_typed, get_notify, MP sendrecv,
+    a put and a get of the same remote block, get_notify, MP sendrecv,
     collectives.  Returns what each one read or landed, the notification
     statuses, and the finish time."""
     win = yield from ctx.win_allocate(512, disp_unit=8)
@@ -335,18 +333,14 @@ def _mixed_program(ctx):
     yield from win.flush(far)
     acc_st = yield from ctx.na.wait(acc_req)
     swapped = yield from win.compare_and_swap(77, near + 1, far, 1)
-    col = vector(3, 1, 2)       # 3 doubles, every other slot
-    mat = np.arange(6, dtype=np.float64).reshape(3, 2) + 10.0 * me
-    yield from put_typed(win, mat, col, target=far, target_disp=16,
-                         target_type=col)
+    yield from win.put(np.arange(3, dtype=np.float64) + 10.0 * me, far, 16)
     yield from win.flush(far)
     yield from ctx.barrier()
     yield from ctx.compute(2.0 * (me + 1))
-    region = ctx.alloc(6 * 8)
-    grid = region.ndarray(np.float64).reshape(3, 2)
+    region = ctx.alloc(3 * 8)
+    grid = region.ndarray(np.float64)
     grid[:] = 0.0
-    yield from get_typed(win, grid, col, region, target=far, target_disp=16,
-                         target_type=col)
+    yield from win.get(region, far, 16)
     yield from win.flush(far)
     yield from ctx.na.get_notify(win, buf, far, 8, nbytes=16, tag=5)
     yield from win.flush(far)
@@ -764,15 +758,14 @@ _WIRE_SAMPLES = {
     "put": dict(origin=3, target=9, nbytes=16, t_commit=4.5, G=2e-4, L=1.1,
                 target_addr=4096, data=np.arange(16, dtype=np.uint8),
                 immediate=7, win_id=2, accumulate="sum",
-                acc_dtype=np.float64, scatter=[(4096, 8), (8192, 8)],
+                acc_dtype=np.float64,
                 fate=TransferFate(retries=1, retry_delay=10.0)),
     "sys": dict(origin=3, target=9, nbytes=0, t_commit=4.5, G=2e-4, L=1.1,
                 sys_ptype="eager", payload={"tag": 5, "ctx": 1},
                 data=np.empty(0, dtype=np.uint8),
                 fate=TransferFate(duplicate=True, dup_lag=1.0)),
     "get": dict(origin=3, target=9, nbytes=16, t_exec=4.5, hop=0.25,
-                target_addr=4096, gather=[(4096, 8), (8192, 8)],
-                immediate=7, win_id=2,
+                target_addr=4096, immediate=7, win_id=2,
                 fate=TransferFate(jitter=0.5, stall=2.0)),
     "amo": dict(origin=3, target=9, nbytes=8, t_exec=4.5, target_addr=4096,
                 amo_op="sum", operand=5, compare=None, acc_dtype=np.int64,

@@ -26,7 +26,6 @@ import pytest
 
 from repro.apps import (
     run_cholesky,
-    run_halo2d,
     run_overlap,
     run_particles,
     run_pingpong,
@@ -198,7 +197,6 @@ FAMILIES = {
     "overlap": lambda: run_overlap("na", 4096, iters=3),
     "dht": lambda: run_dht(8, rounds=4, verify=True),
     "tree": lambda: run_tree_reduction("na", 8, arity=4, reps=2),
-    "halo2d": lambda: run_halo2d("na", 4, 8, iters=2, verify=True),
     "particles": lambda: run_particles("na", 4, per_rank=8, steps=3),
     "cholesky": lambda: run_cholesky("na", 2, 3, b=4),
     "kv": lambda: run_kv(nservers=2, nclients=2, replication=2,

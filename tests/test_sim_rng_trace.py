@@ -62,14 +62,6 @@ def test_tracer_records_when_enabled():
     t = Tracer(enabled=True)
     t.emit(1.0, "wire", 0, 1, 100, op="put")
     t.emit(2.0, "cq", 0, 1, 0)
-    assert len(t.records) == 2
-    assert t.select(kind="wire")[0].detail["op"] == "put"
-    assert t.select(src=0, dst=1, kind="cq")[0].time == 2.0
-
-
-def test_tracer_reset():
-    t = Tracer(enabled=True)
-    t.emit(1.0, "wire", 0, 1, 10)
-    t.reset()
-    assert t.wire_transactions() == 0
-    assert t.records == []
+    wire, cq = t.records
+    assert (wire.kind, wire.detail["op"]) == ("wire", "put")
+    assert (cq.kind, cq.src, cq.dst, cq.time) == ("cq", 0, 1, 2.0)
